@@ -4,7 +4,8 @@
 Everything downstream rests on three facts demonstrated here:
   * series in the classical bases evaluate stably (Clenshaw / Bonnet),
   * conversion between bases is exact at practical degrees,
-  * weighted integrals of piecewise polynomials need no quadrature.
+  * weighted integrals of piecewise polynomials need no quadrature: each
+    weighted basis element has a closed-form antiderivative.
 """
 
 import numpy as np
@@ -13,13 +14,11 @@ from inkbasis import (
     BasisKind,
     DensePoly,
     PiecewisePoly,
-    Weight,
     convert,
     derivative,
     eval_clenshaw,
-    inner_piecewise,
-    weighted_moment,
 )
+from inkbasis.poly import piecewise_classical_inners
 
 # --- dense polynomials in three bases ------------------------------------
 # The same parabola 2x^2 - 1, written three ways.
@@ -47,30 +46,38 @@ print("\nd/dx in chebyshev coefficients:")
 print("  T_3        ->", derivative(DensePoly(BasisKind.CHEBYSHEV, [0, 0, 0, 1])).coeffs)
 print("  T_2        ->", derivative(DensePoly(BasisKind.CHEBYSHEV, [0, 0, 1])).coeffs)
 
-# --- closed-form weighted moments ------------------------------------------
-# Under the inverse-sqrt weight the even moments over [-1, 1] follow the
-# double-factorial ladder pi, pi/2, 3pi/8, ...; odd ones vanish.
-print("\nmoments of x^k, weight 1/sqrt(1-x^2), over [-1, 1]:")
-for k in range(7):
-    print(f"  k={k}: {weighted_moment(k, -1, 1, Weight.INVERSE_SQRT):+.12f}")
+# --- closed-form antiderivatives ---------------------------------------------
+# Each weighted basis element integrates in closed form:
+#   Legendre:   the integral of P_m is (P_{m+1} - P_{m-1}) / (2m + 1)
+#   Chebyshev:  the integral of T_m / sqrt(1 - s^2) is -sin(m theta) / m, s = cos(theta)
+m = 4
+e = np.eye(m + 2)
+antiderivative = DensePoly(BasisKind.LEGENDRE, (e[m + 1] - e[m - 1]) / (2 * m + 1))
+print(f"\nd/ds of (P_{m + 1} - P_{m - 1}) / {2 * m + 1} in legendre coefficients:",
+      derivative(antiderivative).coeffs)          # exactly P_4
 
-# On subintervals the same recurrence applies; no integration routine runs.
-print("moment of x^4 over [0.2, 0.9]:",
-      weighted_moment(4, 0.2, 0.9, Weight.INVERSE_SQRT))
+theta = np.array([2.5, 0.4])                       # s from -0.80 to 0.92
+closed = -np.sin(m * theta[1]) / m + np.sin(m * theta[0]) / m
+edges = np.linspace(theta[1], theta[0], 100001)   # midpoint rule in theta
+midpoint = np.sum(np.cos(m * (edges[1:] + edges[:-1]) / 2)) * (edges[1] - edges[0])
+print(f"integral of T_{m} / sqrt(1 - s^2) over [{np.cos(theta[0]):.2f}, {np.cos(theta[1]):.2f}]:")
+print(f"  closed form {closed:+.12f}   midpoint sum {midpoint:+.12f}")
 
 # --- piecewise polynomials and their inner products -------------------------
-# A hat function on [-1, 0, 1] against the first few Chebyshev polynomials.
+# Segments are stored in local coordinates, coefficient u multiplying
+# (s - s_j)^u.  A hat function on [-1, 0, 1]:
 hat = PiecewisePoly(
-    np.array([-1.0, 0.0, 1.0]),
-    (
-        DensePoly(BasisKind.MONOMIAL, [1.0, 1.0]),    # 1 + s on [-1, 0]
-        DensePoly(BasisKind.MONOMIAL, [1.0, -1.0]),   # 1 - s on [0, 1]
-    ),
+    [-1.0, 0.0, 1.0],
+    [[0.0, 1.0],     # 0 + (s + 1) on [-1, 0]
+     [1.0, -1.0]],   # 1 - s       on [0, 1]
 )
-print("\nhat function against T_0, T_1, T_2 (inverse-sqrt weight):")
-for i in range(3):
-    e = np.zeros(i + 1)
-    e[i] = 1.0
-    g = DensePoly(BasisKind.CHEBYSHEV, e)
-    print(f"  <hat, T_{i}> = {inner_piecewise(hat, g, Weight.INVERSE_SQRT):+.12f}")
+print("\nhat local coefficients:\n", hat.local)
+print("same segments on the global parameter:", [seg.coeffs for seg in hat.segments])
+
+# Against T_0, T_1, T_2 under the inverse-sqrt weight: the three-term
+# recurrence s T_k = (T_{k+1} + T_{k-1}) / 2 turns each (s - s_j) factor into
+# neighbouring antiderivative values, so no integration routine runs.
+print("hat function against T_0, T_1, T_2 (inverse-sqrt weight):")
+for i, v in enumerate(piecewise_classical_inners(hat, BasisKind.CHEBYSHEV, 2)):
+    print(f"  <hat, T_{i}> = {v:+.12f}")
 print("(T_1 vanishes by symmetry; the others are (pi-2) and -2/3.)")

@@ -22,17 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisMismatchError, LengthMismatchError, UnsupportedOrderError
-from .poly import (
-    BasisKind,
-    DensePoly,
-    PiecewisePoly,
-    Weight,
-    inner_piecewise,
-    piecewise_classical_inners,
+from .errors import (
+    BasisMismatchError, DegreeTooLargeError, LengthMismatchError, UnsupportedOrderError
 )
+from .poly import BasisKind, DensePoly, PiecewisePoly, Weight, piecewise_classical_inners
 
 DEFAULT_LAMBDA = 0.125
+MAX_DEGREE = 100  # largest degree the projection is verified at against quadrature
 
 BASIS_KINDS = ("legendre", "chebyshev", "legendre-sobolev", "chebyshev-sobolev")
 
@@ -187,6 +183,8 @@ def build_basis(spec: InnerProductSpec, degree: int) -> OrthoBasis:
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
+    if degree > MAX_DEGREE:
+        raise DegreeTooLargeError(f"degree {degree} exceeds the verified limit {MAX_DEGREE}")
     if spec.order not in (0, 1):
         raise UnsupportedOrderError(f"order {spec.order} not implemented")
     n = degree + 1
@@ -221,35 +219,14 @@ def build_named_basis(kind: str, degree: int, lam: float = DEFAULT_LAMBDA) -> Or
 def project(f: PiecewisePoly, basis: OrthoBasis) -> np.ndarray:
     """Expansion coefficients of the best approximation to f in the family.
 
-    c[i] = <f, S_i> / <S_i, S_i>, with every piecewise integral done by the
-    closed-form moment expansion.
+    c[i] = <f, S_i> / <S_i, S_i>.  The inner products with the classical
+    elements come from the closed-form segment kernel in poly; the family's
+    expansion rows combine them.
     """
     spec = basis.spec
-    v = piecewise_classical_inners(
-        f, basis.classical_basis, basis.degree, spec.weight, deriv_order=0
-    )
-    if spec.is_sobolev:
-        v = v + spec.lam * piecewise_classical_inners(
-            f, basis.classical_basis, basis.degree, spec.weight, deriv_order=1
-        )
+    lam = spec.lam if spec.is_sobolev else 0.0
+    v = piecewise_classical_inners(f, basis.classical_basis, basis.degree, lam)
     return (basis.expansion @ v) / basis.sq_norms
-
-
-def project_by_rows(f: PiecewisePoly, basis: OrthoBasis) -> np.ndarray:
-    """Same projection, one scalar inner_piecewise call per family member.
-
-    Slower than project; kept as the directly-contracted form (the batched
-    version must agree with it to rounding).
-    """
-    spec = basis.spec
-    out = np.zeros(basis.degree + 1)
-    for i in range(basis.degree + 1):
-        row = basis.member(i)
-        val = inner_piecewise(f, row, spec.weight, 0)
-        if spec.is_sobolev:
-            val += spec.lam * inner_piecewise(f, row, spec.weight, 1)
-        out[i] = val / basis.sq_norms[i]
-    return out
 
 
 def synthesize(coeffs: np.ndarray, basis: OrthoBasis) -> DensePoly:

@@ -21,7 +21,9 @@ from .errors import (
     EmptyTrainingSetError,
     LengthMismatchError,
 )
-from .ink import InkTrace, NormalizedTrace, SplineKind, SymbolCoeffs, symbol_coeffs
+from .ink import (
+    InkTrace, NormalizedTrace, SplineKind, SymbolCoeffs, arc_length_normalize, to_coeffs
+)
 
 DEFAULT_SPLIT_SEED = 0
 DEFAULT_SPLIT_RATIO = 2.0 / 3.0
@@ -235,18 +237,19 @@ def accuracy_sweep(
 ) -> list[dict]:
     """Accuracy and error rate per (basis kind, k) on labeled traces.
 
-    Each basis kind gets its own coefficient dataset computed from the same
-    traces, and all kinds share the same deterministic train/test split, so
-    rows are comparable.  Returns rows of
+    Each trace is normalized once; each basis kind gets its own coefficient
+    dataset projected from those curves, and all kinds share the same
+    deterministic train/test split, so rows are comparable.  Returns rows of
     {"basis", "k", "accuracy", "error_rate"} in sweep order.
     """
     if not traces:
         raise ValueError("no traces supplied")
     ks = list(k_range)
+    normalized = [arc_length_normalize(t, spline) for t in traces]
     rows = []
     for kind in basis_kinds:
         basis = build_named_basis(kind, degree, lam)
-        items = tuple(symbol_coeffs(t, basis, spline) for t in traces)
+        items = tuple(to_coeffs(n, basis, label=t.label) for t, n in zip(traces, normalized))
         dataset = LabeledDataset(items, split_seed=split_seed, split_ratio=split_ratio)
         acc = knn_accuracy(dataset, basis, ks)
         for k in ks:

@@ -18,14 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bases import (
-    BASIS_KINDS,
-    build_named_basis,
-    save_basis,
-)
+from .bases import BASIS_KINDS, MAX_DEGREE, build_named_basis, save_basis, synthesize
 from .classify import DEFAULT_SPLIT_RATIO, DEFAULT_SPLIT_SEED, accuracy_sweep, representation_error
 from .errors import InkBasisError
-from .bases import synthesize
 from .ink import (
     InkTrace,
     SplineKind,
@@ -296,6 +291,8 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
         parser.error("--split must lie strictly between 0 and 1")
     if hasattr(args, "d_min") and not 1 <= args.d_min <= args.d_max:
         parser.error("need 1 <= --d-min <= --d-max")
+    if getattr(args, "d_max", 0) > MAX_DEGREE:
+        parser.error(f"--d-max must be at most {MAX_DEGREE}, the verified degree limit")
 
 
 def main(argv=None) -> int:

@@ -22,7 +22,7 @@ from scipy.interpolate import CubicSpline
 
 from .bases import OrthoBasis, project
 from .errors import DegenerateTraceError, ParseError
-from .poly import BasisKind, DensePoly, PiecewisePoly
+from .poly import PiecewisePoly
 
 
 class SplineKind(str, enum.Enum):
@@ -211,57 +211,26 @@ def merge_strokes(traces: Iterable[InkTrace], label: str | None = None) -> InkTr
     return InkTrace(pts, label=label)
 
 
-def _shift_to_global(local: np.ndarray, x0: float) -> np.ndarray:
-    """Rewrite a polynomial in (s - x0) as one in s (degree at most 3)."""
-    out = np.zeros(len(local))
-    for k, ck in enumerate(local):
-        # ck * (s - x0)^k expanded binomially
-        row = np.array([1.0])
-        for _ in range(k):
-            row = np.convolve(row, np.array([-x0, 1.0]))
-        out[: k + 1] += ck * row
-    return out
-
-
-def _linear_pieces(knots: np.ndarray, values: np.ndarray) -> PiecewisePoly:
-    segs = []
-    for i in range(len(knots) - 1):
-        slope = (values[i + 1] - values[i]) / (knots[i + 1] - knots[i])
-        segs.append(
-            DensePoly(
-                BasisKind.MONOMIAL,
-                np.array([values[i] - slope * knots[i], slope]),
-            )
-        )
-    return PiecewisePoly(knots, tuple(segs))
-
-
-def _cubic_pieces(knots: np.ndarray, values: np.ndarray) -> PiecewisePoly:
-    if len(knots) == 2:  # natural cubic through two points is the chord
-        return _linear_pieces(knots, values)
-    cs = CubicSpline(knots, values, bc_type="natural")
-    segs = []
-    for i in range(len(knots) - 1):
-        local = cs.c[::-1, i]  # ascending powers of (s - knots[i])
-        segs.append(DensePoly(BasisKind.MONOMIAL, _shift_to_global(local, knots[i])))
-    return PiecewisePoly(knots, tuple(segs))
+def _fit(knots: np.ndarray, values: np.ndarray, cubic: bool) -> list[PiecewisePoly]:
+    """One spline per column of values, in local segment coordinates."""
+    if cubic:
+        # CubicSpline.c holds descending powers of (s - knots[i])
+        local = CubicSpline(knots, values, bc_type="natural").c[::-1].transpose(1, 2, 0)
+    else:
+        slopes = np.diff(values, axis=0) / np.diff(knots)[:, None]
+        local = np.stack([values[:-1], slopes], axis=-1)  # (nseg, ncol, 2)
+    return [PiecewisePoly(knots, local[:, i]) for i in range(values.shape[1])]
 
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def _cubic_arc_lengths(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-segment arc lengths of natural cubics x(t), y(t), 8-point quadrature."""
-    csx = CubicSpline(t, x, bc_type="natural")
-    csy = CubicSpline(t, y, bc_type="natural")
-    dx, dy = csx.derivative(), csy.derivative()
-    lengths = np.zeros(len(t) - 1)
-    for i in range(len(t) - 1):
-        mid, half = (t[i] + t[i + 1]) / 2.0, (t[i + 1] - t[i]) / 2.0
-        nodes = mid + half * _GL8_NODES
-        speed = np.hypot(dx(nodes), dy(nodes))
-        lengths[i] = half * float(np.dot(_GL8_WEIGHTS, speed))
-    return lengths
+def _cubic_arc_lengths(t: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Per-segment arc lengths of the natural cubic through pts, 8-point Gauss-Legendre."""
+    velocity = CubicSpline(t, pts, bc_type="natural").derivative()
+    mid, half = (t[:-1] + t[1:]) / 2.0, (t[1:] - t[:-1]) / 2.0
+    v = velocity(mid[:, None] + half[:, None] * _GL8_NODES)  # (nseg, 8, 2)
+    return half * (np.hypot(v[..., 0], v[..., 1]) @ _GL8_WEIGHTS)
 
 
 def arc_length_normalize(
@@ -281,11 +250,13 @@ def arc_length_normalize(
         raise DegenerateTraceError("trace has fewer than two distinct points")
 
     chord = np.hypot(*np.diff(pts, axis=0).T)
-    if spline is SplineKind.LINEAR or len(pts) == 2:
-        seg_lengths = chord
-    else:
+    # a natural cubic through two points is the chord
+    cubic = spline is SplineKind.CUBIC and len(pts) > 2
+    if cubic:
         t = np.concatenate([[0.0], np.cumsum(chord)])
-        seg_lengths = _cubic_arc_lengths(t, pts[:, 0], pts[:, 1])
+        seg_lengths = _cubic_arc_lengths(t, pts)
+    else:
+        seg_lengths = chord
 
     total = float(np.sum(seg_lengths))
     if total <= 0.0:
@@ -296,14 +267,8 @@ def arc_length_normalize(
     if not np.all(np.diff(knots) > 0):
         raise DegenerateTraceError("arc-length parameters collapse in float precision")
 
-    scaled = pts * (2.0 / total)
-    fit = _linear_pieces if spline is SplineKind.LINEAR else _cubic_pieces
-    return NormalizedTrace(
-        cx=fit(knots, scaled[:, 0]),
-        cy=fit(knots, scaled[:, 1]),
-        knots=knots,
-        total_length=total,
-    )
+    cx, cy = _fit(knots, pts * (2.0 / total), cubic)
+    return NormalizedTrace(cx=cx, cy=cy, knots=knots, total_length=total)
 
 
 def to_coeffs(

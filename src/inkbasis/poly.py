@@ -2,15 +2,21 @@
 
 Dense polynomials carry their coefficients in one of three classical bases
 (monomial, Legendre, Chebyshev of the first kind).  Piecewise polynomials
-hold one low-degree monomial segment per breakpoint interval, with the
-segment coefficients written on the global parameter.  All weighted
-integrals reduce to closed-form moments, so nothing in this module ever
-calls a numerical quadrature routine.
+are arrays: strictly increasing breakpoints s_j and, per interval, the
+coefficients of a cubic (or lower) in the local offset s - s_j.
+
+Weighted integrals of a piecewise polynomial against the classical elements
+are basis-native closed forms: the family's three-term multiply-by-s
+recurrence and the closed-form antiderivative of each weighted element,
+summed segment by segment.  Nothing in this module calls a numerical
+quadrature routine.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -169,191 +175,242 @@ def convert(p: DensePoly, target: BasisKind) -> DensePoly:
     return DensePoly(target, out)
 
 
+_BINOMIAL = np.array([[math.comb(u, k) for k in range(4)] for u in range(4)], dtype=float)
+
+
+def _taylor_shift(c: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of p_j(t + a_j), from those of p_j in row j of c."""
+    n = c.shape[1]
+    u = np.arange(n)
+    powers = a[:, None, None] ** np.maximum(u[:, None] - u[None, :], 0)
+    return np.einsum("ju,juk->jk", c, _BINOMIAL[:n, :n] * powers)
+
+
 @dataclass(frozen=True)
 class PiecewisePoly:
-    """Piecewise polynomial on strictly increasing breakpoints.
+    """Piecewise polynomial of degree at most 3 on strictly increasing breakpoints.
 
-    Each segment is a monomial-basis DensePoly of degree at most 3, written
-    on the global parameter (not shifted per segment), valid on
-    [breakpoints[i], breakpoints[i+1]].
+    Segments are stored in local coordinates: local[j, u] multiplies
+    (s - breakpoints[j])**u on [breakpoints[j], breakpoints[j+1]], for an
+    (nseg, width) array with width 1..4.  Local coefficients stay well
+    scaled however short a segment is, so continuity and projection keep
+    their accuracy on densely sampled traces.
+
+    local may instead be given as one global-parameter monomial DensePoly
+    per segment; segments and coeff_matrix give that view back.
     """
 
     breakpoints: np.ndarray
-    segments: tuple[DensePoly, ...]
+    local: np.ndarray
 
     def __post_init__(self):
         bp = np.array(self.breakpoints, dtype=float)
-        bp.setflags(write=False)
-        segs = tuple(self.segments)
         if bp.ndim != 1 or len(bp) < 2:
             raise ValueError("need at least two breakpoints")
         if not np.all(np.diff(bp) > 0):
             raise ValueError("breakpoints must be strictly increasing")
-        if len(segs) != len(bp) - 1:
+        c = self.local
+        if len(c) and isinstance(c[0], DensePoly):
+            c = _local_from_global(bp, c)
+        c = np.array(c, dtype=float)
+        if c.ndim != 2 or not 1 <= c.shape[1] <= 4:
+            raise ValueError("local coefficients must be an (nseg, 1..4) array")
+        if len(c) != len(bp) - 1:
             raise ValueError("segment count must be breakpoint count - 1")
-        for s in segs:
-            if s.basis is not BasisKind.MONOMIAL:
-                raise ValueError("segments must be monomial-basis polynomials")
-            if s.degree > 3:
-                raise ValueError("segment degree must be at most 3")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "segments", segs)
         # continuity at interior breakpoints, 1e-12 relative
-        for i in range(1, len(segs)):
-            left = segs[i - 1](bp[i])
-            right = segs[i](bp[i])
-            scale = max(1.0, abs(left), abs(right))
-            if abs(left - right) > 1e-12 * scale:
-                raise ValueError(f"discontinuity at breakpoint {bp[i]}")
+        h = np.diff(bp[:-1])
+        left = c[:-1, -1]
+        for u in range(c.shape[1] - 2, -1, -1):
+            left = left * h + c[:-1, u]
+        right = c[1:, 0]
+        scale = np.maximum(np.maximum(np.abs(left), np.abs(right)), 1.0)
+        bad = np.abs(left - right) > 1e-12 * scale
+        if bad.any():
+            raise ValueError(f"discontinuity at breakpoint {bp[1:-1][bad][0]}")
+        bp.setflags(write=False)
+        c.setflags(write=False)
+        object.__setattr__(self, "breakpoints", bp)
+        object.__setattr__(self, "local", c)
+
+    @property
+    def segments(self) -> "_GlobalSegments":
+        return _GlobalSegments(self)
 
     @property
     def coeff_matrix(self) -> np.ndarray:
-        """Segment coefficients as an (nseg, 4) zero-padded array."""
-        out = np.zeros((len(self.segments), 4))
-        for i, s in enumerate(self.segments):
-            out[i, : len(s.coeffs)] = s.coeffs
-        return out
+        """Global-parameter segment coefficients as an (nseg, 4) zero-padded array."""
+        glob = _taylor_shift(self.local, -self.breakpoints[:-1])
+        return np.pad(glob, ((0, 0), (0, 4 - glob.shape[1])))
 
     def __call__(self, s):
         xs = np.asarray(s, dtype=float)
-        scalar = xs.ndim == 0
-        xs = np.atleast_1d(xs)
-        idx = np.clip(
-            np.searchsorted(self.breakpoints, xs, side="right") - 1,
-            0,
-            len(self.segments) - 1,
-        )
-        out = np.empty_like(xs)
-        for i, seg in enumerate(self.segments):
-            mask = idx == i
-            if np.any(mask):
-                out[mask] = _poly.polyval(xs[mask], seg.coeffs)
-        return float(out[0]) if scalar else out
+        bp = self.breakpoints
+        j = np.clip(np.searchsorted(bp, xs, side="right") - 1, 0, len(self.local) - 1)
+        t = xs - bp[j]
+        c = self.local[j]
+        out = c[..., -1]
+        for u in range(c.shape[-1] - 2, -1, -1):
+            out = out * t + c[..., u]
+        return float(out) if xs.ndim == 0 else out
 
 
-def weighted_moment(k: int, a: float, b: float, weight: Weight) -> float:
-    """Closed-form weighted moment of x^k over [a, b] within [-1, 1].
+def _local_from_global(bp: np.ndarray, segments) -> np.ndarray:
+    if len(segments) != len(bp) - 1:
+        raise ValueError("segment count must be breakpoint count - 1")
+    glob = np.zeros((len(segments), 4))
+    for j, s in enumerate(segments):
+        if s.basis is not BasisKind.MONOMIAL or s.degree > 3:
+            raise ValueError("segments must be monomial-basis polynomials of degree at most 3")
+        glob[j, : len(s.coeffs)] = s.coeffs
+    return _taylor_shift(glob, bp[:-1])
 
-    Unit weight gives the plain integral of x^k.  The inverse-square-root
-    weight integrates x^k / sqrt(1 - x^2), using the recurrence
 
-        I_k = ((k - 1) I_{k-2} - [x^{k-1} sqrt(1 - x^2)]_a^b) / k
+class _GlobalSegments(Sequence):
+    """Global-parameter monomial DensePoly segments, each built on access."""
 
-    seeded with I_0 = arcsin(b) - arcsin(a) and I_1 = sqrt(1-a^2) - sqrt(1-b^2).
-    The boundary terms vanish at the interval endpoints +-1, so the endpoint
-    singularity needs no special handling.
+    def __init__(self, f: PiecewisePoly):
+        self._f = f
+
+    def __len__(self) -> int:
+        return len(self._f.local)
+
+    def __getitem__(self, j: int) -> DensePoly:
+        j = range(len(self))[j]
+        c = _taylor_shift(self._f.local[j : j + 1], -self._f.breakpoints[j : j + 1])
+        return DensePoly(BasisKind.MONOMIAL, c[0])
+
+
+def _frozen(table: np.ndarray) -> np.ndarray:
+    """Mark a cached table read-only; every caller shares the same array."""
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=128)
+def _three_term(basis: BasisKind, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(up, lo) with s B_k = up[k] B_{k+1} + lo[k] B_{k-1}, for k < n."""
+    k = np.arange(n, dtype=float)
+    if basis == BasisKind.LEGENDRE:
+        up, lo = (k + 1) / (2 * k + 1), k / (2 * k + 1)
+    else:
+        up, lo = np.full(n, 0.5), np.full(n, 0.5)
+        up[0], lo[0] = 1.0, 0.0
+    return _frozen(up), _frozen(lo)
+
+
+@lru_cache(maxsize=128)
+def _legendre_antiderivatives(n: int) -> np.ndarray:
+    """Chebyshev coefficients of the Legendre antiderivatives A_0 .. A_{n-1}.
+
+    Uses P_p(cos t) = sum_k g_k g_{p-k} cos((p - 2k) t), g_k = C(2k, k) / 4^k,
+    whose terms are all positive; A_0 = s = T_1.
     """
-    if k < 0:
-        raise ValueError("moment order must be non-negative")
-    table = moment_table(k, np.array([a]), np.array([b]), weight)
-    return float(table[k, 0])
+    k = np.arange(1, n + 1)
+    g = np.cumprod(np.r_[1.0, (2 * k - 1) / (2 * k)])
+    P = np.zeros((n + 1, n + 1))
+    for p in range(n + 1):
+        i = np.arange(p + 1)
+        np.add.at(P[p], np.abs(p - 2 * i), g[i] * g[p - i])
+    A = np.zeros((n, n + 1))
+    A[:1, 1:2] = 1.0
+    A[1:] = (P[2:] - P[:-2]) / (2 * np.arange(1, n) + 1)[:, None]
+    return _frozen(A)
 
 
-def moment_table(kmax: int, lo: np.ndarray, hi: np.ndarray, weight: Weight) -> np.ndarray:
-    """Moments of x^k over several subintervals at once.
+@lru_cache(maxsize=128)
+def _derivative_matrix(basis: BasisKind, degree: int) -> np.ndarray:
+    """(degree + 1, degree) matrix D with B_k' = sum_m D[k, m] B_m."""
+    return _frozen(_DERIV[basis](np.eye(degree + 1), axis=1))
 
-    Returns an array M of shape (kmax + 1, len(lo)) with
-    M[k, j] = weighted moment of x^k over [lo[j], hi[j]].
+
+_TINY = np.finfo(float).tiny
+
+
+def _antiderivative_steps(basis: BasisKind, rows: int, s: np.ndarray) -> np.ndarray:
+    """[A_m] from s[j] to s[j+1] for m < rows: the integrals of B_m w per segment.
+
+    No difference is taken between nearby values of A_m, so each keeps its
+    relative accuracy on short segments, where cubic pieces have large
+    coefficients.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if np.any(lo < -1.0) or np.any(hi > 1.0) or np.any(lo > hi):
-        raise DomainError("moment intervals must satisfy -1 <= a <= b <= 1")
-    weight = Weight(weight)
-    out = np.empty((kmax + 1, len(lo)))
-    if weight is Weight.UNIT:
-        pl, ph = lo.copy(), hi.copy()  # lo^(k+1), hi^(k+1)
-        for k in range(kmax + 1):
-            out[k] = (ph - pl) / (k + 1)
-            pl *= lo
-            ph *= hi
+    a, b = s[:-1], s[1:]
+    out = np.empty((rows, len(a)))
+    theta = np.arccos(s)
+    if basis == BasisKind.LEGENDRE:
+        # A_m is the integrated Legendre polynomial l_{m+1}, and
+        # (n + 1) l_{n+1} = (2n - 1) s l_n - (n - 2) l_{n-1}; the differences
+        # d_n = l_n(b) - l_n(a) obey it too, with b l_n(b) - a l_n(a)
+        # written as b d_n + (b - a) l_n(a), where l_n(a) comes from the
+        # Chebyshev expansion of A_{n-1}
+        h = b - a
+        out[0] = h
+        out[1:2] = 0.5 * h * (a + b)
+        n = np.arange(2, rows)
+        alpha, beta = (2 * n - 1) / (n + 1), (n - 2) / (n + 1)
+        cheb_a = np.cos(np.arange(rows)[:, None] * theta[:-1])
+        scaled_b = alpha[:, None] * b
+        forcing = alpha[:, None] * h * (_legendre_antiderivatives(rows - 1)[1:] @ cheb_a)
+        for i in range(rows - 2):
+            out[i + 2] = scaled_b[i] * out[i + 1] + forcing[i] - beta[i] * out[i]
         return out
-    ra = np.sqrt(np.maximum(0.0, 1.0 - lo * lo))
-    rb = np.sqrt(np.maximum(0.0, 1.0 - hi * hi))
-    out[0] = np.arcsin(hi) - np.arcsin(lo)
-    if kmax >= 1:
-        out[1] = ra - rb
-    pa, pb = lo.copy(), hi.copy()  # lo^(k-1), hi^(k-1)
-    for k in range(2, kmax + 1):
-        out[k] = ((k - 1) * out[k - 2] - (pb * rb - pa * ra)) / k
-        pa *= lo
-        pb *= hi
+    # Chebyshev: with mid the segment's midpoint in theta and half its
+    # half-width, [-sin(m theta) / m] = (2 / m) cos(m mid) sin(m half)
+    r = np.sin(theta)
+    sum_s, sum_r = a + b, r[:-1] + r[1:]
+    # half the angle between the unit vectors (a, r_a) and (b, r_b), from
+    # their chord and their sum; r_b - r_a = (a - b)(a + b) / (r_a + r_b)
+    # has no cancellation
+    chord = (b - a) * np.hypot(1.0, sum_s / np.maximum(sum_r, _TINY))
+    half = np.arctan2(chord, np.hypot(sum_s, sum_r))
+    mid = 0.5 * (theta[:-1] + theta[1:])
+    # m * mid_hi is exact, so the argument of cos carries no rounding that grows with m
+    mid_hi = np.round(mid * 2.0**40) / 2.0**40
+    m = np.arange(1, rows)[:, None]
+    m_mid_hi = m * mid_hi
+    cos_m_mid = np.cos(m_mid_hi) - np.sin(m_mid_hi) * (m * (mid - mid_hi))
+    out[0] = 2.0 * half
+    out[1:] = cos_m_mid * np.sin(m * half) * (2.0 / m)
     return out
 
 
-@lru_cache(maxsize=32)
-def _classical_monomial_rows(basis: BasisKind, degree: int) -> np.ndarray:
-    """Rows of the (degree+1)^2 matrix: monomial coefficients of basis elements."""
-    rows = np.zeros((degree + 1, degree + 1))
-    to_mono = _TO_MONOMIAL[BasisKind(basis)]
-    for i in range(degree + 1):
-        e = np.zeros(i + 1)
-        e[i] = 1.0
-        m = to_mono(e)
-        rows[i, : len(m)] = m
-    return rows
-
-
-def _segment_coeffs(f: PiecewisePoly, deriv_order: int) -> np.ndarray:
-    c = f.coeff_matrix
-    if deriv_order == 0:
-        return c
-    return c[:, 1:] * np.arange(1, 4)
-
-
-def inner_piecewise(
-    f: PiecewisePoly, g: DensePoly, weight: Weight, deriv_order: int = 0
-) -> float:
-    """Weighted inner product of a piecewise polynomial with a dense one.
-
-    Computes sum over segments of the integral of f^(k) g^(k) w on
-    [-1, 1], k = deriv_order applied to both arguments.  Every segment
-    integral expands through the closed-form moment table, so the result is
-    exact up to floating-point rounding (noise grows with the degree of g in
-    monomial form, which is why conversions are degree-guarded).
-    """
-    if deriv_order not in (0, 1):
-        raise ValueError("deriv_order must be 0 or 1")
-    gm = convert(g, BasisKind.MONOMIAL)
-    if deriv_order == 1:
-        gm = gm.derivative()
-    gc = gm.coeffs
-    segc = _segment_coeffs(f, deriv_order)
-    lo, hi = f.breakpoints[:-1], f.breakpoints[1:]
-    kmax = (segc.shape[1] - 1) + (len(gc) - 1)
-    table = moment_table(kmax, lo, hi, weight)
-    total = 0.0
-    for j in range(len(lo)):
-        prod = np.convolve(segc[j], gc)
-        total += float(np.dot(prod, table[: len(prod), j]))
-    return total
+def _horner(c: np.ndarray, a: np.ndarray, steps: np.ndarray, up, lo) -> np.ndarray:
+    """Rows of c(X - a) applied to steps, per segment; drops width - 1 rows."""
+    r = c[:, -1] * steps
+    for u in range(c.shape[1] - 2, -1, -1):
+        n = len(r) - 1
+        x = up[:n, None] * r[1:] - a * r[:-1]
+        x[1:] += lo[1:n, None] * r[:-2]
+        r = x + c[:, u] * steps[:n]
+    return r
 
 
 def piecewise_classical_inners(
-    f: PiecewisePoly,
-    basis: BasisKind,
-    degree: int,
-    weight: Weight,
-    deriv_order: int = 0,
+    f: PiecewisePoly, basis: BasisKind, degree: int, lam: float = 0.0
 ) -> np.ndarray:
-    """inner_piecewise of f against every classical basis element 0..degree.
+    """Sobolev inner products of f with every classical element 0..degree.
 
-    Vectorized over segments and basis elements; identical mathematics to
-    calling inner_piecewise in a loop (same moment tables), just batched.
+    out[k] is the integral over the breakpoint span of f B_k w, plus lam
+    times that of f' B_k' w, where w is the weight under which the classical
+    family (LEGENDRE or CHEBYSHEV) is orthogonal: 1 or 1/sqrt(1 - s^2).
+
+    On a segment [a, b], s B_k = up[k] B_{k+1} + lo[k] B_{k-1} (the
+    multiply-by-s matrix X), and B_m w has the closed-form antiderivative
+    A_m: (P_{m+1} - P_{m-1}) / (2m + 1) for Legendre, -sin(m theta) / m with
+    s = cos(theta) for Chebyshev.  So the integral of the local cubic
+    c(s - a) against B_k is row k of c(X - a) applied to the vector [A_m]_a^b,
+    evaluated by Horner.  The derivative term contracts f' the same way and
+    applies the legder/chebder matrix; both terms share one table of [A_m].
     """
-    if deriv_order not in (0, 1):
-        raise ValueError("deriv_order must be 0 or 1")
-    rows = _classical_monomial_rows(BasisKind(basis), degree)
-    if deriv_order == 1:
-        rows = rows[:, 1:] * np.arange(1, degree + 1) if degree >= 1 else np.zeros((1, 1))
-    segc = _segment_coeffs(f, deriv_order)
-    lo, hi = f.breakpoints[:-1], f.breakpoints[1:]
-    nrow, gwidth = rows.shape
-    kmax = (segc.shape[1] - 1) + (gwidth - 1)
-    table = moment_table(kmax, lo, hi, weight)
-    out = np.zeros(nrow)
-    for u in range(segc.shape[1]):
-        # W[i, j] = integral of x^u * B_i over segment j
-        W = rows @ table[u : u + gwidth, :]
-        out += W @ segc[:, u]
+    bp, c = f.breakpoints, f.local
+    if bp[0] < -1.0 or bp[-1] > 1.0:
+        raise DomainError("breakpoints must lie within [-1, 1]")
+    width = c.shape[1]
+    steps = _antiderivative_steps(basis, degree + width, bp)
+    up, lo = _three_term(basis, degree + width)
+    a = bp[:-1]
+    out = _horner(c, a, steps, up, lo).sum(axis=1)
+    if lam and degree >= 1 and width >= 2:
+        dc = c[:, 1:] * np.arange(1, width)
+        inner_d = _horner(dc, a, steps[: degree + width - 2], up, lo).sum(axis=1)
+        out += lam * (_derivative_matrix(basis, degree) @ inner_d)
     return out

@@ -7,6 +7,11 @@ orthogonal families are rebuilt by Gram-Schmidt over monomial seeds with
 quadrature inner products, Chebyshev series are summed naively by the
 forward three-term recurrence, and the point-matching distance is an
 exhaustive dynamic program.
+
+One section keeps the earlier projection route as a second reference:
+closed-form monomial moments contracted with the monomial expansion of
+each basis element.  It is exact in exact arithmetic but loses accuracy
+from about degree 29, so tests use it at low degree only.
 """
 
 from functools import lru_cache
@@ -15,6 +20,8 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import legendre as _leg
 from numpy.polynomial import polynomial as _poly
+
+from inkbasis import BasisKind, DomainError, Weight, convert
 
 GL_NODES = 240
 
@@ -201,3 +208,152 @@ def dp_match_distance_sq(points_a, points_b):
         best_prefix = np.minimum.accumulate(cost[i - 1])
         cost[i] = d[i] + best_prefix
     return float(cost[m - 1, n - 1])
+
+
+# --- monomial-moment projection (reference only) ----------------------------
+
+
+def weighted_moment(k, a, b, weight):
+    """Closed-form weighted moment of x^k over [a, b] within [-1, 1].
+
+    Unit weight gives the plain integral of x^k.  The inverse-square-root
+    weight integrates x^k / sqrt(1 - x^2), using the recurrence
+
+        I_k = ((k - 1) I_{k-2} - [x^{k-1} sqrt(1 - x^2)]_a^b) / k
+
+    seeded with I_0 = arcsin(b) - arcsin(a) and I_1 = sqrt(1-a^2) - sqrt(1-b^2).
+    """
+    if k < 0:
+        raise ValueError("moment order must be non-negative")
+    return float(moment_table(k, np.array([a]), np.array([b]), weight)[k, 0])
+
+
+def moment_table(kmax, lo, hi, weight):
+    """M[k, j] = weighted moment of x^k over [lo[j], hi[j]], k = 0..kmax."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if np.any(lo < -1.0) or np.any(hi > 1.0) or np.any(lo > hi):
+        raise DomainError("moment intervals must satisfy -1 <= a <= b <= 1")
+    weight = Weight(weight)
+    out = np.empty((kmax + 1, len(lo)))
+    if weight is Weight.UNIT:
+        pl, ph = lo.copy(), hi.copy()  # lo^(k+1), hi^(k+1)
+        for k in range(kmax + 1):
+            out[k] = (ph - pl) / (k + 1)
+            pl *= lo
+            ph *= hi
+        return out
+    ra = np.sqrt(np.maximum(0.0, 1.0 - lo * lo))
+    rb = np.sqrt(np.maximum(0.0, 1.0 - hi * hi))
+    out[0] = np.arcsin(hi) - np.arcsin(lo)
+    if kmax >= 1:
+        out[1] = ra - rb
+    pa, pb = lo.copy(), hi.copy()  # lo^(k-1), hi^(k-1)
+    for k in range(2, kmax + 1):
+        out[k] = ((k - 1) * out[k - 2] - (pb * rb - pa * ra)) / k
+        pa *= lo
+        pb *= hi
+    return out
+
+
+def _segment_coeffs(f, deriv_order):
+    """Global-parameter monomial coefficients of f or f' per segment."""
+    c = f.coeff_matrix
+    if deriv_order == 0:
+        return c
+    return c[:, 1:] * np.arange(1, 4)
+
+
+def inner_piecewise(f, g, weight, deriv_order=0):
+    """Sum over segments of the integral of f^(k) g^(k) w, k = deriv_order.
+
+    g is a DensePoly; it is converted to monomials and every segment
+    integral expands through the moment table.
+    """
+    if deriv_order not in (0, 1):
+        raise ValueError("deriv_order must be 0 or 1")
+    gm = convert(g, BasisKind.MONOMIAL)
+    if deriv_order == 1:
+        gm = gm.derivative()
+    gc = gm.coeffs
+    segc = _segment_coeffs(f, deriv_order)
+    lo, hi = f.breakpoints[:-1], f.breakpoints[1:]
+    kmax = (segc.shape[1] - 1) + (len(gc) - 1)
+    table = moment_table(kmax, lo, hi, weight)
+    total = 0.0
+    for j in range(len(lo)):
+        prod = np.convolve(segc[j], gc)
+        total += float(np.dot(prod, table[: len(prod), j]))
+    return total
+
+
+def project_by_rows(f, basis):
+    """Projection with one scalar inner_piecewise call per family member."""
+    spec = basis.spec
+    out = np.zeros(basis.degree + 1)
+    for i in range(basis.degree + 1):
+        row = basis.member(i)
+        val = inner_piecewise(f, row, spec.weight, 0)
+        if spec.is_sobolev:
+            val += spec.lam * inner_piecewise(f, row, spec.weight, 1)
+        out[i] = val / basis.sq_norms[i]
+    return out
+
+
+
+def quad_spline_inners(knots, values, cubic, basis, degree, chunk=64):
+    """Reference for projection: Gauss quadrature segment by segment.
+
+    The spline through (knots, values) is rebuilt here: per-segment linear
+    interpolation, or scipy's natural CubicSpline.  values may hold several
+    columns.  Returns (plain, deriv), each of shape (degree + 1, ncols):
+    the integrals of f B_k w and of f' B_k' w for the classical family
+    named by basis ("legendre" or "chebyshev") under its own weight.
+    Unit-weight integrands are polynomials, integrated exactly; the
+    Chebyshev weight is integrated in theta = arccos(x) with enough nodes
+    for the highest frequency on the widest segment.
+    """
+    from scipy.interpolate import CubicSpline
+
+    knots = np.asarray(knots, dtype=float)
+    values = np.asarray(values, dtype=float).reshape(len(knots), -1)
+    # the mean is integrated exactly (only B_0 sees a constant), which keeps
+    # the rounding of the quadrature sums proportional to the curve's size
+    mean = values.mean(axis=0)
+    values = values - mean
+    cheb = basis == "chebyshev"
+    if cheb:
+        lo_all, hi_all = np.arccos(knots[1:]), np.arccos(knots[:-1])
+        n = int(0.5 * (degree + 4) * np.max(hi_all - lo_all) / 2.0) + 40
+    else:
+        lo_all, hi_all = knots[:-1], knots[1:]
+        n = degree // 2 + 4
+    gx, gw = np.polynomial.legendre.leggauss(n)
+    spline = CubicSpline(knots, values, bc_type="natural") if cubic else None
+    slopes = np.diff(values, axis=0) / np.diff(knots)[:, None]
+    j = np.arange(degree + 1)
+    dmat = _leg.legder(np.eye(degree + 1), axis=1)
+    plain = np.zeros((degree + 1, values.shape[1]))
+    deriv = np.zeros_like(plain)
+    for start in range(0, len(knots) - 1, chunk):
+        seg = slice(start, start + chunk)
+        lo, hi = lo_all[seg], hi_all[seg]
+        half = (hi - lo) / 2.0
+        nodes = ((hi + lo) / 2.0)[:, None] + half[:, None] * gx
+        weights = half[:, None] * gw
+        x = np.cos(nodes) if cheb else nodes
+        if cubic:
+            f, fp = spline(x), spline(x, 1)
+        else:
+            fp = np.broadcast_to(slopes[seg, None, :], x.shape + (values.shape[1],))
+            f = values[:-1][seg, None, :] + (x - knots[:-1][seg, None])[..., None] * fp
+        if cheb:
+            B = np.cos(j * nodes[..., None])
+            dB = j * np.sin(j * nodes[..., None]) / np.sin(nodes[..., None])
+        else:
+            B = _leg.legvander(nodes, degree)
+            dB = B[..., :-1] @ dmat.T
+        plain += np.einsum("sn,snc,snj->jc", weights, f, B)
+        deriv += np.einsum("sn,snc,snj->jc", weights, fp, dB)
+    plain[0] += mean * (np.pi if cheb else 2.0)
+    return plain, deriv

@@ -24,10 +24,10 @@ from inkbasis import (
     spec_for_kind,
     synthesize,
 )
-from inkbasis.bases import project_by_rows
 from oracles import (
     gram_schmidt_by_quadrature,
     piecewise_derivative_eval,
+    project_by_rows,
     quad_inner_piecewise,
     quad_inner_series,
 )

@@ -52,6 +52,12 @@ class TestBuildBasis:
         assert basis.degree == 6
         assert basis.spec.lam == 0.125
 
+    def test_degree_above_limit_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "basis.json"
+        assert main(["build-basis", "--degree", "101", "--out", str(out)]) == 2
+        assert "exceeds" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_lambda_flag(self, tmp_path):
         out = tmp_path / "basis.json"
         assert main(["build-basis", "--basis", "legendre-sobolev", "--lambda", "0.5",
@@ -146,6 +152,16 @@ class TestErrorSweep:
         out = tmp_path / "err.csv"
         assert main(["error-sweep", str(data), "--out", str(out)]) == 0
         assert out.read_text() == "trace_id,degree,error\n"
+
+    def test_degree_above_limit_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "line.txt"
+        straight_line_pendigits(data)
+        out = tmp_path / "err.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["error-sweep", str(data), "--d-max", "101", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "100" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_byte_identical_rerun(self, tmp_path):
         data = tmp_path / "digits.txt"

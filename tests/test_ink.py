@@ -159,6 +159,14 @@ class TestArcLengthNormalize:
                 c[: len(seg.coeffs)] = seg.coeffs
                 assert 6 * c[3] * s + 2 * c[2] == pytest.approx(0.0, abs=1e-9)
 
+    def test_long_cubic_random_walk(self, rng):
+        # segments written on the global parameter used to fail continuity here
+        trace = make_random_trace(rng, n_min=120, n_max=120)
+        n = arc_length_normalize(trace, SplineKind.CUBIC)
+        scaled = trace.points * (2.0 / n.total_length)
+        np.testing.assert_allclose(n.cx(n.knots), scaled[:, 0], atol=1e-12)
+        np.testing.assert_allclose(n.cy(n.knots), scaled[:, 1], atol=1e-12)
+
     def test_knots_at_exact_ends(self, rng):
         trace = make_random_trace(rng)
         n = arc_length_normalize(trace)

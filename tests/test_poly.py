@@ -18,10 +18,8 @@ from inkbasis import (
     derivative,
     eval_clenshaw,
     eval_legendre,
-    inner_piecewise,
-    weighted_moment,
 )
-from oracles import naive_cheb_eval, quad_inner_piecewise
+from oracles import inner_piecewise, naive_cheb_eval, quad_inner_piecewise, weighted_moment
 
 
 def cheb(*coeffs):

@@ -1,0 +1,86 @@
+"""Projection against Gauss quadrature, up to the verified degree limit.
+
+Every case normalizes a seeded random walk, projects both coordinate
+splines with the library, and compares the coefficients with those of the
+quadrature oracle, which rebuilds the spline from the normalized knots and
+points on its own.  The same family (expansion rows and squared norms) is
+used on both sides, so the check isolates the segment integrals.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from inkbasis import (
+    DegreeTooLargeError,
+    Weight,
+    arc_length_normalize,
+    build_basis,
+    collapse_duplicates,
+    project,
+    spec_for_kind,
+)
+from inkbasis.bases import MAX_DEGREE
+from conftest import make_random_trace
+from oracles import quad_spline_inners
+
+DEGREES = (1, 10, 30, 60, 100)
+
+# (spline, point counts, absolute tolerance on coefficients)
+CASES = (
+    ("linear", (2, 8, 100, 1000), 1e-12),
+    ("cubic", (3, 10, 40), 1e-12),
+    ("cubic", (200, 1000), 1e-9),
+)
+
+KINDS = {
+    Weight.UNIT: ("legendre", "legendre-sobolev"),
+    Weight.INVERSE_SQRT: ("chebyshev", "chebyshev-sobolev"),
+}
+
+
+@lru_cache(maxsize=None)
+def _basis(kind, degree):
+    return build_basis(spec_for_kind(kind), degree)
+
+
+@lru_cache(maxsize=None)
+def _curves():
+    rng = np.random.default_rng(2024)
+    out = []
+    for spline, counts, tol in CASES:
+        for n in counts:
+            trace = make_random_trace(rng, n, n)
+            out.append((spline, n, tol, trace, arc_length_normalize(trace, spline)))
+    return out
+
+
+def test_oracle_covers_the_degree_limit():
+    assert max(DEGREES) == MAX_DEGREE
+
+
+@pytest.mark.parametrize("degree", DEGREES)
+@pytest.mark.parametrize("weight", list(KINDS))
+def test_project_matches_quadrature(weight, degree):
+    classical = "chebyshev" if weight is Weight.INVERSE_SQRT else "legendre"
+    failures = []
+    for spline, n, tol, trace, norm in _curves():
+        values = collapse_duplicates(trace.points) * (2.0 / norm.total_length)
+        plain, deriv = quad_spline_inners(norm.knots, values, spline == "cubic", classical, degree)
+        for kind in KINDS[weight]:
+            basis = _basis(kind, degree)
+            lam = basis.spec.lam if basis.spec.is_sobolev else 0.0
+            want = (basis.expansion @ (plain + lam * deriv)) / basis.sq_norms[:, None]
+            got = np.column_stack([project(norm.cx, basis), project(norm.cy, basis)])
+            err = float(np.max(np.abs(got - want)))
+            if not err <= tol:
+                failures.append(f"{kind} d={degree} {spline} {n} points: {err:.2e} > {tol:g}")
+    assert not failures, "\n".join(failures)
+
+
+def test_degree_limit():
+    for kind in ("legendre", "chebyshev-sobolev"):
+        with pytest.raises(DegreeTooLargeError):
+            build_basis(spec_for_kind(kind), MAX_DEGREE + 1)
+    assert build_basis(spec_for_kind("chebyshev"), MAX_DEGREE).degree == MAX_DEGREE

@@ -8,9 +8,10 @@ Four named families are supported on [-1, 1]:
   ``legendre-sobolev``    unit weight plus a first-derivative term
   ``chebyshev-sobolev``   inverse-sqrt weight plus a first-derivative term
 
-The derivative-augmented (Sobolev) families are built by modified
-Gram-Schmidt and normalized so the leading classical-basis coefficient is
-one, which makes them degenerate exactly to the classical family as the
+The derivative-augmented (Sobolev) families come from the LDL^T factor of
+one Gram matrix G of the classical elements: the family's expansion is
+L^-1, so each member has leading classical-basis coefficient one, which
+makes the families degenerate exactly to the classical ones as the
 derivative weight goes to zero.
 """
 
@@ -23,9 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BasisMismatchError, DegreeTooLargeError, LengthMismatchError, UnsupportedOrderError
+    BasisMismatchError, DegreeTooLargeError, InvalidParameterError, LengthMismatchError,
+    UnsupportedOrderError,
 )
-from .poly import BasisKind, DensePoly, PiecewisePoly, Weight, piecewise_classical_inners
+from .poly import (
+    BasisKind, DensePoly, PiecewisePoly, Weight, _derivative_matrix, piecewise_classical_inners
+)
 
 DEFAULT_LAMBDA = 0.125
 MAX_DEGREE = 100  # largest degree the projection is verified at against quadrature
@@ -51,10 +55,10 @@ class InnerProductSpec:
         object.__setattr__(self, "weight", Weight(self.weight))
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "order", int(self.order))
-        if self.lam < 0:
-            raise ValueError("derivative weight lam must be non-negative")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise InvalidParameterError(f"lam must be finite and non-negative, got {self.lam}")
         if self.order < 0:
-            raise ValueError("order must be non-negative")
+            raise InvalidParameterError("order must be non-negative")
 
     @property
     def is_sobolev(self) -> bool:
@@ -94,24 +98,31 @@ def classical_sq_norm(weight: Weight, i: int) -> float:
     return 2.0 / (2 * i + 1)
 
 
-def _plain_closed(cf: np.ndarray, cg: np.ndarray, weight: Weight) -> float:
-    n = max(len(cf), len(cg))
-    f = np.zeros(n)
-    g = np.zeros(n)
-    f[: len(cf)] = cf
-    g[: len(cg)] = cg
-    if Weight(weight) is Weight.INVERSE_SQRT:
-        return float(math.pi / 2.0 * (2.0 * f[0] * g[0] + np.dot(f[1:], g[1:])))
-    i = np.arange(n)
-    return float(np.dot(2.0 / (2 * i + 1), f * g))
+def _classical_sq_norms(weight: Weight, n: int) -> np.ndarray:
+    return np.array([classical_sq_norm(weight, i) for i in range(n)])
+
+
+def _gram(spec: InnerProductSpec, degree: int) -> np.ndarray:
+    """G[i, j] = <B_i, B_j> under spec, over the classical elements up to degree.
+
+    The derivative term is the classical form applied to the derivatives:
+    with D the derivative matrix (B_k' = sum_m D[k, m] B_m), G = diag(h) +
+    lam * D diag(h) D^T.
+    """
+    h = _classical_sq_norms(spec.weight, degree + 1)
+    G = np.diag(h)
+    if spec.is_sobolev:
+        D = _derivative_matrix(spec.classical_basis, degree)[:, :degree]
+        G += spec.lam * (D * h[:degree]) @ D.T
+    return G
 
 
 def inner_closed_form(f: DensePoly, g: DensePoly, spec: InnerProductSpec) -> float:
     """Inner product of two series in the weight's classical basis, by formula.
 
-    Order 0 uses the diagonal closed form of the classical weight; order 1
-    adds lam times the same form applied to the derivatives.  No
-    integration is performed.
+    Evaluates c_f^T G c_g with the Gram matrix G of the classical elements:
+    the diagonal classical norms, plus lam times the same form applied to
+    the derivatives at order 1.  No integration is performed.
     """
     if spec.order not in (0, 1):
         raise UnsupportedOrderError(f"order {spec.order} not implemented")
@@ -120,12 +131,9 @@ def inner_closed_form(f: DensePoly, g: DensePoly, spec: InnerProductSpec) -> flo
         raise BasisMismatchError(
             f"operands must both be in the {cb.value} basis for this weight"
         )
-    out = _plain_closed(f.coeffs, g.coeffs, spec.weight)
-    if spec.order >= 1 and spec.lam != 0.0:
-        out += spec.lam * _plain_closed(
-            f.derivative().coeffs, g.derivative().coeffs, spec.weight
-        )
-    return out
+    nf, ng = len(f.coeffs), len(g.coeffs)
+    G = _gram(spec, max(nf, ng) - 1)
+    return float(f.coeffs @ G[:nf, :ng] @ g.coeffs)
 
 
 @dataclass(frozen=True)
@@ -176,10 +184,10 @@ def build_basis(spec: InnerProductSpec, degree: int) -> OrthoBasis:
 
     For a plain inner product the classical family is already orthogonal,
     so the expansion is exactly the identity and the squared norms are the
-    textbook values.  Otherwise the family comes from modified Gram-Schmidt
-    over the classical elements (same span as the monomials, better
-    conditioned), with one re-orthogonalization pass, normalized to unit
-    leading classical coefficient.
+    textbook values.  Otherwise the family comes from the LDL^T factor of the
+    Gram matrix G of the classical elements (same span as the monomials,
+    better conditioned): G = L D L^T with L unit lower triangular, the
+    expansion is L^-1 and the squared norms are diag(D).
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
@@ -189,27 +197,18 @@ def build_basis(spec: InnerProductSpec, degree: int) -> OrthoBasis:
         raise UnsupportedOrderError(f"order {spec.order} not implemented")
     n = degree + 1
     if not spec.is_sobolev:
-        expansion = np.eye(n)
-        sq_norms = np.array([classical_sq_norm(spec.weight, i) for i in range(n)])
-        return OrthoBasis(spec, degree, expansion, sq_norms)
+        return OrthoBasis(spec, degree, np.eye(n), _classical_sq_norms(spec.weight, n))
 
-    cb = spec.classical_basis
-
-    def ip(u: np.ndarray, v: np.ndarray) -> float:
-        return inner_closed_form(DensePoly(cb, u), DensePoly(cb, v), spec)
-
-    expansion = np.zeros((n, n))
-    sq_norms = np.zeros(n)
-    for i in range(n):
-        v = np.zeros(n)
-        v[i] = 1.0
-        for _ in range(2):  # second pass restores orthogonality lost to rounding
-            for j in range(i):
-                v -= (ip(v, expansion[j]) / sq_norms[j]) * expansion[j]
-        v /= v[i]
-        expansion[i] = v
-        sq_norms[i] = ip(v, v)
-    return OrthoBasis(spec, degree, expansion, sq_norms)
+    # G = L diag(r^2) L^T with L unit lower triangular, so the rows of L^-1
+    # are G-orthogonal with squared norms r^2; forward substitution keeps
+    # L^-1 exactly lower triangular with an exact unit diagonal
+    R = np.linalg.cholesky(_gram(spec, degree))
+    r = np.diag(R)
+    L = R / r
+    expansion = np.eye(n)
+    for i in range(1, n):
+        expansion[i, :i] = -L[i, :i] @ expansion[:i, :i]
+    return OrthoBasis(spec, degree, expansion, r * r)
 
 
 def build_named_basis(kind: str, degree: int, lam: float = DEFAULT_LAMBDA) -> OrthoBasis:

@@ -19,6 +19,8 @@ from .errors import (
     BasisMismatchError,
     EmptyModelSetError,
     EmptyTrainingSetError,
+    InvalidDataError,
+    InvalidParameterError,
     LengthMismatchError,
 )
 from .ink import (
@@ -46,7 +48,7 @@ class LabeledDataset:
         if not items:
             raise ValueError("dataset must contain at least one item")
         if any(c.label is None for c in items):
-            raise ValueError("every dataset item needs a label")
+            raise InvalidDataError("every dataset item needs a label")
         ids = {c.basis_id for c in items}
         if len(ids) != 1:
             raise ValueError(f"items span multiple bases: {sorted(ids)}")
@@ -203,7 +205,7 @@ def knn_accuracy(
     Xtr = X[train_idx]
     kmax = max(ks)
     if kmax > len(train_idx):
-        raise ValueError(f"k={kmax} exceeds training size {len(train_idx)}")
+        raise InvalidParameterError(f"k={kmax} exceeds training size {len(train_idx)}")
 
     correct = {k: 0 for k in ks}
     chunk = 512
@@ -243,7 +245,7 @@ def accuracy_sweep(
     {"basis", "k", "accuracy", "error_rate"} in sweep order.
     """
     if not traces:
-        raise ValueError("no traces supplied")
+        raise InvalidDataError("no traces supplied")
     ks = list(k_range)
     normalized = [arc_length_normalize(t, spline) for t in traces]
     rows = []

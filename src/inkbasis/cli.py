@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -281,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args, parser: argparse.ArgumentParser) -> None:
-    if getattr(args, "lam", 0.0) < 0:
-        parser.error("--lambda must be non-negative")
+    if not (math.isfinite(args.lam) and args.lam >= 0):
+        parser.error("--lambda must be finite and non-negative")
     if getattr(args, "degree", 1) < 1:
         parser.error("--degree must be at least 1")
     if hasattr(args, "k_min") and not 1 <= args.k_min <= args.k_max:

@@ -40,6 +40,14 @@ class ParseError(InkBasisError):
         super().__init__(f"{where}{reason}")
 
 
+class InvalidParameterError(InkBasisError, ValueError):
+    """A numeric parameter is non-finite or outside its valid range."""
+
+
+class InvalidDataError(InkBasisError, ValueError):
+    """Input data lacks what the operation needs: strokes, traces or labels."""
+
+
 class DegenerateTraceError(InkBasisError):
     """Trace has zero arc length (fewer than two distinct points)."""
 

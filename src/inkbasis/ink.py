@@ -21,7 +21,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .bases import OrthoBasis, project
-from .errors import DegenerateTraceError, ParseError
+from .errors import DegenerateTraceError, InvalidDataError, ParseError
 from .poly import PiecewisePoly
 
 
@@ -204,7 +204,7 @@ def merge_strokes(traces: Iterable[InkTrace], label: str | None = None) -> InkTr
     """
     traces = list(traces)
     if not traces:
-        raise ValueError("no strokes to merge")
+        raise InvalidDataError("no strokes to merge")
     pts = collapse_duplicates(np.vstack([t.points for t in traces]))
     if label is None:
         label = traces[0].label

@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths under test: inner
 products are evaluated by Gauss-Legendre quadrature on function values
 (with the arccos substitution for the inverse-square-root weight),
 orthogonal families are rebuilt by Gram-Schmidt over monomial seeds with
-quadrature inner products, Chebyshev series are summed naively by the
+quadrature inner products (and, to high degree, by modified Gram-Schmidt
+with closed-form inner products), Chebyshev series are summed naively by the
 forward three-term recurrence, and the point-matching distance is an
 exhaustive dynamic program.
 
@@ -185,6 +186,63 @@ def gram_schmidt_by_quadrature(weight, lam, order, degree):
         expansion[i, : len(c)] = c
         back = _cheb.cheb2poly(c) if weight == "inverse_sqrt" else _leg.leg2poly(c)
         sq_norms[i] = ip(back, back)
+    return expansion, sq_norms
+
+
+def _classical_sq_norms(weight, n):
+    if weight == "inverse_sqrt":
+        return np.r_[np.pi, np.full(n - 1, np.pi / 2.0)]
+    return 2.0 / (2 * np.arange(n) + 1)
+
+
+def closed_form_sobolev_gram(weight, lam, rows):
+    """Pairwise <f, g> + lam <f', g'> of the classical series in rows.
+
+    Each term is the diagonal classical form, applied to the rows and to
+    their numpy derivatives.
+    """
+    der = _cheb.chebder if weight == "inverse_sqrt" else _leg.legder
+
+    def diag_form(a):
+        return (a * _classical_sq_norms(weight, a.shape[1])) @ a.T
+
+    rows = np.asarray(rows, dtype=float)
+    return diag_form(rows) + lam * diag_form(der(rows, axis=1))
+
+
+def gram_schmidt_closed_form(weight, lam, degree):
+    """Rebuild a Sobolev family (order 1) by modified Gram-Schmidt.
+
+    Works over the classical elements with the closed-form inner product
+    <f, g> + lam <f', g'>, each term evaluated on the series and on their
+    numpy derivatives by the diagonal classical form, never through a Gram
+    matrix.  One re-orthogonalization pass; rows are scaled to a unit
+    diagonal.  Returns (expansion, sq_norms) like gram_schmidt_by_quadrature.
+    """
+    der = _cheb.chebder if weight == "inverse_sqrt" else _leg.legder
+    n = degree + 1
+    expansion = np.zeros((n, n))
+    derivs = np.zeros((n, max(n - 1, 1)))  # derivs[j] = der(expansion[j])
+    sq_norms = np.zeros(n)
+    h = _classical_sq_norms(weight, n)
+    hd = h[: derivs.shape[1]]
+
+    def ip(u, du, v, dv):
+        return float(np.dot(h, u * v) + lam * np.dot(hd, du * dv))
+
+    for i in range(n):
+        v = np.zeros(n)
+        v[i] = 1.0
+        dv = der(v)
+        for _ in range(2):  # second pass restores orthogonality lost to rounding
+            for j in range(i):
+                coef = ip(v, dv, expansion[j], derivs[j]) / sq_norms[j]
+                v -= coef * expansion[j]
+                dv -= coef * derivs[j]  # derivative is linear
+        scale = v[i]
+        expansion[i] = v / scale
+        derivs[i] = dv / scale
+        sq_norms[i] = ip(expansion[i], derivs[i], expansion[i], derivs[i])
     return expansion, sq_norms
 
 

@@ -9,7 +9,9 @@ from inkbasis import (
     BasisKind,
     BasisMismatchError,
     DensePoly,
+    InkBasisError,
     InnerProductSpec,
+    InvalidParameterError,
     LengthMismatchError,
     PiecewisePoly,
     UnsupportedOrderError,
@@ -25,7 +27,9 @@ from inkbasis import (
     synthesize,
 )
 from oracles import (
+    closed_form_sobolev_gram,
     gram_schmidt_by_quadrature,
+    gram_schmidt_closed_form,
     piecewise_derivative_eval,
     project_by_rows,
     quad_inner_piecewise,
@@ -34,6 +38,11 @@ from oracles import (
 
 CS = spec_for_kind("chebyshev-sobolev", 0.125)
 LS = spec_for_kind("legendre-sobolev", 0.125)
+
+# (weight, lam, degree) compared with the closed-form Gram-Schmidt reference
+GS_CASES = [
+    (weight, 0.125, d) for weight in Weight for d in (0, 1, 5, 20, 60, 100)
+] + [(weight, lam, 40) for weight in Weight for lam in (0.015625, 1.0, 8.0)]
 
 
 def cheb(*c):
@@ -163,6 +172,24 @@ class TestBuildBasis:
             exp, norms = gram_schmidt_by_quadrature(weight.value, lam, 1, 8)
             np.testing.assert_allclose(b.expansion, exp, atol=1e-8)
             np.testing.assert_allclose(b.sq_norms, norms, rtol=1e-8)
+
+    @pytest.mark.parametrize("weight,lam,d", GS_CASES)
+    def test_matches_closed_form_gram_schmidt(self, weight, lam, d):
+        b = build_basis(InnerProductSpec(weight, lam, 1), d)
+        exp, norms = gram_schmidt_closed_form(weight.value, lam, d)
+        np.testing.assert_allclose(b.expansion, exp, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.sq_norms, norms, rtol=1e-12)
+        gram = closed_form_sobolev_gram(weight.value, lam, b.expansion)
+        off = gram - np.diag(np.diag(gram))
+        assert np.abs(off / np.sqrt(np.outer(b.sq_norms, b.sq_norms))).max() <= 1e-12
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1.0])
+    def test_invalid_lambda_rejected(self, lam):
+        for weight in Weight:
+            with pytest.raises(InvalidParameterError) as exc:
+                InnerProductSpec(weight, lam, 1)
+            assert isinstance(exc.value, InkBasisError)
+            assert isinstance(exc.value, ValueError)
 
     def test_unsupported_order(self):
         with pytest.raises(UnsupportedOrderError):

@@ -65,6 +65,16 @@ class TestBuildBasis:
         assert load_basis(out).spec.lam == 0.5
 
 
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+    def test_non_finite_lambda_exits_2(self, tmp_path, capsys, lam):
+        out = tmp_path / "basis.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["build-basis", f"--lambda={lam}", "--degree", "3", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--lambda must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestApproximate:
     def test_one_csv_per_trace(self, tmp_path):
         data = tmp_path / "digits.txt"
@@ -200,6 +210,40 @@ class TestKnnEval:
             main(["knn-eval", str(data), "--degree", "5", "--k-max", "3",
                   "--out", str(out)])
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestLibraryErrorsExit2:
+    """Input the library rejects gives exit 2 and one error line, no traceback."""
+
+    def run(self, capsys, argv, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err.splitlines()
+        assert "Traceback" not in err
+
+    def test_unlabeled_inkml_knn_eval(self, tmp_path, capsys):
+        doc = tmp_path / "sym.inkml"
+        doc.write_text(INKML_DOC.replace('<annotation type="truth">a</annotation>', ""))
+        self.run(capsys, ["knn-eval", str(doc), "--out", str(tmp_path / "k.csv")],
+                 "every dataset item needs a label")
+
+    def test_inkml_without_strokes(self, tmp_path, capsys):
+        doc = tmp_path / "empty.inkml"
+        doc.write_text("<ink></ink>", encoding="utf-8")
+        self.run(capsys, ["approximate", str(doc), "--out", str(tmp_path / "o")],
+                 "no strokes to merge")
+
+    def test_k_max_above_training_size(self, tmp_path, capsys):
+        data = tmp_path / "three.txt"
+        write_pendigits(data, per_class=1)
+        self.run(capsys, ["knn-eval", str(data), "--out", str(tmp_path / "k.csv")],
+                 "k=10 exceeds training size 2")
+
+    def test_empty_pendigits_knn_eval(self, tmp_path, capsys):
+        data = tmp_path / "empty.txt"
+        data.write_text("", encoding="utf-8")
+        self.run(capsys, ["knn-eval", str(data), "--out", str(tmp_path / "k.csv")],
+                 "no traces supplied")
 
 
 class TestDataDirResolution:

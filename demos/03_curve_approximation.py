@@ -16,8 +16,8 @@ from inkbasis import (
     InkTrace,
     arc_length_normalize,
     build_named_basis,
+    reconstruct,
     representation_error,
-    synthesize,
     to_coeffs,
 )
 
@@ -44,16 +44,13 @@ for d in (3, 7, 10, 15):
 # --- dump curve samples for external plotting --------------------------------
 basis = build_named_basis("chebyshev-sobolev", 10)
 coeffs = to_coeffs(normalized, basis, label=trace.label)
-px = synthesize(np.concatenate([[coeffs.x0], coeffs.xs]), basis)
-py = synthesize(np.concatenate([[coeffs.y0], coeffs.ys]), basis)
-scale = coeffs.length / 2.0
-
 s_dense = np.linspace(-1, 1, 200)
+x_dense, y_dense = reconstruct(coeffs, basis, s_dense)
 lines = ["s,x,y,kind"]
 for s, (x, y) in zip(normalized.knots, trace.points):
     lines.append(f"{s!r},{x!r},{y!r},original")
-for s in s_dense:
-    lines.append(f"{s!r},{px(s) * scale!r},{py(s) * scale!r},approx")
+for s, x, y in zip(s_dense, x_dense, y_dense):
+    lines.append(f"{s!r},{float(x)!r},{float(y)!r},approx")
 csv_path = OUT / "figure_eight_degree10.csv"
 csv_path.write_text("\n".join(lines) + "\n")
 print(f"\nwrote {csv_path} (original points + 200 curve samples)")

@@ -5,16 +5,25 @@ squared norms are fixed constants, the function-space distance between two
 curves is a weighted Euclidean distance between their coefficient vectors.
 Matching a sample against any number of models therefore costs O(d) per
 model, independent of how many points the original traces had.
+
+Models and training sets are held as a CoeffTable, whose coefficients are
+stacked once into (N, 2d) rows [xs | ys].  Every distance -- one pair, a
+match, a kNN query or a whole accuracy table -- comes from one kernel,
+_sq_distances, in the direct difference form
+sum_i h_i ((x_i - u_i)^2 + (y_i - v_i)^2), which is never negative and is
+exactly 0 on duplicates.  Every neighbour list comes from one selection,
+_nearest, whose order equals a stable sort: equal distances keep dataset
+order.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bases import OrthoBasis, build_named_basis, synthesize
+from .bases import OrthoBasis, build_named_basis
 from .errors import (
     BasisMismatchError,
     EmptyModelSetError,
@@ -24,7 +33,8 @@ from .errors import (
     LengthMismatchError,
 )
 from .ink import (
-    InkTrace, NormalizedTrace, SplineKind, SymbolCoeffs, arc_length_normalize, to_coeffs
+    CoeffTable, InkTrace, NormalizedTrace, SplineKind, SymbolCoeffs, arc_length_normalize,
+    reconstruct, to_coeffs,
 )
 
 DEFAULT_SPLIT_SEED = 0
@@ -36,25 +46,28 @@ class LabeledDataset:
     """Labeled coefficient vectors with deterministic split metadata.
 
     The split is a seeded shuffle of the item indices; the prefix of length
-    floor(ratio * n) is the training set.
+    floor(ratio * n) is the training set.  table holds the same items by
+    column.
     """
 
     items: tuple[SymbolCoeffs, ...]
     split_seed: int = DEFAULT_SPLIT_SEED
     split_ratio: float = DEFAULT_SPLIT_RATIO
+    table: CoeffTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         items = tuple(self.items)
         if not items:
-            raise ValueError("dataset must contain at least one item")
+            raise InvalidDataError("dataset must contain at least one item")
         if any(c.label is None for c in items):
             raise InvalidDataError("every dataset item needs a label")
         ids = {c.basis_id for c in items}
         if len(ids) != 1:
-            raise ValueError(f"items span multiple bases: {sorted(ids)}")
+            raise InvalidDataError(f"items span multiple bases: {sorted(ids)}")
         if not 0.0 < self.split_ratio < 1.0:
-            raise ValueError("split_ratio must lie in (0, 1)")
+            raise InvalidParameterError("split_ratio must lie in (0, 1)")
         object.__setattr__(self, "items", items)
+        object.__setattr__(self, "table", CoeffTable(items))
 
     @property
     def basis_id(self) -> str:
@@ -71,13 +84,33 @@ class LabeledDataset:
         return [self.items[i] for i in train_idx], [self.items[i] for i in test_idx]
 
 
-def _check_pair(a: SymbolCoeffs, b: SymbolCoeffs, basis: OrthoBasis) -> None:
-    if a.basis_id != b.basis_id or a.basis_id != basis.basis_id:
+def _sq_distances(table: CoeffTable, query: SymbolCoeffs, basis: OrthoBasis) -> np.ndarray:
+    """Squared function-space distance from the query to every row of the table."""
+    if table.basis_id != query.basis_id or query.basis_id != basis.basis_id:
         raise BasisMismatchError(
-            f"coefficient bases differ: {a.basis_id} / {b.basis_id} vs {basis.basis_id}"
+            f"coefficient bases differ: {table.basis_id} / {query.basis_id} vs {basis.basis_id}"
         )
-    if len(a.xs) != len(b.xs):
+    d = len(query.xs)
+    if table.xs.shape[1] != d:
         raise BasisMismatchError("coefficient lengths differ")
+    diff = table.xy - np.concatenate([query.xs, query.ys])
+    diff *= diff
+    h = basis.sq_norms[1 : d + 1]
+    # einsum rather than @: BLAS gemv rounds identical rows differently
+    # depending on where they sit, which would reorder equal distances.
+    return np.einsum("ij,j->i", diff, np.concatenate([h, h]))
+
+
+def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k smallest distances; equals argsort(dist, kind="stable")[:k].
+
+    Partitioning finds the k-th value; every index at or below it is then
+    stable-sorted, so ties at the k-th distance keep dataset order.  NaNs
+    pass the ~(dist > kth) test too, and sort last, as in argsort.
+    """
+    kth = np.partition(dist, k - 1)[k - 1]
+    cand = np.flatnonzero(~(dist > kth))
+    return cand[np.argsort(dist[cand], kind="stable")[:k]]
 
 
 def coeff_distance_sq(a: SymbolCoeffs, b: SymbolCoeffs, basis: OrthoBasis) -> float:
@@ -87,11 +120,7 @@ def coeff_distance_sq(a: SymbolCoeffs, b: SymbolCoeffs, basis: OrthoBasis) -> fl
     times the family's squared norms; the constant terms were dropped, so
     position does not contribute.
     """
-    _check_pair(a, b, basis)
-    h = basis.sq_norms[1 : len(a.xs) + 1]
-    dx = a.xs - b.xs
-    dy = a.ys - b.ys
-    return float(np.dot(dx * dx + dy * dy, h))
+    return float(_sq_distances(CoeffTable((b,)), a, basis)[0])
 
 
 def representation_error(
@@ -110,53 +139,33 @@ def representation_error(
         raise LengthMismatchError(
             f"{len(normalized.knots)} knots vs {len(trace.points)} points"
         )
-    if coeffs.x0 is None or coeffs.y0 is None or coeffs.length is None:
-        raise ValueError("coefficients lack the constant-term sidecar")
-    px = synthesize(np.concatenate([[coeffs.x0], coeffs.xs]), basis)
-    py = synthesize(np.concatenate([[coeffs.y0], coeffs.ys]), basis)
-    scale = coeffs.length / 2.0
-    xhat = px(normalized.knots) * scale
-    yhat = py(normalized.knots) * scale
+    xhat, yhat = reconstruct(coeffs, basis, normalized.knots)
     return float(
         np.sum(np.hypot(trace.points[:, 0] - xhat, trace.points[:, 1] - yhat))
     )
 
 
 def match_symbol(
-    sample: SymbolCoeffs, models: list[SymbolCoeffs], basis: OrthoBasis
+    sample: SymbolCoeffs, models: CoeffTable | list[SymbolCoeffs], basis: OrthoBasis
 ) -> tuple[int, float]:
-    """Index and squared distance of the closest model; ties take the lowest index."""
+    """Index and squared distance of the closest model; ties take the lowest index.
+
+    A CoeffTable is used as is; any other sequence is stacked once per call.
+    """
     if not models:
         raise EmptyModelSetError("no models to match against")
-    best_i, best_d = 0, np.inf
-    for i, m in enumerate(models):
-        d = coeff_distance_sq(sample, m, basis)
-        if d < best_d:
-            best_i, best_d = i, d
-    return best_i, float(best_d)
+    table = models if isinstance(models, CoeffTable) else CoeffTable(tuple(models))
+    dist = _sq_distances(table, sample, basis)
+    best = int(np.argmin(dist))
+    return best, float(dist[best])
 
 
 def match_symbol_json(
-    sample: SymbolCoeffs, models: list[SymbolCoeffs], basis: OrthoBasis
+    sample: SymbolCoeffs, models: CoeffTable | list[SymbolCoeffs], basis: OrthoBasis
 ) -> dict:
     """match_symbol as a serializable record: {model_index, distance_sq}."""
     index, dist = match_symbol(sample, models, basis)
     return {"model_index": index, "distance_sq": dist}
-
-
-def _feature_matrix(items, basis: OrthoBasis) -> np.ndarray:
-    """Stack coefficients scaled by sqrt of the norms.
-
-    Plain Euclidean distance on these rows equals the weighted coefficient
-    distance, which lets the sweep use fast matrix arithmetic.
-    """
-    d = len(items[0].xs)
-    root_h = np.sqrt(basis.sq_norms[1 : d + 1])
-    out = np.empty((len(items), 2 * d))
-    for i, c in enumerate(items):
-        out[i, :d] = c.xs * root_h
-        out[i, d:] = c.ys * root_h
-    return out
 
 
 def _vote(labels: list[str], dists: np.ndarray) -> str:
@@ -184,12 +193,9 @@ def knn_classify(
     if not items:
         raise EmptyTrainingSetError("training set is empty")
     if not 1 <= k <= len(items):
-        raise ValueError(f"k must be in [1, {len(items)}]")
-    _check_pair(query, items[0], basis)
-    X = _feature_matrix(items, basis)
-    q = _feature_matrix([query], basis)[0]
-    dist = np.sum((X - q) ** 2, axis=1)
-    order = np.argsort(dist, kind="stable")[:k]
+        raise InvalidParameterError(f"k must be in [1, {len(items)}]")
+    dist = _sq_distances(train.table, query, basis)
+    order = _nearest(dist, k)
     return _vote([items[i].label for i in order], dist[order])
 
 
@@ -200,29 +206,22 @@ def knn_accuracy(
     train_idx, test_idx = dataset.split_indices()
     if len(train_idx) == 0:
         raise EmptyTrainingSetError("split left no training items")
-    X = _feature_matrix(dataset.items, basis)
-    labels = [c.label for c in dataset.items]
-    Xtr = X[train_idx]
     kmax = max(ks)
     if kmax > len(train_idx):
         raise InvalidParameterError(f"k={kmax} exceeds training size {len(train_idx)}")
+    items = dataset.items
+    train = CoeffTable(tuple(items[i] for i in train_idx))
+    train_labels = [c.label for c in train]
 
     correct = {k: 0 for k in ks}
-    chunk = 512
-    for start in range(0, len(test_idx), chunk):
-        idx = test_idx[start : start + chunk]
-        D = (
-            np.sum(X[idx] ** 2, axis=1)[:, None]
-            - 2.0 * X[idx] @ Xtr.T
-            + np.sum(Xtr**2, axis=1)[None, :]
-        )
-        for row, ti in enumerate(idx):
-            order = np.argsort(D[row], kind="stable")[:kmax]
-            neigh_labels = [labels[train_idx[j]] for j in order]
-            neigh_dists = D[row][order]
-            for k in ks:
-                if _vote(neigh_labels[:k], neigh_dists[:k]) == labels[ti]:
-                    correct[k] += 1
+    for ti in test_idx:
+        dist = _sq_distances(train, items[ti], basis)
+        order = _nearest(dist, kmax)
+        neigh_labels = [train_labels[j] for j in order]
+        neigh_dists = dist[order]
+        for k in ks:
+            if _vote(neigh_labels[:k], neigh_dists[:k]) == items[ti].label:
+                correct[k] += 1
     n_test = max(1, len(test_idx))
     return {k: correct[k] / n_test for k in ks}
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bases import BASIS_KINDS, MAX_DEGREE, build_named_basis, save_basis, synthesize
+from .bases import BASIS_KINDS, MAX_DEGREE, build_named_basis, save_basis
 from .classify import DEFAULT_SPLIT_RATIO, DEFAULT_SPLIT_SEED, accuracy_sweep, representation_error
 from .errors import InkBasisError
 from .ink import (
@@ -29,6 +29,7 @@ from .ink import (
     load_pendigits,
     merge_strokes,
     parse_inkml,
+    reconstruct,
     to_coeffs,
 )
 
@@ -115,16 +116,12 @@ def cmd_approximate(args) -> int:
     for i, trace in enumerate(traces):
         normalized = arc_length_normalize(trace, args.spline)
         coeffs = to_coeffs(normalized, basis, label=trace.label)
-        px = synthesize(np.concatenate([[coeffs.x0], coeffs.xs]), basis)
-        py = synthesize(np.concatenate([[coeffs.y0], coeffs.ys]), basis)
-        scale = coeffs.length / 2.0
+        xhat, yhat = reconstruct(coeffs, basis, samples)
         lines = ["s,x,y,kind"]
         for s, (x, y) in zip(normalized.knots, trace.points):
             lines.append(f"{_fmt(s)},{_fmt(x)},{_fmt(y)},original")
-        for s in samples:
-            lines.append(
-                f"{_fmt(s)},{_fmt(px(s) * scale)},{_fmt(py(s) * scale)},approx"
-            )
+        for s, x, y in zip(samples, xhat, yhat):
+            lines.append(f"{_fmt(s)},{_fmt(x)},{_fmt(y)},approx")
         (outdir / _trace_file_name(i, trace.label)).write_text(
             "\n".join(lines) + "\n", encoding="utf-8"
         )
@@ -139,11 +136,7 @@ def cmd_reconstruct(args) -> int:
     for i, trace in enumerate(traces):
         normalized = arc_length_normalize(trace, args.spline)
         coeffs = to_coeffs(normalized, basis, label=trace.label)
-        px = synthesize(np.concatenate([[coeffs.x0], coeffs.xs]), basis)
-        py = synthesize(np.concatenate([[coeffs.y0], coeffs.ys]), basis)
-        scale = coeffs.length / 2.0
-        xhat = px(normalized.knots) * scale
-        yhat = py(normalized.knots) * scale
+        xhat, yhat = reconstruct(coeffs, basis, normalized.knots)
         for j, (x, y) in enumerate(trace.points):
             lines.append(f"{i},{j},original,{_fmt(x)},{_fmt(y)}")
         for j, (x, y) in enumerate(zip(xhat, yhat)):

@@ -14,14 +14,15 @@ from __future__ import annotations
 import enum
 import json
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 from typing import IO, Iterable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .bases import OrthoBasis, project
-from .errors import DegenerateTraceError, InvalidDataError, ParseError
+from .bases import OrthoBasis, project, synthesize
+from .errors import BasisMismatchError, DegenerateTraceError, InvalidDataError, ParseError
 from .poly import PiecewisePoly
 
 
@@ -40,7 +41,9 @@ class InkTrace:
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
-            raise ValueError("a trace needs at least two (x, y) points")
+            raise InvalidDataError("a trace needs at least two (x, y) points")
+        if not np.all(np.isfinite(pts)):
+            raise InvalidDataError("trace coordinates must be finite")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -97,6 +100,51 @@ class SymbolCoeffs:
         ys.setflags(write=False)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
+
+
+@dataclass(frozen=True, eq=False)
+class CoeffTable(Sequence):
+    """A columnar table of coefficient sets of one basis.
+
+    A read-only sequence of SymbolCoeffs that also holds their degree 1..d
+    coefficients stacked once: xy is the (N, 2d) matrix of rows [xs | ys],
+    and xs, ys are its two read-only (N, d) halves, so a distance to every
+    row is a few array operations.  All items share one basis_id and one
+    coefficient length; an empty table has basis_id None.
+    """
+
+    items: tuple[SymbolCoeffs, ...]
+    basis_id: str | None = field(init=False)
+    xy: np.ndarray = field(init=False, repr=False)
+    xs: np.ndarray = field(init=False, repr=False)
+    ys: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        items = tuple(self.items)
+        shapes = {(c.basis_id, len(c.xs)) for c in items}
+        if len(shapes) > 1:
+            raise BasisMismatchError(
+                f"coefficient sets differ in basis or length: {sorted(shapes)}"
+            )
+        basis_id, d = shapes.pop() if shapes else (None, 0)
+        xy = np.empty((len(items), 2 * d))
+        xy[:, :d] = [c.xs for c in items]
+        xy[:, d:] = [c.ys for c in items]
+        xy.setflags(write=False)
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "basis_id", basis_id)
+        object.__setattr__(self, "xy", xy)
+        object.__setattr__(self, "xs", xy[:, :d])
+        object.__setattr__(self, "ys", xy[:, d:])
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __getitem__(self, index):
+        return self.items[index]
+
+    def __iter__(self):
+        return iter(self.items)
 
 
 def collapse_duplicates(points: np.ndarray) -> np.ndarray:
@@ -227,7 +275,10 @@ _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 def _cubic_arc_lengths(t: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Per-segment arc lengths of the natural cubic through pts, 8-point Gauss-Legendre."""
-    velocity = CubicSpline(t, pts, bc_type="natural").derivative()
+    try:
+        velocity = CubicSpline(t, pts, bc_type="natural").derivative()
+    except ValueError as exc:  # the points are finite, so the fit overflowed
+        raise InvalidDataError(f"cubic fit is not finite: {exc}") from None
     mid, half = (t[:-1] + t[1:]) / 2.0, (t[1:] - t[:-1]) / 2.0
     v = velocity(mid[:, None] + half[:, None] * _GL8_NODES)  # (nseg, 8, 2)
     return half * (np.hypot(v[..., 0], v[..., 1]) @ _GL8_WEIGHTS)
@@ -249,16 +300,19 @@ def arc_length_normalize(
     if len(pts) < 2:
         raise DegenerateTraceError("trace has fewer than two distinct points")
 
-    chord = np.hypot(*np.diff(pts, axis=0).T)
-    # a natural cubic through two points is the chord
-    cubic = spline is SplineKind.CUBIC and len(pts) > 2
-    if cubic:
-        t = np.concatenate([[0.0], np.cumsum(chord)])
-        seg_lengths = _cubic_arc_lengths(t, pts)
-    else:
-        seg_lengths = chord
-
-    total = float(np.sum(seg_lengths))
+    # overflow shows as a non-finite total (or fit) and raises a typed error
+    with np.errstate(over="ignore", invalid="ignore"):
+        chord = np.hypot(*np.diff(pts, axis=0).T)
+        # a natural cubic through two points is the chord
+        cubic = spline is SplineKind.CUBIC and len(pts) > 2
+        if cubic:
+            t = np.concatenate([[0.0], np.cumsum(chord)])
+            seg_lengths = _cubic_arc_lengths(t, pts)
+        else:
+            seg_lengths = chord
+        total = float(np.sum(seg_lengths))
+    if not np.isfinite(total):
+        raise InvalidDataError("arc length is not finite: coordinates too large")
     if total <= 0.0:
         raise DegenerateTraceError("zero total arc length")
     cumulative = np.concatenate([[0.0], np.cumsum(seg_lengths)])
@@ -302,6 +356,22 @@ def symbol_coeffs(
     return to_coeffs(arc_length_normalize(trace, spline), basis, label=trace.label)
 
 
+def reconstruct(
+    coeffs: SymbolCoeffs, basis: OrthoBasis, s
+) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of the truncated series at parameters s, in the input frame.
+
+    Restores the constant terms x0, y0 and undoes normalization's 2/L
+    rescale.
+    """
+    if coeffs.x0 is None or coeffs.y0 is None or coeffs.length is None:
+        raise InvalidDataError("coefficients lack the constant-term sidecar")
+    px = synthesize(np.concatenate([[coeffs.x0], coeffs.xs]), basis)
+    py = synthesize(np.concatenate([[coeffs.y0], coeffs.ys]), basis)
+    scale = coeffs.length / 2.0
+    return px(s) * scale, py(s) * scale
+
+
 def coeffs_to_json_dict(c: SymbolCoeffs) -> dict:
     doc = {
         "label": c.label,
@@ -336,11 +406,12 @@ def write_coeffs_jsonl(items: Iterable[SymbolCoeffs], path) -> None:
             fh.write("\n")
 
 
-def read_coeffs_jsonl(path) -> list[SymbolCoeffs]:
+def read_coeffs_jsonl(path) -> CoeffTable:
+    """The coefficient sets of a JSONL file, as a table of one basis."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if line:
                 out.append(coeffs_from_json_dict(json.loads(line)))
-    return out
+    return CoeffTable(tuple(out))

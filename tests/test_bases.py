@@ -126,7 +126,7 @@ class TestBuildBasis:
     def test_hand_derived_row_three(self):
         # ratio <T3,T1>/<T1,T1> = 3*lam/(1/2 + lam) = 3/5 at lam = 1/8
         b = build_basis(CS, 3)
-        np.testing.assert_allclose(b.expansion[3], [0, -0.6, 0, 1], atol=1e-14)
+        np.testing.assert_allclose(b.expansion[3], [0, -0.6, 0, 1], atol=1e-14, rtol=0)
 
     def test_degree_three_member_monomial_form(self):
         # T_3 - (3/5) T_1 = 4x^3 - (18/5)x, proportional to 10x^3 - 9x
@@ -139,7 +139,7 @@ class TestBuildBasis:
         # same ladder under the unit weight: ratio 2*lam/(2/3 + 2*lam) = 3/11
         # at lam = 1/8, so the member is P_3 - (3/11) P_1
         b = build_basis(LS, 3)
-        np.testing.assert_allclose(b.expansion[3], [0, -3 / 11, 0, 1], atol=1e-13)
+        np.testing.assert_allclose(b.expansion[3], [0, -3 / 11, 0, 1], atol=1e-13, rtol=0)
 
     @pytest.mark.parametrize("lam", [0.015625, 0.125, 1.0, 8.0])
     def test_low_rows_unchanged_by_parity(self, lam):
@@ -352,5 +352,5 @@ class TestBasisJson:
         assert doc["spec"] == golden["spec"]
         assert doc["degree"] == golden["degree"]
         assert doc["normalization"] == golden["normalization"]
-        np.testing.assert_allclose(doc["expansion"], golden["expansion"], atol=1e-15)
+        np.testing.assert_allclose(doc["expansion"], golden["expansion"], atol=1e-15, rtol=0)
         np.testing.assert_allclose(doc["sq_norms"], golden["sq_norms"], rtol=1e-15)

@@ -4,12 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import make_random_trace, synthetic_digit_traces
 from inkbasis import (
     BasisMismatchError,
+    CoeffTable,
     EmptyModelSetError,
     InkTrace,
+    InvalidDataError,
+    InvalidParameterError,
     LabeledDataset,
     LengthMismatchError,
     SymbolCoeffs,
@@ -24,6 +29,8 @@ from inkbasis import (
     symbol_coeffs,
     to_coeffs,
 )
+from inkbasis import classify
+from inkbasis.classify import _nearest, _sq_distances
 from oracles import dp_match_distance_sq, quad_inner_series
 
 CHEB10 = build_named_basis("chebyshev", 10)
@@ -139,6 +146,15 @@ class TestRepresentationError:
         with pytest.raises(LengthMismatchError):
             representation_error(other, n, c, basis)
 
+    def test_missing_sidecar(self):
+        trace = InkTrace([(0, 0), (1, 0), (2, 1)])
+        n = arc_length_normalize(trace)
+        basis = build_named_basis("chebyshev", 3)
+        c = to_coeffs(n, basis)
+        bare = make_coeffs(basis, c.xs, c.ys)
+        with pytest.raises(InvalidDataError):
+            representation_error(trace, n, bare, basis)
+
 
 class TestMatchSymbol:
     def test_contains_sample(self, rng):
@@ -187,6 +203,75 @@ class TestMatchSymbol:
         assert scaled_d == pytest.approx(17.5 * base_d, rel=1e-12)
         record = match_symbol_json(q, models, CHEB10)
         assert record == {"model_index": base_idx, "distance_sq": base_d}
+
+    def test_list_and_table_agree_bitwise(self, rng):
+        q = make_coeffs(CS10, rng.uniform(-1, 1, 10), rng.uniform(-1, 1, 10))
+        models = [
+            make_coeffs(CS10, rng.uniform(-1, 1, 10), rng.uniform(-1, 1, 10))
+            for _ in range(200)
+        ]
+        from_list = match_symbol(q, models, CS10)
+        from_table = match_symbol(q, CoeffTable(tuple(models)), CS10)
+        assert from_list[0] == from_table[0]
+        assert np.float64(from_list[1]).tobytes() == np.float64(from_table[1]).tobytes()
+
+    def test_ties_take_lowest_index(self, rng):
+        m = make_coeffs(CHEB10, rng.uniform(-1, 1, 10), rng.uniform(-1, 1, 10))
+        other = make_coeffs(CHEB10, rng.uniform(-1, 1, 10), rng.uniform(-1, 1, 10))
+        assert match_symbol(m, [other, m, m, m], CHEB10) == (1, 0.0)
+
+    def test_mixed_model_bases_rejected(self):
+        q = make_coeffs(CHEB10, np.zeros(10), np.zeros(10))
+        other = make_coeffs(CS10, np.zeros(10), np.zeros(10))
+        with pytest.raises(BasisMismatchError):
+            match_symbol(q, [q, other], CHEB10)
+        with pytest.raises(BasisMismatchError):
+            match_symbol(q, CoeffTable((other,)), CHEB10)
+
+
+class TestDistanceKernel:
+    def test_identical_rows_get_identical_distances(self, rng):
+        # any position in any table size: equal rows must tie exactly, or the
+        # stable order on equal distances would not hold
+        for d in (1, 5, 10, 20):
+            basis = build_named_basis("legendre-sobolev", d)
+            for _ in range(10):
+                row = make_coeffs(basis, rng.uniform(-1, 1, d), rng.uniform(-1, 1, d))
+                q = make_coeffs(basis, rng.uniform(-1, 1, d), rng.uniform(-1, 1, d))
+                for n in (1, 2, 3, 7, 17, 100):
+                    dist = _sq_distances(CoeffTable((row,) * n), q, basis)
+                    assert np.all(dist == coeff_distance_sq(q, row, basis))
+
+    def test_length_mismatch(self):
+        basis = build_named_basis("chebyshev", 10)
+        table = CoeffTable((make_coeffs(basis, np.zeros(10), np.zeros(10)),))
+        with pytest.raises(BasisMismatchError):
+            _sq_distances(table, make_coeffs(basis, np.zeros(9), np.zeros(9)), basis)
+
+
+class TestNearest:
+    @given(
+        st.lists(st.integers(0, 4), min_size=1, max_size=40),
+        st.data(),
+    )
+    def test_equals_stable_argsort(self, values, data):
+        dist = np.array(values, dtype=float)
+        k = data.draw(st.integers(1, len(dist)))
+        np.testing.assert_array_equal(_nearest(dist, k), np.argsort(dist, kind="stable")[:k])
+
+    def test_many_ties_at_kth(self):
+        dist = np.array([3.0, 1.0, 2.0, 2.0, 1.0, 2.0, 2.0, 0.0, 2.0])
+        for k in range(1, len(dist) + 1):
+            np.testing.assert_array_equal(
+                _nearest(dist, k), np.argsort(dist, kind="stable")[:k]
+            )
+
+    def test_nan_sorts_last(self):
+        dist = np.array([np.nan, 1.0, np.nan, 0.0])
+        for k in range(1, 5):
+            np.testing.assert_array_equal(
+                _nearest(dist, k), np.argsort(dist, kind="stable")[:k]
+            )
 
 
 class TestKnnClassify:
@@ -243,6 +328,16 @@ class TestKnnClassify:
         with pytest.raises(ValueError):
             knn_classify(ds, q, 4, CHEB10)
 
+    def test_k_out_of_range_is_typed(self, rng):
+        items = tuple(
+            make_coeffs(CHEB10, rng.uniform(-1, 1, 10), rng.uniform(-1, 1, 10), "a")
+            for _ in range(3)
+        )
+        ds = LabeledDataset(items)
+        for k in (0, 4):
+            with pytest.raises(InvalidParameterError):
+                knn_classify(ds, items[0], k, CHEB10)
+
     def test_train_as_test_is_perfect_at_k1(self, rng):
         traces = synthetic_digit_traces(rng, per_class=5)
         items = tuple(symbol_coeffs(t, CS10) for t in traces)
@@ -285,6 +380,27 @@ class TestLabeledDataset:
         with pytest.raises(ValueError):
             LabeledDataset((c,))
 
+    def test_typed_errors(self):
+        a = make_coeffs(CHEB10, np.zeros(10), np.zeros(10), "a")
+        b = make_coeffs(CS10, np.zeros(10), np.zeros(10), "b")
+        with pytest.raises(InvalidDataError):
+            LabeledDataset(())
+        with pytest.raises(InvalidDataError):
+            LabeledDataset((a, b))
+        for ratio in (0.0, 1.0, float("nan")):
+            with pytest.raises(InvalidParameterError):
+                LabeledDataset((a,), split_ratio=ratio)
+
+    def test_table_holds_items_by_column(self, rng):
+        items = tuple(
+            make_coeffs(CHEB10, rng.uniform(-1, 1, 10), rng.uniform(-1, 1, 10), "x")
+            for _ in range(5)
+        )
+        ds = LabeledDataset(items)
+        assert ds.table.items == ds.items
+        np.testing.assert_array_equal(ds.table.xs, [c.xs for c in items])
+        np.testing.assert_array_equal(ds.table.ys, [c.ys for c in items])
+
 
 class TestAccuracySweep:
     def test_table_shape_and_identity(self, rng):
@@ -315,6 +431,50 @@ class TestAccuracySweep:
         acc = knn_accuracy(ds, basis, [1, 3, 5])
         assert set(acc) == {1, 3, 5}
         assert all(0.0 <= v <= 1.0 for v in acc.values())
+
+    @pytest.mark.parametrize("kind", ["legendre", "chebyshev-sobolev"])
+    def test_knn_accuracy_agrees_with_knn_classify(self, rng, kind):
+        traces = synthetic_digit_traces(rng, per_class=12, jitter=12.0)
+        traces += traces[::5]  # exact duplicates, so some distances tie
+        basis = build_named_basis(kind, 6)
+        items = tuple(symbol_coeffs(t, basis) for t in traces)
+        ds = LabeledDataset(items, split_seed=3)
+        train_idx, test_idx = ds.split_indices()
+        train = LabeledDataset(tuple(items[i] for i in train_idx))
+        ks = [1, 2, 3, 4, 7]
+        acc = knn_accuracy(ds, basis, ks)
+        for k in ks:
+            hits = sum(
+                knn_classify(train, items[i], k, basis) == items[i].label for i in test_idx
+            )
+            assert acc[k] == hits / len(test_idx)
+
+    def test_duplicates_have_zero_distance(self, rng, monkeypatch):
+        traces = synthetic_digit_traces(rng, per_class=6)
+        traces += traces  # every item has an exact duplicate
+        basis = build_named_basis("chebyshev-sobolev", 8)
+        items = tuple(symbol_coeffs(t, basis) for t in traces)
+        ds = LabeledDataset(items)
+        seen = []
+        real = classify._nearest
+
+        def spy(dist, k):
+            seen.append(dist.copy())
+            return real(dist, k)
+
+        monkeypatch.setattr(classify, "_nearest", spy)
+        knn_accuracy(ds, basis, [1])
+        train_idx, test_idx = ds.split_indices()
+        n = len(traces) // 2
+        train_pos = {int(j): p for p, j in enumerate(train_idx)}
+        checked = 0
+        for dist, ti in zip(seen, test_idx):
+            twin = (int(ti) + n) % len(traces)
+            if twin in train_pos:
+                assert dist[train_pos[twin]] == 0.0
+                checked += 1
+            assert np.all(dist >= 0.0)
+        assert len(seen) == len(test_idx) and checked > 0
 
 
 class TestPointMatchingOracle:

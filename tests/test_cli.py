@@ -239,6 +239,25 @@ class TestLibraryErrorsExit2:
         self.run(capsys, ["knn-eval", str(data), "--out", str(tmp_path / "k.csv")],
                  "k=10 exceeds training size 2")
 
+    @pytest.mark.parametrize(
+        "points, spline, message",
+        [
+            ("0 0, nan 1, 2 2, 3 5", "cubic", "trace coordinates must be finite"),
+            ("0 0, inf 1, 2 2, 3 5", "cubic", "trace coordinates must be finite"),
+            ("0 0, nan 1, 2 2, 3 5", "linear", "trace coordinates must be finite"),
+            ("0 0, 1e300 1, 2 2", "cubic", "cubic fit is not finite: "),
+        ],
+        ids=["nan-cubic", "inf-cubic", "nan-linear", "overflow-cubic"],
+    )
+    def test_non_finite_or_overflowing_points(self, tmp_path, capsys, points, spline, message):
+        doc = tmp_path / "bad.inkml"
+        doc.write_text(f"<ink><trace>{points}</trace></ink>", encoding="utf-8")
+        argv = ["reconstruct", str(doc), "--spline", spline, "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert any(line.startswith(f"error: {message}") for line in err.splitlines())
+        assert "Traceback" not in err and "Warning" not in err
+
     def test_empty_pendigits_knn_eval(self, tmp_path, capsys):
         data = tmp_path / "empty.txt"
         data.write_text("", encoding="utf-8")

@@ -5,8 +5,11 @@ import pytest
 
 from conftest import make_random_trace
 from inkbasis import (
+    BasisMismatchError,
+    CoeffTable,
     DegenerateTraceError,
     InkTrace,
+    InvalidDataError,
     ParseError,
     SplineKind,
     arc_length_normalize,
@@ -15,6 +18,7 @@ from inkbasis import (
     parse_inkml,
     parse_pendigits,
     read_coeffs_jsonl,
+    reconstruct,
     symbol_coeffs,
     to_coeffs,
     write_coeffs_jsonl,
@@ -56,6 +60,17 @@ class TestParsePendigits:
     def test_accepts_line_iterable(self):
         traces = parse_pendigits([PENDIGITS_LINE, "", PENDIGITS_LINE])
         assert len(traces) == 2
+
+
+class TestInkTrace:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidDataError):
+            InkTrace([(0.0, 0.0), (bad, 1.0), (2.0, 2.0)])
+
+    def test_non_finite_inkml_rejected(self):
+        with pytest.raises(InvalidDataError):
+            parse_inkml("<ink><trace>0 0, nan 1, 2 2</trace></ink>")
 
 
 class TestParseInkml:
@@ -159,6 +174,18 @@ class TestArcLengthNormalize:
                 c[: len(seg.coeffs)] = seg.coeffs
                 assert 6 * c[3] * s + 2 * c[2] == pytest.approx(0.0, abs=1e-9)
 
+    def test_cubic_overflow_is_typed(self):
+        trace = InkTrace([(0.0, 0.0), (1e300, 1.0), (2.0, 2.0)])
+        with pytest.raises(InvalidDataError):
+            arc_length_normalize(trace, SplineKind.CUBIC)
+        arc_length_normalize(trace)  # the linear spline handles it
+
+    def test_infinite_arc_length_is_typed(self):
+        trace = InkTrace([(0.0, 0.0), (1e308, 1.0), (-1e308, 2.0)])
+        for spline in SplineKind:
+            with pytest.raises(InvalidDataError):
+                arc_length_normalize(trace, spline)
+
     def test_long_cubic_random_walk(self, rng):
         # segments written on the global parameter used to fail continuity here
         trace = make_random_trace(rng, n_min=120, n_max=120)
@@ -239,6 +266,63 @@ class TestToCoeffs:
         assert c.label == "z"
 
 
+class TestReconstruct:
+    def test_straight_line_is_exact(self):
+        trace = InkTrace([(1.0, 2.0), (4.0, 6.0), (7.0, 10.0)])
+        n = arc_length_normalize(trace)
+        basis = build_named_basis("legendre-sobolev", 3)
+        xhat, yhat = reconstruct(to_coeffs(n, basis), basis, n.knots)
+        np.testing.assert_allclose(xhat, trace.points[:, 0], atol=1e-12, rtol=0)
+        np.testing.assert_allclose(yhat, trace.points[:, 1], atol=1e-12, rtol=0)
+
+    def test_scalar_matches_array(self, rng):
+        basis = build_named_basis("chebyshev", 7)
+        c = symbol_coeffs(make_random_trace(rng), basis)
+        s = np.linspace(-1.0, 1.0, 9)
+        xs, ys = reconstruct(c, basis, s)
+        for i, si in enumerate(s):
+            assert reconstruct(c, basis, si) == (xs[i], ys[i])
+
+    def test_missing_sidecar(self):
+        basis = build_named_basis("chebyshev", 3)
+        c = symbol_coeffs(InkTrace([(0, 0), (2, 1), (3, 3)]), basis)
+        bare = type(c)(c.basis_id, c.xs, c.ys)
+        with pytest.raises(InvalidDataError):
+            reconstruct(bare, basis, 0.0)
+
+
+class TestCoeffTable:
+    def make(self, rng, basis, n):
+        return tuple(
+            symbol_coeffs(InkTrace(make_random_trace(rng).points, label=str(i)), basis)
+            for i in range(n)
+        )
+
+    def test_sequence_over_items(self, rng):
+        items = self.make(rng, build_named_basis("chebyshev", 6), 4)
+        table = CoeffTable(items)
+        assert len(table) == 4 and table[2] is items[2] and tuple(table) == items
+        assert table.basis_id == items[0].basis_id
+        assert table.xs.shape == table.ys.shape == (4, 6)
+        assert not table.xs.flags.writeable and not table.ys.flags.writeable
+
+    def test_mixed_bases_rejected(self, rng):
+        a = self.make(rng, build_named_basis("chebyshev", 6), 1)
+        b = self.make(rng, build_named_basis("legendre", 6), 1)
+        with pytest.raises(BasisMismatchError):
+            CoeffTable(a + b)
+
+    def test_mixed_lengths_rejected(self, rng):
+        a = self.make(rng, build_named_basis("chebyshev", 6), 1)[0]
+        short = type(a)(a.basis_id, a.xs[:3], a.ys[:3])
+        with pytest.raises(BasisMismatchError):
+            CoeffTable((a, short))
+
+    def test_empty(self):
+        table = CoeffTable(())
+        assert not table and len(table) == 0 and table.basis_id is None
+
+
 class TestCoeffsJsonl:
     def test_bit_exact_round_trip(self, rng, tmp_path):
         basis = build_named_basis("chebyshev-sobolev", 10)
@@ -258,3 +342,31 @@ class TestCoeffsJsonl:
             assert np.array_equal(a.xs, b.xs)  # bitwise
             assert np.array_equal(a.ys, b.ys)
             assert a.x0 == b.x0 and a.y0 == b.y0 and a.length == b.length
+
+    def test_reads_a_bit_exact_table(self, rng, tmp_path):
+        basis = build_named_basis("legendre-sobolev", 9)
+        items = [symbol_coeffs(make_random_trace(rng), basis) for _ in range(6)]
+        path = tmp_path / "coeffs.jsonl"
+        write_coeffs_jsonl(items, path)
+        back = read_coeffs_jsonl(path)
+        assert isinstance(back, CoeffTable) and back.basis_id == basis.basis_id
+        want_x = np.array([c.xs for c in items])
+        want_y = np.array([c.ys for c in items])
+        assert back.xs.tobytes() == want_x.tobytes()
+        assert back.ys.tobytes() == want_y.tobytes()
+
+    def test_mixed_bases_file_rejected(self, rng, tmp_path):
+        items = [
+            symbol_coeffs(make_random_trace(rng), build_named_basis(kind, 5))
+            for kind in ("chebyshev", "chebyshev-sobolev")
+        ]
+        path = tmp_path / "mixed.jsonl"
+        write_coeffs_jsonl(items, path)
+        with pytest.raises(BasisMismatchError):
+            read_coeffs_jsonl(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("", encoding="utf-8")
+        back = read_coeffs_jsonl(path)
+        assert isinstance(back, CoeffTable) and not back

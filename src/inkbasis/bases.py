@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BasisMismatchError, DegreeTooLargeError, InvalidParameterError, LengthMismatchError,
-    UnsupportedOrderError,
+    BasisMismatchError, DegreeTooLargeError, InvalidDataError, InvalidParameterError,
+    LengthMismatchError, UnsupportedOrderError,
 )
 from .poly import (
     BasisKind, DensePoly, PiecewisePoly, Weight, _derivative_matrix, piecewise_classical_inners
@@ -88,18 +88,14 @@ def spec_for_kind(kind: str, lam: float = DEFAULT_LAMBDA) -> InnerProductSpec:
         return InnerProductSpec(Weight.UNIT, lam, 1)
     if kind == "chebyshev-sobolev":
         return InnerProductSpec(Weight.INVERSE_SQRT, lam, 1)
-    raise ValueError(f"unknown basis kind {kind!r}; expected one of {BASIS_KINDS}")
-
-
-def classical_sq_norm(weight: Weight, i: int) -> float:
-    """Squared norm of the degree-i classical element under its own weight."""
-    if Weight(weight) is Weight.INVERSE_SQRT:
-        return math.pi if i == 0 else math.pi / 2.0
-    return 2.0 / (2 * i + 1)
+    raise InvalidParameterError(f"unknown basis kind {kind!r}; expected one of {BASIS_KINDS}")
 
 
 def _classical_sq_norms(weight: Weight, n: int) -> np.ndarray:
-    return np.array([classical_sq_norm(weight, i) for i in range(n)])
+    """Squared norms of the classical elements 0..n-1 under their own weight."""
+    if weight is Weight.INVERSE_SQRT:
+        return np.r_[math.pi, np.full(n - 1, math.pi / 2.0)]
+    return 2.0 / (2 * np.arange(n) + 1.0)
 
 
 def _gram(spec: InnerProductSpec, degree: int) -> np.ndarray:
@@ -155,9 +151,9 @@ class OrthoBasis:
         sq_norms = np.array(self.sq_norms, dtype=float)
         n = self.degree + 1
         if expansion.shape != (n, n) or sq_norms.shape != (n,):
-            raise ValueError("expansion/sq_norms shapes do not match degree")
+            raise InvalidDataError("expansion/sq_norms shapes do not match degree")
         if np.any(sq_norms <= 0.0):
-            raise ValueError("squared norms must be strictly positive")
+            raise InvalidDataError("squared norms must be strictly positive")
         expansion.setflags(write=False)
         sq_norms.setflags(write=False)
         object.__setattr__(self, "expansion", expansion)
@@ -190,7 +186,7 @@ def build_basis(spec: InnerProductSpec, degree: int) -> OrthoBasis:
     expansion is L^-1 and the squared norms are diag(D).
     """
     if degree < 0:
-        raise ValueError("degree must be non-negative")
+        raise InvalidParameterError("degree must be non-negative")
     if degree > MAX_DEGREE:
         raise DegreeTooLargeError(f"degree {degree} exceeds the verified limit {MAX_DEGREE}")
     if spec.order not in (0, 1):

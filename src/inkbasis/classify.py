@@ -160,14 +160,6 @@ def match_symbol(
     return best, float(dist[best])
 
 
-def match_symbol_json(
-    sample: SymbolCoeffs, models: CoeffTable | list[SymbolCoeffs], basis: OrthoBasis
-) -> dict:
-    """match_symbol as a serializable record: {model_index, distance_sq}."""
-    index, dist = match_symbol(sample, models, basis)
-    return {"model_index": index, "distance_sq": dist}
-
-
 def _vote(labels: list[str], dists: np.ndarray) -> str:
     counts = Counter(labels)
     top = max(counts.values())
@@ -206,6 +198,8 @@ def knn_accuracy(
     train_idx, test_idx = dataset.split_indices()
     if len(train_idx) == 0:
         raise EmptyTrainingSetError("split left no training items")
+    if not ks or min(ks) < 1:
+        raise InvalidParameterError(f"every k must be in [1, {len(train_idx)}], got {ks}")
     kmax = max(ks)
     if kmax > len(train_idx):
         raise InvalidParameterError(f"k={kmax} exceeds training size {len(train_idx)}")

@@ -22,7 +22,9 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .bases import OrthoBasis, project, synthesize
-from .errors import BasisMismatchError, DegenerateTraceError, InvalidDataError, ParseError
+from .errors import (
+    BasisMismatchError, DegenerateTraceError, InvalidDataError, InvalidParameterError, ParseError,
+)
 from .poly import PiecewisePoly
 
 
@@ -95,7 +97,7 @@ class SymbolCoeffs:
         xs = np.array(self.xs, dtype=float)
         ys = np.array(self.ys, dtype=float)
         if xs.shape != ys.shape or xs.ndim != 1:
-            raise ValueError("xs and ys must be 1-D arrays of equal length")
+            raise InvalidDataError("xs and ys must be 1-D arrays of equal length")
         xs.setflags(write=False)
         ys.setflags(write=False)
         object.__setattr__(self, "xs", xs)
@@ -335,7 +337,7 @@ def to_coeffs(
     curve was sampled.
     """
     if basis.degree < 1:
-        raise ValueError("basis degree must be at least 1")
+        raise InvalidParameterError("basis degree must be at least 1")
     cx = project(normalized.cx, basis)
     cy = project(normalized.cy, basis)
     return SymbolCoeffs(

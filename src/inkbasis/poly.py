@@ -1,9 +1,9 @@
 """Polynomial arithmetic in classical bases on [-1, 1].
 
-Dense polynomials carry their coefficients in one of three classical bases
-(monomial, Legendre, Chebyshev of the first kind).  Piecewise polynomials
-are arrays: strictly increasing breakpoints s_j and, per interval, the
-coefficients of a cubic (or lower) in the local offset s - s_j.
+Dense polynomials carry their coefficients in one of two classical bases,
+Legendre or Chebyshev of the first kind.  Piecewise polynomials are arrays:
+strictly increasing breakpoints s_j and, per interval, the coefficients of
+a cubic (or lower) in the local offset s - s_j.
 
 Weighted integrals of a piecewise polynomial against the classical elements
 are basis-native closed forms: the family's three-term multiply-by-s
@@ -15,23 +15,17 @@ quadrature routine.
 from __future__ import annotations
 
 import enum
-import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import legendre as _leg
-from numpy.polynomial import polynomial as _poly
 
-from .errors import DegreeTooLargeError, DomainError
-
-MAX_CONVERT_DEGREE = 64  # monomial conversion conditioning degrades beyond this
+from .errors import DomainError, InvalidDataError, InvalidParameterError
 
 
 class BasisKind(str, enum.Enum):
-    MONOMIAL = "monomial"
     LEGENDRE = "legendre"
     CHEBYSHEV = "chebyshev"
 
@@ -57,7 +51,7 @@ class DensePoly:
     def __post_init__(self):
         c = np.atleast_1d(np.array(self.coeffs, dtype=float))
         if c.ndim != 1 or c.size == 0:
-            raise ValueError("coeffs must be a non-empty 1-D array")
+            raise InvalidDataError("coeffs must be a non-empty 1-D array")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "basis", BasisKind(self.basis))
@@ -66,57 +60,21 @@ class DensePoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def trim(self) -> "DensePoly":
-        """Canonical form with trailing zero coefficients removed."""
-        c = np.trim_zeros(self.coeffs, "b")
-        if len(c) == 0:
-            c = np.zeros(1)
-        return DensePoly(self.basis, c)
-
     def __call__(self, x):
-        if self.basis is BasisKind.CHEBYSHEV:
-            return eval_clenshaw(self, x)
+        """Value at scalar or array x; Chebyshev series by Clenshaw's recurrence."""
         if self.basis is BasisKind.LEGENDRE:
             return eval_legendre(self, x)
-        return _poly.polyval(np.asarray(x, dtype=float), self.coeffs)
+        out = _cheb.chebval(np.asarray(x, dtype=float), self.coeffs)
+        return float(out) if np.ndim(out) == 0 else out
 
     def derivative(self) -> "DensePoly":
         return derivative(self)
-
-    def convert(self, target: BasisKind) -> "DensePoly":
-        return convert(self, target)
-
-
-def eval_clenshaw(p: DensePoly, x):
-    """Evaluate a Chebyshev series by the backward Clenshaw recurrence.
-
-    Accepts scalar or array arguments.  Values outside [-1, 1] are
-    mathematically fine but usually indicate a parameterization bug, hence
-    the debug assertion.
-    """
-    if p.basis is not BasisKind.CHEBYSHEV:
-        raise ValueError("eval_clenshaw requires a Chebyshev-basis polynomial")
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    assert np.all(np.abs(xs) <= 1 + 1e-12), "evaluation point outside [-1, 1]"
-    c = p.coeffs
-    if len(c) == 1:
-        out = np.full_like(xs, c[0])
-    else:
-        x2 = 2.0 * xs
-        b0 = np.full_like(xs, c[-2])
-        b1 = np.full_like(xs, c[-1])
-        for i in range(3, len(c) + 1):
-            b0, b1 = c[-i] - b1, b0 + b1 * x2
-        out = b0 + b1 * xs
-    return float(out[0]) if scalar else out
 
 
 def eval_legendre(p: DensePoly, x):
     """Evaluate a Legendre series, accumulating P_n by the Bonnet recurrence."""
     if p.basis is not BasisKind.LEGENDRE:
-        raise ValueError("eval_legendre requires a Legendre-basis polynomial")
+        raise InvalidParameterError("eval_legendre requires a Legendre-basis polynomial")
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0
     xs = np.atleast_1d(xs)
@@ -133,7 +91,6 @@ def eval_legendre(p: DensePoly, x):
 
 
 _DERIV = {
-    BasisKind.MONOMIAL: _poly.polyder,
     BasisKind.LEGENDRE: _leg.legder,
     BasisKind.CHEBYSHEV: _cheb.chebder,
 }
@@ -146,46 +103,6 @@ def derivative(p: DensePoly) -> DensePoly:
     return DensePoly(p.basis, _DERIV[p.basis](p.coeffs))
 
 
-_TO_MONOMIAL = {
-    BasisKind.MONOMIAL: lambda c: c,
-    BasisKind.LEGENDRE: _leg.leg2poly,
-    BasisKind.CHEBYSHEV: _cheb.cheb2poly,
-}
-_FROM_MONOMIAL = {
-    BasisKind.MONOMIAL: lambda c: c,
-    BasisKind.LEGENDRE: _leg.poly2leg,
-    BasisKind.CHEBYSHEV: _cheb.poly2cheb,
-}
-
-
-def convert(p: DensePoly, target: BasisKind) -> DensePoly:
-    """Re-express the same polynomial in another classical basis."""
-    target = BasisKind(target)
-    if p.degree > MAX_CONVERT_DEGREE:
-        raise DegreeTooLargeError(
-            f"degree {p.degree} exceeds the conversion guard {MAX_CONVERT_DEGREE}"
-        )
-    if target is p.basis:
-        return DensePoly(target, p.coeffs.copy())
-    mono = _TO_MONOMIAL[p.basis](p.coeffs)
-    out = _FROM_MONOMIAL[target](mono)
-    # numpy trims exact trailing zeros; keep the input length for round-trips
-    if len(out) < len(p.coeffs):
-        out = np.concatenate([out, np.zeros(len(p.coeffs) - len(out))])
-    return DensePoly(target, out)
-
-
-_BINOMIAL = np.array([[math.comb(u, k) for k in range(4)] for u in range(4)], dtype=float)
-
-
-def _taylor_shift(c: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Ascending coefficients of p_j(t + a_j), from those of p_j in row j of c."""
-    n = c.shape[1]
-    u = np.arange(n)
-    powers = a[:, None, None] ** np.maximum(u[:, None] - u[None, :], 0)
-    return np.einsum("ju,juk->jk", c, _BINOMIAL[:n, :n] * powers)
-
-
 @dataclass(frozen=True)
 class PiecewisePoly:
     """Piecewise polynomial of degree at most 3 on strictly increasing breakpoints.
@@ -195,9 +112,6 @@ class PiecewisePoly:
     (nseg, width) array with width 1..4.  Local coefficients stay well
     scaled however short a segment is, so continuity and projection keep
     their accuracy on densely sampled traces.
-
-    local may instead be given as one global-parameter monomial DensePoly
-    per segment; segments and coeff_matrix give that view back.
     """
 
     breakpoints: np.ndarray
@@ -206,17 +120,14 @@ class PiecewisePoly:
     def __post_init__(self):
         bp = np.array(self.breakpoints, dtype=float)
         if bp.ndim != 1 or len(bp) < 2:
-            raise ValueError("need at least two breakpoints")
+            raise InvalidDataError("need at least two breakpoints")
         if not np.all(np.diff(bp) > 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        c = self.local
-        if len(c) and isinstance(c[0], DensePoly):
-            c = _local_from_global(bp, c)
-        c = np.array(c, dtype=float)
+            raise InvalidDataError("breakpoints must be strictly increasing")
+        c = np.array(self.local, dtype=float)
         if c.ndim != 2 or not 1 <= c.shape[1] <= 4:
-            raise ValueError("local coefficients must be an (nseg, 1..4) array")
+            raise InvalidDataError("local coefficients must be an (nseg, 1..4) array")
         if len(c) != len(bp) - 1:
-            raise ValueError("segment count must be breakpoint count - 1")
+            raise InvalidDataError("segment count must be breakpoint count - 1")
         # continuity at interior breakpoints, 1e-12 relative
         h = np.diff(bp[:-1])
         left = c[:-1, -1]
@@ -226,21 +137,16 @@ class PiecewisePoly:
         scale = np.maximum(np.maximum(np.abs(left), np.abs(right)), 1.0)
         bad = np.abs(left - right) > 1e-12 * scale
         if bad.any():
-            raise ValueError(f"discontinuity at breakpoint {bp[1:-1][bad][0]}")
+            raise InvalidDataError(f"discontinuity at breakpoint {bp[1:-1][bad][0]}")
         bp.setflags(write=False)
         c.setflags(write=False)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "local", c)
 
     @property
-    def segments(self) -> "_GlobalSegments":
-        return _GlobalSegments(self)
-
-    @property
-    def coeff_matrix(self) -> np.ndarray:
-        """Global-parameter segment coefficients as an (nseg, 4) zero-padded array."""
-        glob = _taylor_shift(self.local, -self.breakpoints[:-1])
-        return np.pad(glob, ((0, 0), (0, 4 - glob.shape[1])))
+    def segments(self) -> np.ndarray:
+        """The local coefficients, one row per segment."""
+        return self.local
 
     def __call__(self, s):
         xs = np.asarray(s, dtype=float)
@@ -252,32 +158,6 @@ class PiecewisePoly:
         for u in range(c.shape[-1] - 2, -1, -1):
             out = out * t + c[..., u]
         return float(out) if xs.ndim == 0 else out
-
-
-def _local_from_global(bp: np.ndarray, segments) -> np.ndarray:
-    if len(segments) != len(bp) - 1:
-        raise ValueError("segment count must be breakpoint count - 1")
-    glob = np.zeros((len(segments), 4))
-    for j, s in enumerate(segments):
-        if s.basis is not BasisKind.MONOMIAL or s.degree > 3:
-            raise ValueError("segments must be monomial-basis polynomials of degree at most 3")
-        glob[j, : len(s.coeffs)] = s.coeffs
-    return _taylor_shift(glob, bp[:-1])
-
-
-class _GlobalSegments(Sequence):
-    """Global-parameter monomial DensePoly segments, each built on access."""
-
-    def __init__(self, f: PiecewisePoly):
-        self._f = f
-
-    def __len__(self) -> int:
-        return len(self._f.local)
-
-    def __getitem__(self, j: int) -> DensePoly:
-        j = range(len(self))[j]
-        c = _taylor_shift(self._f.local[j : j + 1], -self._f.breakpoints[j : j + 1])
-        return DensePoly(BasisKind.MONOMIAL, c[0])
 
 
 def _frozen(table: np.ndarray) -> np.ndarray:

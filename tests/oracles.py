@@ -22,7 +22,7 @@ from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import legendre as _leg
 from numpy.polynomial import polynomial as _poly
 
-from inkbasis import BasisKind, DomainError, Weight, convert
+from inkbasis import BasisKind, DomainError, Weight
 
 GL_NODES = 240
 
@@ -106,17 +106,28 @@ def quad_inner_piecewise(breaks, seg_coeffs, g, weight, deriv_order=0):
     return total
 
 
+def global_segments(f):
+    """Global-parameter monomial coefficients of f per segment, zero-padded to (nseg, 4).
+
+    Each local row, a polynomial in t = s - s_j, is composed with
+    t = s - s_j by numpy's Polynomial arithmetic.
+    """
+    out = np.zeros((len(f.local), 4))
+    for j, (row, s0) in enumerate(zip(f.local, f.breakpoints)):
+        coef = _poly.Polynomial(row)(_poly.Polynomial([-s0, 1.0])).coef
+        out[j, : len(coef)] = coef
+    return out
+
+
 def piecewise_derivative_eval(f, x):
     """Evaluate the (possibly discontinuous) derivative of a piecewise poly."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     bp = f.breakpoints
-    idx = np.clip(np.searchsorted(bp, xs, side="right") - 1, 0, len(f.segments) - 1)
-    out = np.empty_like(xs)
-    for i, seg in enumerate(f.segments):
-        mask = idx == i
-        if np.any(mask):
-            d = _poly.polyder(seg.coeffs) if len(seg.coeffs) > 1 else np.zeros(1)
-            out[mask] = _poly.polyval(xs[mask], d)
+    idx = np.clip(np.searchsorted(bp, xs, side="right") - 1, 0, len(f.local) - 1)
+    c, t = f.local[idx], xs - bp[idx]
+    out = np.zeros_like(xs)
+    for u in range(1, c.shape[1]):
+        out += u * c[:, u] * t ** (u - 1)
     return out
 
 
@@ -316,7 +327,7 @@ def moment_table(kmax, lo, hi, weight):
 
 def _segment_coeffs(f, deriv_order):
     """Global-parameter monomial coefficients of f or f' per segment."""
-    c = f.coeff_matrix
+    c = global_segments(f)
     if deriv_order == 0:
         return c
     return c[:, 1:] * np.arange(1, 4)
@@ -325,15 +336,15 @@ def _segment_coeffs(f, deriv_order):
 def inner_piecewise(f, g, weight, deriv_order=0):
     """Sum over segments of the integral of f^(k) g^(k) w, k = deriv_order.
 
-    g is a DensePoly; it is converted to monomials and every segment
-    integral expands through the moment table.
+    g is a DensePoly; numpy's leg2poly / cheb2poly convert it to monomials
+    and every segment integral expands through the moment table.
     """
     if deriv_order not in (0, 1):
         raise ValueError("deriv_order must be 0 or 1")
-    gm = convert(g, BasisKind.MONOMIAL)
+    to_monomial = _cheb.cheb2poly if g.basis is BasisKind.CHEBYSHEV else _leg.leg2poly
+    gc = to_monomial(g.coeffs)
     if deriv_order == 1:
-        gm = gm.derivative()
-    gc = gm.coeffs
+        gc = _poly.polyder(gc)
     segc = _segment_coeffs(f, deriv_order)
     lo, hi = f.breakpoints[:-1], f.breakpoints[1:]
     kmax = (segc.shape[1] - 1) + (len(gc) - 1)

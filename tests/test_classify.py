@@ -189,8 +189,6 @@ class TestMatchSymbol:
     def test_argmin_invariant_under_norm_rescaling(self, rng):
         from dataclasses import replace
 
-        from inkbasis import match_symbol_json
-
         q = make_coeffs(CHEB10, rng.uniform(-1, 1, 10), rng.uniform(-1, 1, 10))
         models = [
             make_coeffs(CHEB10, rng.uniform(-1, 1, 10), rng.uniform(-1, 1, 10))
@@ -201,8 +199,6 @@ class TestMatchSymbol:
         scaled_idx, scaled_d = match_symbol(q, models, scaled)
         assert scaled_idx == base_idx
         assert scaled_d == pytest.approx(17.5 * base_d, rel=1e-12)
-        record = match_symbol_json(q, models, CHEB10)
-        assert record == {"model_index": base_idx, "distance_sq": base_d}
 
     def test_list_and_table_agree_bitwise(self, rng):
         q = make_coeffs(CS10, rng.uniform(-1, 1, 10), rng.uniform(-1, 1, 10))
@@ -431,6 +427,14 @@ class TestAccuracySweep:
         acc = knn_accuracy(ds, basis, [1, 3, 5])
         assert set(acc) == {1, 3, 5}
         assert all(0.0 <= v <= 1.0 for v in acc.values())
+
+    @pytest.mark.parametrize("ks", [[-1], [0], [], [1, 0, 3]])
+    def test_knn_accuracy_rejects_k_below_one_or_empty(self, rng, ks):
+        traces = synthetic_digit_traces(rng, per_class=2)
+        basis = build_named_basis("chebyshev", 4)
+        ds = LabeledDataset(tuple(symbol_coeffs(t, basis) for t in traces))
+        with pytest.raises(InvalidParameterError, match=r"every k must be in \[1, "):
+            knn_accuracy(ds, basis, ks)
 
     @pytest.mark.parametrize("kind", ["legendre", "chebyshev-sobolev"])
     def test_knn_accuracy_agrees_with_knn_classify(self, rng, kind):

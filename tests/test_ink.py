@@ -159,20 +159,22 @@ class TestArcLengthNormalize:
     def test_linear_is_unit_speed(self, rng):
         trace = make_random_trace(rng, n_min=5, n_max=10)
         n = arc_length_normalize(trace, SplineKind.LINEAR)
-        for sx, sy in zip(n.cx.segments, n.cy.segments):
-            speed_sq = sx.coeffs[1] ** 2 + sy.coeffs[1] ** 2
+        for sx, sy in zip(n.cx.local, n.cy.local):
+            speed_sq = sx[1] ** 2 + sy[1] ** 2
             assert speed_sq == pytest.approx(1.0, abs=1e-12)
 
     def test_cubic_natural_boundary(self, rng):
         trace = make_random_trace(rng, n_min=6, n_max=10)
         n = arc_length_normalize(trace, SplineKind.CUBIC)
+        h = n.knots[-1] - n.knots[-2]
         for pw in (n.cx, n.cy):
-            first, last = pw.segments[0], pw.segments[-1]
-            # second derivative 6*c3*s + 2*c2 vanishes at the end knots
-            for seg, s in ((first, -1.0), (last, 1.0)):
+            first, last = pw.local[0], pw.local[-1]
+            # second derivative 6*c3*t + 2*c2 in the local offset t vanishes
+            # at the end knots: t = 0 on the first segment, t = h on the last
+            for seg, t in ((first, 0.0), (last, h)):
                 c = np.zeros(4)
-                c[: len(seg.coeffs)] = seg.coeffs
-                assert 6 * c[3] * s + 2 * c[2] == pytest.approx(0.0, abs=1e-9)
+                c[: len(seg)] = seg
+                assert 6 * c[3] * t + 2 * c[2] == pytest.approx(0.0, abs=1e-9)
 
     def test_cubic_overflow_is_typed(self):
         trace = InkTrace([(0.0, 0.0), (1e300, 1.0), (2.0, 2.0)])

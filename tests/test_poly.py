@@ -1,25 +1,30 @@
-"""Polynomial core: evaluation, conversion, moments, piecewise integrals."""
+"""Polynomial core: evaluation, derivatives, moments, piecewise integrals."""
 
 import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import legendre as npleg
-from numpy.polynomial import polynomial as nppoly
 
 from inkbasis import (
     BasisKind,
-    DegreeTooLargeError,
     DensePoly,
     DomainError,
+    InvalidDataError,
+    InvalidParameterError,
     PiecewisePoly,
     Weight,
-    convert,
     derivative,
-    eval_clenshaw,
     eval_legendre,
 )
-from oracles import inner_piecewise, naive_cheb_eval, quad_inner_piecewise, weighted_moment
+from oracles import (
+    global_segments,
+    inner_piecewise,
+    naive_cheb_eval,
+    quad_inner_piecewise,
+    weighted_moment,
+)
 
 
 def cheb(*coeffs):
@@ -30,33 +35,35 @@ def leg(*coeffs):
     return DensePoly(BasisKind.LEGENDRE, np.array(coeffs, dtype=float))
 
 
-def mono(*coeffs):
-    return DensePoly(BasisKind.MONOMIAL, np.array(coeffs, dtype=float))
-
-
 class TestClenshaw:
     def test_t2_at_half(self):
-        assert eval_clenshaw(cheb(0, 0, 1), 0.5) == pytest.approx(-0.5, abs=1e-15)
+        assert cheb(0, 0, 1)(0.5) == pytest.approx(-0.5, abs=1e-15)
 
     def test_constant(self):
         for x in (-1.0, 0.0, 0.3, 1.0):
-            assert eval_clenshaw(cheb(1), x) == 1.0
+            assert cheb(1)(x) == 1.0
 
     def test_t3(self):
-        assert eval_clenshaw(cheb(0, 0, 0, 1), 0.3) == pytest.approx(-0.792, abs=1e-15)
+        assert cheb(0, 0, 0, 1)(0.3) == pytest.approx(-0.792, abs=1e-15)
+
+    def test_scalar_gives_float(self):
+        assert type(cheb(1, 2)(0.5)) is float
+        assert type(leg(1, 2)(0.5)) is float
 
     def test_matches_naive_summation(self, rng):
         for _ in range(50):
             deg = int(rng.integers(0, 31))
             c = rng.uniform(-1, 1, size=deg + 1)
             x = rng.uniform(-1, 1, size=40)
-            got = eval_clenshaw(cheb(*c), x)
+            got = cheb(*c)(x)
             want = naive_cheb_eval(c, x)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
-    def test_rejects_other_bases(self):
-        with pytest.raises(ValueError):
-            eval_clenshaw(mono(1, 2), 0.0)
+    def test_bit_identical_to_chebval(self, rng):
+        for deg in range(0, 101, 5):
+            c = rng.uniform(-1, 1, size=deg + 1)
+            x = np.r_[-1.0, rng.uniform(-1, 1, size=40), 1.0]
+            np.testing.assert_array_equal(cheb(*c)(x), npcheb.chebval(x, c))
 
 
 class TestLegendreEval:
@@ -77,6 +84,10 @@ class TestLegendreEval:
                 eval_legendre(leg(*c), x), npleg.legval(x, c), rtol=1e-13, atol=1e-13
             )
 
+    def test_rejects_other_bases(self):
+        with pytest.raises(InvalidParameterError):
+            eval_legendre(cheb(1, 2), 0.0)
+
 
 class TestDerivative:
     def test_t2(self):
@@ -86,7 +97,7 @@ class TestDerivative:
         np.testing.assert_array_equal(derivative(cheb(0, 0, 0, 1)).coeffs, [3, 0, 6])
 
     def test_constant_gives_zero(self):
-        for p in (cheb(5), leg(5), mono(5)):
+        for p in (cheb(5), leg(5)):
             d = derivative(p)
             assert d.basis is p.basis
             np.testing.assert_array_equal(d.coeffs, [0.0])
@@ -99,59 +110,14 @@ class TestDerivative:
             assert d.degree == 6 - 1
 
     def test_inverts_antiderivative(self, rng):
-        # recover a random monomial polynomial from its numpy antiderivative
-        for _ in range(30):
-            c = rng.uniform(-1, 1, size=int(rng.integers(1, 12)))
-            anti = nppoly.polyint(c)
-            got = derivative(mono(*anti)).coeffs
-            np.testing.assert_allclose(got[: len(c)], c, rtol=1e-12, atol=1e-12)
-            assert np.all(np.abs(got[len(c):]) <= 1e-15)
-
-
-class TestConvert:
-    def test_monomial_to_chebyshev(self):
-        np.testing.assert_allclose(
-            convert(mono(-1, 0, 2), BasisKind.CHEBYSHEV).coeffs, [0, 0, 1], atol=1e-15
-        )
-
-    def test_chebyshev_to_monomial(self):
-        np.testing.assert_allclose(
-            convert(cheb(0, 1), BasisKind.MONOMIAL).coeffs, [0, 1], atol=1e-15
-        )
-
-    def test_x_squared_to_legendre(self):
-        np.testing.assert_allclose(
-            convert(mono(0, 0, 1), BasisKind.LEGENDRE).coeffs,
-            [1 / 3, 0, 2 / 3],
-            atol=1e-15,
-        )
-
-    def test_round_trip(self, rng):
-        kinds = list(BasisKind)
-        for _ in range(40):
-            deg = int(rng.integers(0, 21))
-            c = rng.uniform(-1, 1, size=deg + 1)
-            src = kinds[int(rng.integers(0, 3))]
-            dst = kinds[int(rng.integers(0, 3))]
-            p = DensePoly(src, c)
-            back = convert(convert(p, dst), src)
-            np.testing.assert_allclose(back.coeffs, c, rtol=1e-10, atol=1e-10)
-
-    def test_linearity(self, rng):
-        for _ in range(20):
-            deg = int(rng.integers(0, 15))
-            a, b = rng.uniform(-2, 2, size=2)
-            p = rng.uniform(-1, 1, size=deg + 1)
-            q = rng.uniform(-1, 1, size=deg + 1)
-            lhs = convert(mono(*(a * p + b * q)), BasisKind.CHEBYSHEV).coeffs
-            rhs = a * convert(mono(*p), BasisKind.CHEBYSHEV).coeffs + b * convert(
-                mono(*q), BasisKind.CHEBYSHEV
-            ).coeffs
-            np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
-
-    def test_degree_guard(self):
-        with pytest.raises(DegreeTooLargeError):
-            convert(mono(*np.ones(66)), BasisKind.CHEBYSHEV)
+        # recover a random series from its numpy antiderivative, in each basis
+        pairs = ((BasisKind.CHEBYSHEV, npcheb.chebint), (BasisKind.LEGENDRE, npleg.legint))
+        for kind, integ in pairs:
+            for _ in range(15):
+                c = rng.uniform(-1, 1, size=int(rng.integers(1, 12)))
+                got = derivative(DensePoly(kind, integ(c))).coeffs
+                np.testing.assert_allclose(got[: len(c)], c, rtol=1e-12, atol=1e-12)
+                assert np.all(np.abs(got[len(c):]) <= 1e-15)
 
 
 class TestWeightedMoment:
@@ -194,15 +160,11 @@ class TestWeightedMoment:
 
 
 def identity_spline():
-    return PiecewisePoly(
-        np.array([-1.0, 1.0]), (DensePoly(BasisKind.MONOMIAL, [0.0, 1.0]),)
-    )
+    return PiecewisePoly(np.array([-1.0, 1.0]), [[-1.0, 1.0]])
 
 
 def constant_spline():
-    return PiecewisePoly(
-        np.array([-1.0, 1.0]), (DensePoly(BasisKind.MONOMIAL, [1.0]),)
-    )
+    return PiecewisePoly(np.array([-1.0, 1.0]), [[1.0]])
 
 
 def random_linear_spline(rng, n_break=None):
@@ -213,30 +175,17 @@ def random_linear_spline(rng, n_break=None):
         breaks = np.sort(rng.uniform(-1, 1, size=n))
         breaks[0], breaks[-1] = -1.0, 1.0
     vals = rng.uniform(-2, 2, size=n)
-    segs = []
-    for i in range(n - 1):
-        slope = (vals[i + 1] - vals[i]) / (breaks[i + 1] - breaks[i])
-        segs.append(
-            DensePoly(BasisKind.MONOMIAL, [vals[i] - slope * breaks[i], slope])
-        )
-    return PiecewisePoly(breaks, tuple(segs))
+    slopes = np.diff(vals) / np.diff(breaks)
+    return PiecewisePoly(breaks, np.column_stack([vals[:-1], slopes]))
 
 
 class TestDensePolyBasics:
-    def test_trim_drops_trailing_zeros(self):
-        p = cheb(1, 2, 0, 0)
-        assert p.degree == 3
-        t = p.trim()
-        assert t.degree == 1
-        np.testing.assert_array_equal(t.coeffs, [1, 2])
-
-    def test_trim_of_zero_polynomial(self):
-        t = mono(0, 0, 0).trim()
-        np.testing.assert_array_equal(t.coeffs, [0.0])
+    def test_degree_counts_trailing_zeros(self):
+        assert cheb(1, 2, 0, 0).degree == 3
 
     def test_rejects_empty_coeffs(self):
-        with pytest.raises(ValueError):
-            DensePoly(BasisKind.MONOMIAL, [])
+        with pytest.raises(InvalidDataError):
+            DensePoly(BasisKind.CHEBYSHEV, [])
 
 
 class TestPiecewisePoly:
@@ -245,32 +194,26 @@ class TestPiecewisePoly:
         assert f(0.25) == pytest.approx(0.25)
         np.testing.assert_allclose(f(np.array([-1, 0, 1])), [-1, 0, 1])
 
-    def test_coeff_matrix_padding(self):
+    def test_global_segments_padding(self):
         f = identity_spline()
-        np.testing.assert_array_equal(f.coeff_matrix, [[0.0, 1.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(global_segments(f), [[0.0, 1.0, 0.0, 0.0]])
+
+    def test_segments_is_one_row_per_segment(self, rng):
+        f = random_linear_spline(rng)
+        assert len(f.segments) == len(f.local) == len(f.breakpoints) - 1
+        np.testing.assert_array_equal(f.segments, f.local)
 
     def test_requires_continuity(self):
-        with pytest.raises(ValueError, match="discontinuity"):
-            PiecewisePoly(
-                np.array([-1.0, 0.0, 1.0]),
-                (
-                    DensePoly(BasisKind.MONOMIAL, [0.0]),
-                    DensePoly(BasisKind.MONOMIAL, [1.0]),
-                ),
-            )
+        with pytest.raises(InvalidDataError, match="discontinuity"):
+            PiecewisePoly(np.array([-1.0, 0.0, 1.0]), [[0.0], [1.0]])
 
     def test_requires_increasing_breakpoints(self):
-        with pytest.raises(ValueError):
-            PiecewisePoly(
-                np.array([0.0, 0.0]), (DensePoly(BasisKind.MONOMIAL, [1.0]),)
-            )
+        with pytest.raises(InvalidDataError):
+            PiecewisePoly(np.array([0.0, 0.0]), [[1.0]])
 
     def test_segment_count(self):
-        with pytest.raises(ValueError):
-            PiecewisePoly(
-                np.array([-1.0, 1.0]),
-                (DensePoly(BasisKind.MONOMIAL, [1.0]),) * 2,
-            )
+        with pytest.raises(InvalidDataError):
+            PiecewisePoly(np.array([-1.0, 1.0]), [[1.0], [1.0]])
 
 
 class TestInnerPiecewise:
@@ -289,8 +232,6 @@ class TestInnerPiecewise:
 
     @pytest.mark.parametrize("weight", [Weight.UNIT, Weight.INVERSE_SQRT])
     def test_against_quadrature_oracle(self, rng, weight):
-        from numpy.polynomial import chebyshev as npcheb
-
         for _ in range(100):
             f = random_linear_spline(rng)
             i = int(rng.integers(0, 16))
@@ -310,13 +251,11 @@ class TestInnerPiecewise:
                     lambda x: npleg.legval(x, npleg.legder(e)) if i else np.zeros_like(x),
                 )
             want = quad_inner_piecewise(
-                f.breakpoints, [s.coeffs for s in f.segments], gcall, weight.value, order
+                f.breakpoints, global_segments(f), gcall, weight.value, order
             )
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_domain_error_propagates(self):
-        f = PiecewisePoly(
-            np.array([-1.5, 1.0]), (DensePoly(BasisKind.MONOMIAL, [0.0, 1.0]),)
-        )
+        f = PiecewisePoly(np.array([-1.5, 1.0]), [[-1.5, 1.0]])
         with pytest.raises(DomainError):
             inner_piecewise(f, cheb(0, 1), Weight.INVERSE_SQRT, 0)

@@ -70,3 +70,18 @@ print("hat function against T_0, T_1, T_2 (inverse-sqrt weight):")
 for i, v in enumerate(piecewise_classical_inners(hat, BasisKind.CHEBYSHEV, 2)):
     print(f"  <hat, T_{i}> = {v:+.12f}")
 print("(T_1 vanishes by symmetry; the others are (pi-2) and -2/3.)")
+
+# --- several functions on one set of breakpoints ----------------------------
+# A plane curve keeps x and y on one breakpoint vector: local[j, i, u] is
+# coefficient u of function i on segment j.  Here x is the hat and y = s.
+curve = PiecewisePoly(
+    [-1.0, 0.0, 1.0],
+    [[[0.0, 1.0], [-1.0, 1.0]],     # x = 0 + (s + 1), y = -1 + (s + 1) on [-1, 0]
+     [[1.0, -1.0], [0.0, 1.0]]],    # x = 1 - s,       y = s            on [0, 1]
+)
+print("\n(x, y) at s = -0.5, 0.5:\n", curve(np.array([-0.5, 0.5])))
+# One call integrates both rows against T_0, T_1, T_2, sharing one table of
+# antiderivative values: a (2, 3) array whose first row is the hat's.
+both = piecewise_classical_inners(curve, BasisKind.CHEBYSHEV, 2)
+print("curve against T_0, T_1, T_2:\n", np.array2string(both, precision=12, suppress_small=True))
+print("(the second row is <s, T_1> = pi/2 and zeros.)")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (
     BasisMismatchError, DegreeTooLargeError, InvalidDataError, InvalidParameterError,
-    LengthMismatchError, UnsupportedOrderError,
+    LengthMismatchError, ParseError, UnsupportedOrderError,
 )
 from .poly import (
     BasisKind, DensePoly, PiecewisePoly, Weight, _derivative_matrix, piecewise_classical_inners
@@ -150,7 +150,7 @@ class OrthoBasis:
         expansion = np.array(self.expansion, dtype=float)
         sq_norms = np.array(self.sq_norms, dtype=float)
         n = self.degree + 1
-        if expansion.shape != (n, n) or sq_norms.shape != (n,):
+        if n < 1 or expansion.shape != (n, n) or sq_norms.shape != (n,):
             raise InvalidDataError("expansion/sq_norms shapes do not match degree")
         if np.any(sq_norms <= 0.0):
             raise InvalidDataError("squared norms must be strictly positive")
@@ -214,14 +214,14 @@ def build_named_basis(kind: str, degree: int, lam: float = DEFAULT_LAMBDA) -> Or
 def project(f: PiecewisePoly, basis: OrthoBasis) -> np.ndarray:
     """Expansion coefficients of the best approximation to f in the family.
 
-    c[i] = <f, S_i> / <S_i, S_i>.  The inner products with the classical
-    elements come from the closed-form segment kernel in poly; the family's
-    expansion rows combine them.
+    c[..., i] = <f, S_i> / <S_i, S_i>, one row per function of f: (2, degree + 1)
+    for a curve's x and y.  The inner products with the classical elements come
+    from poly's closed-form segment kernel; each row is one expansion @ vector.
     """
     spec = basis.spec
     lam = spec.lam if spec.is_sobolev else 0.0
     v = piecewise_classical_inners(f, basis.classical_basis, basis.degree, lam)
-    return (basis.expansion @ v) / basis.sq_norms
+    return (basis.expansion @ v[..., None])[..., 0] / basis.sq_norms
 
 
 def synthesize(coeffs: np.ndarray, basis: OrthoBasis) -> DensePoly:
@@ -255,13 +255,19 @@ def basis_to_json_dict(basis: OrthoBasis) -> dict:
 
 
 def basis_from_json_dict(doc: dict) -> OrthoBasis:
-    spec = InnerProductSpec(
-        Weight(doc["spec"]["weight"]), doc["spec"]["lambda"], doc["spec"]["order"]
-    )
-    n = int(doc["degree"]) + 1
-    expansion = np.array(doc["expansion"], dtype=float).reshape(n, n)
-    sq_norms = np.array(doc["sq_norms"], dtype=float)
-    return OrthoBasis(spec, int(doc["degree"]), expansion, sq_norms)
+    """The basis of an exported document; a malformed one raises InvalidDataError."""
+    try:
+        spec = InnerProductSpec(
+            Weight(doc["spec"]["weight"]), doc["spec"]["lambda"], doc["spec"]["order"]
+        )
+        n = int(doc["degree"]) + 1
+        expansion = np.array(doc["expansion"], dtype=float).reshape(n, n)
+        sq_norms = np.array(doc["sq_norms"], dtype=float)
+    except KeyError as exc:
+        raise InvalidDataError(f"basis document lacks {exc}") from None
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise InvalidDataError(f"malformed basis document: {exc}") from None
+    return OrthoBasis(spec, n - 1, expansion, sq_norms)
 
 
 def save_basis(basis: OrthoBasis, path) -> None:
@@ -272,4 +278,8 @@ def save_basis(basis: OrthoBasis, path) -> None:
 
 def load_basis(path) -> OrthoBasis:
     with open(path, encoding="utf-8") as fh:
-        return basis_from_json_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"malformed JSON: {exc.msg}", exc.lineno) from None
+    return basis_from_json_dict(doc)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bases import OrthoBasis, build_named_basis
+from .bases import DEFAULT_LAMBDA, OrthoBasis, build_named_basis
 from .errors import (
     BasisMismatchError,
     EmptyModelSetError,
@@ -225,7 +225,7 @@ def accuracy_sweep(
     basis_kinds: list[str],
     k_range: range | list[int],
     degree: int = 10,
-    lam: float = 0.125,
+    lam: float = DEFAULT_LAMBDA,
     spline: SplineKind = SplineKind.LINEAR,
     split_seed: int = DEFAULT_SPLIT_SEED,
     split_ratio: float = DEFAULT_SPLIT_RATIO,

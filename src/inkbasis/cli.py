@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bases import BASIS_KINDS, MAX_DEGREE, build_named_basis, save_basis
+from .bases import BASIS_KINDS, DEFAULT_LAMBDA, MAX_DEGREE, build_named_basis, save_basis
 from .classify import DEFAULT_SPLIT_RATIO, DEFAULT_SPLIT_SEED, accuracy_sweep, representation_error
 from .errors import InkBasisError
 from .ink import (
@@ -219,8 +219,8 @@ def _add_common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
         "--lambda",
         dest="lam",
         type=float,
-        default=0.125,
-        help="derivative weight for the sobolev kinds (default 1/8)",
+        default=DEFAULT_LAMBDA,
+        help="derivative weight for the sobolev kinds (default %(default)s)",
     )
     p.add_argument("--degree", type=int, default=10, help="truncation degree (default 10)")
     p.add_argument(

@@ -1,17 +1,18 @@
 """Digital ink ingestion and arc-length normalization.
 
 Raw traces are ordered (x, y) point sequences.  Normalization interpolates
-them with piecewise-linear or natural-cubic splines, reparameterizes by
-arc length mapped onto [-1, 1], and rescales coordinates by 2/L so the
-resulting plane curve has unit speed and total length 2.  Projecting the
-two coordinate splines onto an orthogonal family and dropping the constant
-terms yields a translation- and scale-invariant fixed-size description of
-the symbol.
+them with a piecewise-linear or natural-cubic spline, reparameterizes by
+arc length mapped onto [-1, 1], and rescales coordinates by 2/L, giving a
+unit-speed plane curve of length 2: x and y as one piecewise polynomial on
+one knot vector.  One projection onto an orthogonal family gives a (2, d + 1)
+array; dropping its constant terms yields a translation- and scale-invariant
+fixed-size description of the symbol.
 """
 
 from __future__ import annotations
 
 import enum
+import io
 import json
 import xml.etree.ElementTree as ET
 from collections.abc import Sequence
@@ -58,29 +59,27 @@ class InkTrace:
 
 @dataclass(frozen=True)
 class NormalizedTrace:
-    """Arc-length parameterized coordinate splines on [-1, 1].
+    """An arc-length parameterized plane curve on [-1, 1].
 
-    knots are the arc-length parameters of the (deduplicated) input points;
+    curve holds x and y, local coefficients (nseg, 2, width), on the knots:
+    the arc-length parameters of the (deduplicated) input points.
     total_length is the curve length before rescaling, in input units.
     """
 
-    cx: PiecewisePoly
-    cy: PiecewisePoly
-    knots: np.ndarray
+    curve: PiecewisePoly
     total_length: float
 
-    def __post_init__(self):
-        knots = np.array(self.knots, dtype=float)
-        knots.setflags(write=False)
-        object.__setattr__(self, "knots", knots)
+    @property
+    def knots(self) -> np.ndarray:
+        return self.curve.breakpoints
 
 
 @dataclass(frozen=True)
 class SymbolCoeffs:
     """Fixed-size coefficient description of one symbol.
 
-    xs and ys hold the degree 1..d expansion coefficients of the two
-    coordinate splines; the constant terms are dropped (they carry only
+    xs and ys hold the degree 1..d expansion coefficients of the curve's x
+    and y; the constant terms are dropped (they carry only
     position) but retained as x0/y0, along with the original length, so
     reconstructions can be mapped back to the input frame.
     """
@@ -177,9 +176,12 @@ def parse_pendigits(source: str | Iterable[str]) -> list[InkTrace]:
             raise ParseError(f"expected 17 fields, got {len(fields)}", lineno)
         try:
             values = [int(f) for f in fields]
+            pts = np.array(values[:16], dtype=float).reshape(8, 2)
         except ValueError as exc:
             raise ParseError(f"non-integer field: {exc}", lineno) from None
-        pts = collapse_duplicates(np.array(values[:16], dtype=float).reshape(8, 2))
+        except OverflowError:
+            raise ParseError("coordinate too large for a float", lineno) from None
+        pts = collapse_duplicates(pts)
         if len(pts) < 2:
             raise ParseError("degenerate sample: fewer than two distinct points", lineno)
         traces.append(InkTrace(pts, label=str(values[16])))
@@ -187,8 +189,15 @@ def parse_pendigits(source: str | Iterable[str]) -> list[InkTrace]:
 
 
 def load_pendigits(path) -> list[InkTrace]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_pendigits(fh)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not UTF-8 text: {exc.reason}", line) from None
+    # universal newlines, as a text-mode file would give
+    return parse_pendigits(io.StringIO(text, newline=None))
 
 
 def _local_tag(tag: str) -> str:
@@ -261,15 +270,15 @@ def merge_strokes(traces: Iterable[InkTrace], label: str | None = None) -> InkTr
     return InkTrace(pts, label=label)
 
 
-def _fit(knots: np.ndarray, values: np.ndarray, cubic: bool) -> list[PiecewisePoly]:
-    """One spline per column of values, in local segment coordinates."""
+def _fit(knots: np.ndarray, values: np.ndarray, cubic: bool) -> PiecewisePoly:
+    """The spline through the rows of values, local coefficients (nseg, ncol, width)."""
     if cubic:
         # CubicSpline.c holds descending powers of (s - knots[i])
         local = CubicSpline(knots, values, bc_type="natural").c[::-1].transpose(1, 2, 0)
     else:
         slopes = np.diff(values, axis=0) / np.diff(knots)[:, None]
-        local = np.stack([values[:-1], slopes], axis=-1)  # (nseg, ncol, 2)
-    return [PiecewisePoly(knots, local[:, i]) for i in range(values.shape[1])]
+        local = np.stack([values[:-1], slopes], axis=-1)
+    return PiecewisePoly(knots, local)
 
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -323,14 +332,13 @@ def arc_length_normalize(
     if not np.all(np.diff(knots) > 0):
         raise DegenerateTraceError("arc-length parameters collapse in float precision")
 
-    cx, cy = _fit(knots, pts * (2.0 / total), cubic)
-    return NormalizedTrace(cx=cx, cy=cy, knots=knots, total_length=total)
+    return NormalizedTrace(_fit(knots, pts * (2.0 / total), cubic), total)
 
 
 def to_coeffs(
     normalized: NormalizedTrace, basis: OrthoBasis, label: str | None = None
 ) -> SymbolCoeffs:
-    """Project both coordinate splines and drop the constant terms.
+    """Project the curve's x and y in one call and drop the constant terms.
 
     The returned 2d numbers are invariant to translation and uniform
     scaling of the source trace, and do not depend on how densely the
@@ -338,8 +346,7 @@ def to_coeffs(
     """
     if basis.degree < 1:
         raise InvalidParameterError("basis degree must be at least 1")
-    cx = project(normalized.cx, basis)
-    cy = project(normalized.cy, basis)
+    cx, cy = project(normalized.curve, basis)
     return SymbolCoeffs(
         basis_id=basis.basis_id,
         xs=cx[1:],
@@ -389,15 +396,20 @@ def coeffs_to_json_dict(c: SymbolCoeffs) -> dict:
 
 
 def coeffs_from_json_dict(doc: dict) -> SymbolCoeffs:
-    return SymbolCoeffs(
-        basis_id=doc["basis_id"],
-        xs=np.array(doc["xs"], dtype=float),
-        ys=np.array(doc["ys"], dtype=float),
-        label=doc.get("label"),
-        x0=doc.get("x0"),
-        y0=doc.get("y0"),
-        length=doc.get("length"),
-    )
+    try:
+        return SymbolCoeffs(
+            basis_id=doc["basis_id"],
+            xs=np.array(doc["xs"], dtype=float),
+            ys=np.array(doc["ys"], dtype=float),
+            label=doc.get("label"),
+            x0=doc.get("x0"),
+            y0=doc.get("y0"),
+            length=doc.get("length"),
+        )
+    except KeyError as exc:
+        raise InvalidDataError(f"coefficient record lacks {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidDataError(f"malformed coefficient record: {exc}") from None
 
 
 def write_coeffs_jsonl(items: Iterable[SymbolCoeffs], path) -> None:
@@ -409,11 +421,21 @@ def write_coeffs_jsonl(items: Iterable[SymbolCoeffs], path) -> None:
 
 
 def read_coeffs_jsonl(path) -> CoeffTable:
-    """The coefficient sets of a JSONL file, as a table of one basis."""
+    """The coefficient sets of a JSONL file, as a table of one basis.
+
+    A line that is not a coefficient record raises ParseError with its
+    line number.
+    """
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 out.append(coeffs_from_json_dict(json.loads(line)))
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"malformed JSON: {exc.msg}", lineno) from None
+            except InvalidDataError as exc:
+                raise ParseError(str(exc), lineno) from None
     return CoeffTable(tuple(out))

@@ -3,7 +3,7 @@
 Dense polynomials carry their coefficients in one of two classical bases,
 Legendre or Chebyshev of the first kind.  Piecewise polynomials are arrays:
 strictly increasing breakpoints s_j and, per interval, the coefficients of
-a cubic (or lower) in the local offset s - s_j.
+a cubic (or lower) in the local offset s - s_j, for one or more functions.
 
 Weighted integrals of a piecewise polynomial against the classical elements
 are basis-native closed forms: the family's three-term multiply-by-s
@@ -107,11 +107,11 @@ def derivative(p: DensePoly) -> DensePoly:
 class PiecewisePoly:
     """Piecewise polynomial of degree at most 3 on strictly increasing breakpoints.
 
-    Segments are stored in local coordinates: local[j, u] multiplies
-    (s - breakpoints[j])**u on [breakpoints[j], breakpoints[j+1]], for an
-    (nseg, width) array with width 1..4.  Local coefficients stay well
-    scaled however short a segment is, so continuity and projection keep
-    their accuracy on densely sampled traces.
+    Segments are stored in local coordinates: local[j, ..., u] multiplies
+    (s - breakpoints[j])**u on [breakpoints[j], breakpoints[j+1]], in an
+    (nseg, width) array, or (nseg, m, width) for m functions (x and y), width
+    1..4.  Local coefficients stay well scaled however short a segment is, so
+    continuity and projection keep their accuracy on densely sampled traces.
     """
 
     breakpoints: np.ndarray
@@ -124,20 +124,18 @@ class PiecewisePoly:
         if not np.all(np.diff(bp) > 0):
             raise InvalidDataError("breakpoints must be strictly increasing")
         c = np.array(self.local, dtype=float)
-        if c.ndim != 2 or not 1 <= c.shape[1] <= 4:
-            raise InvalidDataError("local coefficients must be an (nseg, 1..4) array")
+        if c.ndim not in (2, 3) or not 1 <= c.shape[-1] <= 4:
+            raise InvalidDataError("local coefficients must be an (nseg, [m,] 1..4) array")
         if len(c) != len(bp) - 1:
             raise InvalidDataError("segment count must be breakpoint count - 1")
         # continuity at interior breakpoints, 1e-12 relative
         h = np.diff(bp[:-1])
-        left = c[:-1, -1]
-        for u in range(c.shape[1] - 2, -1, -1):
-            left = left * h + c[:-1, u]
-        right = c[1:, 0]
+        left = np.einsum("j...u,ju->j...", c[:-1], np.vander(h, c.shape[-1], increasing=True))
+        right = c[1:, ..., 0]
         scale = np.maximum(np.maximum(np.abs(left), np.abs(right)), 1.0)
         bad = np.abs(left - right) > 1e-12 * scale
         if bad.any():
-            raise InvalidDataError(f"discontinuity at breakpoint {bp[1:-1][bad][0]}")
+            raise InvalidDataError(f"discontinuity at breakpoint {bp[1 + np.nonzero(bad)[0][0]]}")
         bp.setflags(write=False)
         c.setflags(write=False)
         object.__setattr__(self, "breakpoints", bp)
@@ -152,12 +150,12 @@ class PiecewisePoly:
         xs = np.asarray(s, dtype=float)
         bp = self.breakpoints
         j = np.clip(np.searchsorted(bp, xs, side="right") - 1, 0, len(self.local) - 1)
-        t = xs - bp[j]
+        t = (xs - bp[j]).reshape(xs.shape + (1,) * (self.local.ndim - 2))
         c = self.local[j]
         out = c[..., -1]
         for u in range(c.shape[-1] - 2, -1, -1):
             out = out * t + c[..., u]
-        return float(out) if xs.ndim == 0 else out
+        return float(out) if out.ndim == 0 else out
 
 
 def _frozen(table: np.ndarray) -> np.ndarray:
@@ -255,12 +253,14 @@ def _antiderivative_steps(basis: BasisKind, rows: int, s: np.ndarray) -> np.ndar
 
 def _horner(c: np.ndarray, a: np.ndarray, steps: np.ndarray, up, lo) -> np.ndarray:
     """Rows of c(X - a) applied to steps, per segment; drops width - 1 rows."""
-    r = c[:, -1] * steps
-    for u in range(c.shape[1] - 2, -1, -1):
-        n = len(r) - 1
-        x = up[:n, None] * r[1:] - a * r[:-1]
-        x[1:] += lo[1:n, None] * r[:-2]
-        r = x + c[:, u] * steps[:n]
+    # ([m,] width, nseg): segments on a contiguous last axis, which .sum adds pairwise
+    c = np.ascontiguousarray(np.moveaxis(c, 0, -1))
+    r = c[..., -1, None, :] * steps
+    for u in range(c.shape[-2] - 2, -1, -1):
+        n = r.shape[-2] - 1
+        x = up[:n, None] * r[..., 1:, :] - a * r[..., :-1, :]
+        x[..., 1:, :] += lo[1:n, None] * r[..., :-2, :]
+        r = x + c[..., u, None, :] * steps[:n]
     return r
 
 
@@ -269,7 +269,7 @@ def piecewise_classical_inners(
 ) -> np.ndarray:
     """Sobolev inner products of f with every classical element 0..degree.
 
-    out[k] is the integral over the breakpoint span of f B_k w, plus lam
+    out[..., k] is the integral over the breakpoint span of f B_k w, plus lam
     times that of f' B_k' w, where w is the weight under which the classical
     family (LEGENDRE or CHEBYSHEV) is orthogonal: 1 or 1/sqrt(1 - s^2).
 
@@ -280,17 +280,19 @@ def piecewise_classical_inners(
     c(s - a) against B_k is row k of c(X - a) applied to the vector [A_m]_a^b,
     evaluated by Horner.  The derivative term contracts f' the same way and
     applies the legder/chebder matrix; both terms share one table of [A_m].
+    For m functions on the breakpoints, (nseg, m, width), out is (m, degree + 1).
     """
     bp, c = f.breakpoints, f.local
     if bp[0] < -1.0 or bp[-1] > 1.0:
         raise DomainError("breakpoints must lie within [-1, 1]")
-    width = c.shape[1]
+    width = c.shape[-1]
     steps = _antiderivative_steps(basis, degree + width, bp)
     up, lo = _three_term(basis, degree + width)
     a = bp[:-1]
-    out = _horner(c, a, steps, up, lo).sum(axis=1)
+    out = _horner(c, a, steps, up, lo).sum(axis=-1)
     if lam and degree >= 1 and width >= 2:
-        dc = c[:, 1:] * np.arange(1, width)
-        inner_d = _horner(dc, a, steps[: degree + width - 2], up, lo).sum(axis=1)
-        out += lam * (_derivative_matrix(basis, degree) @ inner_d)
+        dc = c[..., 1:] * np.arange(1, width)
+        inner_d = _horner(dc, a, steps[: degree + width - 2], up, lo).sum(axis=-1)
+        # one matrix-vector product per function keeps the bits of a lone function
+        out += lam * (_derivative_matrix(basis, degree) @ inner_d[..., None])[..., 0]
     return out

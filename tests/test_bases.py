@@ -1,5 +1,6 @@
 """Inner products, orthogonal family construction, projection, synthesis."""
 
+import json
 import math
 
 import numpy as np
@@ -13,8 +14,10 @@ from inkbasis import (
     DensePoly,
     InkBasisError,
     InnerProductSpec,
+    InvalidDataError,
     InvalidParameterError,
     LengthMismatchError,
+    ParseError,
     PiecewisePoly,
     UnsupportedOrderError,
     Weight,
@@ -23,6 +26,7 @@ from inkbasis import (
     build_basis,
     build_named_basis,
     inner_closed_form,
+    load_basis,
     project,
     spec_for_kind,
     synthesize,
@@ -349,3 +353,30 @@ class TestBasisJson:
         assert doc["normalization"] == golden["normalization"]
         np.testing.assert_allclose(doc["expansion"], golden["expansion"], atol=1e-15, rtol=0)
         np.testing.assert_allclose(doc["sq_norms"], golden["sq_norms"], rtol=1e-15)
+
+    @pytest.mark.parametrize(
+        "edit, error, message",
+        [
+            (lambda d: d.pop("spec"), InvalidDataError, "lacks 'spec'"),
+            (lambda d: d["expansion"].pop(), InvalidDataError, "cannot reshape"),
+            (lambda d: d["spec"].update(weight="cosh"), InvalidDataError, "'cosh'"),
+            (lambda d: d.update(degree=float("inf")), InvalidDataError, "infinity"),
+            (lambda d: d.update(sq_norms="abc"), InvalidDataError, "malformed"),
+            (lambda d: d["sq_norms"].__setitem__(0, -1.0), InvalidDataError, "positive"),
+            (lambda d: d.update(degree=-1, expansion=[], sq_norms=[]), InvalidDataError,
+             "shapes"),
+            (None, ParseError, "line 3: malformed JSON"),
+        ],
+        ids=["no-spec", "short-expansion", "unknown-weight", "infinite-degree",
+             "string-norms", "negative-norm", "negative-degree", "bad-json"],
+    )
+    def test_malformed_file_raises_typed_error(self, tmp_path, edit, error, message):
+        doc = basis_to_json_dict(build_basis(CS, 3))
+        path = tmp_path / "basis.json"
+        if edit is None:
+            path.write_text('{\n  "spec":\n', encoding="utf-8")
+        else:
+            edit(doc)
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(error, match=message):
+            load_basis(path)

@@ -258,6 +258,22 @@ class TestLibraryErrorsExit2:
         assert any(line.startswith(f"error: {message}") for line in err.splitlines())
         assert "Traceback" not in err and "Warning" not in err
 
+    def test_pendigits_field_too_large_for_a_float(self, tmp_path, capsys):
+        data = tmp_path / "huge.txt"
+        write_pendigits(data, per_class=2)
+        with open(data, "a", encoding="utf-8") as fh:
+            fh.write(",".join(["1"] * 15 + ["9" * 400, "3"]) + "\n")
+        self.run(capsys, ["knn-eval", str(data), "--out", str(tmp_path / "k.csv")],
+                 "line 7: coordinate too large for a float")
+
+    def test_pendigits_not_utf8(self, tmp_path, capsys):
+        data = tmp_path / "latin1.txt"
+        write_pendigits(data, per_class=2)
+        with open(data, "ab") as fh:
+            fh.write(b"1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,\xe93\n")
+        self.run(capsys, ["knn-eval", str(data), "--out", str(tmp_path / "k.csv")],
+                 "line 7: not UTF-8 text: invalid continuation byte")
+
     def test_empty_pendigits_knn_eval(self, tmp_path, capsys):
         data = tmp_path / "empty.txt"
         data.write_text("", encoding="utf-8")

@@ -1,0 +1,59 @@
+"""Byte-level golden files for CLI data outputs.
+
+Each case runs one CLI command on the small inputs under
+tests/data/cli_golden/ and compares every file it writes with the
+committed copy, byte for byte.  The inputs come from inkbench/gen.py:
+60 pendigits lines (seed 1) and two InkML random walks of 100 and 1000
+points (seed 2).
+
+An intended change of output bytes is re-baselined with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+
+which rewrites the expected files; the diff then shows every changed row.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from inkbasis.cli import main
+
+DATA = Path(__file__).parent / "data" / "cli_golden"
+PENDIGITS = DATA / "pendigits.txt"
+WALKS = [DATA / "walk_0.inkml", DATA / "walk_1.inkml"]
+
+# name -> (argv without --out, the files the command writes, relative to --out's directory)
+CASES = {
+    "knn_eval": (
+        ["knn-eval", str(PENDIGITS)],
+        ["knn_eval.csv", "knn_eval.summary.json"],
+    ),
+    "error_sweep": (
+        ["error-sweep", *map(str, WALKS), "--basis", "chebyshev-sobolev",
+         "--d-min", "3", "--d-max", "12"],
+        ["error_sweep.csv"],
+    ),
+    "reconstruct_cubic": (
+        ["reconstruct", str(PENDIGITS), "--spline", "cubic"],
+        ["reconstruct_cubic.csv"],
+    ),
+}
+
+
+def run_case(name: str, outdir: Path) -> list[Path]:
+    argv, files = CASES[name]
+    assert main([*argv, "--out", str(outdir / files[0])]) == 0
+    return [outdir / f for f in files]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_bytes_match_golden(name, tmp_path):
+    for path in run_case(name, tmp_path):
+        expected = (DATA / path.name).read_bytes()
+        assert path.read_bytes() == expected, f"{path.name} differs from the golden copy"
+
+
+if __name__ == "__main__":
+    for case in CASES:
+        run_case(case, DATA)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_random_trace
+from inkbasis import poly
 from inkbasis import (
     BasisMismatchError,
     CoeffTable,
@@ -135,9 +136,9 @@ class TestArcLengthNormalize:
         n = arc_length_normalize(InkTrace([(0, 0), (3, 4)]))
         assert n.total_length == pytest.approx(5.0)
         np.testing.assert_array_equal(n.knots, [-1.0, 1.0])
-        assert n.cx(-1.0) == pytest.approx(0.0, abs=1e-15)
-        assert n.cx(1.0) == pytest.approx(6 / 5, abs=1e-14)
-        assert n.cy(1.0) == pytest.approx(8 / 5, abs=1e-14)
+        assert n.curve(-1.0)[0] == pytest.approx(0.0, abs=1e-15)
+        assert n.curve(1.0)[0] == pytest.approx(6 / 5, abs=1e-14)
+        assert n.curve(1.0)[1] == pytest.approx(8 / 5, abs=1e-14)
 
     def test_equal_segments(self):
         n = arc_length_normalize(InkTrace([(0, 0), (1, 0), (2, 0)]))
@@ -153,13 +154,12 @@ class TestArcLengthNormalize:
             trace = make_random_trace(rng)
             n = arc_length_normalize(trace, spline)
             scaled = trace.points * (2.0 / n.total_length)
-            np.testing.assert_allclose(n.cx(n.knots), scaled[:, 0], atol=1e-12)
-            np.testing.assert_allclose(n.cy(n.knots), scaled[:, 1], atol=1e-12)
+            np.testing.assert_allclose(n.curve(n.knots), scaled, atol=1e-12)
 
     def test_linear_is_unit_speed(self, rng):
         trace = make_random_trace(rng, n_min=5, n_max=10)
         n = arc_length_normalize(trace, SplineKind.LINEAR)
-        for sx, sy in zip(n.cx.local, n.cy.local):
+        for sx, sy in n.curve.local:
             speed_sq = sx[1] ** 2 + sy[1] ** 2
             assert speed_sq == pytest.approx(1.0, abs=1e-12)
 
@@ -167,8 +167,8 @@ class TestArcLengthNormalize:
         trace = make_random_trace(rng, n_min=6, n_max=10)
         n = arc_length_normalize(trace, SplineKind.CUBIC)
         h = n.knots[-1] - n.knots[-2]
-        for pw in (n.cx, n.cy):
-            first, last = pw.local[0], pw.local[-1]
+        for coord in (0, 1):
+            first, last = n.curve.local[0, coord], n.curve.local[-1, coord]
             # second derivative 6*c3*t + 2*c2 in the local offset t vanishes
             # at the end knots: t = 0 on the first segment, t = h on the last
             for seg, t in ((first, 0.0), (last, h)):
@@ -193,13 +193,20 @@ class TestArcLengthNormalize:
         trace = make_random_trace(rng, n_min=120, n_max=120)
         n = arc_length_normalize(trace, SplineKind.CUBIC)
         scaled = trace.points * (2.0 / n.total_length)
-        np.testing.assert_allclose(n.cx(n.knots), scaled[:, 0], atol=1e-12)
-        np.testing.assert_allclose(n.cy(n.knots), scaled[:, 1], atol=1e-12)
+        np.testing.assert_allclose(n.curve(n.knots), scaled, atol=1e-12)
 
     def test_knots_at_exact_ends(self, rng):
         trace = make_random_trace(rng)
         n = arc_length_normalize(trace)
         assert n.knots[0] == -1.0 and n.knots[-1] == 1.0
+
+    @pytest.mark.parametrize("spline", [SplineKind.LINEAR, SplineKind.CUBIC])
+    def test_one_curve_on_one_knot_vector(self, rng, spline):
+        trace = make_random_trace(rng)
+        n = arc_length_normalize(trace, spline)
+        assert n.knots is n.curve.breakpoints
+        assert n.curve.local.shape[:2] == (len(trace.points) - 1, 2)
+        assert not n.knots.flags.writeable
 
 
 def midpoint_resample(trace: InkTrace) -> InkTrace:
@@ -225,6 +232,18 @@ class TestToCoeffs:
         basis = build_named_basis("chebyshev", 0)
         with pytest.raises(ValueError):
             to_coeffs(arc_length_normalize(InkTrace([(0, 0), (1, 1)])), basis)
+
+    @pytest.mark.parametrize("spline", [SplineKind.LINEAR, SplineKind.CUBIC])
+    def test_one_antiderivative_table_per_curve_and_basis(self, rng, monkeypatch, spline):
+        calls = []
+        steps = poly._antiderivative_steps
+        monkeypatch.setattr(poly, "_antiderivative_steps", lambda *a: calls.append(a) or steps(*a))
+        n = arc_length_normalize(make_random_trace(rng), spline)
+        for kind in ("legendre", "chebyshev", "legendre-sobolev", "chebyshev-sobolev"):
+            calls.clear()
+            to_coeffs(n, build_named_basis(kind, 10))
+            assert len(calls) == 1
+            assert calls[0][2] is n.knots
 
     def test_translation_invariance(self, rng):
         basis = build_named_basis("chebyshev-sobolev", 8)
@@ -366,6 +385,27 @@ class TestCoeffsJsonl:
         write_coeffs_jsonl(items, path)
         with pytest.raises(BasisMismatchError):
             read_coeffs_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"xs": [1.0], "ys": [2.0]}', "lacks 'basis_id'"),
+            ('{"basis_id": "b", "xs": [1.0]', "malformed JSON"),
+            ('[1.0, 2.0]', "malformed coefficient record"),
+            ('{"basis_id": "b", "xs": ["q"], "ys": [1.0]}', "could not convert"),
+            ('{"basis_id": "b", "xs": [1.0, 2.0], "ys": [1.0]}', "equal length"),
+        ],
+        ids=["no-basis-id", "bad-json", "not-an-object", "non-numeric", "unequal-lengths"],
+    )
+    def test_malformed_line_raises_parse_error(self, rng, tmp_path, line, message):
+        good = symbol_coeffs(make_random_trace(rng), build_named_basis("chebyshev", 1))
+        path = tmp_path / "coeffs.jsonl"
+        write_coeffs_jsonl([good], path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n" + line + "\n")
+        with pytest.raises(ParseError, match=message) as exc:
+            read_coeffs_jsonl(path)
+        assert exc.value.line == 3
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"

@@ -215,6 +215,33 @@ class TestPiecewisePoly:
         with pytest.raises(InvalidDataError):
             PiecewisePoly(np.array([-1.0, 1.0]), [[1.0], [1.0]])
 
+    def test_value_axis_evaluates_every_function(self, rng):
+        f = random_linear_spline(rng, 6)
+        g = PiecewisePoly(f.breakpoints, f.local * -2.0 + [3.0, 0.0])  # 3 - 2f
+        both = PiecewisePoly(f.breakpoints, np.stack([f.local, g.local], axis=1))
+        s = rng.uniform(-1, 1, size=(3, 5))
+        assert both(s).shape == (3, 5, 2)
+        np.testing.assert_array_equal(both(s)[..., 0], f(s))
+        np.testing.assert_array_equal(both(s)[..., 1], g(s))
+        np.testing.assert_array_equal(both(0.3), [f(0.3), g(0.3)])
+        assert len(both.segments) == 5
+
+    def test_value_axis_continuity_reports_first_break(self):
+        bp = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+        local = np.zeros((4, 2, 1))
+        local[3:, 0] = 1.0  # x jumps at 0.5
+        local[2:, 1] = 1.0  # y jumps at 0.0
+        with pytest.raises(InvalidDataError, match="breakpoint 0.0"):
+            PiecewisePoly(bp, local)
+
+    def test_value_axis_single_segment(self):
+        f = PiecewisePoly(np.array([-1.0, 1.0]), [[[0.0, 1.0], [2.0, 0.0]]])
+        np.testing.assert_array_equal(f(1.0), [2.0, 2.0])
+
+    def test_rejects_deeper_value_axes(self):
+        with pytest.raises(InvalidDataError):
+            PiecewisePoly(np.array([-1.0, 1.0]), np.zeros((1, 1, 1, 2)))
+
 
 class TestInnerPiecewise:
     def test_constant_against_t0(self):

@@ -1,7 +1,7 @@
 """Projection against Gauss quadrature, up to the verified degree limit.
 
-Every case normalizes a seeded random walk, projects both coordinate
-splines with the library, and compares the coefficients with those of the
+Every case normalizes a seeded random walk, projects its x and y with the
+library in one call, and compares the coefficients with those of the
 quadrature oracle, which rebuilds the spline from the normalized knots and
 points on its own.  The same family (expansion rows and squared norms) is
 used on both sides, so the check isolates the segment integrals.
@@ -14,6 +14,7 @@ import pytest
 
 from inkbasis import (
     DegreeTooLargeError,
+    PiecewisePoly,
     Weight,
     arc_length_normalize,
     build_basis,
@@ -72,11 +73,27 @@ def test_project_matches_quadrature(weight, degree):
             basis = _basis(kind, degree)
             lam = basis.spec.lam if basis.spec.is_sobolev else 0.0
             want = (basis.expansion @ (plain + lam * deriv)) / basis.sq_norms[:, None]
-            got = np.column_stack([project(norm.cx, basis), project(norm.cy, basis)])
+            got = project(norm.curve, basis).T
             err = float(np.max(np.abs(got - want)))
             if not err <= tol:
                 failures.append(f"{kind} d={degree} {spline} {n} points: {err:.2e} > {tol:g}")
     assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("degree", (1, 10, 40, 100))
+@pytest.mark.parametrize("weight", list(KINDS))
+def test_curve_projection_equals_per_coordinate_projection(weight, degree):
+    # x and y on one breakpoint vector share one antiderivative table; each
+    # row of the (2, d + 1) result must keep the bits of a lone coordinate
+    for spline, n, _, _, norm in _curves():
+        curve = norm.curve
+        for kind in KINDS[weight]:
+            basis = _basis(kind, degree)
+            got = project(curve, basis)
+            assert got.shape == (2, degree + 1)
+            for i in (0, 1):
+                alone = project(PiecewisePoly(curve.breakpoints, curve.local[:, i]), basis)
+                assert np.array_equal(got[i], alone), f"{kind} {spline} {n} points, row {i}"
 
 
 def test_degree_limit():

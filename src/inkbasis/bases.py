@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (
     BasisMismatchError, DegreeTooLargeError, InvalidDataError, InvalidParameterError,
-    LengthMismatchError, ParseError, UnsupportedOrderError,
+    LengthMismatchError, ParseError, UnsupportedOrderError, open_utf8,
 )
 from .poly import (
     BasisKind, DensePoly, PiecewisePoly, Weight, _derivative_matrix, piecewise_classical_inners
@@ -277,9 +277,8 @@ def save_basis(basis: OrthoBasis, path) -> None:
 
 
 def load_basis(path) -> OrthoBasis:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed JSON: {exc.msg}", exc.lineno) from None
+    try:
+        doc = json.load(open_utf8(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed JSON: {exc.msg}", exc.lineno) from None
     return basis_from_json_dict(doc)

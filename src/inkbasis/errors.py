@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text reader of its file formats."""
+
+import io
 
 
 class InkBasisError(Exception):
@@ -58,3 +60,18 @@ class EmptyModelSetError(InkBasisError):
 
 class EmptyTrainingSetError(InkBasisError):
     """Classification requested with no training items."""
+
+
+def open_utf8(path) -> io.StringIO:
+    """The text of a UTF-8 file with universal newlines, as a text-mode open gives.
+
+    Bytes that are not UTF-8 raise ParseError with their line number.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not UTF-8 text: {exc.reason}", line) from None
+    return io.StringIO(text, newline=None)

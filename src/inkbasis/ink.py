@@ -7,24 +7,28 @@ unit-speed plane curve of length 2: x and y as one piecewise polynomial on
 one knot vector.  One projection onto an orthogonal family gives a (2, d + 1)
 array; dropping its constant terms yields a translation- and scale-invariant
 fixed-size description of the symbol.
+
+The natural cubic is solved here, with numpy and a tridiagonal elimination
+on Python floats, and equals scipy's CubicSpline(bc_type="natural") bit for
+bit; the arc length of a cubic segment is 8-point Gauss-Legendre.
 """
 
 from __future__ import annotations
 
 import enum
-import io
 import json
+import math
 import xml.etree.ElementTree as ET
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import IO, Iterable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .bases import OrthoBasis, project, synthesize
 from .errors import (
     BasisMismatchError, DegenerateTraceError, InvalidDataError, InvalidParameterError, ParseError,
+    open_utf8,
 )
 from .poly import PiecewisePoly
 
@@ -189,15 +193,7 @@ def parse_pendigits(source: str | Iterable[str]) -> list[InkTrace]:
 
 
 def load_pendigits(path) -> list[InkTrace]:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError(f"not UTF-8 text: {exc.reason}", line) from None
-    # universal newlines, as a text-mode file would give
-    return parse_pendigits(io.StringIO(text, newline=None))
+    return parse_pendigits(open_utf8(path))
 
 
 def _local_tag(tag: str) -> str:
@@ -270,11 +266,71 @@ def merge_strokes(traces: Iterable[InkTrace], label: str | None = None) -> InkTr
     return InkTrace(pts, label=label)
 
 
+def _natural_cubic(t: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Local coefficients (nseg, ncol, 4) of the natural cubic through the rows of values.
+
+    Solves for the knot slopes s the system scipy's
+    CubicSpline(bc_type="natural") solves, by LAPACK dgtsv's elimination
+    with its row interchanges, on Python floats for all columns at once, and
+    builds the segments with CubicHermiteSpline's expressions: the result
+    equals CubicSpline(t, values, bc_type="natural").c bit for bit.  A fit
+    that is not finite raises InvalidDataError.
+    """
+    dx = np.diff(t)
+    if not np.all(dx > 0):
+        raise InvalidDataError("cubic fit is not finite: knots are not strictly increasing")
+    slope = np.diff(values, axis=0) / dx[:, None]
+    h = dx.tolist()
+    # rows i = 1..n-2: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1] = rhs[i].
+    # The end rows (s'' = 0) keep scipy's -0.5 * 0 * dx**2 term: it is NaN when
+    # dx**2 overflows, and the fit is then rejected where scipy rejects it.
+    rhs = np.empty(values.shape)
+    rhs[1:-1] = 3 * (dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:])
+    rhs[0] = -0.0 * (h[0] * h[0]) + 3 * (values[1] - values[0])
+    rhs[-1] = 0.0 * (h[-1] * h[-1]) + 3 * (values[-1] - values[-2])
+    diag = [2.0 * h[0], *(2 * (dx[:-1] + dx[1:])).tolist(), 2.0 * h[-1]]
+    lower, upper = h[1:] + h[-1:], h[:1] + h[:-1]  # row i + 1's s[i], row i's s[i + 1]
+    cols = rhs.T.tolist()
+    n = len(diag)
+    try:
+        for i in range(n - 1):
+            inner = i < n - 2
+            if abs(diag[i]) >= abs(lower[i]):
+                fact = lower[i] / diag[i]
+                diag[i + 1] = diag[i + 1] - fact * upper[i]
+                for b in cols:
+                    b[i + 1] = b[i + 1] - fact * b[i]
+                if inner:
+                    lower[i] = 0.0
+            else:  # interchange rows i and i + 1
+                fact = diag[i] / lower[i]
+                diag[i], temp = lower[i], diag[i + 1]
+                diag[i + 1] = upper[i] - fact * temp
+                if inner:
+                    lower[i] = upper[i + 1]  # now the second superdiagonal
+                    upper[i + 1] = -fact * lower[i]
+                upper[i] = temp
+                for b in cols:
+                    b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+        for b in cols:
+            b[-1] = b[-1] / diag[-1]
+            b[-2] = (b[-2] - upper[-1] * b[-1]) / diag[-2]
+            for i in range(n - 3, -1, -1):
+                b[i] = (b[i] - upper[i] * b[i + 1] - lower[i] * b[i + 2]) / diag[i]
+    except ZeroDivisionError:  # dgtsv's zero pivot
+        raise InvalidDataError("cubic fit is not finite: singular slope system") from None
+    s = np.array(cols).T
+    if not np.all(np.isfinite(s)):
+        raise InvalidDataError("cubic fit is not finite: knot slopes are not finite")
+    dx = dx[:, None]
+    cubic = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack([values[:-1], s[:-1], (slope - s[:-1]) / dx - cubic, cubic / dx], axis=-1)
+
+
 def _fit(knots: np.ndarray, values: np.ndarray, cubic: bool) -> PiecewisePoly:
     """The spline through the rows of values, local coefficients (nseg, ncol, width)."""
     if cubic:
-        # CubicSpline.c holds descending powers of (s - knots[i])
-        local = CubicSpline(knots, values, bc_type="natural").c[::-1].transpose(1, 2, 0)
+        local = _natural_cubic(knots, values)
     else:
         slopes = np.diff(values, axis=0) / np.diff(knots)[:, None]
         local = np.stack([values[:-1], slopes], axis=-1)
@@ -284,14 +340,24 @@ def _fit(knots: np.ndarray, values: np.ndarray, cubic: bool) -> PiecewisePoly:
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
+def _node_velocities(t: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """(nseg, 8, ncol) derivative of a cubic spline at each segment's Gauss-Legendre nodes.
+
+    Each node is evaluated on the segment that holds it, summing the
+    derivative's terms in the order scipy's PPoly uses.
+    """
+    mid, half = (t[:-1] + t[1:]) / 2.0, (t[1:] - t[:-1]) / 2.0
+    nodes = mid[:, None] + half[:, None] * _GL8_NODES
+    seg = np.clip(np.searchsorted(t, nodes, side="right") - 1, 0, len(t) - 2)
+    u = (nodes - t[seg])[..., None]
+    c = local[seg]  # (nseg, 8, ncol, 4)
+    return c[..., 1] + (2.0 * c[..., 2]) * u + (3.0 * c[..., 3]) * (u * u)
+
+
 def _cubic_arc_lengths(t: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Per-segment arc lengths of the natural cubic through pts, 8-point Gauss-Legendre."""
-    try:
-        velocity = CubicSpline(t, pts, bc_type="natural").derivative()
-    except ValueError as exc:  # the points are finite, so the fit overflowed
-        raise InvalidDataError(f"cubic fit is not finite: {exc}") from None
-    mid, half = (t[:-1] + t[1:]) / 2.0, (t[1:] - t[:-1]) / 2.0
-    v = velocity(mid[:, None] + half[:, None] * _GL8_NODES)  # (nseg, 8, 2)
+    v = _node_velocities(t, _natural_cubic(t, pts))
+    half = (t[1:] - t[:-1]) / 2.0
     return half * (np.hypot(v[..., 0], v[..., 1]) @ _GL8_WEIGHTS)
 
 
@@ -395,6 +461,19 @@ def coeffs_to_json_dict(c: SymbolCoeffs) -> dict:
     return doc
 
 
+def _finite_or_none(value, key: str) -> float | None:
+    if value is None:
+        return None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise InvalidDataError(f"{key} is not a finite number: {value!r}")
+
+
 def coeffs_from_json_dict(doc: dict) -> SymbolCoeffs:
     try:
         return SymbolCoeffs(
@@ -402,9 +481,9 @@ def coeffs_from_json_dict(doc: dict) -> SymbolCoeffs:
             xs=np.array(doc["xs"], dtype=float),
             ys=np.array(doc["ys"], dtype=float),
             label=doc.get("label"),
-            x0=doc.get("x0"),
-            y0=doc.get("y0"),
-            length=doc.get("length"),
+            x0=_finite_or_none(doc.get("x0"), "x0"),
+            y0=_finite_or_none(doc.get("y0"), "y0"),
+            length=_finite_or_none(doc.get("length"), "length"),
         )
     except KeyError as exc:
         raise InvalidDataError(f"coefficient record lacks {exc}") from None
@@ -427,15 +506,14 @@ def read_coeffs_jsonl(path) -> CoeffTable:
     line number.
     """
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(coeffs_from_json_dict(json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"malformed JSON: {exc.msg}", lineno) from None
-            except InvalidDataError as exc:
-                raise ParseError(str(exc), lineno) from None
+    for lineno, line in enumerate(open_utf8(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            out.append(coeffs_from_json_dict(json.loads(line)))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"malformed JSON: {exc.msg}", lineno) from None
+        except InvalidDataError as exc:
+            raise ParseError(str(exc), lineno) from None
     return CoeffTable(tuple(out))

@@ -380,3 +380,9 @@ class TestBasisJson:
             path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(error, match=message):
             load_basis(path)
+
+    def test_not_utf8_raises_parse_error(self, tmp_path):
+        path = tmp_path / "basis.json"
+        path.write_bytes(b'{\n  "spec": {"weight": "unit\xe9"}\n}\n')
+        with pytest.raises(ParseError, match="line 2: not UTF-8 text: invalid continuation byte"):
+            load_basis(path)

@@ -394,8 +394,17 @@ class TestCoeffsJsonl:
             ('[1.0, 2.0]', "malformed coefficient record"),
             ('{"basis_id": "b", "xs": ["q"], "ys": [1.0]}', "could not convert"),
             ('{"basis_id": "b", "xs": [1.0, 2.0], "ys": [1.0]}', "equal length"),
+            ('{"basis_id": "b", "xs": [1.0], "ys": [2.0], "x0": "abc", "y0": 0.0, "length": 1.0}',
+             "x0 is not a finite number: 'abc'"),
+            ('{"basis_id": "b", "xs": [1.0], "ys": [2.0], "x0": 0.0, "y0": Infinity, "length": 1.0}',
+             "y0 is not a finite number: inf"),
+            ('{"basis_id": "b", "xs": [1.0], "ys": [2.0], "x0": 0.0, "y0": 0.0, "length": NaN}',
+             "length is not a finite number: nan"),
+            ('{"basis_id": "b", "xs": [1.0], "ys": [2.0], "x0": true, "y0": 0.0, "length": 1.0}',
+             "x0 is not a finite number: True"),
         ],
-        ids=["no-basis-id", "bad-json", "not-an-object", "non-numeric", "unequal-lengths"],
+        ids=["no-basis-id", "bad-json", "not-an-object", "non-numeric", "unequal-lengths",
+             "string-x0", "infinite-y0", "nan-length", "boolean-x0"],
     )
     def test_malformed_line_raises_parse_error(self, rng, tmp_path, line, message):
         good = symbol_coeffs(make_random_trace(rng), build_named_basis("chebyshev", 1))
@@ -404,6 +413,16 @@ class TestCoeffsJsonl:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("\n" + line + "\n")
         with pytest.raises(ParseError, match=message) as exc:
+            read_coeffs_jsonl(path)
+        assert exc.value.line == 3
+
+    def test_not_utf8_raises_parse_error(self, rng, tmp_path):
+        good = symbol_coeffs(make_random_trace(rng), build_named_basis("chebyshev", 1))
+        path = tmp_path / "coeffs.jsonl"
+        write_coeffs_jsonl([good, good], path)
+        with open(path, "ab") as fh:
+            fh.write(b'{"basis_id": "b\xff", "xs": [1.0], "ys": [2.0]}\n')
+        with pytest.raises(ParseError, match="not UTF-8 text: invalid start byte") as exc:
             read_coeffs_jsonl(path)
         assert exc.value.line == 3
 

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BasisMismatchError, DegreeTooLargeError, InvalidDataError, InvalidParameterError,
-    LengthMismatchError, ParseError, UnsupportedOrderError, open_utf8,
+    BasisMismatchError, InvalidDataError, InvalidParameterError, ParseError, open_utf8,
 )
 from .poly import (
     BasisKind, DensePoly, PiecewisePoly, Weight, _derivative_matrix, piecewise_classical_inners
@@ -42,9 +41,7 @@ class InnerProductSpec:
     """Weight, derivative weight, and derivative order of an inner product.
 
     lam = 0 means the plain weighted inner product regardless of order, and
-    order = 0 drops the derivative term regardless of lam.  Only orders 0
-    and 1 are implemented; the field is an integer so higher-order variants
-    have a place to live, but they raise UnsupportedOrderError.
+    order = 0 drops the derivative term regardless of lam.  The order is 0 or 1.
     """
 
     weight: Weight
@@ -59,6 +56,8 @@ class InnerProductSpec:
             raise InvalidParameterError(f"lam must be finite and non-negative, got {self.lam}")
         if self.order < 0:
             raise InvalidParameterError("order must be non-negative")
+        if self.order > 1:
+            raise InvalidParameterError(f"order {self.order} not implemented")
 
     @property
     def is_sobolev(self) -> bool:
@@ -120,8 +119,6 @@ def inner_closed_form(f: DensePoly, g: DensePoly, spec: InnerProductSpec) -> flo
     the diagonal classical norms, plus lam times the same form applied to
     the derivatives at order 1.  No integration is performed.
     """
-    if spec.order not in (0, 1):
-        raise UnsupportedOrderError(f"order {spec.order} not implemented")
     cb = spec.classical_basis
     if f.basis is not cb or g.basis is not cb:
         raise BasisMismatchError(
@@ -188,9 +185,7 @@ def build_basis(spec: InnerProductSpec, degree: int) -> OrthoBasis:
     if degree < 0:
         raise InvalidParameterError("degree must be non-negative")
     if degree > MAX_DEGREE:
-        raise DegreeTooLargeError(f"degree {degree} exceeds the verified limit {MAX_DEGREE}")
-    if spec.order not in (0, 1):
-        raise UnsupportedOrderError(f"order {spec.order} not implemented")
+        raise InvalidParameterError(f"degree {degree} exceeds the verified limit {MAX_DEGREE}")
     n = degree + 1
     if not spec.is_sobolev:
         return OrthoBasis(spec, degree, np.eye(n), _classical_sq_norms(spec.weight, n))
@@ -228,7 +223,7 @@ def synthesize(coeffs: np.ndarray, basis: OrthoBasis) -> DensePoly:
     """Sum of coeffs[i] * S_i as a classical-basis polynomial."""
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 1 or len(c) > basis.degree + 1:
-        raise LengthMismatchError(
+        raise InvalidDataError(
             f"expected at most {basis.degree + 1} coefficients, got {c.shape}"
         )
     full = np.zeros(basis.degree + 1)
@@ -281,4 +276,6 @@ def load_basis(path) -> OrthoBasis:
         doc = json.load(open_utf8(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc.msg}", exc.lineno) from None
+    except ValueError as exc:  # an integer past int's digit limit
+        raise ParseError(f"malformed JSON: {exc}") from None
     return basis_from_json_dict(doc)

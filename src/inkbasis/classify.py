@@ -9,11 +9,11 @@ model, independent of how many points the original traces had.
 Models and training sets are held as a CoeffTable, whose coefficients are
 stacked once into (N, 2d) rows [xs | ys].  Every distance -- one pair, a
 match, a kNN query or a whole accuracy table -- comes from one kernel,
-_sq_distances, in the direct difference form
+_weighted_sq, in the direct difference form
 sum_i h_i ((x_i - u_i)^2 + (y_i - v_i)^2), which is never negative and is
-exactly 0 on duplicates.  Every neighbour list comes from one selection,
-_nearest, whose order equals a stable sort: equal distances keep dataset
-order.
+exactly 0 on duplicates; _row_weights checks the bases once per call.
+Every neighbour list comes from one selection, _nearest, whose order
+equals a stable sort: equal distances keep dataset order.
 """
 
 from __future__ import annotations
@@ -24,14 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import DEFAULT_LAMBDA, OrthoBasis, build_named_basis
-from .errors import (
-    BasisMismatchError,
-    EmptyModelSetError,
-    EmptyTrainingSetError,
-    InvalidDataError,
-    InvalidParameterError,
-    LengthMismatchError,
-)
+from .errors import BasisMismatchError, InvalidDataError, InvalidParameterError
 from .ink import (
     CoeffTable, InkTrace, NormalizedTrace, SplineKind, SymbolCoeffs, arc_length_normalize,
     reconstruct, to_coeffs,
@@ -61,13 +54,11 @@ class LabeledDataset:
             raise InvalidDataError("dataset must contain at least one item")
         if any(c.label is None for c in items):
             raise InvalidDataError("every dataset item needs a label")
-        ids = {c.basis_id for c in items}
-        if len(ids) != 1:
-            raise InvalidDataError(f"items span multiple bases: {sorted(ids)}")
+        table = CoeffTable(items)
         if not 0.0 < self.split_ratio < 1.0:
             raise InvalidParameterError("split_ratio must lie in (0, 1)")
         object.__setattr__(self, "items", items)
-        object.__setattr__(self, "table", CoeffTable(items))
+        object.__setattr__(self, "table", table)
 
     @property
     def basis_id(self) -> str:
@@ -84,8 +75,8 @@ class LabeledDataset:
         return [self.items[i] for i in train_idx], [self.items[i] for i in test_idx]
 
 
-def _sq_distances(table: CoeffTable, query: SymbolCoeffs, basis: OrthoBasis) -> np.ndarray:
-    """Squared function-space distance from the query to every row of the table."""
+def _row_weights(table: CoeffTable, query: SymbolCoeffs, basis: OrthoBasis) -> np.ndarray:
+    """The weights [h | h] of a distance from query to the table's rows, all of one basis."""
     if table.basis_id != query.basis_id or query.basis_id != basis.basis_id:
         raise BasisMismatchError(
             f"coefficient bases differ: {table.basis_id} / {query.basis_id} vs {basis.basis_id}"
@@ -93,12 +84,23 @@ def _sq_distances(table: CoeffTable, query: SymbolCoeffs, basis: OrthoBasis) -> 
     d = len(query.xs)
     if table.xs.shape[1] != d:
         raise BasisMismatchError("coefficient lengths differ")
-    diff = table.xy - np.concatenate([query.xs, query.ys])
-    diff *= diff
     h = basis.sq_norms[1 : d + 1]
+    return np.concatenate([h, h])
+
+
+def _weighted_sq(xy: np.ndarray, q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_j w_j (xy[i, j] - q_j)^2 for every row i of xy."""
+    diff = xy - q
+    diff *= diff
     # einsum rather than @: BLAS gemv rounds identical rows differently
     # depending on where they sit, which would reorder equal distances.
-    return np.einsum("ij,j->i", diff, np.concatenate([h, h]))
+    return np.einsum("ij,j->i", diff, w)
+
+
+def _sq_distances(table: CoeffTable, query: SymbolCoeffs, basis: OrthoBasis) -> np.ndarray:
+    """Squared function-space distance from the query to every row of the table."""
+    w = _row_weights(table, query, basis)
+    return _weighted_sq(table.xy, np.concatenate([query.xs, query.ys]), w)
 
 
 def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
@@ -136,7 +138,7 @@ def representation_error(
     and compared point by point with the source trace.
     """
     if len(normalized.knots) != len(trace.points):
-        raise LengthMismatchError(
+        raise InvalidDataError(
             f"{len(normalized.knots)} knots vs {len(trace.points)} points"
         )
     xhat, yhat = reconstruct(coeffs, basis, normalized.knots)
@@ -153,7 +155,7 @@ def match_symbol(
     A CoeffTable is used as is; any other sequence is stacked once per call.
     """
     if not models:
-        raise EmptyModelSetError("no models to match against")
+        raise InvalidDataError("no models to match against")
     table = models if isinstance(models, CoeffTable) else CoeffTable(tuple(models))
     dist = _sq_distances(table, sample, basis)
     best = int(np.argmin(dist))
@@ -182,8 +184,6 @@ def knn_classify(
     equal distances keep dataset order.
     """
     items = train.items
-    if not items:
-        raise EmptyTrainingSetError("training set is empty")
     if not 1 <= k <= len(items):
         raise InvalidParameterError(f"k must be in [1, {len(items)}]")
     dist = _sq_distances(train.table, query, basis)
@@ -197,19 +197,21 @@ def knn_accuracy(
     """Test-set accuracy of kNN for each k, under the dataset's own split."""
     train_idx, test_idx = dataset.split_indices()
     if len(train_idx) == 0:
-        raise EmptyTrainingSetError("split left no training items")
+        raise InvalidDataError("split left no training items")
     if not ks or min(ks) < 1:
         raise InvalidParameterError(f"every k must be in [1, {len(train_idx)}], got {ks}")
     kmax = max(ks)
     if kmax > len(train_idx):
         raise InvalidParameterError(f"k={kmax} exceeds training size {len(train_idx)}")
     items = dataset.items
-    train = CoeffTable(tuple(items[i] for i in train_idx))
-    train_labels = [c.label for c in train]
+    w = _row_weights(dataset.table, items[0], basis)
+    xy = dataset.table.xy
+    train_xy = xy[train_idx]
+    train_labels = [items[i].label for i in train_idx]
 
     correct = {k: 0 for k in ks}
     for ti in test_idx:
-        dist = _sq_distances(train, items[ti], basis)
+        dist = _weighted_sq(train_xy, xy[ti], w)
         order = _nearest(dist, kmax)
         neigh_labels = [train_labels[j] for j in order]
         neigh_dists = dist[order]

@@ -200,8 +200,9 @@ def cmd_knn_eval(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
-    if with_input:
+def _add_common(p: argparse.ArgumentParser, omit: tuple[str, ...] = ()) -> None:
+    """Register the shared options, except the ones the command does not read."""
+    if "input" not in omit:
         p.add_argument("input", nargs="*", help="input file(s); pendigits text or InkML")
         p.add_argument(
             "--format",
@@ -209,12 +210,13 @@ def _add_common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
             default="auto",
             help="input format (default: by file suffix)",
         )
-    p.add_argument(
-        "--basis",
-        choices=BASIS_KINDS,
-        default="chebyshev-sobolev",
-        help="basis kind (default chebyshev-sobolev)",
-    )
+    if "basis" not in omit:
+        p.add_argument(
+            "--basis",
+            choices=BASIS_KINDS,
+            default="chebyshev-sobolev",
+            help="basis kind (default chebyshev-sobolev)",
+        )
     p.add_argument(
         "--lambda",
         dest="lam",
@@ -222,14 +224,16 @@ def _add_common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
         default=DEFAULT_LAMBDA,
         help="derivative weight for the sobolev kinds (default %(default)s)",
     )
-    p.add_argument("--degree", type=int, default=10, help="truncation degree (default 10)")
-    p.add_argument(
-        "--spline",
-        type=SplineKind,
-        choices=list(SplineKind),
-        default=SplineKind.LINEAR,
-        help="interpolating spline order (default linear)",
-    )
+    if "degree" not in omit:
+        p.add_argument("--degree", type=int, default=10, help="truncation degree (default 10)")
+    if "spline" not in omit:
+        p.add_argument(
+            "--spline",
+            type=SplineKind,
+            choices=list(SplineKind),
+            default=SplineKind.LINEAR,
+            help="interpolating spline order (default linear)",
+        )
     p.add_argument("--out", required=True, help="output file (or directory for approximate)")
 
 
@@ -241,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-basis", help="construct a basis and export it as JSON")
-    _add_common(p, with_input=False)
+    _add_common(p, omit=("input", "spline"))
     p.set_defaults(func=cmd_build_basis)
 
     p = sub.add_parser("approximate", help="sample reconstructed curves (one CSV per trace)")
@@ -253,13 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("error-sweep", help="reconstruction error per trace and degree (CSV)")
-    _add_common(p)
+    _add_common(p, omit=("degree",))
     p.add_argument("--d-min", type=int, default=3, help="smallest degree (default 3)")
     p.add_argument("--d-max", type=int, default=20, help="largest degree (default 20)")
     p.set_defaults(func=cmd_error_sweep)
 
     p = sub.add_parser("knn-eval", help="kNN accuracy table over the four basis kinds")
-    _add_common(p)
+    _add_common(p, omit=("basis",))
     p.add_argument("--k-min", type=int, default=1)
     p.add_argument("--k-max", type=int, default=10)
     p.add_argument("--seed", type=int, default=DEFAULT_SPLIT_SEED, help="split seed (default 0)")

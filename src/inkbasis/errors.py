@@ -1,30 +1,14 @@
-"""Exception types shared across the package, and the text reader of its file formats."""
+"""The package's error contract, and the text reader of its file formats.
+
+Every error is an InkBasisError: a ParseError, an InvalidParameterError, or an
+InvalidDataError, of which BasisMismatchError is one; the last three are ValueErrors.
+"""
 
 import io
 
 
 class InkBasisError(Exception):
-    """Base class for all library-specific errors."""
-
-
-class DegreeTooLargeError(InkBasisError):
-    """Polynomial degree exceeds a conditioning guard."""
-
-
-class DomainError(InkBasisError):
-    """Interval or parameter lies outside [-1, 1]."""
-
-
-class BasisMismatchError(InkBasisError):
-    """Operands are expressed in incompatible bases."""
-
-
-class UnsupportedOrderError(InkBasisError):
-    """Derivative order outside the implemented range {0, 1}."""
-
-
-class LengthMismatchError(InkBasisError):
-    """Coefficient or point counts do not line up."""
+    """Base class of every error the library raises; the CLI exits 2 on one."""
 
 
 class ParseError(InkBasisError):
@@ -43,23 +27,15 @@ class ParseError(InkBasisError):
 
 
 class InvalidParameterError(InkBasisError, ValueError):
-    """A numeric parameter is non-finite or outside its valid range."""
+    """A parameter is non-finite or outside its valid range: a degree, order, k or ratio."""
 
 
 class InvalidDataError(InkBasisError, ValueError):
-    """Input data lacks what the operation needs: strokes, traces or labels."""
+    """Input data the operation cannot use: too few points or items, or mismatched sizes."""
 
 
-class DegenerateTraceError(InkBasisError):
-    """Trace has zero arc length (fewer than two distinct points)."""
-
-
-class EmptyModelSetError(InkBasisError):
-    """Matching requested against an empty model collection."""
-
-
-class EmptyTrainingSetError(InkBasisError):
-    """Classification requested with no training items."""
+class BasisMismatchError(InvalidDataError):
+    """Operands are expressed in incompatible bases."""
 
 
 def open_utf8(path) -> io.StringIO:

@@ -27,8 +27,7 @@ import numpy as np
 
 from .bases import OrthoBasis, project, synthesize
 from .errors import (
-    BasisMismatchError, DegenerateTraceError, InvalidDataError, InvalidParameterError, ParseError,
-    open_utf8,
+    BasisMismatchError, InvalidDataError, InvalidParameterError, ParseError, open_utf8,
 )
 from .poly import PiecewisePoly
 
@@ -375,7 +374,7 @@ def arc_length_normalize(
     spline = SplineKind(spline)
     pts = collapse_duplicates(trace.points)
     if len(pts) < 2:
-        raise DegenerateTraceError("trace has fewer than two distinct points")
+        raise InvalidDataError("trace has fewer than two distinct points")
 
     # overflow shows as a non-finite total (or fit) and raises a typed error
     with np.errstate(over="ignore", invalid="ignore"):
@@ -391,12 +390,12 @@ def arc_length_normalize(
     if not np.isfinite(total):
         raise InvalidDataError("arc length is not finite: coordinates too large")
     if total <= 0.0:
-        raise DegenerateTraceError("zero total arc length")
+        raise InvalidDataError("zero total arc length")
     cumulative = np.concatenate([[0.0], np.cumsum(seg_lengths)])
     knots = 2.0 * (cumulative / total) - 1.0
     knots[0], knots[-1] = -1.0, 1.0
     if not np.all(np.diff(knots) > 0):
-        raise DegenerateTraceError("arc-length parameters collapse in float precision")
+        raise InvalidDataError("arc-length parameters collapse in float precision")
 
     return NormalizedTrace(_fit(knots, pts * (2.0 / total), cubic), total)
 
@@ -511,9 +510,13 @@ def read_coeffs_jsonl(path) -> CoeffTable:
         if not line:
             continue
         try:
-            out.append(coeffs_from_json_dict(json.loads(line)))
+            doc = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"malformed JSON: {exc.msg}", lineno) from None
+        except ValueError as exc:  # an integer past int's digit limit
+            raise ParseError(f"malformed JSON: {exc}", lineno) from None
+        try:
+            out.append(coeffs_from_json_dict(doc))
         except InvalidDataError as exc:
             raise ParseError(str(exc), lineno) from None
     return CoeffTable(tuple(out))

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import legendre as _leg
 
-from .errors import DomainError, InvalidDataError, InvalidParameterError
+from .errors import InvalidDataError, InvalidParameterError
 
 
 class BasisKind(str, enum.Enum):
@@ -284,7 +284,7 @@ def piecewise_classical_inners(
     """
     bp, c = f.breakpoints, f.local
     if bp[0] < -1.0 or bp[-1] > 1.0:
-        raise DomainError("breakpoints must lie within [-1, 1]")
+        raise InvalidDataError("breakpoints must lie within [-1, 1]")
     width = c.shape[-1]
     steps = _antiderivative_steps(basis, degree + width, bp)
     up, lo = _three_term(basis, degree + width)

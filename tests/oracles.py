@@ -22,9 +22,13 @@ from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import legendre as _leg
 from numpy.polynomial import polynomial as _poly
 
-from inkbasis import BasisKind, DomainError, Weight
+from inkbasis import BasisKind, Weight
 
 GL_NODES = 240
+
+
+class OracleDomainError(ValueError):
+    """An oracle was asked to integrate outside [-1, 1]."""
 
 
 @lru_cache(maxsize=4)
@@ -302,7 +306,7 @@ def moment_table(kmax, lo, hi, weight):
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if np.any(lo < -1.0) or np.any(hi > 1.0) or np.any(lo > hi):
-        raise DomainError("moment intervals must satisfy -1 <= a <= b <= 1")
+        raise OracleDomainError("moment intervals must satisfy -1 <= a <= b <= 1")
     weight = Weight(weight)
     out = np.empty((kmax + 1, len(lo)))
     if weight is Weight.UNIT:

@@ -1,11 +1,17 @@
-"""The package's public names and what importing it loads."""
+"""The package's public names, its error contract and what importing it loads."""
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import inkbasis
+from inkbasis import errors
+
+SRC = Path(inkbasis.__file__).parent
+CONTRACT = {"InkBasisError", "ParseError", "InvalidParameterError", "InvalidDataError",
+            "BasisMismatchError"}
 
 
 def test_all_names_resolve():
@@ -23,3 +29,25 @@ def test_cli_import_loads_no_scipy():
     code = "import sys, inkbasis.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_raise_names_a_contract_class():
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Raise):
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.id if isinstance(exc, ast.Name) else None
+            if name not in CONTRACT | {"CliError"}:
+                stray.append(f"{path.name}:{node.lineno}")
+    assert stray == []
+
+
+def test_errors_defines_only_the_contract():
+    tree = ast.parse(Path(errors.__file__).read_text(encoding="utf-8"))
+    assert {node.name for node in tree.body if isinstance(node, ast.ClassDef)} == CONTRACT
+    assert all(issubclass(getattr(errors, name), errors.InkBasisError) for name in CONTRACT)
+    assert issubclass(errors.BasisMismatchError, errors.InvalidDataError)
+    for name in ("InvalidParameterError", "InvalidDataError"):
+        assert issubclass(getattr(errors, name), ValueError)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,10 +17,8 @@ from inkbasis import (
     InnerProductSpec,
     InvalidDataError,
     InvalidParameterError,
-    LengthMismatchError,
     ParseError,
     PiecewisePoly,
-    UnsupportedOrderError,
     Weight,
     basis_from_json_dict,
     basis_to_json_dict,
@@ -110,8 +109,8 @@ class TestInnerClosedForm:
             inner_closed_form(p, p, CS)
 
     def test_order_guard(self):
-        spec = InnerProductSpec(Weight.INVERSE_SQRT, 0.125, 2)
-        with pytest.raises(UnsupportedOrderError):
+        with pytest.raises(InvalidParameterError, match="^order 2 not implemented$"):
+            spec = InnerProductSpec(Weight.INVERSE_SQRT, 0.125, 2)
             inner_closed_form(cheb(1), cheb(1), spec)
 
 
@@ -198,7 +197,7 @@ class TestBuildBasis:
             assert isinstance(exc.value, ValueError)
 
     def test_unsupported_order(self):
-        with pytest.raises(UnsupportedOrderError):
+        with pytest.raises(InvalidParameterError, match="^order 2 not implemented$"):
             build_basis(InnerProductSpec(Weight.UNIT, 0.125, 2), 4)
 
     def test_basis_id_distinguishes_kinds(self):
@@ -327,7 +326,7 @@ class TestSynthesize:
 
     def test_length_guard(self):
         b = build_basis(CS, 3)
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(InvalidDataError, match=r"^expected at most 4 coefficients, got \(5,\)$"):
             synthesize(np.zeros(5), b)
 
 
@@ -365,10 +364,12 @@ class TestBasisJson:
             (lambda d: d["sq_norms"].__setitem__(0, -1.0), InvalidDataError, "positive"),
             (lambda d: d.update(degree=-1, expansion=[], sq_norms=[]), InvalidDataError,
              "shapes"),
+            (lambda d: d["spec"].update(order=2), InvalidDataError,
+             "^malformed basis document: order 2 not implemented$"),
             (None, ParseError, "line 3: malformed JSON"),
         ],
         ids=["no-spec", "short-expansion", "unknown-weight", "infinite-degree",
-             "string-norms", "negative-norm", "negative-degree", "bad-json"],
+             "string-norms", "negative-norm", "negative-degree", "order-2", "bad-json"],
     )
     def test_malformed_file_raises_typed_error(self, tmp_path, edit, error, message):
         doc = basis_to_json_dict(build_basis(CS, 3))
@@ -379,6 +380,14 @@ class TestBasisJson:
             edit(doc)
             path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(error, match=message):
+            load_basis(path)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+    def test_integer_past_digit_limit_raises_parse_error(self, tmp_path):
+        doc = basis_to_json_dict(build_basis(CS, 3))
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps(doc).replace('"degree": 3', '"degree": ' + "1" * 5001))
+        with pytest.raises(ParseError, match="^malformed JSON: Exceeds the limit"):
             load_basis(path)
 
     def test_not_utf8_raises_parse_error(self, tmp_path):

@@ -301,3 +301,24 @@ class TestDataDirResolution:
         rc = main(["error-sweep", "--out", str(tmp_path / "o.csv")])
         assert rc == 2
         assert "INKBASIS_DATA_DIR" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("knn-eval", ["--basis", "legendre"]),
+        ("error-sweep", ["--degree", "5"]),
+        ("build-basis", ["--spline", "cubic"]),
+    ],
+    ids=["knn-eval-basis", "error-sweep-degree", "build-basis-spline"],
+)
+def test_option_the_command_does_not_read_exits_2(tmp_path, capsys, command, option):
+    data = tmp_path / "digits.txt"
+    write_pendigits(data, per_class=4)
+    inputs = [] if command == "build-basis" else [str(data)]
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs, *option, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
+    assert not out.exists()

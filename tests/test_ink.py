@@ -1,5 +1,7 @@
 """Ingestion, arc-length normalization, and the coefficient pipeline."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from inkbasis import poly
 from inkbasis import (
     BasisMismatchError,
     CoeffTable,
-    DegenerateTraceError,
     InkTrace,
     InvalidDataError,
     ParseError,
@@ -145,7 +146,7 @@ class TestArcLengthNormalize:
         np.testing.assert_allclose(n.knots, [-1, 0, 1], atol=1e-15)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateTraceError):
+        with pytest.raises(InvalidDataError, match="^trace has fewer than two distinct points$"):
             arc_length_normalize(InkTrace([(0, 0), (0, 0)]))
 
     @pytest.mark.parametrize("spline", [SplineKind.LINEAR, SplineKind.CUBIC])
@@ -402,9 +403,13 @@ class TestCoeffsJsonl:
              "length is not a finite number: nan"),
             ('{"basis_id": "b", "xs": [1.0], "ys": [2.0], "x0": true, "y0": 0.0, "length": 1.0}',
              "x0 is not a finite number: True"),
+            pytest.param('{"basis_id": "b", "xs": [' + "1" * 5001 + '], "ys": [2.0]}',
+                         "^line 3: malformed JSON: Exceeds the limit",
+                         marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                                  reason="no int digit limit")),
         ],
         ids=["no-basis-id", "bad-json", "not-an-object", "non-numeric", "unequal-lengths",
-             "string-x0", "infinite-y0", "nan-length", "boolean-x0"],
+             "string-x0", "infinite-y0", "nan-length", "boolean-x0", "integer-past-digit-limit"],
     )
     def test_malformed_line_raises_parse_error(self, rng, tmp_path, line, message):
         good = symbol_coeffs(make_random_trace(rng), build_named_basis("chebyshev", 1))

@@ -10,7 +10,6 @@ from numpy.polynomial import legendre as npleg
 from inkbasis import (
     BasisKind,
     DensePoly,
-    DomainError,
     InvalidDataError,
     InvalidParameterError,
     PiecewisePoly,
@@ -18,7 +17,9 @@ from inkbasis import (
     derivative,
     eval_legendre,
 )
+from inkbasis.poly import piecewise_classical_inners
 from oracles import (
+    OracleDomainError,
     global_segments,
     inner_piecewise,
     naive_cheb_eval,
@@ -151,11 +152,12 @@ class TestWeightedMoment:
             assert full == pytest.approx(split, rel=1e-12, abs=1e-14)
 
     def test_domain_guard(self):
-        with pytest.raises(DomainError):
+        interval = r"^moment intervals must satisfy -1 <= a <= b <= 1$"
+        with pytest.raises(OracleDomainError, match=interval):
             weighted_moment(2, -1.5, 0.5, Weight.UNIT)
-        with pytest.raises(DomainError):
+        with pytest.raises(OracleDomainError, match=interval):
             weighted_moment(2, 0.5, 1.5, Weight.INVERSE_SQRT)
-        with pytest.raises(DomainError):
+        with pytest.raises(OracleDomainError, match=interval):
             weighted_moment(2, 0.7, 0.2, Weight.UNIT)
 
 
@@ -284,5 +286,11 @@ class TestInnerPiecewise:
 
     def test_domain_error_propagates(self):
         f = PiecewisePoly(np.array([-1.5, 1.0]), [[-1.5, 1.0]])
-        with pytest.raises(DomainError):
+        with pytest.raises(OracleDomainError, match=r"^moment intervals must satisfy"):
             inner_piecewise(f, cheb(0, 1), Weight.INVERSE_SQRT, 0)
+
+    @pytest.mark.parametrize("breakpoints", [[-1.5, 1.0], [-1.0, 1.25]])
+    def test_kernel_rejects_breakpoints_outside_the_interval(self, breakpoints):
+        f = PiecewisePoly(np.array(breakpoints), [[0.0, 1.0]])
+        with pytest.raises(InvalidDataError, match=r"^breakpoints must lie within \[-1, 1\]$"):
+            piecewise_classical_inners(f, BasisKind.CHEBYSHEV, 3, 0.125)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from inkbasis import (
-    DegreeTooLargeError,
+    InvalidParameterError,
     PiecewisePoly,
     Weight,
     arc_length_normalize,
@@ -98,6 +98,6 @@ def test_curve_projection_equals_per_coordinate_projection(weight, degree):
 
 def test_degree_limit():
     for kind in ("legendre", "chebyshev-sobolev"):
-        with pytest.raises(DegreeTooLargeError):
+        with pytest.raises(InvalidParameterError, match="^degree 101 exceeds the verified limit 100$"):
             build_basis(spec_for_kind(kind), MAX_DEGREE + 1)
     assert build_basis(spec_for_kind("chebyshev"), MAX_DEGREE).degree == MAX_DEGREE

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,13 @@ MAX_DEGREE = 100  # largest degree the projection is verified at against quadrat
 BASIS_KINDS = ("legendre", "chebyshev", "legendre-sobolev", "chebyshev-sobolev")
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; a bool or a value of a non-integral type raises InvalidParameterError."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class InnerProductSpec:
     """Weight, derivative weight, and derivative order of an inner product.
@@ -49,14 +57,14 @@ class InnerProductSpec:
     order: int = 1
 
     def __post_init__(self):
+        if isinstance(self.lam, bool) or not isinstance(self.lam, numbers.Real):
+            raise InvalidParameterError(f"lam must be a real number, got {self.lam!r}")
         object.__setattr__(self, "weight", Weight(self.weight))
         object.__setattr__(self, "lam", float(self.lam))
-        object.__setattr__(self, "order", int(self.order))
+        object.__setattr__(self, "order", _integer(self.order, "order"))
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise InvalidParameterError(f"lam must be finite and non-negative, got {self.lam}")
-        if self.order < 0:
-            raise InvalidParameterError("order must be non-negative")
-        if self.order > 1:
+        if not 0 <= self.order <= 1:
             raise InvalidParameterError(f"order {self.order} not implemented")
 
     @property
@@ -182,6 +190,7 @@ def build_basis(spec: InnerProductSpec, degree: int) -> OrthoBasis:
     better conditioned): G = L D L^T with L unit lower triangular, the
     expansion is L^-1 and the squared norms are diag(D).
     """
+    degree = _integer(degree, "degree")
     if degree < 0:
         raise InvalidParameterError("degree must be non-negative")
     if degree > MAX_DEGREE:
@@ -250,19 +259,26 @@ def basis_to_json_dict(basis: OrthoBasis) -> dict:
 
 
 def basis_from_json_dict(doc: dict) -> OrthoBasis:
-    """The basis of an exported document; a malformed one raises InvalidDataError."""
+    """build_basis of a document's spec and degree.
+
+    A document whose spec or degree build_basis refuses, or whose expansion
+    or sq_norms differ from the rebuilt ones by more than 1e-12 relative
+    (absolute below 1), raises InvalidDataError.
+    """
     try:
-        spec = InnerProductSpec(
-            Weight(doc["spec"]["weight"]), doc["spec"]["lambda"], doc["spec"]["order"]
-        )
-        n = int(doc["degree"]) + 1
-        expansion = np.array(doc["expansion"], dtype=float).reshape(n, n)
-        sq_norms = np.array(doc["sq_norms"], dtype=float)
+        s = doc["spec"]
+        basis = build_basis(InnerProductSpec(Weight(s["weight"]), s["lambda"], s["order"]),
+                            doc["degree"])
+        for name in ("expansion", "sq_norms"):
+            rebuilt = getattr(basis, name)
+            stored = np.array(doc[name], dtype=float).reshape(rebuilt.shape)
+            if not np.all(np.abs(stored - rebuilt) <= 1e-12 * np.maximum(1.0, np.abs(rebuilt))):
+                raise InvalidDataError(f"{name} is not that of {basis.basis_id}")
     except KeyError as exc:
         raise InvalidDataError(f"basis document lacks {exc}") from None
-    except (OverflowError, TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:  # the typed errors are ValueErrors
         raise InvalidDataError(f"malformed basis document: {exc}") from None
-    return OrthoBasis(spec, n - 1, expansion, sq_norms)
+    return basis
 
 
 def save_basis(basis: OrthoBasis, path) -> None:

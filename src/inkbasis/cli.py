@@ -21,7 +21,7 @@ import numpy as np
 
 from .bases import BASIS_KINDS, DEFAULT_LAMBDA, MAX_DEGREE, build_named_basis, save_basis
 from .classify import DEFAULT_SPLIT_RATIO, DEFAULT_SPLIT_SEED, accuracy_sweep, representation_error
-from .errors import InkBasisError
+from .errors import InkBasisError, InvalidParameterError
 from .ink import (
     InkTrace,
     SplineKind,
@@ -34,10 +34,6 @@ from .ink import (
 )
 
 DATA_DIR_ENV = "INKBASIS_DATA_DIR"
-
-
-class CliError(Exception):
-    """Input or configuration problem; exits with status 2."""
 
 
 def _fmt(x: float) -> str:
@@ -53,41 +49,37 @@ def _resolve_path(raw: str) -> Path:
         candidate = Path(data_dir) / p
         if candidate.exists():
             return candidate
-    raise CliError(f"input path not found: {raw}")
+    raise InvalidParameterError(f"input path not found: {raw}")
 
 
 def _default_inputs() -> list[Path]:
     data_dir = os.environ.get(DATA_DIR_ENV)
     if not data_dir:
-        raise CliError(f"no input given and {DATA_DIR_ENV} is not set")
+        raise InvalidParameterError(f"no input given and {DATA_DIR_ENV} is not set")
     found = [
         p
         for name in ("pendigits.tra", "pendigits.tes")
         if (p := Path(data_dir) / name).exists()
     ]
     if not found:
-        raise CliError(f"no input given and no pendigits files under {data_dir}")
+        raise InvalidParameterError(f"no input given and no pendigits files under {data_dir}")
     return found
 
 
-def _load_traces(paths: list[str], fmt: str) -> list[InkTrace]:
+def _load_traces(paths: list[str]) -> list[InkTrace]:
     resolved = [_resolve_path(p) for p in paths] if paths else _default_inputs()
     traces: list[InkTrace] = []
     for path in resolved:
         if path.is_dir():
             files = sorted(path.glob("*.inkml"))
             if not files:
-                raise CliError(f"directory contains no .inkml files: {path}")
-            for f in files:
-                traces.append(merge_strokes(parse_inkml(f.read_bytes())))
-            continue
-        kind = fmt
-        if kind == "auto":
-            kind = "inkml" if path.suffix.lower() in (".inkml", ".xml") else "pendigits"
-        if kind == "inkml":
-            traces.append(merge_strokes(parse_inkml(path.read_bytes())))
+                raise InvalidParameterError(f"directory contains no .inkml files: {path}")
+        elif path.suffix.lower() in (".inkml", ".xml"):
+            files = [path]
         else:
             traces.extend(load_pendigits(path))
+            continue
+        traces.extend(merge_strokes(parse_inkml(f.read_bytes())) for f in files)
     return traces
 
 
@@ -108,7 +100,7 @@ def cmd_build_basis(args) -> int:
 
 
 def cmd_approximate(args) -> int:
-    traces = _load_traces(args.input, args.format)
+    traces = _load_traces(args.input)
     basis = build_named_basis(args.basis, args.degree, args.lam)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -130,7 +122,7 @@ def cmd_approximate(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    traces = _load_traces(args.input, args.format)
+    traces = _load_traces(args.input)
     basis = build_named_basis(args.basis, args.degree, args.lam)
     lines = ["trace_id,point_index,kind,x,y"]
     for i, trace in enumerate(traces):
@@ -147,7 +139,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_error_sweep(args) -> int:
-    traces = _load_traces(args.input, args.format)
+    traces = _load_traces(args.input)
     degrees = list(range(args.d_min, args.d_max + 1))
     bases = {d: build_named_basis(args.basis, d, args.lam) for d in degrees}
     lines = ["trace_id,degree,error"]
@@ -163,7 +155,7 @@ def cmd_error_sweep(args) -> int:
 
 
 def cmd_knn_eval(args) -> int:
-    traces = _load_traces(args.input, args.format)
+    traces = _load_traces(args.input)
     ks = list(range(args.k_min, args.k_max + 1))
     rows = accuracy_sweep(
         traces,
@@ -203,12 +195,8 @@ def cmd_knn_eval(args) -> int:
 def _add_common(p: argparse.ArgumentParser, omit: tuple[str, ...] = ()) -> None:
     """Register the shared options, except the ones the command does not read."""
     if "input" not in omit:
-        p.add_argument("input", nargs="*", help="input file(s); pendigits text or InkML")
         p.add_argument(
-            "--format",
-            choices=("auto", "pendigits", "inkml"),
-            default="auto",
-            help="input format (default: by file suffix)",
+            "input", nargs="*", help="input file(s): InkML if .inkml or .xml, else pendigits"
         )
     if "basis" not in omit:
         p.add_argument(
@@ -299,7 +287,7 @@ def main(argv=None) -> int:
     _validate(args, parser)
     try:
         return args.func(args)
-    except (CliError, InkBasisError, OSError) as exc:
+    except (InkBasisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

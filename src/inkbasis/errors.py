@@ -27,7 +27,7 @@ class ParseError(InkBasisError):
 
 
 class InvalidParameterError(InkBasisError, ValueError):
-    """A parameter is non-finite or outside its valid range: a degree, order, k or ratio."""
+    """A parameter of the wrong type or out of range: a degree, order, k, ratio or input path."""
 
 
 class InvalidDataError(InkBasisError, ValueError):

@@ -39,17 +39,20 @@ class SplineKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class InkTrace:
-    """An ordered sequence of pen positions, optionally labeled."""
+    """At least two finite pen positions, optionally labeled; consecutive repeats are dropped."""
 
     points: np.ndarray
     label: str | None = None
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
+        pts = np.asarray(self.points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != 2:
             raise InvalidDataError("a trace needs at least two (x, y) points")
         if not np.all(np.isfinite(pts)):
             raise InvalidDataError("trace coordinates must be finite")
+        pts = collapse_duplicates(pts)  # a copy, so the caller's array stays writable
+        if len(pts) < 2:
+            raise InvalidDataError("trace has fewer than two distinct points")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -65,7 +68,7 @@ class NormalizedTrace:
     """An arc-length parameterized plane curve on [-1, 1].
 
     curve holds x and y, local coefficients (nseg, 2, width), on the knots:
-    the arc-length parameters of the (deduplicated) input points.
+    the arc-length parameters of the trace's points.
     total_length is the curve length before rescaling, in input units.
     """
 
@@ -152,10 +155,8 @@ class CoeffTable(Sequence):
 
 
 def collapse_duplicates(points: np.ndarray) -> np.ndarray:
-    """Drop points identical to their predecessor."""
+    """Drop points identical to their predecessor; the result is a new array."""
     pts = np.asarray(points, dtype=float)
-    if len(pts) == 0:
-        return pts
     keep = np.ones(len(pts), dtype=bool)
     keep[1:] = np.any(pts[1:] != pts[:-1], axis=1)
     return pts[keep]
@@ -165,8 +166,8 @@ def parse_pendigits(source: str | Iterable[str]) -> list[InkTrace]:
     """Parse pen-digit samples: 17 comma-separated integers per line.
 
     The first 16 fields are eight (x, y) pairs, the last is the class digit.
-    Blank lines are skipped; anything else malformed raises ParseError with
-    its line number.
+    Blank lines are skipped; anything else malformed, a sample with fewer
+    than two distinct points included, raises ParseError with its line number.
     """
     lines = source.splitlines() if isinstance(source, str) else source
     traces = []
@@ -184,10 +185,10 @@ def parse_pendigits(source: str | Iterable[str]) -> list[InkTrace]:
             raise ParseError(f"non-integer field: {exc}", lineno) from None
         except OverflowError:
             raise ParseError("coordinate too large for a float", lineno) from None
-        pts = collapse_duplicates(pts)
-        if len(pts) < 2:
-            raise ParseError("degenerate sample: fewer than two distinct points", lineno)
-        traces.append(InkTrace(pts, label=str(values[16])))
+        try:
+            traces.append(InkTrace(pts, label=str(values[16])))
+        except InvalidDataError as exc:
+            raise ParseError(str(exc), lineno) from None
     return traces
 
 
@@ -238,10 +239,7 @@ def parse_inkml(document: str | bytes | IO) -> list[InkTrace]:
                 pts.append((float(channels[0]), float(channels[1])))
             except ValueError:
                 raise ParseError(f"non-numeric coordinate in {chunk!r}") from None
-        pts = collapse_duplicates(np.array(pts, dtype=float).reshape(-1, 2))
-        if len(pts) < 2:
-            raise ParseError("trace has fewer than two distinct points")
-        traces.append(InkTrace(pts, label=label))
+        traces.append(InkTrace(np.array(pts, dtype=float).reshape(-1, 2), label=label))
     return traces
 
 
@@ -259,10 +257,9 @@ def merge_strokes(traces: Iterable[InkTrace], label: str | None = None) -> InkTr
     traces = list(traces)
     if not traces:
         raise InvalidDataError("no strokes to merge")
-    pts = collapse_duplicates(np.vstack([t.points for t in traces]))
     if label is None:
         label = traces[0].label
-    return InkTrace(pts, label=label)
+    return InkTrace(np.vstack([t.points for t in traces]), label=label)
 
 
 def _natural_cubic(t: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -365,17 +362,14 @@ def arc_length_normalize(
 ) -> NormalizedTrace:
     """Reparameterize a trace by arc length on [-1, 1] at standard size.
 
-    Consecutive duplicate points are collapsed before fitting.  Cumulative
+    The knots are the trace's points, which are distinct.  Cumulative
     arc length along the interpolating spline maps affinely onto [-1, 1],
     and coordinates are rescaled by 2/L, so the result is a (piecewise)
     unit-speed curve of total length 2 regardless of the input's position,
     size, or sampling density.
     """
     spline = SplineKind(spline)
-    pts = collapse_duplicates(trace.points)
-    if len(pts) < 2:
-        raise InvalidDataError("trace has fewer than two distinct points")
-
+    pts = trace.points
     # overflow shows as a non-finite total (or fit) and raises a typed error
     with np.errstate(over="ignore", invalid="ignore"):
         chord = np.hypot(*np.diff(pts, axis=0).T)

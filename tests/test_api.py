@@ -39,7 +39,7 @@ def test_every_raise_names_a_contract_class():
                 continue
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             name = exc.id if isinstance(exc, ast.Name) else None
-            if name not in CONTRACT | {"CliError"}:
+            if name not in CONTRACT:
                 stray.append(f"{path.name}:{node.lineno}")
     assert stray == []
 

@@ -200,6 +200,27 @@ class TestBuildBasis:
         with pytest.raises(InvalidParameterError, match="^order 2 not implemented$"):
             build_basis(InnerProductSpec(Weight.UNIT, 0.125, 2), 4)
 
+    @pytest.mark.parametrize(
+        "lam, order, degree, message",
+        [
+            (True, 1, 3, "^lam must be a real number, got True$"),
+            ("0.5", 1, 3, "^lam must be a real number, got '0.5'$"),
+            (0.125, True, 3, "^order must be an integer, got True$"),
+            (0.125, 1.9, 3, "^order must be an integer, got 1.9$"),
+            (0.125, 1, 3.9, "^degree must be an integer, got 3.9$"),
+            (0.125, 1, False, "^degree must be an integer, got False$"),
+        ],
+        ids=["bool-lam", "string-lam", "bool-order", "fractional-order", "fractional-degree",
+             "bool-degree"],
+    )
+    def test_types_are_checked_not_coerced(self, lam, order, degree, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            build_basis(InnerProductSpec(Weight.UNIT, lam, order), degree)
+
+    def test_numpy_integers_accepted(self):
+        b = build_basis(InnerProductSpec(Weight.UNIT, np.float64(0.125), np.int64(1)), np.int64(3))
+        assert b.basis_id == build_named_basis("legendre-sobolev", 3).basis_id
+
     def test_basis_id_distinguishes_kinds(self):
         ids = {
             build_named_basis(kind, 4).basis_id
@@ -330,6 +351,17 @@ class TestSynthesize:
             synthesize(np.zeros(5), b)
 
 
+def identity_document(degree: int) -> dict:
+    """A chebyshev basis document of any degree: identity expansion, textbook norms."""
+    n = degree + 1
+    return {
+        "spec": {"weight": "inverse_sqrt", "lambda": 0.0, "order": 0},
+        "degree": degree,
+        "expansion": np.eye(n).ravel().tolist(),
+        "sq_norms": [math.pi] + [math.pi / 2] * degree,
+    }
+
+
 class TestBasisJson:
     def test_round_trip(self):
         b = build_basis(CS, 6)
@@ -353,23 +385,54 @@ class TestBasisJson:
         np.testing.assert_allclose(doc["expansion"], golden["expansion"], atol=1e-15, rtol=0)
         np.testing.assert_allclose(doc["sq_norms"], golden["sq_norms"], rtol=1e-15)
 
+    def test_loaded_basis_is_the_built_one(self, tmp_path):
+        from pathlib import Path
+
+        built = build_basis(CS, 5)
+        golden = load_basis(Path(__file__).parent / "data" / "golden_chebyshev_sobolev_d5.json")
+        # a document within the tolerance loads as the rebuilt basis, not as its own arrays
+        doc = basis_to_json_dict(built)
+        doc["expansion"] = [x * (1 + 1e-14) for x in doc["expansion"]]
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for loaded in (golden, load_basis(path)):
+            assert loaded.spec == built.spec and loaded.degree == built.degree
+            assert np.array_equal(loaded.expansion, built.expansion)
+            assert np.array_equal(loaded.sq_norms, built.sq_norms)
+
     @pytest.mark.parametrize(
         "edit, error, message",
         [
             (lambda d: d.pop("spec"), InvalidDataError, "lacks 'spec'"),
             (lambda d: d["expansion"].pop(), InvalidDataError, "cannot reshape"),
             (lambda d: d["spec"].update(weight="cosh"), InvalidDataError, "'cosh'"),
-            (lambda d: d.update(degree=float("inf")), InvalidDataError, "infinity"),
+            (lambda d: d.update(degree=float("inf")), InvalidDataError,
+             "^malformed basis document: degree must be an integer, got inf$"),
             (lambda d: d.update(sq_norms="abc"), InvalidDataError, "malformed"),
-            (lambda d: d["sq_norms"].__setitem__(0, -1.0), InvalidDataError, "positive"),
+            (lambda d: d["sq_norms"].__setitem__(0, -1.0), InvalidDataError,
+             r"^malformed basis document: sq_norms is not that of chebyshev-sobolev\(lam=0.125,"),
             (lambda d: d.update(degree=-1, expansion=[], sq_norms=[]), InvalidDataError,
-             "shapes"),
+             "^malformed basis document: degree must be non-negative$"),
             (lambda d: d["spec"].update(order=2), InvalidDataError,
              "^malformed basis document: order 2 not implemented$"),
             (None, ParseError, "line 3: malformed JSON"),
+            (lambda d: d["spec"].update({"lambda": 0.5}), InvalidDataError,
+             r"^malformed basis document: expansion is not that of chebyshev-sobolev\(lam=0.5,"),
+            (lambda d: d["spec"].update(order=True), InvalidDataError,
+             "^malformed basis document: order must be an integer, got True$"),
+            (lambda d: d["spec"].update(order=1.9), InvalidDataError,
+             "^malformed basis document: order must be an integer, got 1.9$"),
+            (lambda d: d.update(degree=3.9), InvalidDataError,
+             "^malformed basis document: degree must be an integer, got 3.9$"),
+            (lambda d: d["spec"].update({"lambda": True}), InvalidDataError,
+             "^malformed basis document: lam must be a real number, got True$"),
+            (lambda d: d.update(identity_document(150)), InvalidDataError,
+             "^malformed basis document: degree 150 exceeds the verified limit 100$"),
         ],
         ids=["no-spec", "short-expansion", "unknown-weight", "infinite-degree",
-             "string-norms", "negative-norm", "negative-degree", "order-2", "bad-json"],
+             "string-norms", "negative-norm", "negative-degree", "order-2", "bad-json",
+             "edited-lambda", "bool-order", "fractional-order", "fractional-degree",
+             "bool-lambda", "identity-degree-150"],
     )
     def test_malformed_file_raises_typed_error(self, tmp_path, edit, error, message):
         doc = basis_to_json_dict(build_basis(CS, 3))

@@ -135,6 +135,15 @@ class TestRepresentationError:
             e15 = representation_error(trace, n, to_coeffs(n, b15), b15)
             assert e15 <= e3
 
+    def test_repeated_point(self):
+        basis = build_named_basis("chebyshev", 3)
+        errors = []
+        for points in ([(0, 0), (1, 0), (1, 0), (2, 1)], [(0, 0), (1, 0), (2, 1)]):
+            trace = InkTrace(points)
+            n = arc_length_normalize(trace)
+            errors.append(representation_error(trace, n, to_coeffs(n, basis), basis))
+        assert errors[0] == errors[1]
+
     def test_length_mismatch(self):
         trace = InkTrace([(0, 0), (1, 0), (2, 0)])
         n = arc_length_normalize(trace)

@@ -309,8 +309,9 @@ class TestDataDirResolution:
         ("knn-eval", ["--basis", "legendre"]),
         ("error-sweep", ["--degree", "5"]),
         ("build-basis", ["--spline", "cubic"]),
+        ("knn-eval", ["--format", "inkml"]),
     ],
-    ids=["knn-eval-basis", "error-sweep-degree", "build-basis-spline"],
+    ids=["knn-eval-basis", "error-sweep-degree", "build-basis-spline", "knn-eval-format"],
 )
 def test_option_the_command_does_not_read_exits_2(tmp_path, capsys, command, option):
     data = tmp_path / "digits.txt"

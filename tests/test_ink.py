@@ -59,6 +59,10 @@ class TestParsePendigits:
         (trace,) = parse_pendigits(line)
         assert len(trace.points) == 7
 
+    def test_one_distinct_point_reports_its_line(self):
+        with pytest.raises(ParseError, match="^line 2: trace has fewer than two distinct points$"):
+            parse_pendigits(PENDIGITS_LINE + "\n" + "5,5, " * 8 + "1")
+
     def test_accepts_line_iterable(self):
         traces = parse_pendigits([PENDIGITS_LINE, "", PENDIGITS_LINE])
         assert len(traces) == 2
@@ -73,6 +77,25 @@ class TestInkTrace:
     def test_non_finite_inkml_rejected(self):
         with pytest.raises(InvalidDataError):
             parse_inkml("<ink><trace>0 0, nan 1, 2 2</trace></ink>")
+
+    def test_consecutive_repeats_dropped(self):
+        trace = InkTrace([(0, 0), (0, 0), (3, 4)])
+        np.testing.assert_array_equal(trace.points, [[0, 0], [3, 4]])
+
+    @pytest.mark.parametrize("points", [[(1, 2)], [(1, 2), (1, 2)], np.empty((0, 2))])
+    def test_fewer_than_two_distinct_points_rejected(self, points):
+        with pytest.raises(InvalidDataError, match="^trace has fewer than two distinct points$"):
+            InkTrace(points)
+
+    def test_one_point_inkml_trace_rejected(self):
+        with pytest.raises(InvalidDataError, match="^trace has fewer than two distinct points$"):
+            parse_inkml("<ink><trace>0 0, 0 0</trace></ink>")
+
+    def test_callers_array_stays_writable(self):
+        pts = np.array([(0.0, 0.0), (1.0, 0.0)])
+        trace = InkTrace(pts)
+        pts[0, 0] = 5.0
+        assert trace.points[0, 0] == 0.0
 
 
 class TestParseInkml:

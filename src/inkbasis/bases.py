@@ -59,8 +59,17 @@ class InnerProductSpec:
     def __post_init__(self):
         if isinstance(self.lam, bool) or not isinstance(self.lam, numbers.Real):
             raise InvalidParameterError(f"lam must be a real number, got {self.lam!r}")
-        object.__setattr__(self, "weight", Weight(self.weight))
-        object.__setattr__(self, "lam", float(self.lam))
+        try:
+            object.__setattr__(self, "weight", Weight(self.weight))
+        except ValueError:
+            raise InvalidParameterError(
+                f"unknown weight {self.weight!r}; expected one of {[w.value for w in Weight]}"
+            ) from None
+        try:
+            object.__setattr__(self, "lam", float(self.lam))
+        except OverflowError:  # an integer past float's range
+            raise InvalidParameterError("lam must be finite and non-negative, got an integer "
+                                        "too large for a float") from None
         object.__setattr__(self, "order", _integer(self.order, "order"))
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise InvalidParameterError(f"lam must be finite and non-negative, got {self.lam}")
@@ -219,8 +228,11 @@ def project(f: PiecewisePoly, basis: OrthoBasis) -> np.ndarray:
     """Expansion coefficients of the best approximation to f in the family.
 
     c[..., i] = <f, S_i> / <S_i, S_i>, one row per function of f: (2, degree + 1)
-    for a curve's x and y.  The inner products with the classical elements come
-    from poly's closed-form segment kernel; each row is one expansion @ vector.
+    for a curve's x and y, and (T, 2, degree + 1) for a bucket of T curves.
+    The inner products with the classical elements come from poly's
+    closed-form segment kernel, which runs once per call for the whole
+    bucket; each row is one expansion @ vector, so a curve's row has the
+    same bits in a bucket as alone.
     """
     spec = basis.spec
     lam = spec.lam if spec.is_sobolev else 0.0

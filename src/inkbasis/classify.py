@@ -13,12 +13,17 @@ _weighted_sq, in the direct difference form
 sum_i h_i ((x_i - u_i)^2 + (y_i - v_i)^2), which is never negative and is
 exactly 0 on duplicates; _row_weights checks the bases once per call.
 Every neighbour list comes from one selection, _nearest, whose order
-equals a stable sort: equal distances keep dataset order.
+equals a stable sort: equal distances keep dataset order.  Every vote comes
+from _votes, which decides all k = 1..kmax of one or many test rows at once
+and equals the label-by-label reference _vote in tests/oracles.py.
+
+accuracy_sweep, the corpus path, normalizes the traces in buckets of equal
+shape once and projects each bucket per kind, a block of curves per
+project call; the rows are scattered back into input order.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +31,8 @@ import numpy as np
 from .bases import DEFAULT_LAMBDA, OrthoBasis, build_named_basis
 from .errors import BasisMismatchError, InvalidDataError, InvalidParameterError
 from .ink import (
-    CoeffTable, InkTrace, NormalizedTrace, SplineKind, SymbolCoeffs, arc_length_normalize,
-    reconstruct, to_coeffs,
+    CoeffTable, InkTrace, NormalizedTrace, SplineKind, SymbolCoeffs, _normalized_buckets,
+    _project_buckets, _symbol, reconstruct,
 )
 
 DEFAULT_SPLIT_SEED = 0
@@ -162,17 +167,26 @@ def match_symbol(
     return best, float(dist[best])
 
 
-def _vote(labels: list[str], dists: np.ndarray) -> str:
-    counts = Counter(labels)
-    top = max(counts.values())
-    candidates = [lab for lab, n in counts.items() if n == top]
-    if len(candidates) == 1:
-        return candidates[0]
-    summed = {lab: 0.0 for lab in candidates}
-    for lab, d in zip(labels, dists):
-        if lab in summed:
-            summed[lab] += d
-    return min(candidates, key=lambda lab: (summed[lab], lab))
+_NO_CODE = np.iinfo(np.int64).max  # above every label code
+
+
+def _votes(codes: np.ndarray, dists: np.ndarray) -> np.ndarray:
+    """Winning label code among the first k neighbours, for every k = 1..kmax.
+
+    codes (..., kmax) number the neighbours' labels in sorted label order
+    and dists (..., kmax) are their distances, nearest first; the result is
+    (..., kmax).  The rule is the reference _vote's (tests/oracles.py): the
+    most frequent label wins; a tie goes to the smaller summed distance, then
+    the smaller label.  Slot i stands for neighbour i's label, so the tables
+    are kmax wide whatever the number of labels, and cumsum adds each label's
+    distances in neighbour order, as _vote does, with exact zeros between.
+    """
+    same = codes[..., :, None] == codes[..., None, :]  # [j, i]: neighbour j has slot i's label
+    counts = same.cumsum(axis=-2)  # [k, i]: how often slot i's label is in the first k + 1
+    sums = np.where(same, dists[..., :, None], 0.0).cumsum(axis=-2)
+    tied = counts == counts.max(axis=-1, keepdims=True)
+    best = np.where(tied, sums, np.inf).min(axis=-1, keepdims=True)
+    return np.where(tied & (sums == best), codes[..., None, :], _NO_CODE).min(axis=-1)
 
 
 def knn_classify(
@@ -188,13 +202,20 @@ def knn_classify(
         raise InvalidParameterError(f"k must be in [1, {len(items)}]")
     dist = _sq_distances(train.table, query, basis)
     order = _nearest(dist, k)
-    return _vote([items[i].label for i in order], dist[order])
+    neighbours = [items[i].label for i in order]
+    labels = sorted(set(neighbours))
+    codes = np.array([labels.index(label) for label in neighbours])
+    return labels[_votes(codes, dist[order])[-1]]
 
 
 def knn_accuracy(
     dataset: LabeledDataset, basis: OrthoBasis, ks: list[int]
 ) -> dict[int, float]:
-    """Test-set accuracy of kNN for each k, under the dataset's own split."""
+    """Test-set accuracy of kNN for each k, under the dataset's own split.
+
+    Each test row's kmax nearest training items are found once, and all
+    rows vote for every k at once.
+    """
     train_idx, test_idx = dataset.split_indices()
     if len(train_idx) == 0:
         raise InvalidDataError("split left no training items")
@@ -208,18 +229,19 @@ def knn_accuracy(
     xy = dataset.table.xy
     train_xy = xy[train_idx]
     train_labels = [items[i].label for i in train_idx]
+    code_of = {label: code for code, label in enumerate(sorted(set(train_labels)))}
+    train_codes = np.array([code_of[label] for label in train_labels])
+    test_codes = np.array([code_of.get(items[i].label, -1) for i in test_idx])
 
-    correct = {k: 0 for k in ks}
-    for ti in test_idx:
+    near = np.empty((len(test_idx), kmax), dtype=int)
+    near_dists = np.empty((len(test_idx), kmax))
+    for row, ti in enumerate(test_idx):
         dist = _weighted_sq(train_xy, xy[ti], w)
-        order = _nearest(dist, kmax)
-        neigh_labels = [train_labels[j] for j in order]
-        neigh_dists = dist[order]
-        for k in ks:
-            if _vote(neigh_labels[:k], neigh_dists[:k]) == items[ti].label:
-                correct[k] += 1
+        near[row] = _nearest(dist, kmax)
+        near_dists[row] = dist[near[row]]
+    hits = np.sum(_votes(train_codes[near], near_dists) == test_codes[:, None], axis=0)
     n_test = max(1, len(test_idx))
-    return {k: correct[k] / n_test for k in ks}
+    return {k: int(hits[k - 1]) / n_test for k in ks}
 
 
 def accuracy_sweep(
@@ -234,19 +256,24 @@ def accuracy_sweep(
 ) -> list[dict]:
     """Accuracy and error rate per (basis kind, k) on labeled traces.
 
-    Each trace is normalized once; each basis kind gets its own coefficient
-    dataset projected from those curves, and all kinds share the same
-    deterministic train/test split, so rows are comparable.  Returns rows of
-    {"basis", "k", "accuracy", "error_rate"} in sweep order.
+    Each trace is normalized once, in buckets of equal shape; each basis
+    kind gets its own coefficient dataset projected from those curves, and
+    all kinds share the same deterministic train/test split, so rows are
+    comparable.  A trace that fails raises what it raises alone, the first
+    in input order.  Returns rows of {"basis", "k", "accuracy",
+    "error_rate"} in sweep order.
     """
     if not traces:
         raise InvalidDataError("no traces supplied")
     ks = list(k_range)
-    normalized = [arc_length_normalize(t, spline) for t in traces]
+    buckets, lengths = _normalized_buckets(traces, spline)
+    labels = [t.label for t in traces]
     rows = []
     for kind in basis_kinds:
         basis = build_named_basis(kind, degree, lam)
-        items = tuple(to_coeffs(n, basis, label=t.label) for t, n in zip(traces, normalized))
+        coeffs, basis_id = _project_buckets(buckets, basis, len(traces)), basis.basis_id
+        items = tuple(_symbol(row, basis_id, label, float(length))
+                      for row, label, length in zip(coeffs, labels, lengths))
         dataset = LabeledDataset(items, split_seed=split_seed, split_ratio=split_ratio)
         acc = knn_accuracy(dataset, basis, ks)
         for k in ks:

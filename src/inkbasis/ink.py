@@ -45,7 +45,10 @@ class InkTrace:
     label: str | None = None
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        try:
+            pts = np.asarray(self.points, dtype=float)
+        except (OverflowError, TypeError, ValueError):  # ragged, non-numeric or too large
+            raise InvalidDataError("trace points must be (x, y) pairs of real numbers") from None
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise InvalidDataError("a trace needs at least two (x, y) points")
         if not np.all(np.isfinite(pts)):
@@ -103,6 +106,8 @@ class SymbolCoeffs:
         ys = np.array(self.ys, dtype=float)
         if xs.shape != ys.shape or xs.ndim != 1:
             raise InvalidDataError("xs and ys must be 1-D arrays of equal length")
+        if self.label is not None and not isinstance(self.label, str):  # votes sort labels
+            raise InvalidDataError(f"label must be a string, got {self.label!r}")
         xs.setflags(write=False)
         ys.setflags(write=False)
         object.__setattr__(self, "xs", xs)
@@ -323,16 +328,6 @@ def _natural_cubic(t: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.stack([values[:-1], s[:-1], (slope - s[:-1]) / dx - cubic, cubic / dx], axis=-1)
 
 
-def _fit(knots: np.ndarray, values: np.ndarray, cubic: bool) -> PiecewisePoly:
-    """The spline through the rows of values, local coefficients (nseg, ncol, width)."""
-    if cubic:
-        local = _natural_cubic(knots, values)
-    else:
-        slopes = np.diff(values, axis=0) / np.diff(knots)[:, None]
-        local = np.stack([values[:-1], slopes], axis=-1)
-    return PiecewisePoly(knots, local)
-
-
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
@@ -357,6 +352,64 @@ def _cubic_arc_lengths(t: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return half * (np.hypot(v[..., 0], v[..., 1]) @ _GL8_WEIGHTS)
 
 
+def _spline_kind(spline) -> SplineKind:
+    try:
+        return SplineKind(spline)
+    except ValueError:
+        raise InvalidParameterError(
+            f"unknown spline {spline!r}; expected one of {[k.value for k in SplineKind]}"
+        ) from None
+
+
+# why a curve's arc-length knots fail, by the code _knots gives it (0: they do not)
+_KNOT_FAILURES = (
+    None,
+    "arc length is not finite: coordinates too large",
+    "zero total arc length",
+    "arc-length parameters collapse in float precision",
+)
+
+
+def _knots(seg_lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Knots on [-1, 1], total lengths and failure codes of (T, nseg) segment lengths.
+
+    Each row's cumulative arc length maps affinely onto [-1, 1]; the code
+    indexes _KNOT_FAILURES.
+    """
+    total = seg_lengths.sum(axis=-1)
+    cumulative = np.zeros(seg_lengths.shape[:-1] + (seg_lengths.shape[-1] + 1,))
+    seg_lengths.cumsum(axis=-1, out=cumulative[..., 1:])
+    knots = 2.0 * (cumulative / total[..., None]) - 1.0
+    knots[..., 0], knots[..., -1] = -1.0, 1.0
+    rising = (knots[..., 1:] > knots[..., :-1]).all(axis=-1)
+    failure = np.where(np.isfinite(total), np.where(total > 0.0, 3 * ~rising, 2), 1)
+    return knots, total, failure
+
+
+def _raise_first_failure(failure: np.ndarray) -> None:
+    """Raise the error of the first failing curve, if any."""
+    if failure.any():
+        raise InvalidDataError(_KNOT_FAILURES[failure[failure.nonzero()[0][0]]])
+
+
+def _normalize_linear(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Linear arc-length normalization of a bucket of traces, (T, n, 2) points.
+
+    Returns knots (T, n), local coefficients (T, n - 1, 2, 2), total lengths
+    (T,) and the _knots failure codes (T,); the curves of failing traces hold
+    meaningless numbers.
+    """
+    # overflow shows as a non-finite total and is reported by its failure code
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        step = points[:, 1:] - points[:, :-1]
+        knots, total, failure = _knots(np.hypot(step[..., 0], step[..., 1]))
+        values = points * (2.0 / total)[:, None, None]
+        local = np.empty(step.shape + (2,))
+        local[..., 0] = values[:, :-1]
+        local[..., 1] = (values[:, 1:] - values[:, :-1]) / (knots[:, 1:] - knots[:, :-1])[..., None]
+    return knots, local, total, failure
+
+
 def arc_length_normalize(
     trace: InkTrace, spline: SplineKind = SplineKind.LINEAR
 ) -> NormalizedTrace:
@@ -366,32 +419,91 @@ def arc_length_normalize(
     arc length along the interpolating spline maps affinely onto [-1, 1],
     and coordinates are rescaled by 2/L, so the result is a (piecewise)
     unit-speed curve of total length 2 regardless of the input's position,
-    size, or sampling density.
+    size, or sampling density.  A linear spline is a bucket of one for the
+    corpus path's bucket normalizer.
     """
-    spline = SplineKind(spline)
     pts = trace.points
+    # a natural cubic through two points is the chord
+    if _spline_kind(spline) is SplineKind.LINEAR or len(pts) == 2:
+        knots, local, total, failure = _normalize_linear(pts[None])
+        _raise_first_failure(failure)
+        return NormalizedTrace(PiecewisePoly(knots[0], local[0]), float(total[0]))
     # overflow shows as a non-finite total (or fit) and raises a typed error
     with np.errstate(over="ignore", invalid="ignore"):
-        chord = np.hypot(*np.diff(pts, axis=0).T)
-        # a natural cubic through two points is the chord
-        cubic = spline is SplineKind.CUBIC and len(pts) > 2
-        if cubic:
-            t = np.concatenate([[0.0], np.cumsum(chord)])
-            seg_lengths = _cubic_arc_lengths(t, pts)
-        else:
-            seg_lengths = chord
-        total = float(np.sum(seg_lengths))
-    if not np.isfinite(total):
-        raise InvalidDataError("arc length is not finite: coordinates too large")
-    if total <= 0.0:
-        raise InvalidDataError("zero total arc length")
-    cumulative = np.concatenate([[0.0], np.cumsum(seg_lengths)])
-    knots = 2.0 * (cumulative / total) - 1.0
-    knots[0], knots[-1] = -1.0, 1.0
-    if not np.all(np.diff(knots) > 0):
-        raise InvalidDataError("arc-length parameters collapse in float precision")
+        t = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(pts, axis=0).T))])
+        knots, total, failure = _knots(_cubic_arc_lengths(t, pts)[None])
+    _raise_first_failure(failure)
+    total = float(total[0])
+    local = _natural_cubic(knots[0], pts * (2.0 / total))
+    return NormalizedTrace(PiecewisePoly(knots[0], local), total)
 
-    return NormalizedTrace(_fit(knots, pts * (2.0 / total), cubic), total)
+
+# byte budget of the (block, m, rows, nseg) table that projecting a block of curves builds
+_BLOCK_BYTES = 1 << 17
+
+
+def _block_size(curve_shape: tuple, degree: int) -> int:
+    """Curves of local shape (nseg, m, width) per project call.
+
+    As many as keep the projection table within _BLOCK_BYTES, and at least one.
+    """
+    nseg, m, width = curve_shape
+    return max(1, _BLOCK_BYTES // (8 * m * (degree + width) * nseg))
+
+
+def _normalized_buckets(
+    traces: Sequence[InkTrace], spline: SplineKind
+) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], np.ndarray]:
+    """The traces' normalized curves in buckets of equal shape, and their lengths.
+
+    Each bucket is (indices into traces, knots (T, n), local (T, n - 1, 2,
+    width)).  Linear curves are normalized a bucket of equal point counts at
+    a time; cubic ones trace by trace, then stacked by shape.  The first
+    failing trace in input order raises the error it raises alone.
+    """
+    lengths = np.empty(len(traces))
+    buckets = []
+    if _spline_kind(spline) is SplineKind.LINEAR:
+        failure = np.zeros(len(traces), dtype=int)
+        for idx in _groups(len(t.points) for t in traces):
+            knots, local, lengths[idx], failure[idx] = _normalize_linear(
+                np.stack([traces[i].points for i in idx])
+            )
+            buckets.append((idx, knots, local))
+        _raise_first_failure(failure)
+        return buckets, lengths
+    curves = [arc_length_normalize(t, spline) for t in traces]
+    lengths[:] = [n.total_length for n in curves]
+    for idx in _groups(n.curve.local.shape for n in curves):
+        buckets.append((idx, np.stack([curves[i].knots for i in idx]),
+                        np.stack([curves[i].curve.local for i in idx])))
+    return buckets, lengths
+
+
+def _groups(keys: Iterable) -> list[np.ndarray]:
+    """The indices of equal keys, one array per distinct key."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return [np.array(idx) for idx in groups.values()]
+
+
+def _project_buckets(
+    buckets: list[tuple[np.ndarray, np.ndarray, np.ndarray]], basis: OrthoBasis, count: int
+) -> np.ndarray:
+    """(count, 2, degree + 1): the buckets' curves projected, in input order.
+
+    Each project call takes one block of a bucket's curves.
+    """
+    if basis.degree < 1:
+        raise InvalidParameterError("basis degree must be at least 1")
+    out = np.empty((count, 2, basis.degree + 1))
+    for idx, knots, local in buckets:
+        block = _block_size(local.shape[1:], basis.degree)
+        for start in range(0, len(idx), block):
+            part = slice(start, start + block)
+            out[idx[part]] = project(PiecewisePoly(knots[part], local[part]), basis)
+    return out
 
 
 def to_coeffs(
@@ -405,16 +517,14 @@ def to_coeffs(
     """
     if basis.degree < 1:
         raise InvalidParameterError("basis degree must be at least 1")
-    cx, cy = project(normalized.curve, basis)
-    return SymbolCoeffs(
-        basis_id=basis.basis_id,
-        xs=cx[1:],
-        ys=cy[1:],
-        label=label,
-        x0=float(cx[0]),
-        y0=float(cy[0]),
-        length=normalized.total_length,
-    )
+    return _symbol(project(normalized.curve, basis), basis.basis_id, label,
+                   normalized.total_length)
+
+
+def _symbol(row: np.ndarray, basis_id: str, label: str | None, length: float) -> SymbolCoeffs:
+    """The SymbolCoeffs of a projected curve's (2, d + 1) row; the constant terms become x0, y0."""
+    return SymbolCoeffs(basis_id, row[0, 1:], row[1, 1:], label, float(row[0, 0]),
+                        float(row[1, 0]), length)
 
 
 def symbol_coeffs(

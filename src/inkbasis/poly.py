@@ -4,12 +4,16 @@ Dense polynomials carry their coefficients in one of two classical bases,
 Legendre or Chebyshev of the first kind.  Piecewise polynomials are arrays:
 strictly increasing breakpoints s_j and, per interval, the coefficients of
 a cubic (or lower) in the local offset s - s_j, for one or more functions.
+A bucket of curves with equal segment counts adds a leading axis to both.
 
 Weighted integrals of a piecewise polynomial against the classical elements
 are basis-native closed forms: the family's three-term multiply-by-s
 recurrence and the closed-form antiderivative of each weighted element,
-summed segment by segment.  Nothing in this module calls a numerical
-quadrature routine.
+summed segment by segment.  One kernel serves one curve and a bucket: it
+broadcasts over the bucket axis, sums each curve's segments on their own
+and forms each curve's Legendre forcing by its own matrix product, so a
+curve's integrals have the same bits in a bucket as alone.  Nothing in
+this module calls a numerical quadrature routine.
 """
 
 from __future__ import annotations
@@ -103,6 +107,11 @@ def derivative(p: DensePoly) -> DensePoly:
     return DensePoly(p.basis, _DERIV[p.basis](p.coeffs))
 
 
+def _of_curve(t) -> str:
+    """The message suffix ' in curve t' for bucket index t; '' for a lone curve (t = ())."""
+    return f" in curve {t[0]}" if len(t) else ""
+
+
 @dataclass(frozen=True)
 class PiecewisePoly:
     """Piecewise polynomial of degree at most 3 on strictly increasing breakpoints.
@@ -112,6 +121,10 @@ class PiecewisePoly:
     (nseg, width) array, or (nseg, m, width) for m functions (x and y), width
     1..4.  Local coefficients stay well scaled however short a segment is, so
     continuity and projection keep their accuracy on densely sampled traces.
+
+    A bucket of T curves with equal segment counts takes a leading axis:
+    breakpoints (T, nseg + 1) and local (T, nseg, [m,] width).  It is checked
+    and projected as a whole, and an error names its first bad curve.
     """
 
     breakpoints: np.ndarray
@@ -119,23 +132,34 @@ class PiecewisePoly:
 
     def __post_init__(self):
         bp = np.array(self.breakpoints, dtype=float)
-        if bp.ndim != 1 or len(bp) < 2:
+        if bp.ndim not in (1, 2) or bp.shape[-1] < 2:
             raise InvalidDataError("need at least two breakpoints")
-        if not np.all(np.diff(bp) > 0):
-            raise InvalidDataError("breakpoints must be strictly increasing")
+        lead = bp.shape[:-1]  # () for one curve, (T,) for a bucket
         c = np.array(self.local, dtype=float)
-        if c.ndim not in (2, 3) or not 1 <= c.shape[-1] <= 4:
-            raise InvalidDataError("local coefficients must be an (nseg, [m,] 1..4) array")
-        if len(c) != len(bp) - 1:
+        if c.ndim - bp.ndim not in (1, 2) or not 1 <= c.shape[-1] <= 4:
+            raise InvalidDataError("local coefficients must be an ([T,] nseg, [m,] 1..4) array")
+        if c.shape[: bp.ndim] != (*lead, bp.shape[-1] - 1):
             raise InvalidDataError("segment count must be breakpoint count - 1")
-        # continuity at interior breakpoints, 1e-12 relative
-        h = np.diff(bp[:-1])
-        left = np.einsum("j...u,ju->j...", c[:-1], np.vander(h, c.shape[-1], increasing=True))
-        right = c[1:, ..., 0]
+        rising = np.diff(bp) > 0
+        if not rising.all():
+            t = np.argwhere(~rising)[0][:-1]
+            raise InvalidDataError(f"breakpoints must be strictly increasing{_of_curve(t)}")
+        # continuity at interior breakpoints, 1e-12 relative: each segment's
+        # end value, with powers of its width h as np.vander builds them
+        width = c.shape[-1]
+        h = np.diff(bp[..., :-1])
+        powers = np.ones(h.shape + (width,))
+        powers[..., 1:] = h[..., None]
+        np.multiply.accumulate(powers, axis=-1, out=powers)
+        powers = powers.reshape(h.shape + (1,) * (c.ndim - bp.ndim - 1) + (width,))
+        per_curve = (slice(None),) * len(lead)
+        left = np.einsum("...u,...u->...", c[(*per_curve, np.s_[:-1])], powers)
+        right = c[(*per_curve, np.s_[1:])][..., 0]
         scale = np.maximum(np.maximum(np.abs(left), np.abs(right)), 1.0)
         bad = np.abs(left - right) > 1e-12 * scale
         if bad.any():
-            raise InvalidDataError(f"discontinuity at breakpoint {bp[1 + np.nonzero(bad)[0][0]]}")
+            *t, j = np.argwhere(bad)[0][: bp.ndim]
+            raise InvalidDataError(f"discontinuity at breakpoint {bp[(*t, 1 + j)]}{_of_curve(t)}")
         bp.setflags(write=False)
         c.setflags(write=False)
         object.__setattr__(self, "breakpoints", bp)
@@ -143,12 +167,14 @@ class PiecewisePoly:
 
     @property
     def segments(self) -> np.ndarray:
-        """The local coefficients, one row per segment."""
-        return self.local
+        """The local coefficients, one row per segment: T * nseg rows for a bucket."""
+        return self.local.reshape((-1,) + self.local.shape[self.breakpoints.ndim:])
 
     def __call__(self, s):
-        xs = np.asarray(s, dtype=float)
         bp = self.breakpoints
+        if bp.ndim != 1:
+            raise InvalidParameterError("a bucket of curves is evaluated curve by curve")
+        xs = np.asarray(s, dtype=float)
         j = np.clip(np.searchsorted(bp, xs, side="right") - 1, 0, len(self.local) - 1)
         t = (xs - bp[j]).reshape(xs.shape + (1,) * (self.local.ndim - 2))
         c = self.local[j]
@@ -205,14 +231,15 @@ _TINY = np.finfo(float).tiny
 
 
 def _antiderivative_steps(basis: BasisKind, rows: int, s: np.ndarray) -> np.ndarray:
-    """[A_m] from s[j] to s[j+1] for m < rows: the integrals of B_m w per segment.
+    """[A_m] from s[..., j] to s[..., j+1] for m < rows: the integrals of B_m w per segment.
 
-    No difference is taken between nearby values of A_m, so each keeps its
-    relative accuracy on short segments, where cubic pieces have large
-    coefficients.
+    s holds the breakpoints of one curve (n,) or of a bucket (T, n); the
+    result is (rows, nseg) or (T, rows, nseg).  No difference is taken
+    between nearby values of A_m, so each keeps its relative accuracy on
+    short segments, where cubic pieces have large coefficients.
     """
-    a, b = s[:-1], s[1:]
-    out = np.empty((rows, len(a)))
+    a, b = s[..., :-1], s[..., 1:]
+    out = np.empty(s.shape[:-1] + (rows, a.shape[-1]))
     theta = np.arccos(s)
     if basis == BasisKind.LEGENDRE:
         # A_m is the integrated Legendre polynomial l_{m+1}, and
@@ -221,46 +248,59 @@ def _antiderivative_steps(basis: BasisKind, rows: int, s: np.ndarray) -> np.ndar
         # written as b d_n + (b - a) l_n(a), where l_n(a) comes from the
         # Chebyshev expansion of A_{n-1}
         h = b - a
-        out[0] = h
-        out[1:2] = 0.5 * h * (a + b)
+        out[..., 0, :] = h
+        out[..., 1:2, :] = (0.5 * h * (a + b))[..., None, :]
         n = np.arange(2, rows)
         alpha, beta = (2 * n - 1) / (n + 1), (n - 2) / (n + 1)
-        cheb_a = np.cos(np.arange(rows)[:, None] * theta[:-1])
-        scaled_b = alpha[:, None] * b
-        forcing = alpha[:, None] * h * (_legendre_antiderivatives(rows - 1)[1:] @ cheb_a)
+        cheb_a = np.cos(np.arange(rows)[:, None] * theta[..., None, :-1])
+        scaled_b = alpha[:, None] * b[..., None, :]
+        # one (rows - 2, rows) x (rows, nseg) product per curve, stacked over
+        # a bucket: a wider product would round some columns differently
+        forcing = alpha[:, None] * h[..., None, :] * (
+            _legendre_antiderivatives(rows - 1)[1:] @ cheb_a
+        )
+        # row views, so the recurrence indexes rows as fast for a bucket as for one curve
+        o, sb, f = (x.swapaxes(0, -2) for x in (out, scaled_b, forcing))
         for i in range(rows - 2):
-            out[i + 2] = scaled_b[i] * out[i + 1] + forcing[i] - beta[i] * out[i]
+            o[i + 2] = sb[i] * o[i + 1] + f[i] - beta[i] * o[i]
         return out
     # Chebyshev: with mid the segment's midpoint in theta and half its
     # half-width, [-sin(m theta) / m] = (2 / m) cos(m mid) sin(m half)
     r = np.sin(theta)
-    sum_s, sum_r = a + b, r[:-1] + r[1:]
+    sum_s, sum_r = a + b, r[..., :-1] + r[..., 1:]
     # half the angle between the unit vectors (a, r_a) and (b, r_b), from
     # their chord and their sum; r_b - r_a = (a - b)(a + b) / (r_a + r_b)
     # has no cancellation
     chord = (b - a) * np.hypot(1.0, sum_s / np.maximum(sum_r, _TINY))
-    half = np.arctan2(chord, np.hypot(sum_s, sum_r))
-    mid = 0.5 * (theta[:-1] + theta[1:])
+    half = np.arctan2(chord, np.hypot(sum_s, sum_r))[..., None, :]
+    mid = 0.5 * (theta[..., :-1] + theta[..., 1:])
     # m * mid_hi is exact, so the argument of cos carries no rounding that grows with m
     mid_hi = np.round(mid * 2.0**40) / 2.0**40
     m = np.arange(1, rows)[:, None]
-    m_mid_hi = m * mid_hi
-    cos_m_mid = np.cos(m_mid_hi) - np.sin(m_mid_hi) * (m * (mid - mid_hi))
-    out[0] = 2.0 * half
-    out[1:] = cos_m_mid * np.sin(m * half) * (2.0 / m)
+    m_mid_hi = m * mid_hi[..., None, :]
+    cos_m_mid = np.cos(m_mid_hi) - np.sin(m_mid_hi) * (m * (mid - mid_hi)[..., None, :])
+    out[..., 0, :] = 2.0 * half[..., 0, :]
+    out[..., 1:, :] = cos_m_mid * np.sin(m * half) * (2.0 / m)
     return out
 
 
 def _horner(c: np.ndarray, a: np.ndarray, steps: np.ndarray, up, lo) -> np.ndarray:
-    """Rows of c(X - a) applied to steps, per segment; drops width - 1 rows."""
-    # ([m,] width, nseg): segments on a contiguous last axis, which .sum adds pairwise
-    c = np.ascontiguousarray(np.moveaxis(c, 0, -1))
+    """Rows of c(X - a) applied to steps, per segment; drops width - 1 rows.
+
+    c is ([T,] nseg, [m,] width), a the segments' left ends ([T,] nseg) and
+    steps ([T,] rows, nseg); the result is ([T,] [m,] rows - width + 1, nseg).
+    """
+    # ([T,] [m,] width, nseg): segments on a contiguous last axis, which .sum adds pairwise
+    c = np.ascontiguousarray(np.moveaxis(c, a.ndim - 1, -1))
+    per_function = a.shape[:-1] + (1,) * (c.ndim - a.ndim - 1)
+    a = a.reshape(per_function + (1, a.shape[-1]))
+    steps = steps.reshape(per_function + steps.shape[-2:])
     r = c[..., -1, None, :] * steps
     for u in range(c.shape[-2] - 2, -1, -1):
         n = r.shape[-2] - 1
         x = up[:n, None] * r[..., 1:, :] - a * r[..., :-1, :]
         x[..., 1:, :] += lo[1:n, None] * r[..., :-2, :]
-        r = x + c[..., u, None, :] * steps[:n]
+        r = x + c[..., u, None, :] * steps[..., :n, :]
     return r
 
 
@@ -280,19 +320,22 @@ def piecewise_classical_inners(
     c(s - a) against B_k is row k of c(X - a) applied to the vector [A_m]_a^b,
     evaluated by Horner.  The derivative term contracts f' the same way and
     applies the legder/chebder matrix; both terms share one table of [A_m].
-    For m functions on the breakpoints, (nseg, m, width), out is (m, degree + 1).
+    For m functions on the breakpoints, (nseg, m, width), out is (m, degree + 1);
+    a bucket of T curves adds a leading axis, (T, m, degree + 1), and each
+    curve's segments are summed on their own, so every row has the bits of
+    its curve projected alone.
     """
     bp, c = f.breakpoints, f.local
-    if bp[0] < -1.0 or bp[-1] > 1.0:
+    if bp[..., 0].min() < -1.0 or bp[..., -1].max() > 1.0:
         raise InvalidDataError("breakpoints must lie within [-1, 1]")
     width = c.shape[-1]
     steps = _antiderivative_steps(basis, degree + width, bp)
     up, lo = _three_term(basis, degree + width)
-    a = bp[:-1]
+    a = bp[..., :-1]
     out = _horner(c, a, steps, up, lo).sum(axis=-1)
     if lam and degree >= 1 and width >= 2:
         dc = c[..., 1:] * np.arange(1, width)
-        inner_d = _horner(dc, a, steps[: degree + width - 2], up, lo).sum(axis=-1)
+        inner_d = _horner(dc, a, steps[..., : degree + width - 2, :], up, lo).sum(axis=-1)
         # one matrix-vector product per function keeps the bits of a lone function
         out += lam * (_derivative_matrix(basis, degree) @ inner_d[..., None])[..., 0]
     return out

@@ -7,7 +7,7 @@ orthogonal families are rebuilt by Gram-Schmidt over monomial seeds with
 quadrature inner products (and, to high degree, by modified Gram-Schmidt
 with closed-form inner products), Chebyshev series are summed naively by the
 forward three-term recurrence, and the point-matching distance is an
-exhaustive dynamic program.
+exhaustive dynamic program, and the kNN vote is counted label by label.
 
 One section keeps the earlier projection route as a second reference:
 closed-form monomial moments contracted with the monomial expansion of
@@ -15,6 +15,7 @@ each basis element.  It is exact in exact arithmetic but loses accuracy
 from about degree 29, so tests use it at low degree only.
 """
 
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -284,6 +285,24 @@ def dp_match_distance_sq(points_a, points_b):
 
 
 # --- monomial-moment projection (reference only) ----------------------------
+
+
+def _vote(labels, dists):
+    """Majority label; a count tie goes to the smaller summed distance, then the smaller label.
+
+    The reference for the vote in inkbasis.classify: each tied label's
+    distances are added in neighbour order, starting from 0.0.
+    """
+    counts = Counter(labels)
+    top = max(counts.values())
+    candidates = [lab for lab, n in counts.items() if n == top]
+    if len(candidates) == 1:
+        return candidates[0]
+    summed = {lab: 0.0 for lab in candidates}
+    for lab, d in zip(labels, dists):
+        if lab in summed:
+            summed[lab] += d
+    return min(candidates, key=lambda lab: (summed[lab], lab))
 
 
 def weighted_moment(k, a, b, weight):

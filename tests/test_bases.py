@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +33,9 @@ from inkbasis import (
     spec_for_kind,
     synthesize,
 )
+from conftest import make_random_trace
+from inkbasis import BASIS_KINDS, arc_length_normalize
+from inkbasis.ink import _block_size
 from oracles import (
     closed_form_sobolev_gram,
     global_segments,
@@ -217,6 +223,14 @@ class TestBuildBasis:
         with pytest.raises(InvalidParameterError, match=message):
             build_basis(InnerProductSpec(Weight.UNIT, lam, order), degree)
 
+    def test_unknown_weight_is_typed(self):
+        with pytest.raises(InvalidParameterError, match="^unknown weight 'cosh'"):
+            InnerProductSpec("cosh", 0.1, 1)
+
+    def test_lam_past_float_range_is_typed(self):
+        with pytest.raises(InvalidParameterError, match="^lam must be finite and non-negative"):
+            InnerProductSpec(Weight.UNIT, 10**400, 1)
+
     def test_numpy_integers_accepted(self):
         b = build_basis(InnerProductSpec(Weight.UNIT, np.float64(0.125), np.int64(1)), np.int64(3))
         assert b.basis_id == build_named_basis("legendre-sobolev", 3).basis_id
@@ -323,6 +337,78 @@ class TestProject:
             ) + inner_closed_form(synthesize(y - v, b), synthesize(y - v, b), CS)
             rhs = float(np.dot((x - u) ** 2 + (y - v) ** 2, b.sq_norms))
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+
+
+def equal_shape_curves(spline: str, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Knots (count, 8) and local coefficients (count, 7, 2, width) of 8-point traces."""
+    rng = np.random.default_rng(11)
+    curves = [arc_length_normalize(make_random_trace(rng, 8, 8), spline).curve
+              for _ in range(count)]
+    return np.stack([c.breakpoints for c in curves]), np.stack([c.local for c in curves])
+
+
+class TestBucket:
+    @pytest.mark.parametrize("degree", [1, 10, 60, 100])
+    @pytest.mark.parametrize("spline", ["linear", "cubic"])
+    def test_bucket_projection_equals_bucket_of_one(self, spline, degree):
+        # bucket sizes around the corpus path's block size, for both weights
+        width = 2 if spline == "linear" else 4
+        block = _block_size((7, 2, width), degree)
+        knots, local = equal_shape_curves(spline, block + 1)
+        for kind in BASIS_KINDS:
+            basis = build_named_basis(kind, degree)
+            alone = np.stack([project(PiecewisePoly(knots[i : i + 1], local[i : i + 1]), basis)[0]
+                              for i in range(block + 1)])
+            assert np.array_equal(alone[0], project(PiecewisePoly(knots[0], local[0]), basis))
+            for size in sorted({1, 2, block - 1, block, block + 1}):
+                got = project(PiecewisePoly(knots[:size], local[:size]), basis)
+                assert got.shape == (size, 2, degree + 1)
+                assert np.array_equal(got, alone[:size]), f"{kind}, {size} curves"
+
+    def test_equality_holds_under_other_blas_kernels(self):
+        # the Legendre forcing product is one BLAS call per curve; other
+        # OpenBLAS kernels must give a bucket the bits of a bucket of one too
+        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
+        test = f"{__file__}::TestBucket::test_bucket_projection_equals_bucket_of_one"
+        cases = [f"{test}[{spline}-{d}]" for spline in ("linear", "cubic") for d in (10, 60, 100)]
+        out = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *cases],
+            env=env, cwd=Path(__file__).parents[1], capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stdout[-2000:]
+
+    def test_segments_are_every_curves_rows(self):
+        knots, local = equal_shape_curves("cubic", 3)
+        bucket = PiecewisePoly(knots, local)
+        assert len(bucket.segments) == 3 * 7
+        np.testing.assert_array_equal(bucket.segments, local.reshape(21, 2, 4))
+
+    def test_first_discontinuous_curve_is_named(self):
+        knots, local = equal_shape_curves("linear", 4)
+        local = local.copy()
+        local[3, 5, 1, 0] += 1.0  # y of curve 3 jumps at its breakpoint 5
+        local[1, 2, 0, 0] += 1.0  # x of curve 1 jumps at its breakpoint 2
+        with pytest.raises(InvalidDataError,
+                           match=rf"^discontinuity at breakpoint {knots[1, 2]} in curve 1$"):
+            PiecewisePoly(knots, local)
+
+    def test_first_non_increasing_curve_is_named(self):
+        knots, local = equal_shape_curves("linear", 3)
+        knots = knots.copy()
+        knots[2, 4] = knots[2, 3]
+        with pytest.raises(InvalidDataError,
+                           match="^breakpoints must be strictly increasing in curve 2$"):
+            PiecewisePoly(knots, local)
+
+    def test_curve_counts_must_agree(self):
+        knots, local = equal_shape_curves("linear", 3)
+        with pytest.raises(InvalidDataError, match="^segment count must be breakpoint count - 1$"):
+            PiecewisePoly(knots[:2], local)
+
+    def test_a_bucket_is_evaluated_curve_by_curve(self):
+        knots, local = equal_shape_curves("linear", 2)
+        with pytest.raises(InvalidParameterError):
+            PiecewisePoly(knots, local)(0.0)
 
 
 class TestSynthesize:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_trace, synthetic_digit_traces
@@ -28,8 +28,8 @@ from inkbasis import (
     to_coeffs,
 )
 from inkbasis import classify
-from inkbasis.classify import _nearest, _sq_distances
-from oracles import dp_match_distance_sq, quad_inner_series
+from inkbasis.classify import _nearest, _sq_distances, _votes
+from oracles import _vote, dp_match_distance_sq, quad_inner_series
 
 CHEB10 = build_named_basis("chebyshev", 10)
 CS10 = build_named_basis("chebyshev-sobolev", 10)
@@ -275,6 +275,33 @@ class TestNearest:
             np.testing.assert_array_equal(
                 _nearest(dist, k), np.argsort(dist, kind="stable")[:k]
             )
+
+
+class TestVotes:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda kmax: st.lists(
+                st.lists(st.tuples(st.sampled_from("abcd"), st.integers(0, 3)),
+                         min_size=kmax, max_size=kmax),
+                min_size=1, max_size=4,
+            )
+        )
+    )
+    # a count tie, then a summed-distance tie at k = 4, so the label decides
+    @example([[("b", 1), ("a", 0), ("a", 2), ("b", 1), ("c", 0)]])
+    def test_every_k_equals_the_reference_vote(self, rows):
+        # neighbours in any order: small integer distances make many ties
+        labels = sorted({lab for row in rows for lab, _ in row})
+        codes = np.array([[labels.index(lab) for lab, _ in row] for row in rows])
+        dists = np.array([[d for _, d in row] for row in rows], dtype=float)
+        won = _votes(codes, dists)
+        assert won.shape == codes.shape
+        for r, row in enumerate(rows):
+            np.testing.assert_array_equal(won[r], _votes(codes[r], dists[r]))
+            for k in range(1, len(row) + 1):
+                neighbours = [lab for lab, _ in row[:k]]
+                assert labels[won[r, k - 1]] == _vote(neighbours, dists[r, :k])
 
 
 class TestKnnClassify:

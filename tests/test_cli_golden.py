@@ -29,6 +29,10 @@ CASES = {
         ["knn-eval", str(PENDIGITS)],
         ["knn_eval.csv", "knn_eval.summary.json"],
     ),
+    "knn_eval_cubic": (
+        ["knn-eval", str(PENDIGITS), "--spline", "cubic"],
+        ["knn_eval_cubic.csv", "knn_eval_cubic.summary.json"],
+    ),
     "error_sweep": (
         ["error-sweep", *map(str, WALKS), "--basis", "chebyshev-sobolev",
          "--d-min", "3", "--d-max", "12"],

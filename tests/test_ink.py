@@ -1,12 +1,13 @@
 """Ingestion, arc-length normalization, and the coefficient pipeline."""
 
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import make_random_trace
-from inkbasis import poly
+from inkbasis import BASIS_KINDS, InvalidParameterError, poly
 from inkbasis import (
     BasisMismatchError,
     CoeffTable,
@@ -19,12 +20,14 @@ from inkbasis import (
     merge_strokes,
     parse_inkml,
     parse_pendigits,
+    project,
     read_coeffs_jsonl,
     reconstruct,
     symbol_coeffs,
     to_coeffs,
     write_coeffs_jsonl,
 )
+from inkbasis.ink import _block_size, _normalize_linear, _normalized_buckets, _project_buckets
 
 PENDIGITS_LINE = "0,100, 0,0, 100,0, 100,100, 0,100, 0,0, 50,50, 100,50, 7"
 
@@ -90,6 +93,14 @@ class TestInkTrace:
     def test_one_point_inkml_trace_rejected(self):
         with pytest.raises(InvalidDataError, match="^trace has fewer than two distinct points$"):
             parse_inkml("<ink><trace>0 0, 0 0</trace></ink>")
+
+    def test_ragged_points_are_typed(self):
+        with pytest.raises(InvalidDataError, match=r"^trace points must be \(x, y\) pairs"):
+            InkTrace([(0, 0), (1,)])
+
+    def test_non_numeric_points_are_typed(self):
+        with pytest.raises(InvalidDataError, match=r"^trace points must be \(x, y\) pairs"):
+            InkTrace([("a", "b"), (1, 2)])
 
     def test_callers_array_stays_writable(self):
         pts = np.array([(0.0, 0.0), (1.0, 0.0)])
@@ -168,6 +179,10 @@ class TestArcLengthNormalize:
         n = arc_length_normalize(InkTrace([(0, 0), (1, 0), (2, 0)]))
         np.testing.assert_allclose(n.knots, [-1, 0, 1], atol=1e-15)
 
+    def test_unknown_spline_is_typed(self):
+        with pytest.raises(InvalidParameterError, match="^unknown spline 'quintic'"):
+            arc_length_normalize(InkTrace([(0, 0), (1, 1)]), "quintic")
+
     def test_degenerate(self):
         with pytest.raises(InvalidDataError, match="^trace has fewer than two distinct points$"):
             arc_length_normalize(InkTrace([(0, 0), (0, 0)]))
@@ -231,6 +246,63 @@ class TestArcLengthNormalize:
         assert n.knots is n.curve.breakpoints
         assert n.curve.local.shape[:2] == (len(trace.points) - 1, 2)
         assert not n.knots.flags.writeable
+
+
+class TestBuckets:
+    @pytest.mark.parametrize("n_points", [2, 8, 300])
+    def test_linear_bucket_equals_bucket_of_one(self, rng, n_points):
+        points = np.stack([make_random_trace(rng, n_points, n_points).points for _ in range(5)])
+        together = _normalize_linear(points)
+        for i in range(len(points)):
+            for got, alone in zip(together, _normalize_linear(points[i : i + 1])):
+                assert np.array_equal(got[i], alone[0])
+
+    @pytest.mark.parametrize("degree", [1, 10, 60, 100])
+    @pytest.mark.parametrize("spline", [SplineKind.LINEAR, SplineKind.CUBIC])
+    def test_corpus_rows_equal_per_trace_coefficients(self, rng, spline, degree):
+        # bucket sizes around the block size, one project call per block
+        width = 2 if spline is SplineKind.LINEAR else 4
+        block = _block_size((7, 2, width), degree)
+        traces = [make_random_trace(rng, 8, 8) for _ in range(block + 1)]
+        [(idx, knots, local)], lengths = _normalized_buckets(traces, spline)  # one shape, one bucket
+        np.testing.assert_array_equal(idx, np.arange(block + 1))
+        for kind in BASIS_KINDS:
+            basis = build_named_basis(kind, degree)
+            alone = [to_coeffs(arc_length_normalize(t, spline), basis) for t in traces]
+            assert np.array_equal(lengths, [c.length for c in alone])
+            want = np.array([[[c.x0, *c.xs], [c.y0, *c.ys]] for c in alone])
+            for size in sorted({1, 2, block - 1, block, block + 1}):
+                rows = _project_buckets([(idx[:size], knots[:size], local[:size])], basis, size)
+                assert np.array_equal(rows, want[:size]), f"{kind}, {size} traces"
+
+    @pytest.mark.parametrize("spline", [SplineKind.LINEAR, SplineKind.CUBIC])
+    def test_mixed_point_counts_come_back_in_input_order(self, rng, spline, monkeypatch):
+        traces = [make_random_trace(rng, 2, 12) for _ in range(40)]
+        basis = build_named_basis("legendre-sobolev", 10)
+        calls = []
+        real = poly.PiecewisePoly.__post_init__
+        monkeypatch.setattr(poly.PiecewisePoly, "__post_init__",
+                            lambda self: calls.append(np.shape(self.breakpoints)) or real(self))
+        buckets, lengths = _normalized_buckets(traces, spline)
+        calls.clear()
+        rows = _project_buckets(buckets, basis, len(traces))
+        counts = Counter(len(t.points) for t in traces)
+        assert sorted(len(idx) for idx, _, _ in buckets) == sorted(counts.values())
+        assert len(calls) == len(buckets) and all(len(shape) == 2 for shape in calls)
+        for t, row, length in zip(traces, rows, lengths):
+            alone = arc_length_normalize(t, spline)
+            assert np.array_equal(row, project(alone.curve, basis))
+            assert length == alone.total_length
+
+    def test_first_failing_trace_in_input_order_raises(self):
+        huge = InkTrace([(0.0, 0.0), (1e308, 1e308), (-1e308, 0.0)])  # infinite length
+        flat = InkTrace([(0.0, 0.0), (1e-300, 0.0), (1.0, 0.0), (2.0, 0.0)])  # knots collapse
+        ok = InkTrace([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (3.0, 1.0)])
+        for traces in ([ok, flat, huge], [ok, huge, flat]):
+            with pytest.raises(InvalidDataError) as alone:
+                arc_length_normalize(traces[1])
+            with pytest.raises(InvalidDataError, match=f"^{alone.value}$"):
+                _normalized_buckets(traces, SplineKind.LINEAR)
 
 
 def midpoint_resample(trace: InkTrace) -> InkTrace:
@@ -426,13 +498,16 @@ class TestCoeffsJsonl:
              "length is not a finite number: nan"),
             ('{"basis_id": "b", "xs": [1.0], "ys": [2.0], "x0": true, "y0": 0.0, "length": 1.0}',
              "x0 is not a finite number: True"),
+            ('{"basis_id": "b", "xs": [1.0], "ys": [2.0], "label": [1]}',
+             "label must be a string, got \\[1\\]"),
             pytest.param('{"basis_id": "b", "xs": [' + "1" * 5001 + '], "ys": [2.0]}',
                          "^line 3: malformed JSON: Exceeds the limit",
                          marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                                                   reason="no int digit limit")),
         ],
         ids=["no-basis-id", "bad-json", "not-an-object", "non-numeric", "unequal-lengths",
-             "string-x0", "infinite-y0", "nan-length", "boolean-x0", "integer-past-digit-limit"],
+             "string-x0", "infinite-y0", "nan-length", "boolean-x0", "list-label",
+             "integer-past-digit-limit"],
     )
     def test_malformed_line_raises_parse_error(self, rng, tmp_path, line, message):
         good = symbol_coeffs(make_random_trace(rng), build_named_basis("chebyshev", 1))

@@ -28,7 +28,7 @@ from .errors import (
     BasisMismatchError, InvalidDataError, InvalidParameterError, ParseError, open_utf8,
 )
 from .poly import (
-    BasisKind, DensePoly, PiecewisePoly, Weight, _derivative_matrix, piecewise_classical_inners
+    BasisKind, DensePoly, PiecewisePoly, Weight, _derivative_matrix, _moments, _sobolev_inners
 )
 
 DEFAULT_LAMBDA = 0.125
@@ -229,15 +229,33 @@ def project(f: PiecewisePoly, basis: OrthoBasis) -> np.ndarray:
 
     c[..., i] = <f, S_i> / <S_i, S_i>, one row per function of f: (2, degree + 1)
     for a curve's x and y, and (T, 2, degree + 1) for a bucket of T curves.
-    The inner products with the classical elements come from poly's
-    closed-form segment kernel, which runs once per call for the whole
-    bucket; each row is one expansion @ vector, so a curve's row has the
+    The inner products come from the moments of f (poly's closed-form
+    segment kernel, run once per call for the whole bucket) at the basis's
+    degree; each row is one expansion @ vector, so a curve's row has the
     same bits in a bucket as alone.
     """
+    return _combine(*_moments(f, basis.classical_basis, basis.degree, basis.spec.is_sobolev),
+                    basis)
+
+
+def _combine(p: np.ndarray, q: np.ndarray | None, basis: OrthoBasis) -> np.ndarray:
+    """project's coefficients from the moments p, q of f at the basis's degree or higher."""
     spec = basis.spec
     lam = spec.lam if spec.is_sobolev else 0.0
-    v = piecewise_classical_inners(f, basis.classical_basis, basis.degree, lam)
+    v = _sobolev_inners(p, q, basis.classical_basis, basis.degree, lam)
     return (basis.expansion @ v[..., None])[..., 0] / basis.sq_norms
+
+
+def _project_family(f: PiecewisePoly, bases: list[OrthoBasis]) -> list[np.ndarray]:
+    """project(f, basis) for each of bases, which share one weight, bit for bit.
+
+    The moments of f are taken once, at the largest degree, and each basis
+    combines their prefix: plain and Sobolev kinds of one weight, and every
+    degree, share one kernel pass.
+    """
+    p, q = _moments(f, bases[0].classical_basis, max(b.degree for b in bases),
+                    any(b.spec.is_sobolev for b in bases))
+    return [_combine(p, q, b) for b in bases]
 
 
 def synthesize(coeffs: np.ndarray, basis: OrthoBasis) -> DensePoly:

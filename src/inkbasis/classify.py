@@ -18,8 +18,9 @@ from _votes, which decides all k = 1..kmax of one or many test rows at once
 and equals the label-by-label reference _vote in tests/oracles.py.
 
 accuracy_sweep, the corpus path, normalizes the traces in buckets of equal
-shape once and projects each bucket per kind, a block of curves per
-project call; the rows are scattered back into input order.
+shape once and takes the moments of each block of a bucket's curves once
+per weight; every kind of that weight combines them, and the rows are
+scattered back into input order.
 """
 
 from __future__ import annotations
@@ -256,11 +257,12 @@ def accuracy_sweep(
 ) -> list[dict]:
     """Accuracy and error rate per (basis kind, k) on labeled traces.
 
-    Each trace is normalized once, in buckets of equal shape; each basis
-    kind gets its own coefficient dataset projected from those curves, and
-    all kinds share the same deterministic train/test split, so rows are
-    comparable.  A trace that fails raises what it raises alone, the first
-    in input order.  Returns rows of {"basis", "k", "accuracy",
+    Each trace is normalized once, in buckets of equal shape, and its
+    moments are taken once per weight; each basis kind gets its own
+    coefficient dataset from them, with the bits a kind-by-kind projection
+    gives, and all kinds share the same deterministic train/test split, so
+    rows are comparable.  A trace that fails raises what it raises alone,
+    the first in input order.  Returns rows of {"basis", "k", "accuracy",
     "error_rate"} in sweep order.
     """
     if not traces:
@@ -268,11 +270,11 @@ def accuracy_sweep(
     ks = list(k_range)
     buckets, lengths = _normalized_buckets(traces, spline)
     labels = [t.label for t in traces]
+    bases = [build_named_basis(kind, degree, lam) for kind in basis_kinds]
     rows = []
-    for kind in basis_kinds:
-        basis = build_named_basis(kind, degree, lam)
-        coeffs, basis_id = _project_buckets(buckets, basis, len(traces)), basis.basis_id
-        items = tuple(_symbol(row, basis_id, label, float(length))
+    for kind, basis, coeffs in zip(basis_kinds, bases,
+                                   _project_buckets(buckets, bases, len(traces))):
+        items = tuple(_symbol(row, basis.basis_id, label, float(length))
                       for row, label, length in zip(coeffs, labels, lengths))
         dataset = LabeledDataset(items, split_seed=split_seed, split_ratio=split_ratio)
         acc = knn_accuracy(dataset, basis, ks)

@@ -25,6 +25,7 @@ from .errors import InkBasisError, InvalidParameterError
 from .ink import (
     InkTrace,
     SplineKind,
+    _family_coeffs,
     arc_length_normalize,
     load_pendigits,
     merge_strokes,
@@ -140,15 +141,14 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_error_sweep(args) -> int:
     traces = _load_traces(args.input)
-    degrees = list(range(args.d_min, args.d_max + 1))
-    bases = {d: build_named_basis(args.basis, d, args.lam) for d in degrees}
+    bases = [build_named_basis(args.basis, d, args.lam) for d in range(args.d_min, args.d_max + 1)]
     lines = ["trace_id,degree,error"]
     for i, trace in enumerate(traces):
         normalized = arc_length_normalize(trace, args.spline)
-        for d in degrees:
-            coeffs = to_coeffs(normalized, bases[d], label=trace.label)
-            err = representation_error(trace, normalized, coeffs, bases[d])
-            lines.append(f"{i},{d},{_fmt(err)}")
+        # one projection per trace: every degree truncates the moments taken at --d-max
+        for basis, coeffs in zip(bases, _family_coeffs(normalized, bases, trace.label)):
+            err = representation_error(trace, normalized, coeffs, basis)
+            lines.append(f"{i},{basis.degree},{_fmt(err)}")
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0

@@ -25,7 +25,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .bases import OrthoBasis, project, synthesize
+from .bases import OrthoBasis, _project_family, project, synthesize
 from .errors import (
     BasisMismatchError, InvalidDataError, InvalidParameterError, ParseError, open_utf8,
 )
@@ -361,13 +361,18 @@ def _spline_kind(spline) -> SplineKind:
         ) from None
 
 
-# why a curve's arc-length knots fail, by the code _knots gives it (0: they do not)
+# why a curve's normalization fails, by the code _knots or _too_far gives it (0: it does not)
 _KNOT_FAILURES = (
     None,
     "arc length is not finite: coordinates too large",
     "zero total arc length",
     "arc-length parameters collapse in float precision",
+    "rescaled coordinates too large: the trace lies too far from the origin for its length",
 )
+
+# largest magnitude of a rescaled coordinate: the weights' total mass on [-1, 1]
+# is at most pi, so every weighted integral of the curve stays finite
+_MAX_RESCALED = np.finfo(float).max / 4.0
 
 
 def _knots(seg_lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -386,6 +391,15 @@ def _knots(seg_lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return knots, total, failure
 
 
+def _too_far(failure: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The failure codes, with 4 where a curve's (T, n, 2) rescaled values exceed _MAX_RESCALED.
+
+    A curve that already fails keeps its code.
+    """
+    far = np.abs(values).max(axis=(-2, -1)) > _MAX_RESCALED
+    return np.where(far & (failure == 0), 4, failure) if far.any() else failure
+
+
 def _raise_first_failure(failure: np.ndarray) -> None:
     """Raise the error of the first failing curve, if any."""
     if failure.any():
@@ -396,10 +410,10 @@ def _normalize_linear(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     """Linear arc-length normalization of a bucket of traces, (T, n, 2) points.
 
     Returns knots (T, n), local coefficients (T, n - 1, 2, 2), total lengths
-    (T,) and the _knots failure codes (T,); the curves of failing traces hold
-    meaningless numbers.
+    (T,) and the failure codes (T,) of _knots and _too_far; the curves of
+    failing traces hold meaningless numbers.
     """
-    # overflow shows as a non-finite total and is reported by its failure code
+    # overflow shows as a non-finite total or values and is reported by its failure code
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         step = points[:, 1:] - points[:, :-1]
         knots, total, failure = _knots(np.hypot(step[..., 0], step[..., 1]))
@@ -407,7 +421,7 @@ def _normalize_linear(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
         local = np.empty(step.shape + (2,))
         local[..., 0] = values[:, :-1]
         local[..., 1] = (values[:, 1:] - values[:, :-1]) / (knots[:, 1:] - knots[:, :-1])[..., None]
-    return knots, local, total, failure
+    return knots, local, total, _too_far(failure, values)
 
 
 def arc_length_normalize(
@@ -428,14 +442,14 @@ def arc_length_normalize(
         knots, local, total, failure = _normalize_linear(pts[None])
         _raise_first_failure(failure)
         return NormalizedTrace(PiecewisePoly(knots[0], local[0]), float(total[0]))
-    # overflow shows as a non-finite total (or fit) and raises a typed error
-    with np.errstate(over="ignore", invalid="ignore"):
+    # overflow shows as a non-finite total, values or fit, and raises a typed error
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         t = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(pts, axis=0).T))])
         knots, total, failure = _knots(_cubic_arc_lengths(t, pts)[None])
-    _raise_first_failure(failure)
-    total = float(total[0])
-    local = _natural_cubic(knots[0], pts * (2.0 / total))
-    return NormalizedTrace(PiecewisePoly(knots[0], local), total)
+        values = pts * (2.0 / total[0])
+    _raise_first_failure(_too_far(failure, values[None]))
+    local = _natural_cubic(knots[0], values)
+    return NormalizedTrace(PiecewisePoly(knots[0], local), float(total[0]))
 
 
 # byte budget of the (block, m, rows, nseg) table that projecting a block of curves builds
@@ -443,7 +457,7 @@ _BLOCK_BYTES = 1 << 17
 
 
 def _block_size(curve_shape: tuple, degree: int) -> int:
-    """Curves of local shape (nseg, m, width) per project call.
+    """Curves of local shape (nseg, m, width) per moment pass.
 
     As many as keep the projection table within _BLOCK_BYTES, and at least one.
     """
@@ -489,20 +503,27 @@ def _groups(keys: Iterable) -> list[np.ndarray]:
 
 
 def _project_buckets(
-    buckets: list[tuple[np.ndarray, np.ndarray, np.ndarray]], basis: OrthoBasis, count: int
-) -> np.ndarray:
-    """(count, 2, degree + 1): the buckets' curves projected, in input order.
+    buckets: list[tuple[np.ndarray, np.ndarray, np.ndarray]], bases: list[OrthoBasis], count: int
+) -> list[np.ndarray]:
+    """(count, 2, degree + 1) per basis: the buckets' curves projected, in input order.
 
-    Each project call takes one block of a bucket's curves.
+    The bases of one weight share one moment pass per block of a bucket's
+    curves; each basis's rows equal project's on the same block.
     """
-    if basis.degree < 1:
+    if min(b.degree for b in bases) < 1:
         raise InvalidParameterError("basis degree must be at least 1")
-    out = np.empty((count, 2, basis.degree + 1))
-    for idx, knots, local in buckets:
-        block = _block_size(local.shape[1:], basis.degree)
-        for start in range(0, len(idx), block):
-            part = slice(start, start + block)
-            out[idx[part]] = project(PiecewisePoly(knots[part], local[part]), basis)
+    out = [np.empty((count, 2, b.degree + 1)) for b in bases]
+    for weight in dict.fromkeys(b.classical_basis for b in bases):
+        family = [i for i, b in enumerate(bases) if b.classical_basis is weight]
+        degree = max(bases[i].degree for i in family)
+        for idx, knots, local in buckets:
+            block = _block_size(local.shape[1:], degree)
+            for start in range(0, len(idx), block):
+                part = slice(start, start + block)
+                rows = _project_family(PiecewisePoly(knots[part], local[part]),
+                                       [bases[i] for i in family])
+                for i, row in zip(family, rows):
+                    out[i][idx[part]] = row
     return out
 
 
@@ -519,6 +540,20 @@ def to_coeffs(
         raise InvalidParameterError("basis degree must be at least 1")
     return _symbol(project(normalized.curve, basis), basis.basis_id, label,
                    normalized.total_length)
+
+
+def _family_coeffs(
+    normalized: NormalizedTrace, bases: list[OrthoBasis], label: str | None = None
+) -> list[SymbolCoeffs]:
+    """to_coeffs(normalized, basis, label) for each of bases, which share one weight.
+
+    One moment pass at the largest degree serves every basis.
+    """
+    if min(b.degree for b in bases) < 1:
+        raise InvalidParameterError("basis degree must be at least 1")
+    rows = _project_family(normalized.curve, bases)
+    return [_symbol(row, b.basis_id, label, normalized.total_length)
+            for row, b in zip(rows, bases)]
 
 
 def _symbol(row: np.ndarray, basis_id: str, label: str | None, length: float) -> SymbolCoeffs:

@@ -9,10 +9,11 @@ A bucket of curves with equal segment counts adds a leading axis to both.
 Weighted integrals of a piecewise polynomial against the classical elements
 are basis-native closed forms: the family's three-term multiply-by-s
 recurrence and the closed-form antiderivative of each weighted element,
-summed segment by segment.  One kernel serves one curve and a bucket: it
-broadcasts over the bucket axis, sums each curve's segments on their own
-and forms each curve's Legendre forcing by its own matrix product, so a
-curve's integrals have the same bits in a bucket as alone.  Nothing in
+summed segment by segment.  One kernel, _moments, serves one curve and a
+bucket: it broadcasts over the bucket axis, sums each curve's segments on
+their own and adds the Legendre forcing term by term in a fixed order, so a
+curve's integrals have the same bits in a bucket as alone, and the moments
+at a degree are an exact prefix of those at any higher degree.  Nothing in
 this module calls a numerical quadrature routine.
 """
 
@@ -254,11 +255,18 @@ def _antiderivative_steps(basis: BasisKind, rows: int, s: np.ndarray) -> np.ndar
         alpha, beta = (2 * n - 1) / (n + 1), (n - 2) / (n + 1)
         cheb_a = np.cos(np.arange(rows)[:, None] * theta[..., None, :-1])
         scaled_b = alpha[:, None] * b[..., None, :]
-        # one (rows - 2, rows) x (rows, nseg) product per curve, stacked over
-        # a bucket: a wider product would round some columns differently
-        forcing = alpha[:, None] * h[..., None, :] * (
-            _legendre_antiderivatives(rows - 1)[1:] @ cheb_a
-        )
+        # sum_k A_{n-1}[k] cos(k theta_a), added term by term in k, not by
+        # BLAS or einsum (which sums a one-segment column in SIMD lanes): each
+        # row adds its terms in the same order whatever the row count, bucket
+        # size or CPU kernels, so a table is an exact prefix of a longer one
+        # and a bucket's rows are those of each curve alone.  Row i holds
+        # the terms k = i + 2, i, i - 2, ... only: A_{i+1} has i's parity.
+        coef = _legendre_antiderivatives(rows - 1)[1:, :, None]
+        cheb_sum = np.zeros(cheb_a.shape[:-2] + (rows - 2, a.shape[-1]))
+        for k in range(rows):
+            first = k - 2 if k >= 2 else k
+            cheb_sum[..., first::2, :] += coef[first::2, k] * cheb_a[..., k : k + 1, :]
+        forcing = alpha[:, None] * h[..., None, :] * cheb_sum
         # row views, so the recurrence indexes rows as fast for a bucket as for one curve
         o, sb, f = (x.swapaxes(0, -2) for x in (out, scaled_b, forcing))
         for i in range(rows - 2):
@@ -304,26 +312,29 @@ def _horner(c: np.ndarray, a: np.ndarray, steps: np.ndarray, up, lo) -> np.ndarr
     return r
 
 
-def piecewise_classical_inners(
-    f: PiecewisePoly, basis: BasisKind, degree: int, lam: float = 0.0
-) -> np.ndarray:
-    """Sobolev inner products of f with every classical element 0..degree.
+def _moments(
+    f: PiecewisePoly, basis: BasisKind, degree: int, derivative: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Plain inners p and derivative inners q of f with the classical elements.
 
-    out[..., k] is the integral over the breakpoint span of f B_k w, plus lam
-    times that of f' B_k' w, where w is the weight under which the classical
-    family (LEGENDRE or CHEBYSHEV) is orthogonal: 1 or 1/sqrt(1 - s^2).
+    p[..., k] is the integral over the breakpoint span of f B_k w for k <=
+    degree, and q[..., k] that of f' B_k w for k < degree, where w is the
+    weight under which the classical family (LEGENDRE or CHEBYSHEV) is
+    orthogonal: 1 or 1/sqrt(1 - s^2).  For m functions on the breakpoints,
+    (nseg, m, width), p is (m, degree + 1) and q (m, degree); a bucket of T
+    curves adds a leading axis.  q is None for piecewise constants, and
+    when derivative is false.
 
     On a segment [a, b], s B_k = up[k] B_{k+1} + lo[k] B_{k-1} (the
     multiply-by-s matrix X), and B_m w has the closed-form antiderivative
     A_m: (P_{m+1} - P_{m-1}) / (2m + 1) for Legendre, -sin(m theta) / m with
     s = cos(theta) for Chebyshev.  So the integral of the local cubic
     c(s - a) against B_k is row k of c(X - a) applied to the vector [A_m]_a^b,
-    evaluated by Horner.  The derivative term contracts f' the same way and
-    applies the legder/chebder matrix; both terms share one table of [A_m].
-    For m functions on the breakpoints, (nseg, m, width), out is (m, degree + 1);
-    a bucket of T curves adds a leading axis, (T, m, degree + 1), and each
-    curve's segments are summed on their own, so every row has the bits of
-    its curve projected alone.
+    evaluated by Horner; f' is contracted the same way, and both share one
+    table of [A_m].  Every row depends only on lower rows and is summed over
+    its own curve's segments, so the moments at a degree are an exact prefix
+    of those at a higher one, and a curve's rows have the same bits in a
+    bucket as alone.
     """
     bp, c = f.breakpoints, f.local
     if bp[..., 0].min() < -1.0 or bp[..., -1].max() > 1.0:
@@ -332,10 +343,40 @@ def piecewise_classical_inners(
     steps = _antiderivative_steps(basis, degree + width, bp)
     up, lo = _three_term(basis, degree + width)
     a = bp[..., :-1]
-    out = _horner(c, a, steps, up, lo).sum(axis=-1)
-    if lam and degree >= 1 and width >= 2:
-        dc = c[..., 1:] * np.arange(1, width)
-        inner_d = _horner(dc, a, steps[..., : degree + width - 2, :], up, lo).sum(axis=-1)
-        # one matrix-vector product per function keeps the bits of a lone function
-        out += lam * (_derivative_matrix(basis, degree) @ inner_d[..., None])[..., 0]
-    return out
+    p = _horner(c, a, steps, up, lo).sum(axis=-1)
+    if not derivative or width < 2:
+        return p, None
+    dc = c[..., 1:] * np.arange(1, width)
+    return p, _horner(dc, a, steps[..., : degree + width - 2, :], up, lo).sum(axis=-1)
+
+
+def _sobolev_inners(
+    p: np.ndarray, q: np.ndarray | None, basis: BasisKind, degree: int, lam: float
+) -> np.ndarray:
+    """p + lam * D q at degree, from the moments of f at that degree or higher.
+
+    The result is contiguous, (..., m, degree + 1), with the bits that
+    moments taken at degree itself give.
+    """
+    v = p[..., : degree + 1]
+    if lam and degree >= 1 and q is not None:
+        # one matrix-vector product per function, on a contiguous vector as
+        # at degree itself, keeps the bits of a lone function
+        inner_d = np.ascontiguousarray(q[..., :degree])
+        return v + lam * (_derivative_matrix(basis, degree) @ inner_d[..., None])[..., 0]
+    return np.ascontiguousarray(v)
+
+
+def piecewise_classical_inners(
+    f: PiecewisePoly, basis: BasisKind, degree: int, lam: float = 0.0
+) -> np.ndarray:
+    """Sobolev inner products of f with every classical element 0..degree.
+
+    out[..., k] is the integral over the breakpoint span of f B_k w, plus lam
+    times that of f' B_k' w: p + lam * D q, with p and q the moments of f
+    (see _moments) and D the legder/chebder matrix.  For m functions on the
+    breakpoints, (nseg, m, width), out is (m, degree + 1); a bucket of T
+    curves adds a leading axis, (T, m, degree + 1), and every row has the
+    bits of its curve alone.
+    """
+    return _sobolev_inners(*_moments(f, basis, degree, bool(lam)), basis, degree, lam)

@@ -35,6 +35,7 @@ from inkbasis import (
 )
 from conftest import make_random_trace
 from inkbasis import BASIS_KINDS, arc_length_normalize
+from inkbasis.bases import _project_family
 from inkbasis.ink import _block_size
 from oracles import (
     closed_form_sobolev_gram,
@@ -366,7 +367,7 @@ class TestBucket:
                 assert np.array_equal(got, alone[:size]), f"{kind}, {size} curves"
 
     def test_equality_holds_under_other_blas_kernels(self):
-        # the Legendre forcing product is one BLAS call per curve; other
+        # the Legendre forcing is added term by term, not by BLAS; other
         # OpenBLAS kernels must give a bucket the bits of a bucket of one too
         env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
         test = f"{__file__}::TestBucket::test_bucket_projection_equals_bucket_of_one"
@@ -409,6 +410,44 @@ class TestBucket:
         knots, local = equal_shape_curves("linear", 2)
         with pytest.raises(InvalidParameterError):
             PiecewisePoly(knots, local)(0.0)
+
+
+# degrees at which moments taken once, at a larger degree, are truncated and
+# combined; at 33..37 an einsum of a one-segment curve's Legendre forcing would
+# sum it in SIMD lanes and give other bits than the full table
+SHARED_DEGREES = (1, 2, 10, 35, 40, 100)
+
+
+class TestSharedMoments:
+    @pytest.mark.parametrize("spline", ["linear", "cubic"])
+    def test_truncated_moments_equal_per_degree_projection(self, spline):
+        # a lone curve of one segment, of 7 and of 199, and a bucket of 7-segment curves
+        rng = np.random.default_rng(12)
+        knots, local = equal_shape_curves(spline, 5)
+        curves = [arc_length_normalize(make_random_trace(rng, n, n), spline).curve
+                  for n in (2, 200)]
+        curves += [PiecewisePoly(knots[0], local[0]), PiecewisePoly(knots, local)]
+        for kind in BASIS_KINDS:
+            bases = [build_named_basis(kind, d) for d in SHARED_DEGREES]
+            for f in curves:
+                per_degree = [project(f, basis) for basis in bases]
+                for top in (2, 40, 100):  # the degree the moments are taken at
+                    family = [b for b in bases if b.degree <= top]
+                    for basis, got, want in zip(family, _project_family(f, family), per_degree):
+                        assert got.shape == want.shape
+                        assert np.array_equal(got, want), (
+                            f"{kind}, d = {basis.degree} from {top}, {f.local.shape}")
+
+    def test_equality_holds_under_other_cpu_kernels(self):
+        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+                   NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+        test = f"{__file__}::TestSharedMoments::test_truncated_moments_equal_per_degree_projection"
+        out = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{test}[linear]", f"{test}[cubic]"],
+            env=env, cwd=Path(__file__).parents[1], capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stdout[-2000:]
 
 
 class TestSynthesize:

@@ -27,8 +27,9 @@ from inkbasis import (
     symbol_coeffs,
     to_coeffs,
 )
-from inkbasis import classify
+from inkbasis import BASIS_KINDS, BasisKind, bases, classify
 from inkbasis.classify import _nearest, _sq_distances, _votes
+from inkbasis.ink import _normalized_buckets
 from oracles import _vote, dp_match_distance_sq, quad_inner_series
 
 CHEB10 = build_named_basis("chebyshev", 10)
@@ -441,6 +442,26 @@ class TestAccuracySweep:
         for r in rows:
             assert r["error_rate"] == 1.0 - r["accuracy"]
         assert [r["basis"] for r in rows[:10]] == ["legendre"] * 10
+
+    @pytest.mark.parametrize("spline", ["linear", "cubic"])
+    def test_four_kinds_share_two_moment_passes(self, rng, spline, monkeypatch):
+        # the kinds of one weight share their moments: the rows equal those
+        # of one kind at a time, from half the kernel passes
+        traces = synthetic_digit_traces(rng, per_class=8)
+        n_buckets = len(_normalized_buckets(traces, spline)[0])
+        assert n_buckets > 1  # the shapes differ in point count
+        calls = []
+        real = bases._moments
+        monkeypatch.setattr(bases, "_moments", lambda *a: calls.append(a[1]) or real(*a))
+        one_at_a_time = []
+        for kind in BASIS_KINDS:
+            one_at_a_time += accuracy_sweep(traces, [kind], range(1, 6), degree=7, spline=spline)
+        assert len(calls) == 4 * n_buckets
+        calls.clear()
+        assert accuracy_sweep(traces, list(BASIS_KINDS), range(1, 6), degree=7,
+                              spline=spline) == one_at_a_time
+        assert calls.count(BasisKind.LEGENDRE) == calls.count(BasisKind.CHEBYSHEV) == n_buckets
+        assert len(calls) == 2 * n_buckets
 
     def test_separable_classes_classify_well(self, rng):
         traces = synthetic_digit_traces(rng, per_class=9, jitter=1.5)

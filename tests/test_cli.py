@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from inkbasis import load_basis
+from inkbasis import bases, load_basis
 from inkbasis.cli import main
 
 INKML_DOC = """<ink xmlns="http://www.w3.org/2003/InkML">
@@ -172,6 +172,19 @@ class TestErrorSweep:
         assert exc.value.code == 2
         assert "100" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_each_trace_is_projected_once(self, tmp_path, monkeypatch):
+        # every degree truncates the moments taken at --d-max
+        data = tmp_path / "digits.txt"
+        write_pendigits(data, per_class=2)
+        calls = []
+        real = bases._moments
+        monkeypatch.setattr(bases, "_moments", lambda *a: calls.append(a[2]) or real(*a))
+        out = tmp_path / "err.csv"
+        assert main(["error-sweep", str(data), "--d-min", "2", "--d-max", "9",
+                     "--out", str(out)]) == 0
+        assert calls == [9] * 2 * len(_PROTO)
+        assert len(out.read_text().splitlines()) == 1 + 8 * 2 * len(_PROTO)
 
     def test_byte_identical_rerun(self, tmp_path):
         data = tmp_path / "digits.txt"

@@ -38,6 +38,15 @@ CASES = {
          "--d-min", "3", "--d-max", "12"],
         ["error_sweep.csv"],
     ),
+    "error_sweep_chebyshev": (
+        ["error-sweep", *map(str, WALKS), "--basis", "chebyshev", "--d-min", "3", "--d-max", "40"],
+        ["error_sweep_chebyshev.csv"],
+    ),
+    "error_sweep_legendre_sobolev": (
+        ["error-sweep", *map(str, WALKS), "--basis", "legendre-sobolev",
+         "--d-min", "3", "--d-max", "40"],
+        ["error_sweep_legendre_sobolev.csv"],
+    ),
     "reconstruct_cubic": (
         ["reconstruct", str(PENDIGITS), "--spline", "cubic"],
         ["reconstruct_cubic.csv"],

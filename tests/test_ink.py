@@ -15,6 +15,7 @@ from inkbasis import (
     InvalidDataError,
     ParseError,
     SplineKind,
+    accuracy_sweep,
     arc_length_normalize,
     build_named_basis,
     merge_strokes,
@@ -27,7 +28,9 @@ from inkbasis import (
     to_coeffs,
     write_coeffs_jsonl,
 )
-from inkbasis.ink import _block_size, _normalize_linear, _normalized_buckets, _project_buckets
+from inkbasis.ink import (
+    _MAX_RESCALED, _block_size, _normalize_linear, _normalized_buckets, _project_buckets,
+)
 
 PENDIGITS_LINE = "0,100, 0,0, 100,0, 100,100, 0,100, 0,0, 50,50, 100,50, 7"
 
@@ -227,6 +230,22 @@ class TestArcLengthNormalize:
             with pytest.raises(InvalidDataError):
                 arc_length_normalize(trace, spline)
 
+    @pytest.mark.parametrize("spline", list(SplineKind))
+    def test_rescaled_overflow_is_typed(self, spline):
+        # length 2, so the rescale is 1, yet a weighted integral of 1e308 overflows;
+        # a length of 1e-10 rescales 1e300 past the float range
+        for points in ([(1e308, 0.0), (1e308, 1.0), (1e308, 2.0)],
+                       [(1e300, 0.0), (1e300, 5e-11), (1e300, 1e-10)]):
+            with pytest.raises(InvalidDataError, match="^rescaled coordinates too large: "):
+                arc_length_normalize(InkTrace(points), spline)
+
+    @pytest.mark.parametrize("spline", list(SplineKind))
+    def test_largest_rescaled_coordinates_project_finite(self, spline):
+        trace = InkTrace([(_MAX_RESCALED, 0.0), (_MAX_RESCALED, 1.0), (_MAX_RESCALED, 2.0)])
+        for kind in BASIS_KINDS:
+            c = symbol_coeffs(trace, build_named_basis(kind, 100), spline)
+            assert np.isfinite([c.x0, c.y0, *c.xs, *c.ys]).all(), kind
+
     def test_long_cubic_random_walk(self, rng):
         # segments written on the global parameter used to fail continuity here
         trace = make_random_trace(rng, n_min=120, n_max=120)
@@ -260,20 +279,33 @@ class TestBuckets:
     @pytest.mark.parametrize("degree", [1, 10, 60, 100])
     @pytest.mark.parametrize("spline", [SplineKind.LINEAR, SplineKind.CUBIC])
     def test_corpus_rows_equal_per_trace_coefficients(self, rng, spline, degree):
-        # bucket sizes around the block size, one project call per block
+        # bucket sizes around the block size, one moment pass per block and weight
         width = 2 if spline is SplineKind.LINEAR else 4
         block = _block_size((7, 2, width), degree)
         traces = [make_random_trace(rng, 8, 8) for _ in range(block + 1)]
         [(idx, knots, local)], lengths = _normalized_buckets(traces, spline)  # one shape, one bucket
         np.testing.assert_array_equal(idx, np.arange(block + 1))
-        for kind in BASIS_KINDS:
-            basis = build_named_basis(kind, degree)
+        bases = [build_named_basis(kind, degree) for kind in BASIS_KINDS]
+        want = []
+        for basis in bases:
             alone = [to_coeffs(arc_length_normalize(t, spline), basis) for t in traces]
             assert np.array_equal(lengths, [c.length for c in alone])
-            want = np.array([[[c.x0, *c.xs], [c.y0, *c.ys]] for c in alone])
-            for size in sorted({1, 2, block - 1, block, block + 1}):
-                rows = _project_buckets([(idx[:size], knots[:size], local[:size])], basis, size)
-                assert np.array_equal(rows, want[:size]), f"{kind}, {size} traces"
+            want.append(np.array([[[c.x0, *c.xs], [c.y0, *c.ys]] for c in alone]))
+        for size in sorted({1, 2, block - 1, block, block + 1}):
+            # the four kinds together: one moment pass per weight and block
+            got = _project_buckets([(idx[:size], knots[:size], local[:size])], bases, size)
+            for kind, rows, rows_alone in zip(BASIS_KINDS, got, want):
+                assert np.array_equal(rows, rows_alone[:size]), f"{kind}, {size} traces"
+
+    def test_a_far_trace_fails_the_corpus_where_it_stands(self):
+        far = InkTrace([(1e308, 0.0), (1e308, 1.0), (1e308, 2.0)], label="1")
+        ok = [InkTrace([(0.0, 0.0), (1.0, i), (2.0, 0.0)], label=str(i % 2)) for i in range(1, 7)]
+        for spline in SplineKind:
+            with pytest.raises(InvalidDataError, match="^rescaled coordinates too large: "):
+                _normalized_buckets([*ok[:3], far, *ok[3:]], spline)
+            with pytest.raises(InvalidDataError, match="^rescaled coordinates too large: "):
+                accuracy_sweep([*ok[:3], far, *ok[3:]], ["chebyshev-sobolev"], [1], degree=3,
+                               spline=spline)
 
     @pytest.mark.parametrize("spline", [SplineKind.LINEAR, SplineKind.CUBIC])
     def test_mixed_point_counts_come_back_in_input_order(self, rng, spline, monkeypatch):
@@ -285,7 +317,7 @@ class TestBuckets:
                             lambda self: calls.append(np.shape(self.breakpoints)) or real(self))
         buckets, lengths = _normalized_buckets(traces, spline)
         calls.clear()
-        rows = _project_buckets(buckets, basis, len(traces))
+        [rows] = _project_buckets(buckets, [basis], len(traces))
         counts = Counter(len(t.points) for t in traces)
         assert sorted(len(idx) for idx, _, _ in buckets) == sorted(counts.values())
         assert len(calls) == len(buckets) and all(len(shape) == 2 for shape in calls)
@@ -297,8 +329,10 @@ class TestBuckets:
     def test_first_failing_trace_in_input_order_raises(self):
         huge = InkTrace([(0.0, 0.0), (1e308, 1e308), (-1e308, 0.0)])  # infinite length
         flat = InkTrace([(0.0, 0.0), (1e-300, 0.0), (1.0, 0.0), (2.0, 0.0)])  # knots collapse
+        far = InkTrace([(1e308, 0.0), (1e308, 1.0), (1e308, 2.0)])  # rescaled values too large
         ok = InkTrace([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (3.0, 1.0)])
-        for traces in ([ok, flat, huge], [ok, huge, flat]):
+        for traces in ([ok, flat, huge], [ok, huge, flat], [ok, far, huge], [ok, huge, far],
+                       [ok, far, flat]):
             with pytest.raises(InvalidDataError) as alone:
                 arc_length_normalize(traces[1])
             with pytest.raises(InvalidDataError, match=f"^{alone.value}$"):

@@ -9,7 +9,7 @@ Everything downstream rests on two facts demonstrated here:
 
 import numpy as np
 
-from inkbasis import BasisKind, DensePoly, PiecewisePoly, derivative
+from inkbasis import BasisKind, DensePoly, PiecewisePoly
 from inkbasis.poly import piecewise_classical_inners
 
 # --- dense polynomials in the two classical bases --------------------------
@@ -33,8 +33,8 @@ print("  sum of c_k cos(k arccos 0.3):", float(c @ np.cos(np.arange(31) * np.arc
 
 # --- derivatives stay in their basis --------------------------------------
 print("\nd/dx in chebyshev coefficients:")
-print("  T_3        ->", derivative(DensePoly(BasisKind.CHEBYSHEV, [0, 0, 0, 1])).coeffs)
-print("  T_2        ->", derivative(DensePoly(BasisKind.CHEBYSHEV, [0, 0, 1])).coeffs)
+print("  T_3        ->", DensePoly(BasisKind.CHEBYSHEV, [0, 0, 0, 1]).derivative().coeffs)
+print("  T_2        ->", DensePoly(BasisKind.CHEBYSHEV, [0, 0, 1]).derivative().coeffs)
 
 # --- closed-form antiderivatives ---------------------------------------------
 # Each weighted basis element integrates in closed form:
@@ -44,7 +44,7 @@ m = 4
 e = np.eye(m + 2)
 antiderivative = DensePoly(BasisKind.LEGENDRE, (e[m + 1] - e[m - 1]) / (2 * m + 1))
 print(f"\nd/ds of (P_{m + 1} - P_{m - 1}) / {2 * m + 1} in legendre coefficients:",
-      derivative(antiderivative).coeffs)          # exactly P_4
+      antiderivative.derivative().coeffs)         # exactly P_4
 
 theta = np.array([2.5, 0.4])                       # s from -0.80 to 0.92
 closed = -np.sin(m * theta[1]) / m + np.sin(m * theta[0]) / m

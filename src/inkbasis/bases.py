@@ -119,13 +119,18 @@ def _gram(spec: InnerProductSpec, degree: int) -> np.ndarray:
 
     The derivative term is the classical form applied to the derivatives:
     with D the derivative matrix (B_k' = sum_m D[k, m] B_m), G = diag(h) +
-    lam * D diag(h) D^T.
+    lam * D diag(h) D^T.  A lam for which G is not finite at this degree
+    raises InvalidParameterError.
     """
     h = _classical_sq_norms(spec.weight, degree + 1)
     G = np.diag(h)
     if spec.is_sobolev:
         D = _derivative_matrix(spec.classical_basis, degree)[:, :degree]
-        G += spec.lam * (D * h[:degree]) @ D.T
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            G += spec.lam * (D * h[:degree]) @ D.T
+        if not np.isfinite(G).all():
+            raise InvalidParameterError(f"lambda {spec.lam!r} is too large at degree {degree}: "
+                                        "the Gram matrix is not finite")
     return G
 
 
@@ -166,6 +171,8 @@ class OrthoBasis:
         n = self.degree + 1
         if n < 1 or expansion.shape != (n, n) or sq_norms.shape != (n,):
             raise InvalidDataError("expansion/sq_norms shapes do not match degree")
+        if not (np.isfinite(expansion).all() and np.isfinite(sq_norms).all()):
+            raise InvalidDataError("expansion and sq_norms must be finite")
         if np.any(sq_norms <= 0.0):
             raise InvalidDataError("squared norms must be strictly positive")
         expansion.setflags(write=False)
@@ -234,28 +241,27 @@ def project(f: PiecewisePoly, basis: OrthoBasis) -> np.ndarray:
     degree; each row is one expansion @ vector, so a curve's row has the
     same bits in a bucket as alone.
     """
-    return _combine(*_moments(f, basis.classical_basis, basis.degree, basis.spec.is_sobolev),
-                    basis)
+    return _project(f, [basis])[0]
 
 
-def _combine(p: np.ndarray, q: np.ndarray | None, basis: OrthoBasis) -> np.ndarray:
-    """project's coefficients from the moments p, q of f at the basis's degree or higher."""
-    spec = basis.spec
-    lam = spec.lam if spec.is_sobolev else 0.0
-    v = _sobolev_inners(p, q, basis.classical_basis, basis.degree, lam)
-    return (basis.expansion @ v[..., None])[..., 0] / basis.sq_norms
+def _project(f: PiecewisePoly, bases: list[OrthoBasis]) -> list[np.ndarray]:
+    """project(f, basis) for each of bases, bit for bit, in one moment pass per weight.
 
-
-def _project_family(f: PiecewisePoly, bases: list[OrthoBasis]) -> list[np.ndarray]:
-    """project(f, basis) for each of bases, which share one weight, bit for bit.
-
-    The moments of f are taken once, at the largest degree, and each basis
-    combines their prefix: plain and Sobolev kinds of one weight, and every
-    degree, share one kernel pass.
+    The bases may mix weights, kinds, lambdas and degrees.  The moments of f
+    are taken once per weight, at the largest degree among that weight's
+    bases, and each basis combines their prefix with its own lambda and
+    degree.
     """
-    p, q = _moments(f, bases[0].classical_basis, max(b.degree for b in bases),
-                    any(b.spec.is_sobolev for b in bases))
-    return [_combine(p, q, b) for b in bases]
+    out = [None] * len(bases)
+    for weight in dict.fromkeys(b.classical_basis for b in bases):
+        family = [i for i, b in enumerate(bases) if b.classical_basis is weight]
+        p, q = _moments(f, weight, max(bases[i].degree for i in family),
+                        any(bases[i].spec.is_sobolev for i in family))
+        for i in family:
+            b = bases[i]
+            v = _sobolev_inners(p, q, weight, b.degree, b.spec.lam if b.spec.is_sobolev else 0.0)
+            out[i] = (b.expansion @ v[..., None])[..., 0] / b.sq_norms
+    return out
 
 
 def synthesize(coeffs: np.ndarray, basis: OrthoBasis) -> DensePoly:

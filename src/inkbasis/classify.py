@@ -17,10 +17,9 @@ equals a stable sort: equal distances keep dataset order.  Every vote comes
 from _votes, which decides all k = 1..kmax of one or many test rows at once
 and equals the label-by-label reference _vote in tests/oracles.py.
 
-accuracy_sweep, the corpus path, normalizes the traces in buckets of equal
-shape once and takes the moments of each block of a bucket's curves once
-per weight; every kind of that weight combines them, and the rows are
-scattered back into input order.
+accuracy_sweep, the corpus path, decides only the experiment (kinds, split
+and k); ink buckets and projects the traces, bases shares the moments of
+the kinds, and poly bounds the memory of each pass.
 """
 
 from __future__ import annotations
@@ -66,19 +65,11 @@ class LabeledDataset:
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "table", table)
 
-    @property
-    def basis_id(self) -> str:
-        return self.items[0].basis_id
-
     def split_indices(self) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng(self.split_seed)
         perm = rng.permutation(len(self.items))
         cut = int(len(self.items) * self.split_ratio)
         return perm[:cut], perm[cut:]
-
-    def split(self) -> tuple[list[SymbolCoeffs], list[SymbolCoeffs]]:
-        train_idx, test_idx = self.split_indices()
-        return [self.items[i] for i in train_idx], [self.items[i] for i in test_idx]
 
 
 def _row_weights(table: CoeffTable, query: SymbolCoeffs, basis: OrthoBasis) -> np.ndarray:

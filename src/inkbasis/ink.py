@@ -8,6 +8,10 @@ one knot vector.  One projection onto an orthogonal family gives a (2, d + 1)
 array; dropping its constant terms yields a translation- and scale-invariant
 fixed-size description of the symbol.
 
+For a corpus this module decides only the buckets of equal-shape curves:
+each is one PiecewisePoly, projected onto every basis by one bases._project
+call (which shares the moments), and its rows go back into input order.
+
 The natural cubic is solved here, with numpy and a tridiagonal elimination
 on Python floats, and equals scipy's CubicSpline(bc_type="natural") bit for
 bit; the arc length of a cubic segment is 8-point Gauss-Legendre.
@@ -25,7 +29,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .bases import OrthoBasis, _project_family, project, synthesize
+from .bases import OrthoBasis, _project, project, synthesize
 from .errors import (
     BasisMismatchError, InvalidDataError, InvalidParameterError, ParseError, open_utf8,
 )
@@ -53,7 +57,9 @@ class InkTrace:
             raise InvalidDataError("a trace needs at least two (x, y) points")
         if not np.all(np.isfinite(pts)):
             raise InvalidDataError("trace coordinates must be finite")
-        pts = collapse_duplicates(pts)  # a copy, so the caller's array stays writable
+        keep = np.ones(len(pts), dtype=bool)
+        keep[1:] = np.any(pts[1:] != pts[:-1], axis=1)
+        pts = pts[keep]  # a copy, so the caller's array stays writable
         if len(pts) < 2:
             raise InvalidDataError("trace has fewer than two distinct points")
         pts.setflags(write=False)
@@ -157,14 +163,6 @@ class CoeffTable(Sequence):
 
     def __iter__(self):
         return iter(self.items)
-
-
-def collapse_duplicates(points: np.ndarray) -> np.ndarray:
-    """Drop points identical to their predecessor; the result is a new array."""
-    pts = np.asarray(points, dtype=float)
-    keep = np.ones(len(pts), dtype=bool)
-    keep[1:] = np.any(pts[1:] != pts[:-1], axis=1)
-    return pts[keep]
 
 
 def parse_pendigits(source: str | Iterable[str]) -> list[InkTrace]:
@@ -452,19 +450,6 @@ def arc_length_normalize(
     return NormalizedTrace(PiecewisePoly(knots[0], local), float(total[0]))
 
 
-# byte budget of the (block, m, rows, nseg) table that projecting a block of curves builds
-_BLOCK_BYTES = 1 << 17
-
-
-def _block_size(curve_shape: tuple, degree: int) -> int:
-    """Curves of local shape (nseg, m, width) per moment pass.
-
-    As many as keep the projection table within _BLOCK_BYTES, and at least one.
-    """
-    nseg, m, width = curve_shape
-    return max(1, _BLOCK_BYTES // (8 * m * (degree + width) * nseg))
-
-
 def _normalized_buckets(
     traces: Sequence[InkTrace], spline: SplineKind
 ) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], np.ndarray]:
@@ -507,23 +492,13 @@ def _project_buckets(
 ) -> list[np.ndarray]:
     """(count, 2, degree + 1) per basis: the buckets' curves projected, in input order.
 
-    The bases of one weight share one moment pass per block of a bucket's
-    curves; each basis's rows equal project's on the same block.
+    Each bucket is one PiecewisePoly and one _project call over all bases;
+    each basis's rows equal project's on the same curves.
     """
-    if min(b.degree for b in bases) < 1:
-        raise InvalidParameterError("basis degree must be at least 1")
     out = [np.empty((count, 2, b.degree + 1)) for b in bases]
-    for weight in dict.fromkeys(b.classical_basis for b in bases):
-        family = [i for i, b in enumerate(bases) if b.classical_basis is weight]
-        degree = max(bases[i].degree for i in family)
-        for idx, knots, local in buckets:
-            block = _block_size(local.shape[1:], degree)
-            for start in range(0, len(idx), block):
-                part = slice(start, start + block)
-                rows = _project_family(PiecewisePoly(knots[part], local[part]),
-                                       [bases[i] for i in family])
-                for i, row in zip(family, rows):
-                    out[i][idx[part]] = row
+    for idx, knots, local in buckets:
+        for coeffs, rows in zip(out, _project(PiecewisePoly(knots, local), bases)):
+            coeffs[idx] = rows
     return out
 
 
@@ -536,8 +511,6 @@ def to_coeffs(
     scaling of the source trace, and do not depend on how densely the
     curve was sampled.
     """
-    if basis.degree < 1:
-        raise InvalidParameterError("basis degree must be at least 1")
     return _symbol(project(normalized.curve, basis), basis.basis_id, label,
                    normalized.total_length)
 
@@ -545,19 +518,16 @@ def to_coeffs(
 def _family_coeffs(
     normalized: NormalizedTrace, bases: list[OrthoBasis], label: str | None = None
 ) -> list[SymbolCoeffs]:
-    """to_coeffs(normalized, basis, label) for each of bases, which share one weight.
-
-    One moment pass at the largest degree serves every basis.
-    """
-    if min(b.degree for b in bases) < 1:
-        raise InvalidParameterError("basis degree must be at least 1")
-    rows = _project_family(normalized.curve, bases)
+    """to_coeffs(normalized, basis, label) for each of bases, from one moment pass per weight."""
+    rows = _project(normalized.curve, bases)
     return [_symbol(row, b.basis_id, label, normalized.total_length)
             for row, b in zip(rows, bases)]
 
 
 def _symbol(row: np.ndarray, basis_id: str, label: str | None, length: float) -> SymbolCoeffs:
     """The SymbolCoeffs of a projected curve's (2, d + 1) row; the constant terms become x0, y0."""
+    if row.shape[-1] < 2:
+        raise InvalidParameterError("basis degree must be at least 1")
     return SymbolCoeffs(basis_id, row[0, 1:], row[1, 1:], label, float(row[0, 0]),
                         float(row[1, 0]), length)
 

@@ -13,8 +13,9 @@ summed segment by segment.  One kernel, _moments, serves one curve and a
 bucket: it broadcasts over the bucket axis, sums each curve's segments on
 their own and adds the Legendre forcing term by term in a fixed order, so a
 curve's integrals have the same bits in a bucket as alone, and the moments
-at a degree are an exact prefix of those at any higher degree.  Nothing in
-this module calls a numerical quadrature routine.
+at a degree are an exact prefix of those at any higher degree.  It owns
+the memory of that work: a bucket of any size passes through it in blocks
+whose table fits one fixed budget.  Nothing here calls a quadrature routine.
 """
 
 from __future__ import annotations
@@ -42,6 +43,12 @@ class Weight(str, enum.Enum):
     INVERSE_SQRT = "inverse_sqrt"  # dx / sqrt(1 - x^2)
 
 
+_DERIV = {
+    BasisKind.LEGENDRE: _leg.legder,
+    BasisKind.CHEBYSHEV: _cheb.chebder,
+}
+
+
 @dataclass(frozen=True)
 class DensePoly:
     """Coefficients of a polynomial in a named classical basis.
@@ -66,46 +73,29 @@ class DensePoly:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        """Value at scalar or array x; Chebyshev series by Clenshaw's recurrence."""
-        if self.basis is BasisKind.LEGENDRE:
-            return eval_legendre(self, x)
-        out = _cheb.chebval(np.asarray(x, dtype=float), self.coeffs)
-        return float(out) if np.ndim(out) == 0 else out
+        """Value at scalar or array x; Legendre by Bonnet's recurrence, Chebyshev by Clenshaw's."""
+        xs = np.asarray(x, dtype=float)
+        if self.basis is BasisKind.CHEBYSHEV:
+            out = _cheb.chebval(xs, self.coeffs)
+            return float(out) if np.ndim(out) == 0 else out
+        scalar = xs.ndim == 0
+        xs = np.atleast_1d(xs)
+        c = self.coeffs
+        total = np.full_like(xs, c[0])  # P_0 = 1
+        if len(c) > 1:
+            p_prev = np.ones_like(xs)
+            p_cur = xs.copy()
+            total = total + c[1] * p_cur
+            for n in range(2, len(c)):
+                p_prev, p_cur = p_cur, ((2 * n - 1) * xs * p_cur - (n - 1) * p_prev) / n
+                total = total + c[n] * p_cur
+        return float(total[0]) if scalar else total
 
     def derivative(self) -> "DensePoly":
-        return derivative(self)
-
-
-def eval_legendre(p: DensePoly, x):
-    """Evaluate a Legendre series, accumulating P_n by the Bonnet recurrence."""
-    if p.basis is not BasisKind.LEGENDRE:
-        raise InvalidParameterError("eval_legendre requires a Legendre-basis polynomial")
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    c = p.coeffs
-    total = np.full_like(xs, c[0])  # P_0 = 1
-    if len(c) > 1:
-        p_prev = np.ones_like(xs)
-        p_cur = xs.copy()
-        total = total + c[1] * p_cur
-        for n in range(2, len(c)):
-            p_prev, p_cur = p_cur, ((2 * n - 1) * xs * p_cur - (n - 1) * p_prev) / n
-            total = total + c[n] * p_cur
-    return float(total[0]) if scalar else total
-
-
-_DERIV = {
-    BasisKind.LEGENDRE: _leg.legder,
-    BasisKind.CHEBYSHEV: _cheb.chebder,
-}
-
-
-def derivative(p: DensePoly) -> DensePoly:
-    """Exact derivative, expressed in the same basis as the input."""
-    if p.degree == 0:
-        return DensePoly(p.basis, np.zeros(1))
-    return DensePoly(p.basis, _DERIV[p.basis](p.coeffs))
+        """Exact derivative, expressed in the same basis."""
+        if self.degree == 0:
+            return DensePoly(self.basis, np.zeros(1))
+        return DensePoly(self.basis, _DERIV[self.basis](self.coeffs))
 
 
 def _of_curve(t) -> str:
@@ -141,6 +131,10 @@ class PiecewisePoly:
             raise InvalidDataError("local coefficients must be an ([T,] nseg, [m,] 1..4) array")
         if c.shape[: bp.ndim] != (*lead, bp.shape[-1] - 1):
             raise InvalidDataError("segment count must be breakpoint count - 1")
+        finite = np.isfinite(c).reshape(*lead, -1).all(axis=-1)
+        if not finite.all():
+            t = np.argwhere(~finite)[0]
+            raise InvalidDataError(f"local coefficients must be finite{_of_curve(t)}")
         rising = np.diff(bp) > 0
         if not rising.all():
             t = np.argwhere(~rising)[0][:-1]
@@ -312,6 +306,10 @@ def _horner(c: np.ndarray, a: np.ndarray, steps: np.ndarray, up, lo) -> np.ndarr
     return r
 
 
+# byte budget of the (block, m, rows, nseg) table one pass of _moments builds for a bucket
+_BLOCK_BYTES = 1 << 17
+
+
 def _moments(
     f: PiecewisePoly, basis: BasisKind, degree: int, derivative: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -334,20 +332,27 @@ def _moments(
     table of [A_m].  Every row depends only on lower rows and is summed over
     its own curve's segments, so the moments at a degree are an exact prefix
     of those at a higher one, and a curve's rows have the same bits in a
-    bucket as alone.
+    bucket as alone.  A bucket passes in blocks of curves whose table fits
+    _BLOCK_BYTES, and the blocks' p and q are concatenated.
     """
     bp, c = f.breakpoints, f.local
     if bp[..., 0].min() < -1.0 or bp[..., -1].max() > 1.0:
         raise InvalidDataError("breakpoints must lie within [-1, 1]")
     width = c.shape[-1]
-    steps = _antiderivative_steps(basis, degree + width, bp)
     up, lo = _three_term(basis, degree + width)
-    a = bp[..., :-1]
-    p = _horner(c, a, steps, up, lo).sum(axis=-1)
-    if not derivative or width < 2:
-        return p, None
-    dc = c[..., 1:] * np.arange(1, width)
-    return p, _horner(dc, a, steps[..., : degree + width - 2, :], up, lo).sum(axis=-1)
+    blocks = [(bp, c)]
+    if bp.ndim == 2:
+        block = max(1, _BLOCK_BYTES // (8 * (degree + width) * (c[0].size // width)))
+        blocks = [(bp[i : i + block], c[i : i + block]) for i in range(0, len(bp), block)]
+    ps, qs = [], []
+    for bp, c in blocks:
+        steps = _antiderivative_steps(basis, degree + width, bp)
+        a = bp[..., :-1]
+        ps.append(_horner(c, a, steps, up, lo).sum(axis=-1))
+        if derivative and width > 1:
+            dc = c[..., 1:] * np.arange(1, width)
+            qs.append(_horner(dc, a, steps[..., : degree + width - 2, :], up, lo).sum(axis=-1))
+    return np.concatenate(ps), np.concatenate(qs) if qs else None
 
 
 def _sobolev_inners(

@@ -34,9 +34,9 @@ from inkbasis import (
     synthesize,
 )
 from conftest import make_random_trace
-from inkbasis import BASIS_KINDS, arc_length_normalize
-from inkbasis.bases import _project_family
-from inkbasis.ink import _block_size
+from inkbasis import BASIS_KINDS, OrthoBasis, arc_length_normalize, bases, poly, symbol_coeffs
+from inkbasis.bases import _project
+from inkbasis.poly import _BLOCK_BYTES
 from oracles import (
     closed_form_sobolev_gram,
     global_segments,
@@ -114,6 +114,12 @@ class TestInnerClosedForm:
         with pytest.raises(BasisMismatchError):
             p = DensePoly(BasisKind.LEGENDRE, [1])
             inner_closed_form(p, p, CS)
+
+    def test_lambda_whose_gram_overflows_is_refused(self, recwarn):
+        f = DensePoly(BasisKind.CHEBYSHEV, [0.0, 0.0, 1.0])
+        with pytest.raises(InvalidParameterError, match=r"^lambda 1e\+308 is too large at degree 2"):
+            inner_closed_form(f, f, spec_for_kind("chebyshev-sobolev", 1e308))
+        assert not recwarn.list
 
     def test_order_guard(self):
         with pytest.raises(InvalidParameterError, match="^order 2 not implemented$"):
@@ -232,6 +238,25 @@ class TestBuildBasis:
         with pytest.raises(InvalidParameterError, match="^lam must be finite and non-negative"):
             InnerProductSpec(Weight.UNIT, 10**400, 1)
 
+    def test_lambda_whose_gram_overflows_is_refused(self, recwarn):
+        with pytest.raises(InvalidParameterError,
+                           match=r"^lambda 1e\+302 is too large at degree 100: the Gram matrix"):
+            build_basis(spec_for_kind("chebyshev-sobolev", 1e302), 100)
+        basis = build_basis(spec_for_kind("chebyshev-sobolev", 1e301), 100)
+        trace = make_random_trace(np.random.default_rng(3))
+        for spline in ("linear", "cubic"):
+            c = symbol_coeffs(trace, basis, spline)
+            assert np.isfinite([*c.xs, *c.ys, c.x0, c.y0]).all()
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("name", ["expansion", "sq_norms"])
+    def test_non_finite_arrays_are_refused(self, name):
+        b = build_basis(CS, 3)
+        arrays = {"expansion": b.expansion.copy(), "sq_norms": b.sq_norms.copy()}
+        arrays[name][-1] = np.nan
+        with pytest.raises(InvalidDataError, match="^expansion and sq_norms must be finite$"):
+            OrthoBasis(CS, 3, **arrays)
+
     def test_numpy_integers_accepted(self):
         b = build_basis(InnerProductSpec(Weight.UNIT, np.float64(0.125), np.int64(1)), np.int64(3))
         assert b.basis_id == build_named_basis("legendre-sobolev", 3).basis_id
@@ -348,13 +373,18 @@ def equal_shape_curves(spline: str, count: int) -> tuple[np.ndarray, np.ndarray]
     return np.stack([c.breakpoints for c in curves]), np.stack([c.local for c in curves])
 
 
+def curves_per_block(spline: str, degree: int) -> int:
+    """Curves of seven x, y segments per pass of poly._moments at degree."""
+    width = 2 if spline == "linear" else 4
+    return max(1, _BLOCK_BYTES // (8 * 2 * (degree + width) * 7))
+
+
 class TestBucket:
     @pytest.mark.parametrize("degree", [1, 10, 60, 100])
     @pytest.mark.parametrize("spline", ["linear", "cubic"])
     def test_bucket_projection_equals_bucket_of_one(self, spline, degree):
-        # bucket sizes around the corpus path's block size, for both weights
-        width = 2 if spline == "linear" else 4
-        block = _block_size((7, 2, width), degree)
+        # bucket sizes around the block size, for both weights
+        block = curves_per_block(spline, degree)
         knots, local = equal_shape_curves(spline, block + 1)
         for kind in BASIS_KINDS:
             basis = build_named_basis(kind, degree)
@@ -365,6 +395,28 @@ class TestBucket:
                 got = project(PiecewisePoly(knots[:size], local[:size]), basis)
                 assert got.shape == (size, 2, degree + 1)
                 assert np.array_equal(got, alone[:size]), f"{kind}, {size} curves"
+
+    @pytest.mark.parametrize("spline", ["linear", "cubic"])
+    def test_a_bucket_passes_in_blocks_within_the_budget(self, spline, monkeypatch):
+        size = 3 * curves_per_block(spline, 10) + 1
+        knots, local = equal_shape_curves(spline, size)
+        tables = []
+        steps = poly._antiderivative_steps
+
+        def spy(*args):
+            tables.append(steps(*args))
+            return tables[-1]
+
+        for kind in BASIS_KINDS:
+            basis = build_named_basis(kind, 10)
+            alone = [project(PiecewisePoly(knots[i : i + 1], local[i : i + 1]), basis)[0]
+                     for i in range(size)]
+            monkeypatch.setattr(poly, "_antiderivative_steps", spy)
+            tables.clear()
+            got = project(PiecewisePoly(knots, local), basis)
+            monkeypatch.undo()
+            assert len(tables) == 4 and max(t.nbytes for t in tables) <= _BLOCK_BYTES
+            assert np.array_equal(got, alone), kind
 
     def test_equality_holds_under_other_blas_kernels(self):
         # the Legendre forcing is added term by term, not by BLAS; other
@@ -391,6 +443,14 @@ class TestBucket:
         local[1, 2, 0, 0] += 1.0  # x of curve 1 jumps at its breakpoint 2
         with pytest.raises(InvalidDataError,
                            match=rf"^discontinuity at breakpoint {knots[1, 2]} in curve 1$"):
+            PiecewisePoly(knots, local)
+
+    def test_first_non_finite_curve_is_named(self):
+        knots, local = equal_shape_curves("cubic", 4)
+        local = local.copy()
+        local[3, 0, 1, 3] = np.inf
+        local[2, 6, 0, 2] = np.nan
+        with pytest.raises(InvalidDataError, match="^local coefficients must be finite in curve 2$"):
             PiecewisePoly(knots, local)
 
     def test_first_non_increasing_curve_is_named(self):
@@ -433,10 +493,26 @@ class TestSharedMoments:
                 per_degree = [project(f, basis) for basis in bases]
                 for top in (2, 40, 100):  # the degree the moments are taken at
                     family = [b for b in bases if b.degree <= top]
-                    for basis, got, want in zip(family, _project_family(f, family), per_degree):
+                    for basis, got, want in zip(family, _project(f, family), per_degree):
                         assert got.shape == want.shape
                         assert np.array_equal(got, want), (
                             f"{kind}, d = {basis.degree} from {top}, {f.local.shape}")
+
+    @pytest.mark.parametrize("spline", ["linear", "cubic"])
+    def test_one_call_serves_every_kind_lambda_and_degree(self, spline, monkeypatch):
+        knots, local = equal_shape_curves(spline, 5)
+        mixed = [build_named_basis(kind, d) for kind in BASIS_KINDS for d in (3, 10, 40)]
+        mixed += [build_named_basis("chebyshev-sobolev", d, 1.5) for d in (3, 10, 40)]
+        weights = []
+        real = bases._moments
+        for f in (PiecewisePoly(knots[0], local[0]), PiecewisePoly(knots, local)):
+            monkeypatch.setattr(bases, "_moments", lambda *a: weights.append(a[1]) or real(*a))
+            weights.clear()
+            rows = _project(f, mixed)
+            monkeypatch.undo()
+            assert sorted(weights) == sorted(BasisKind)  # one moment pass per weight
+            for basis, got in zip(mixed, rows):
+                assert np.array_equal(got, project(f, basis)), basis.basis_id
 
     def test_equality_holds_under_other_cpu_kernels(self):
         env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",

@@ -388,7 +388,7 @@ class TestLabeledDataset:
         a = LabeledDataset(items, split_seed=7, split_ratio=2 / 3)
         b = LabeledDataset(items, split_seed=7, split_ratio=2 / 3)
         np.testing.assert_array_equal(a.split_indices()[0], b.split_indices()[0])
-        train, test = a.split()
+        train, test = a.split_indices()
         assert len(train) == 20 and len(test) == 10
 
     def test_different_seed_different_split(self, rng):

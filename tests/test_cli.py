@@ -64,6 +64,13 @@ class TestBuildBasis:
                      "--degree", "4", "--out", str(out)]) == 0
         assert load_basis(out).spec.lam == 0.5
 
+    def test_lambda_whose_gram_overflows_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "big.json"
+        assert main(["build-basis", "--basis", "chebyshev-sobolev", "--lambda", "1e308",
+                     "--degree", "10", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "lambda 1e+308 is too large at degree 10" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
     def test_non_finite_lambda_exits_2(self, tmp_path, capsys, lam):

@@ -28,9 +28,8 @@ from inkbasis import (
     to_coeffs,
     write_coeffs_jsonl,
 )
-from inkbasis.ink import (
-    _MAX_RESCALED, _block_size, _normalize_linear, _normalized_buckets, _project_buckets,
-)
+from inkbasis.ink import _MAX_RESCALED, _normalize_linear, _normalized_buckets, _project_buckets
+from inkbasis.poly import _BLOCK_BYTES
 
 PENDIGITS_LINE = "0,100, 0,0, 100,0, 100,100, 0,100, 0,0, 50,50, 100,50, 7"
 
@@ -279,9 +278,9 @@ class TestBuckets:
     @pytest.mark.parametrize("degree", [1, 10, 60, 100])
     @pytest.mark.parametrize("spline", [SplineKind.LINEAR, SplineKind.CUBIC])
     def test_corpus_rows_equal_per_trace_coefficients(self, rng, spline, degree):
-        # bucket sizes around the block size, one moment pass per block and weight
+        # bucket sizes around the block size of poly._moments
         width = 2 if spline is SplineKind.LINEAR else 4
-        block = _block_size((7, 2, width), degree)
+        block = _BLOCK_BYTES // (8 * 2 * (degree + width) * 7)
         traces = [make_random_trace(rng, 8, 8) for _ in range(block + 1)]
         [(idx, knots, local)], lengths = _normalized_buckets(traces, spline)  # one shape, one bucket
         np.testing.assert_array_equal(idx, np.arange(block + 1))
@@ -292,7 +291,7 @@ class TestBuckets:
             assert np.array_equal(lengths, [c.length for c in alone])
             want.append(np.array([[[c.x0, *c.xs], [c.y0, *c.ys]] for c in alone]))
         for size in sorted({1, 2, block - 1, block, block + 1}):
-            # the four kinds together: one moment pass per weight and block
+            # the four kinds together, in one _project call
             got = _project_buckets([(idx[:size], knots[:size], local[:size])], bases, size)
             for kind, rows, rows_alone in zip(BASIS_KINDS, got, want):
                 assert np.array_equal(rows, rows_alone[:size]), f"{kind}, {size} traces"
@@ -309,7 +308,10 @@ class TestBuckets:
 
     @pytest.mark.parametrize("spline", [SplineKind.LINEAR, SplineKind.CUBIC])
     def test_mixed_point_counts_come_back_in_input_order(self, rng, spline, monkeypatch):
+        # 250 traces of 9 points make a bucket of more than one block
         traces = [make_random_trace(rng, 2, 12) for _ in range(40)]
+        traces += [make_random_trace(rng, 9, 9) for _ in range(250)]
+        rng.shuffle(traces)
         basis = build_named_basis("legendre-sobolev", 10)
         calls = []
         real = poly.PiecewisePoly.__post_init__
@@ -320,6 +322,8 @@ class TestBuckets:
         [rows] = _project_buckets(buckets, [basis], len(traces))
         counts = Counter(len(t.points) for t in traces)
         assert sorted(len(idx) for idx, _, _ in buckets) == sorted(counts.values())
+        width = 2 if spline is SplineKind.LINEAR else 4
+        assert counts[9] > _BLOCK_BYTES // (8 * 2 * (10 + width) * 8)
         assert len(calls) == len(buckets) and all(len(shape) == 2 for shape in calls)
         for t, row, length in zip(traces, rows, lengths):
             alone = arc_length_normalize(t, spline)
@@ -360,8 +364,11 @@ class TestToCoeffs:
 
     def test_requires_degree_one(self):
         basis = build_named_basis("chebyshev", 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameterError, match="^basis degree must be at least 1$"):
             to_coeffs(arc_length_normalize(InkTrace([(0, 0), (1, 1)])), basis)
+        traces = [InkTrace([(0, 0), (1, i)], label=str(i % 2)) for i in range(1, 5)]
+        with pytest.raises(InvalidParameterError, match="^basis degree must be at least 1$"):
+            accuracy_sweep(traces, ["chebyshev"], [1], degree=0)
 
     @pytest.mark.parametrize("spline", [SplineKind.LINEAR, SplineKind.CUBIC])
     def test_one_antiderivative_table_per_curve_and_basis(self, rng, monkeypatch, spline):

@@ -18,7 +18,6 @@ from inkbasis import (
     Weight,
     arc_length_normalize,
     build_basis,
-    collapse_duplicates,
     project,
     spec_for_kind,
 )
@@ -67,7 +66,7 @@ def test_project_matches_quadrature(weight, degree):
     classical = "chebyshev" if weight is Weight.INVERSE_SQRT else "legendre"
     failures = []
     for spline, n, tol, trace, norm in _curves():
-        values = collapse_duplicates(trace.points) * (2.0 / norm.total_length)
+        values = trace.points * (2.0 / norm.total_length)
         plain, deriv = quad_spline_inners(norm.knots, values, spline == "cubic", classical, degree)
         for kind in KINDS[weight]:
             basis = _basis(kind, degree)

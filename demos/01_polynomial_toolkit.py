@@ -9,8 +9,7 @@ Everything downstream rests on two facts demonstrated here:
 
 import numpy as np
 
-from inkbasis import BasisKind, DensePoly, PiecewisePoly
-from inkbasis.poly import piecewise_classical_inners
+from inkbasis import BasisKind, DensePoly, PiecewisePoly, build_named_basis, project
 
 # --- dense polynomials in the two classical bases --------------------------
 # The parabola 2x^2 - 1 is exactly T_2, and (4 P_2 - 1) / 3 in Legendre form.
@@ -65,9 +64,12 @@ print("\nhat local coefficients:\n", hat.local)
 
 # Against T_0, T_1, T_2 under the inverse-sqrt weight: the three-term
 # recurrence s T_k = (T_{k+1} + T_{k-1}) / 2 turns each (s - s_j) factor into
-# neighbouring antiderivative values, so no integration routine runs.
+# neighbouring antiderivative values, so no integration routine runs.  The
+# plain Chebyshev basis is T_0, T_1, T_2 themselves, so project returns
+# <hat, T_k> / <T_k, T_k>, and the squared norms give the integrals back.
+chebyshev = build_named_basis("chebyshev", 2)
 print("hat function against T_0, T_1, T_2 (inverse-sqrt weight):")
-for i, v in enumerate(piecewise_classical_inners(hat, BasisKind.CHEBYSHEV, 2)):
+for i, v in enumerate(project(hat, chebyshev) * chebyshev.sq_norms):
     print(f"  <hat, T_{i}> = {v:+.12f}")
 print("(T_1 vanishes by symmetry; the others are (pi-2) and -2/3.)")
 
@@ -82,6 +84,6 @@ curve = PiecewisePoly(
 print("\n(x, y) at s = -0.5, 0.5:\n", curve(np.array([-0.5, 0.5])))
 # One call integrates both rows against T_0, T_1, T_2, sharing one table of
 # antiderivative values: a (2, 3) array whose first row is the hat's.
-both = piecewise_classical_inners(curve, BasisKind.CHEBYSHEV, 2)
+both = project(curve, chebyshev) * chebyshev.sq_norms
 print("curve against T_0, T_1, T_2:\n", np.array2string(both, precision=12, suppress_small=True))
 print("(the second row is <s, T_1> = pi/2 and zeros.)")

@@ -27,9 +27,7 @@ import numpy as np
 from .errors import (
     BasisMismatchError, InvalidDataError, InvalidParameterError, ParseError, open_utf8,
 )
-from .poly import (
-    BasisKind, DensePoly, PiecewisePoly, Weight, _derivative_matrix, _moments, _sobolev_inners
-)
+from .poly import BasisKind, DensePoly, PiecewisePoly, Weight, _derivative_matrix, _moments
 
 DEFAULT_LAMBDA = 0.125
 MAX_DEGREE = 100  # largest degree the projection is verified at against quadrature
@@ -249,8 +247,8 @@ def _project(f: PiecewisePoly, bases: list[OrthoBasis]) -> list[np.ndarray]:
 
     The bases may mix weights, kinds, lambdas and degrees.  The moments of f
     are taken once per weight, at the largest degree among that weight's
-    bases, and each basis combines their prefix with its own lambda and
-    degree.
+    bases, and each basis combines their prefix into its inner products
+    p + lam * D q at its own lambda and degree, D the legder/chebder matrix.
     """
     out = [None] * len(bases)
     for weight in dict.fromkeys(b.classical_basis for b in bases):
@@ -259,7 +257,13 @@ def _project(f: PiecewisePoly, bases: list[OrthoBasis]) -> list[np.ndarray]:
                         any(bases[i].spec.is_sobolev for i in family))
         for i in family:
             b = bases[i]
-            v = _sobolev_inners(p, q, weight, b.degree, b.spec.lam if b.spec.is_sobolev else 0.0)
+            d, lam = b.degree, b.spec.lam
+            v = np.ascontiguousarray(p[..., : d + 1])
+            if b.spec.is_sobolev and lam and d >= 1 and q is not None:
+                # one matrix-vector product per function, on a contiguous vector as
+                # at degree itself, keeps the bits of a lone function
+                dq = np.ascontiguousarray(q[..., :d])
+                v = v + lam * (_derivative_matrix(weight, d) @ dq[..., None])[..., 0]
             out[i] = (b.expansion @ v[..., None])[..., 0] / b.sq_norms
     return out
 

@@ -6,19 +6,20 @@ curves is a weighted Euclidean distance between their coefficient vectors.
 Matching a sample against any number of models therefore costs O(d) per
 model, independent of how many points the original traces had.
 
-Models and training sets are held as a CoeffTable, whose coefficients are
-stacked once into (N, 2d) rows [xs | ys].  Every distance -- one pair, a
-match, a kNN query or a whole accuracy table -- comes from one kernel,
-_weighted_sq, in the direct difference form
-sum_i h_i ((x_i - u_i)^2 + (y_i - v_i)^2), which is never negative and is
-exactly 0 on duplicates; _row_weights checks the bases once per call.
-Every neighbour list comes from one selection, _nearest, whose order
-equals a stable sort: equal distances keep dataset order.  Every vote comes
-from _votes, which decides all k = 1..kmax of one or many test rows at once
-and equals the label-by-label reference _vote in tests/oracles.py.
+Models are a CoeffTable, its coefficients stacked once into (N, 2d) rows
+[xs | ys]; a training set is a LabeledDataset, a CoeffTable whose labels are
+coded once (classes, codes) and whose split comes from _split.  Every
+distance comes from one kernel, _weighted_sq, in the direct difference form
+sum_i h_i ((x_i - u_i)^2 + (y_i - v_i)^2) with the weights [h | h] of
+_weights, never negative and exactly 0 on duplicates.  Every neighbour list
+comes from _nearest, whose order equals a stable sort, and every vote from
+_votes, which decides all k = 1..kmax at once and equals the reference
+_vote in tests/oracles.py.
 
-accuracy_sweep, the corpus path, decides only the experiment (kinds, split
-and k); ink buckets and projects the traces, bases shares the moments of
+knn_accuracy and accuracy_sweep, the corpus path, vote through one kernel,
+_accuracy.  The sweep codes the labels and draws the split once, and each
+kind votes on the [xs | ys] rows of its projected array, with no per-trace
+object; ink buckets and projects the traces, bases shares the moments of
 the kinds, and poly bounds the memory of each pass.
 """
 
@@ -32,48 +33,73 @@ from .bases import DEFAULT_LAMBDA, OrthoBasis, build_named_basis
 from .errors import BasisMismatchError, InvalidDataError, InvalidParameterError
 from .ink import (
     CoeffTable, InkTrace, NormalizedTrace, SplineKind, SymbolCoeffs, _normalized_buckets,
-    _project_buckets, _symbol, reconstruct,
+    _project_buckets, _without_constants, reconstruct,
 )
 
 DEFAULT_SPLIT_SEED = 0
 DEFAULT_SPLIT_RATIO = 2.0 / 3.0
 
 
-@dataclass(frozen=True)
-class LabeledDataset:
-    """Labeled coefficient vectors with deterministic split metadata.
+def _label_codes(labels: list) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct labels, sorted, and each label's index among them; votes sort the labels."""
+    odd = [label for label in labels if label is not None and not isinstance(label, str)]
+    if odd:
+        raise InvalidDataError(f"label must be a string, got {odd[0]!r}")
+    if None in labels:
+        raise InvalidDataError("every dataset item needs a label")
+    classes = sorted(set(labels))
+    code_of = {label: code for code, label in enumerate(classes)}
+    return tuple(classes), np.array([code_of[label] for label in labels])
 
-    The split is a seeded shuffle of the item indices; the prefix of length
-    floor(ratio * n) is the training set.  table holds the same items by
-    column.
+
+def _split(n: int, seed: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
+    """Train and test indices: a seeded shuffle of range(n), cut at floor(ratio * n)."""
+    if not 0.0 < ratio < 1.0:
+        raise InvalidParameterError("split_ratio must lie in (0, 1)")
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise InvalidParameterError(f"split_seed must be a non-negative integer, got {seed!r}")
+    perm = np.random.default_rng(seed).permutation(n)
+    cut = int(n * ratio)
+    return perm[:cut], perm[cut:]
+
+
+@dataclass(frozen=True, eq=False)
+class LabeledDataset(CoeffTable):
+    """A table of labeled coefficient sets with a deterministic split.
+
+    classes holds the distinct labels in sorted order and codes (N,) each
+    item's index into classes, both made once here.  The split is a seeded
+    shuffle of the item indices; the prefix of length floor(ratio * n) is
+    the training set.
     """
 
-    items: tuple[SymbolCoeffs, ...]
     split_seed: int = DEFAULT_SPLIT_SEED
     split_ratio: float = DEFAULT_SPLIT_RATIO
-    table: CoeffTable = field(init=False, repr=False, compare=False)
+    classes: tuple[str, ...] = field(init=False, repr=False)
+    codes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        items = tuple(self.items)
-        if not items:
+        super().__post_init__()
+        if not self.items:
             raise InvalidDataError("dataset must contain at least one item")
-        if any(c.label is None for c in items):
-            raise InvalidDataError("every dataset item needs a label")
-        table = CoeffTable(items)
-        if not 0.0 < self.split_ratio < 1.0:
-            raise InvalidParameterError("split_ratio must lie in (0, 1)")
-        object.__setattr__(self, "items", items)
-        object.__setattr__(self, "table", table)
+        classes, codes = _label_codes([c.label for c in self.items])
+        self.split_indices()  # a bad split_ratio or split_seed fails here, not at the first vote
+        codes.setflags(write=False)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "codes", codes)
 
     def split_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        rng = np.random.default_rng(self.split_seed)
-        perm = rng.permutation(len(self.items))
-        cut = int(len(self.items) * self.split_ratio)
-        return perm[:cut], perm[cut:]
+        return _split(len(self.items), self.split_seed, self.split_ratio)
+
+
+def _weights(basis: OrthoBasis, d: int) -> np.ndarray:
+    """The weights [h | h] of a distance between [xs | ys] rows of d coefficients each."""
+    h = basis.sq_norms[1 : d + 1]
+    return np.concatenate([h, h])
 
 
 def _row_weights(table: CoeffTable, query: SymbolCoeffs, basis: OrthoBasis) -> np.ndarray:
-    """The weights [h | h] of a distance from query to the table's rows, all of one basis."""
+    """The weights of a distance from query to the table's rows, all of one basis."""
     if table.basis_id != query.basis_id or query.basis_id != basis.basis_id:
         raise BasisMismatchError(
             f"coefficient bases differ: {table.basis_id} / {query.basis_id} vs {basis.basis_id}"
@@ -81,8 +107,7 @@ def _row_weights(table: CoeffTable, query: SymbolCoeffs, basis: OrthoBasis) -> n
     d = len(query.xs)
     if table.xs.shape[1] != d:
         raise BasisMismatchError("coefficient lengths differ")
-    h = basis.sq_norms[1 : d + 1]
-    return np.concatenate([h, h])
+    return _weights(basis, d)
 
 
 def _weighted_sq(xy: np.ndarray, q: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -189,50 +214,47 @@ def knn_classify(
     Vote ties break by smaller summed distance, then lexicographic label;
     equal distances keep dataset order.
     """
-    items = train.items
-    if not 1 <= k <= len(items):
-        raise InvalidParameterError(f"k must be in [1, {len(items)}]")
-    dist = _sq_distances(train.table, query, basis)
+    if not 1 <= k <= len(train):
+        raise InvalidParameterError(f"k must be in [1, {len(train)}]")
+    dist = _sq_distances(train, query, basis)
     order = _nearest(dist, k)
-    neighbours = [items[i].label for i in order]
-    labels = sorted(set(neighbours))
-    codes = np.array([labels.index(label) for label in neighbours])
-    return labels[_votes(codes, dist[order])[-1]]
+    return train.classes[_votes(train.codes[order], dist[order])[-1]]
 
 
 def knn_accuracy(
     dataset: LabeledDataset, basis: OrthoBasis, ks: list[int]
 ) -> dict[int, float]:
-    """Test-set accuracy of kNN for each k, under the dataset's own split.
+    """Test-set accuracy of kNN for each k, under the dataset's own split."""
+    train, test = dataset.split_indices()
+    w = _row_weights(dataset, dataset[0], basis)
+    return _accuracy(dataset.xy, dataset.codes, train, test, w, ks)
 
-    Each test row's kmax nearest training items are found once, and all
-    rows vote for every k at once.
+
+def _accuracy(
+    xy: np.ndarray, codes: np.ndarray, train: np.ndarray, test: np.ndarray, w: np.ndarray,
+    ks: list[int],
+) -> dict[int, float]:
+    """Share of the test rows of xy whose kNN vote among the train rows is their own code, per k.
+
+    Each test row's kmax nearest training rows are found once, and all rows
+    vote for every k at once.
     """
-    train_idx, test_idx = dataset.split_indices()
-    if len(train_idx) == 0:
+    if len(train) == 0:
         raise InvalidDataError("split left no training items")
     if not ks or min(ks) < 1:
-        raise InvalidParameterError(f"every k must be in [1, {len(train_idx)}], got {ks}")
+        raise InvalidParameterError(f"every k must be in [1, {len(train)}], got {ks}")
     kmax = max(ks)
-    if kmax > len(train_idx):
-        raise InvalidParameterError(f"k={kmax} exceeds training size {len(train_idx)}")
-    items = dataset.items
-    w = _row_weights(dataset.table, items[0], basis)
-    xy = dataset.table.xy
-    train_xy = xy[train_idx]
-    train_labels = [items[i].label for i in train_idx]
-    code_of = {label: code for code, label in enumerate(sorted(set(train_labels)))}
-    train_codes = np.array([code_of[label] for label in train_labels])
-    test_codes = np.array([code_of.get(items[i].label, -1) for i in test_idx])
-
-    near = np.empty((len(test_idx), kmax), dtype=int)
-    near_dists = np.empty((len(test_idx), kmax))
-    for row, ti in enumerate(test_idx):
+    if kmax > len(train):
+        raise InvalidParameterError(f"k={kmax} exceeds training size {len(train)}")
+    train_xy = xy[train]
+    near = np.empty((len(test), kmax), dtype=int)
+    near_dists = np.empty((len(test), kmax))
+    for row, ti in enumerate(test):
         dist = _weighted_sq(train_xy, xy[ti], w)
         near[row] = _nearest(dist, kmax)
         near_dists[row] = dist[near[row]]
-    hits = np.sum(_votes(train_codes[near], near_dists) == test_codes[:, None], axis=0)
-    n_test = max(1, len(test_idx))
+    hits = np.sum(_votes(codes[train][near], near_dists) == codes[test][:, None], axis=0)
+    n_test = max(1, len(test))
     return {k: int(hits[k - 1]) / n_test for k in ks}
 
 
@@ -248,27 +270,25 @@ def accuracy_sweep(
 ) -> list[dict]:
     """Accuracy and error rate per (basis kind, k) on labeled traces.
 
-    Each trace is normalized once, in buckets of equal shape, and its
-    moments are taken once per weight; each basis kind gets its own
-    coefficient dataset from them, with the bits a kind-by-kind projection
-    gives, and all kinds share the same deterministic train/test split, so
-    rows are comparable.  A trace that fails raises what it raises alone,
-    the first in input order.  Returns rows of {"basis", "k", "accuracy",
-    "error_rate"} in sweep order.
+    Each trace is normalized once, in buckets of equal shape, and projected
+    once per weight; each kind votes on the [xs | ys] rows of its projected
+    array, with a kind-by-kind projection's bits, and all kinds share one
+    coding of the labels and one split.  The first failing trace in input
+    order raises what it raises alone.  Returns {"basis", "k", "accuracy",
+    "error_rate"} rows in sweep order.
     """
     if not traces:
         raise InvalidDataError("no traces supplied")
     ks = list(k_range)
-    buckets, lengths = _normalized_buckets(traces, spline)
-    labels = [t.label for t in traces]
+    buckets = _normalized_buckets(traces, spline)
     bases = [build_named_basis(kind, degree, lam) for kind in basis_kinds]
+    xys = [_without_constants(coeffs).reshape(len(traces), -1)
+           for coeffs in _project_buckets(buckets, bases, len(traces))]
+    _, codes = _label_codes([t.label for t in traces])
+    train, test = _split(len(traces), split_seed, split_ratio)
     rows = []
-    for kind, basis, coeffs in zip(basis_kinds, bases,
-                                   _project_buckets(buckets, bases, len(traces))):
-        items = tuple(_symbol(row, basis.basis_id, label, float(length))
-                      for row, label, length in zip(coeffs, labels, lengths))
-        dataset = LabeledDataset(items, split_seed=split_seed, split_ratio=split_ratio)
-        acc = knn_accuracy(dataset, basis, ks)
+    for kind, basis, xy in zip(basis_kinds, bases, xys):
+        acc = _accuracy(xy, codes, train, test, _weights(basis, degree), ks)
         for k in ks:
             rows.append(
                 {

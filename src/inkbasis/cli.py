@@ -269,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate(args, parser: argparse.ArgumentParser) -> None:
     if not (math.isfinite(args.lam) and args.lam >= 0):
         parser.error("--lambda must be finite and non-negative")
-    if getattr(args, "degree", 1) < 1:
+    # only projection needs degree 1: build-basis builds degree 0
+    if args.func is not cmd_build_basis and getattr(args, "degree", 1) < 1:
         parser.error("--degree must be at least 1")
     if hasattr(args, "k_min") and not 1 <= args.k_min <= args.k_max:
         parser.error("need 1 <= --k-min <= --k-max")

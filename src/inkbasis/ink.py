@@ -452,31 +452,29 @@ def arc_length_normalize(
 
 def _normalized_buckets(
     traces: Sequence[InkTrace], spline: SplineKind
-) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], np.ndarray]:
-    """The traces' normalized curves in buckets of equal shape, and their lengths.
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The traces' normalized curves in buckets of equal shape.
 
     Each bucket is (indices into traces, knots (T, n), local (T, n - 1, 2,
     width)).  Linear curves are normalized a bucket of equal point counts at
     a time; cubic ones trace by trace, then stacked by shape.  The first
     failing trace in input order raises the error it raises alone.
     """
-    lengths = np.empty(len(traces))
     buckets = []
     if _spline_kind(spline) is SplineKind.LINEAR:
         failure = np.zeros(len(traces), dtype=int)
         for idx in _groups(len(t.points) for t in traces):
-            knots, local, lengths[idx], failure[idx] = _normalize_linear(
+            knots, local, _, failure[idx] = _normalize_linear(
                 np.stack([traces[i].points for i in idx])
             )
             buckets.append((idx, knots, local))
         _raise_first_failure(failure)
-        return buckets, lengths
+        return buckets
     curves = [arc_length_normalize(t, spline) for t in traces]
-    lengths[:] = [n.total_length for n in curves]
     for idx in _groups(n.curve.local.shape for n in curves):
         buckets.append((idx, np.stack([curves[i].knots for i in idx]),
                         np.stack([curves[i].curve.local for i in idx])))
-    return buckets, lengths
+    return buckets
 
 
 def _groups(keys: Iterable) -> list[np.ndarray]:
@@ -524,12 +522,17 @@ def _family_coeffs(
             for row, b in zip(rows, bases)]
 
 
+def _without_constants(rows: np.ndarray) -> np.ndarray:
+    """The degree 1..d coefficients of projected (..., 2, d + 1) rows; d must be at least 1."""
+    if rows.shape[-1] < 2:
+        raise InvalidParameterError("basis degree must be at least 1")
+    return rows[..., 1:]
+
+
 def _symbol(row: np.ndarray, basis_id: str, label: str | None, length: float) -> SymbolCoeffs:
     """The SymbolCoeffs of a projected curve's (2, d + 1) row; the constant terms become x0, y0."""
-    if row.shape[-1] < 2:
-        raise InvalidParameterError("basis degree must be at least 1")
-    return SymbolCoeffs(basis_id, row[0, 1:], row[1, 1:], label, float(row[0, 0]),
-                        float(row[1, 0]), length)
+    xs, ys = _without_constants(row)
+    return SymbolCoeffs(basis_id, xs, ys, label, float(row[0, 0]), float(row[1, 0]), length)
 
 
 def symbol_coeffs(

@@ -353,35 +353,3 @@ def _moments(
             dc = c[..., 1:] * np.arange(1, width)
             qs.append(_horner(dc, a, steps[..., : degree + width - 2, :], up, lo).sum(axis=-1))
     return np.concatenate(ps), np.concatenate(qs) if qs else None
-
-
-def _sobolev_inners(
-    p: np.ndarray, q: np.ndarray | None, basis: BasisKind, degree: int, lam: float
-) -> np.ndarray:
-    """p + lam * D q at degree, from the moments of f at that degree or higher.
-
-    The result is contiguous, (..., m, degree + 1), with the bits that
-    moments taken at degree itself give.
-    """
-    v = p[..., : degree + 1]
-    if lam and degree >= 1 and q is not None:
-        # one matrix-vector product per function, on a contiguous vector as
-        # at degree itself, keeps the bits of a lone function
-        inner_d = np.ascontiguousarray(q[..., :degree])
-        return v + lam * (_derivative_matrix(basis, degree) @ inner_d[..., None])[..., 0]
-    return np.ascontiguousarray(v)
-
-
-def piecewise_classical_inners(
-    f: PiecewisePoly, basis: BasisKind, degree: int, lam: float = 0.0
-) -> np.ndarray:
-    """Sobolev inner products of f with every classical element 0..degree.
-
-    out[..., k] is the integral over the breakpoint span of f B_k w, plus lam
-    times that of f' B_k' w: p + lam * D q, with p and q the moments of f
-    (see _moments) and D the legder/chebder matrix.  For m functions on the
-    breakpoints, (nseg, m, width), out is (m, degree + 1); a bucket of T
-    curves adds a leading axis, (T, m, degree + 1), and every row has the
-    bits of its curve alone.
-    """
-    return _sobolev_inners(*_moments(f, basis, degree, bool(lam)), basis, degree, lam)

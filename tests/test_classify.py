@@ -1,6 +1,7 @@
 """Coefficient distances, reconstruction error, matching, kNN."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -378,6 +379,26 @@ class TestKnnClassify:
         )
         assert hits == len(items)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_the_reference_vote_over_the_k_nearest(self, seed):
+        # 0/1 coefficients under equal weights: distances are multiples of
+        # pi/2, so counts and summed distances tie often; the far "z" items
+        # and the labels outside each neighbour list never win
+        rng = np.random.default_rng(seed)
+        near = [make_coeffs(CHEB10, rng.integers(0, 2, 10), rng.integers(0, 2, 10),
+                            str(rng.choice(list("abcd")))) for _ in range(20)]
+        far = [make_coeffs(CHEB10, np.full(10, 9.0), np.full(10, 9.0), "z") for _ in range(3)]
+        items = far[:1] + near + far[1:]
+        ds = LabeledDataset(tuple(items))
+        queries = items[1:6] + [make_coeffs(CHEB10, rng.integers(0, 2, 10), rng.integers(0, 2, 10))
+                                for _ in range(5)]
+        for q in queries:
+            dist = _sq_distances(ds, q, CHEB10)
+            for k in range(1, len(near) + 1):
+                order = np.argsort(dist, kind="stable")[:k]
+                want = _vote([items[i].label for i in order], dist[order])
+                assert knn_classify(ds, q, k, CHEB10) == want
+
 
 class TestLabeledDataset:
     def test_split_is_deterministic(self, rng):
@@ -422,15 +443,31 @@ class TestLabeledDataset:
             with pytest.raises(InvalidParameterError):
                 LabeledDataset((a,), split_ratio=ratio)
 
+    def test_labels_are_coded_once_in_sorted_order(self):
+        items = tuple(make_coeffs(CHEB10, np.zeros(10), np.zeros(10), label)
+                      for label in ("b", "a", "c", "a"))
+        ds = LabeledDataset(items)
+        assert isinstance(ds, CoeffTable)
+        assert ds.classes == ("a", "b", "c")
+        np.testing.assert_array_equal(ds.codes, [1, 0, 2, 0])
+        assert not ds.codes.flags.writeable
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None, "0"])
+    def test_split_seed_must_be_a_non_negative_integer(self, seed):
+        a = make_coeffs(CHEB10, np.zeros(10), np.zeros(10), "a")
+        with pytest.raises(InvalidParameterError, match="^split_seed must be a non-negative"):
+            LabeledDataset((a, a, a), split_seed=seed)
+        assert len(LabeledDataset((a, a, a), split_seed=np.int64(3)).split_indices()[0]) == 2
+
     def test_table_holds_items_by_column(self, rng):
         items = tuple(
             make_coeffs(CHEB10, rng.uniform(-1, 1, 10), rng.uniform(-1, 1, 10), "x")
             for _ in range(5)
         )
         ds = LabeledDataset(items)
-        assert ds.table.items == ds.items
-        np.testing.assert_array_equal(ds.table.xs, [c.xs for c in items])
-        np.testing.assert_array_equal(ds.table.ys, [c.ys for c in items])
+        assert tuple(ds) == ds.items == items
+        np.testing.assert_array_equal(ds.xs, [c.xs for c in items])
+        np.testing.assert_array_equal(ds.ys, [c.ys for c in items])
 
 
 class TestAccuracySweep:
@@ -448,7 +485,7 @@ class TestAccuracySweep:
         # the kinds of one weight share their moments: the rows equal those
         # of one kind at a time, from half the kernel passes
         traces = synthetic_digit_traces(rng, per_class=8)
-        n_buckets = len(_normalized_buckets(traces, spline)[0])
+        n_buckets = len(_normalized_buckets(traces, spline))
         assert n_buckets > 1  # the shapes differ in point count
         calls = []
         real = bases._moments
@@ -462,6 +499,43 @@ class TestAccuracySweep:
                               spline=spline) == one_at_a_time
         assert calls.count(BasisKind.LEGENDRE) == calls.count(BasisKind.CHEBYSHEV) == n_buckets
         assert len(calls) == 2 * n_buckets
+
+    def test_builds_no_per_trace_objects(self, rng, monkeypatch):
+        traces = synthetic_digit_traces(rng, per_class=4)
+        built = []
+        for cls in (SymbolCoeffs, CoeffTable):  # CoeffTable covers LabeledDataset
+            real = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__",
+                                lambda self, real=real: built.append(type(self)) or real(self))
+        rows = accuracy_sweep(traces, list(BASIS_KINDS), [1, 3], degree=6)
+        assert len(rows) == 8 and built == []
+
+    @pytest.mark.parametrize("spline", ["linear", "cubic"])
+    def test_rows_equal_knn_accuracy_on_per_trace_coefficients(self, rng, spline):
+        traces = synthetic_digit_traces(rng, per_class=10, jitter=12.0)
+        traces += traces[::4]  # exact duplicates, so some distances tie
+        ks = list(range(1, 9))
+        rows = accuracy_sweep(traces, list(BASIS_KINDS), ks, degree=7, spline=spline,
+                              split_seed=5)
+        for kind in BASIS_KINDS:
+            basis = build_named_basis(kind, 7)
+            ds = LabeledDataset(tuple(symbol_coeffs(t, basis, spline) for t in traces),
+                                split_seed=5)
+            acc = knn_accuracy(ds, basis, ks)
+            assert [(r["k"], r["accuracy"]) for r in rows if r["basis"] == kind] == [
+                (k, acc[k]) for k in ks
+            ]
+
+    @pytest.mark.parametrize(
+        "label, message",
+        [(7, "label must be a string, got 7"), (b"a", "label must be a string, got b'a'"),
+         (None, "every dataset item needs a label")],
+    )
+    def test_labels_must_be_strings(self, rng, label, message):
+        traces = synthetic_digit_traces(rng, per_class=3)
+        traces[4] = InkTrace(traces[4].points, label=label)
+        with pytest.raises(InvalidDataError, match=f"^{re.escape(message)}$"):
+            accuracy_sweep(traces, ["chebyshev"], [1], degree=4)
 
     def test_separable_classes_classify_well(self, rng):
         traces = synthetic_digit_traces(rng, per_class=9, jitter=1.5)

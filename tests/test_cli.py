@@ -52,6 +52,15 @@ class TestBuildBasis:
         assert basis.degree == 6
         assert basis.spec.lam == 0.125
 
+    @pytest.mark.parametrize("kind", bases.BASIS_KINDS)
+    def test_degree_zero_builds(self, tmp_path, kind):
+        # only the commands that project need degree 1
+        out, want = tmp_path / "d0.json", tmp_path / "want.json"
+        assert main(["build-basis", "--basis", kind, "--degree", "0", "--out", str(out)]) == 0
+        bases.save_basis(bases.build_named_basis(kind, 0), want)
+        assert out.read_bytes() == want.read_bytes()
+        assert load_basis(out).degree == 0
+
     def test_degree_above_limit_exits_2(self, tmp_path, capsys):
         out = tmp_path / "basis.json"
         assert main(["build-basis", "--degree", "101", "--out", str(out)]) == 2
@@ -169,6 +178,15 @@ class TestErrorSweep:
         out = tmp_path / "err.csv"
         assert main(["error-sweep", str(data), "--out", str(out)]) == 0
         assert out.read_text() == "trace_id,degree,error\n"
+
+    @pytest.mark.parametrize("kind", bases.BASIS_KINDS)
+    def test_degree_zero_builds(self, tmp_path, kind):
+        # only the commands that project need degree 1
+        out, want = tmp_path / "d0.json", tmp_path / "want.json"
+        assert main(["build-basis", "--basis", kind, "--degree", "0", "--out", str(out)]) == 0
+        bases.save_basis(bases.build_named_basis(kind, 0), want)
+        assert out.read_bytes() == want.read_bytes()
+        assert load_basis(out).degree == 0
 
     def test_degree_above_limit_exits_2(self, tmp_path, capsys):
         data = tmp_path / "line.txt"
@@ -293,6 +311,12 @@ class TestLibraryErrorsExit2:
             fh.write(b"1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,\xe93\n")
         self.run(capsys, ["knn-eval", str(data), "--out", str(tmp_path / "k.csv")],
                  "line 7: not UTF-8 text: invalid continuation byte")
+
+    def test_negative_split_seed(self, tmp_path, capsys):
+        data = tmp_path / "digits.txt"
+        write_pendigits(data, per_class=2)
+        self.run(capsys, ["knn-eval", str(data), "--seed", "-1", "--out", str(tmp_path / "k.csv")],
+                 "split_seed must be a non-negative integer, got -1")
 
     def test_empty_pendigits_knn_eval(self, tmp_path, capsys):
         data = tmp_path / "empty.txt"

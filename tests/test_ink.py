@@ -282,13 +282,12 @@ class TestBuckets:
         width = 2 if spline is SplineKind.LINEAR else 4
         block = _BLOCK_BYTES // (8 * 2 * (degree + width) * 7)
         traces = [make_random_trace(rng, 8, 8) for _ in range(block + 1)]
-        [(idx, knots, local)], lengths = _normalized_buckets(traces, spline)  # one shape, one bucket
+        [(idx, knots, local)] = _normalized_buckets(traces, spline)  # one shape, one bucket
         np.testing.assert_array_equal(idx, np.arange(block + 1))
         bases = [build_named_basis(kind, degree) for kind in BASIS_KINDS]
         want = []
         for basis in bases:
             alone = [to_coeffs(arc_length_normalize(t, spline), basis) for t in traces]
-            assert np.array_equal(lengths, [c.length for c in alone])
             want.append(np.array([[[c.x0, *c.xs], [c.y0, *c.ys]] for c in alone]))
         for size in sorted({1, 2, block - 1, block, block + 1}):
             # the four kinds together, in one _project call
@@ -317,7 +316,7 @@ class TestBuckets:
         real = poly.PiecewisePoly.__post_init__
         monkeypatch.setattr(poly.PiecewisePoly, "__post_init__",
                             lambda self: calls.append(np.shape(self.breakpoints)) or real(self))
-        buckets, lengths = _normalized_buckets(traces, spline)
+        buckets = _normalized_buckets(traces, spline)
         calls.clear()
         [rows] = _project_buckets(buckets, [basis], len(traces))
         counts = Counter(len(t.points) for t in traces)
@@ -325,10 +324,8 @@ class TestBuckets:
         width = 2 if spline is SplineKind.LINEAR else 4
         assert counts[9] > _BLOCK_BYTES // (8 * 2 * (10 + width) * 8)
         assert len(calls) == len(buckets) and all(len(shape) == 2 for shape in calls)
-        for t, row, length in zip(traces, rows, lengths):
-            alone = arc_length_normalize(t, spline)
-            assert np.array_equal(row, project(alone.curve, basis))
-            assert length == alone.total_length
+        for t, row in zip(traces, rows):
+            assert np.array_equal(row, project(arc_length_normalize(t, spline).curve, basis))
 
     def test_first_failing_trace_in_input_order_raises(self):
         huge = InkTrace([(0.0, 0.0), (1e308, 1e308), (-1e308, 0.0)])  # infinite length

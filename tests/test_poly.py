@@ -13,8 +13,9 @@ from inkbasis import (
     InvalidDataError,
     PiecewisePoly,
     Weight,
+    build_named_basis,
+    project,
 )
-from inkbasis.poly import piecewise_classical_inners
 from oracles import (
     OracleDomainError,
     global_segments,
@@ -289,4 +290,4 @@ class TestInnerPiecewise:
     def test_kernel_rejects_breakpoints_outside_the_interval(self, breakpoints):
         f = PiecewisePoly(np.array(breakpoints), [[0.0, 1.0]])
         with pytest.raises(InvalidDataError, match=r"^breakpoints must lie within \[-1, 1\]$"):
-            piecewise_classical_inners(f, BasisKind.CHEBYSHEV, 3, 0.125)
+            project(f, build_named_basis("chebyshev-sobolev", 3, 0.125))

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BasisMismatchError, InvalidDataError, InvalidParameterError, ParseError, open_utf8,
+    BasisMismatchError, InvalidDataError, InvalidParameterError, ParseError, _enum_member,
+    open_utf8,
 )
 from .poly import BasisKind, DensePoly, PiecewisePoly, Weight, _derivative_matrix, _moments
 
@@ -57,12 +58,7 @@ class InnerProductSpec:
     def __post_init__(self):
         if isinstance(self.lam, bool) or not isinstance(self.lam, numbers.Real):
             raise InvalidParameterError(f"lam must be a real number, got {self.lam!r}")
-        try:
-            object.__setattr__(self, "weight", Weight(self.weight))
-        except ValueError:
-            raise InvalidParameterError(
-                f"unknown weight {self.weight!r}; expected one of {[w.value for w in Weight]}"
-            ) from None
+        object.__setattr__(self, "weight", _enum_member(Weight, self.weight, "weight"))
         try:
             object.__setattr__(self, "lam", float(self.lam))
         except OverflowError:  # an integer past float's range
@@ -93,16 +89,15 @@ class InnerProductSpec:
 
 
 def spec_for_kind(kind: str, lam: float = DEFAULT_LAMBDA) -> InnerProductSpec:
-    """Inner-product spec for one of the four named basis kinds."""
-    if kind == "legendre":
-        return InnerProductSpec(Weight.UNIT, 0.0, 0)
-    if kind == "chebyshev":
-        return InnerProductSpec(Weight.INVERSE_SQRT, 0.0, 0)
-    if kind == "legendre-sobolev":
-        return InnerProductSpec(Weight.UNIT, lam, 1)
-    if kind == "chebyshev-sobolev":
-        return InnerProductSpec(Weight.INVERSE_SQRT, lam, 1)
-    raise InvalidParameterError(f"unknown basis kind {kind!r}; expected one of {BASIS_KINDS}")
+    """Inner-product spec for one of the four named basis kinds.
+
+    Every kind refuses a lam that InnerProductSpec refuses; the plain kinds then drop it.
+    """
+    if kind not in BASIS_KINDS:
+        raise InvalidParameterError(f"unknown basis kind {kind!r}; expected one of {BASIS_KINDS}")
+    weight = Weight.INVERSE_SQRT if kind.startswith("chebyshev") else Weight.UNIT
+    spec = InnerProductSpec(weight, lam, 1)
+    return spec if kind.endswith("-sobolev") else InnerProductSpec(weight, 0.0, 0)
 
 
 def _classical_sq_norms(weight: Weight, n: int) -> np.ndarray:

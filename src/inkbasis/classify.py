@@ -99,14 +99,15 @@ def _weights(basis: OrthoBasis, d: int) -> np.ndarray:
 
 
 def _row_weights(table: CoeffTable, query: SymbolCoeffs, basis: OrthoBasis) -> np.ndarray:
-    """The weights of a distance from query to the table's rows, all of one basis."""
+    """The weights of a distance from query to the table's rows, all of one basis and its degree."""
     if table.basis_id != query.basis_id or query.basis_id != basis.basis_id:
         raise BasisMismatchError(
             f"coefficient bases differ: {table.basis_id} / {query.basis_id} vs {basis.basis_id}"
         )
-    d = len(query.xs)
-    if table.xs.shape[1] != d:
-        raise BasisMismatchError("coefficient lengths differ")
+    d = basis.degree
+    if len(query.xs) != d or table.xs.shape[1] != d:
+        raise BasisMismatchError(f"{basis.basis_id} needs {d} coefficients per coordinate, got "
+                                 f"{len(query.xs)} and {table.xs.shape[1]}")
     return _weights(basis, d)
 
 
@@ -273,19 +274,21 @@ def accuracy_sweep(
     Each trace is normalized once, in buckets of equal shape, and projected
     once per weight; each kind votes on the [xs | ys] rows of its projected
     array, with a kind-by-kind projection's bits, and all kinds share one
-    coding of the labels and one split.  The first failing trace in input
+    coding of the labels and one split.  The bases are built and the split
+    drawn before any trace is normalized, so a bad kind, degree, lambda or
+    split costs no normalization; then the first failing trace in input
     order raises what it raises alone.  Returns {"basis", "k", "accuracy",
     "error_rate"} rows in sweep order.
     """
     if not traces:
         raise InvalidDataError("no traces supplied")
     ks = list(k_range)
-    buckets = _normalized_buckets(traces, spline)
     bases = [build_named_basis(kind, degree, lam) for kind in basis_kinds]
+    train, test = _split(len(traces), split_seed, split_ratio)
+    buckets = _normalized_buckets(traces, spline)
     xys = [_without_constants(coeffs).reshape(len(traces), -1)
            for coeffs in _project_buckets(buckets, bases, len(traces))]
     _, codes = _label_codes([t.label for t in traces])
-    train, test = _split(len(traces), split_seed, split_ratio)
     rows = []
     for kind, basis, xy in zip(basis_kinds, bases, xys):
         acc = _accuracy(xy, codes, train, test, _weights(basis, degree), ks)

@@ -1,25 +1,34 @@
-"""Command-line front end.
+"""Command-line front end: a declared shell over the library.
 
 Subcommands cover the whole pipeline: exporting a constructed basis,
 sampling reconstructed curves, reconstructing the original sample points,
 sweeping reconstruction error over degrees, and the four-way kNN accuracy
-table.  All data goes to CSV/JSON output files; diagnostics go to stderr.
+table.  _COMMANDS declares each command once: its handler, its help and the
+options it reads, from one table of options.  All data goes to CSV/JSON
+output files, every CSV through _write_csv; diagnostics go to stderr.
 Re-running a command with the same configuration produces byte-identical
 files.
+
+The CLI checks only the ranges it builds itself (--k-min <= --k-max and
+--d-min <= --d-max).  Every other value goes to the library as given, and
+the library refuses it: each command builds its bases before it reads any
+input, and knn-eval's accuracy_sweep builds them and draws its split before
+it normalizes any trace.  approximate, reconstruct and error-sweep share one
+per-trace loop, _projected.  An InkBasisError or OSError prints one
+"error: <message>" line and exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .bases import BASIS_KINDS, DEFAULT_LAMBDA, MAX_DEGREE, build_named_basis, save_basis
+from .bases import BASIS_KINDS, DEFAULT_LAMBDA, OrthoBasis, build_named_basis, save_basis
 from .classify import DEFAULT_SPLIT_RATIO, DEFAULT_SPLIT_SEED, accuracy_sweep, representation_error
 from .errors import InkBasisError, InvalidParameterError
 from .ink import (
@@ -31,7 +40,6 @@ from .ink import (
     merge_strokes,
     parse_inkml,
     reconstruct,
-    to_coeffs,
 )
 
 DATA_DIR_ENV = "INKBASIS_DATA_DIR"
@@ -93,68 +101,67 @@ def _trace_file_name(index: int, label: str | None) -> str:
     return stem + ".csv"
 
 
-def cmd_build_basis(args) -> int:
+def _projected(traces: list[InkTrace], bases: list[OrthoBasis], spline: str):
+    """Each trace's index, the trace, its normalized curve and its coefficients on each of bases.
+
+    Each trace is normalized once and projected once, one moment pass per
+    weight at the largest degree among bases (error-sweep's degrees truncate
+    those moments), as the traces are consumed.
+    """
+    for i, trace in enumerate(traces):
+        normalized = arc_length_normalize(trace, spline)
+        yield i, trace, normalized, _family_coeffs(normalized, bases, trace.label)
+
+
+def _write_csv(path, header: str, rows: list[str]) -> Path:
+    """Write the header and rows as one CSV file and return its path, which main reports."""
+    path = Path(path)
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    return path
+
+
+def cmd_build_basis(args) -> str:
+    save_basis(build_named_basis(args.basis, args.degree, args.lam), args.out)
+    return args.out
+
+
+def cmd_approximate(args) -> str:
     basis = build_named_basis(args.basis, args.degree, args.lam)
-    save_basis(basis, args.out)
-    print(f"wrote {args.out}", file=sys.stderr)
-    return 0
-
-
-def cmd_approximate(args) -> int:
     traces = _load_traces(args.input)
-    basis = build_named_basis(args.basis, args.degree, args.lam)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     samples = np.linspace(-1.0, 1.0, 200)
-    for i, trace in enumerate(traces):
-        normalized = arc_length_normalize(trace, args.spline)
-        coeffs = to_coeffs(normalized, basis, label=trace.label)
+    for i, trace, normalized, (coeffs,) in _projected(traces, [basis], args.spline):
         xhat, yhat = reconstruct(coeffs, basis, samples)
-        lines = ["s,x,y,kind"]
-        for s, (x, y) in zip(normalized.knots, trace.points):
-            lines.append(f"{_fmt(s)},{_fmt(x)},{_fmt(y)},original")
-        for s, x, y in zip(samples, xhat, yhat):
-            lines.append(f"{_fmt(s)},{_fmt(x)},{_fmt(y)},approx")
-        (outdir / _trace_file_name(i, trace.label)).write_text(
-            "\n".join(lines) + "\n", encoding="utf-8"
-        )
-    print(f"wrote {len(traces)} files to {outdir}", file=sys.stderr)
-    return 0
+        rows = [f"{_fmt(s)},{_fmt(x)},{_fmt(y)},original"
+                for s, (x, y) in zip(normalized.knots, trace.points)]
+        rows += [f"{_fmt(s)},{_fmt(x)},{_fmt(y)},approx" for s, x, y in zip(samples, xhat, yhat)]
+        _write_csv(outdir / _trace_file_name(i, trace.label), "s,x,y,kind", rows)
+    return f"{len(traces)} files to {outdir}"
 
 
-def cmd_reconstruct(args) -> int:
-    traces = _load_traces(args.input)
+def cmd_reconstruct(args) -> Path:
     basis = build_named_basis(args.basis, args.degree, args.lam)
-    lines = ["trace_id,point_index,kind,x,y"]
-    for i, trace in enumerate(traces):
-        normalized = arc_length_normalize(trace, args.spline)
-        coeffs = to_coeffs(normalized, basis, label=trace.label)
-        xhat, yhat = reconstruct(coeffs, basis, normalized.knots)
-        for j, (x, y) in enumerate(trace.points):
-            lines.append(f"{i},{j},original,{_fmt(x)},{_fmt(y)}")
-        for j, (x, y) in enumerate(zip(xhat, yhat)):
-            lines.append(f"{i},{j},reconstructed,{_fmt(x)},{_fmt(y)}")
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {args.out}", file=sys.stderr)
-    return 0
-
-
-def cmd_error_sweep(args) -> int:
     traces = _load_traces(args.input)
+    rows = []
+    for i, trace, normalized, (coeffs,) in _projected(traces, [basis], args.spline):
+        xhat, yhat = reconstruct(coeffs, basis, normalized.knots)
+        rows += [f"{i},{j},original,{_fmt(x)},{_fmt(y)}" for j, (x, y) in enumerate(trace.points)]
+        rows += [f"{i},{j},reconstructed,{_fmt(x)},{_fmt(y)}"
+                 for j, (x, y) in enumerate(zip(xhat, yhat))]
+    return _write_csv(args.out, "trace_id,point_index,kind,x,y", rows)
+
+
+def cmd_error_sweep(args) -> Path:
     bases = [build_named_basis(args.basis, d, args.lam) for d in range(args.d_min, args.d_max + 1)]
-    lines = ["trace_id,degree,error"]
-    for i, trace in enumerate(traces):
-        normalized = arc_length_normalize(trace, args.spline)
-        # one projection per trace: every degree truncates the moments taken at --d-max
-        for basis, coeffs in zip(bases, _family_coeffs(normalized, bases, trace.label)):
-            err = representation_error(trace, normalized, coeffs, basis)
-            lines.append(f"{i},{basis.degree},{_fmt(err)}")
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {args.out}", file=sys.stderr)
-    return 0
+    traces = _load_traces(args.input)
+    rows = [f"{i},{basis.degree},{_fmt(representation_error(trace, normalized, coeffs, basis))}"
+            for i, trace, normalized, family in _projected(traces, bases, args.spline)
+            for basis, coeffs in zip(bases, family)]
+    return _write_csv(args.out, "trace_id,degree,error", rows)
 
 
-def cmd_knn_eval(args) -> int:
+def cmd_knn_eval(args) -> str:
     traces = _load_traces(args.input)
     ks = list(range(args.k_min, args.k_max + 1))
     rows = accuracy_sweep(
@@ -167,12 +174,9 @@ def cmd_knn_eval(args) -> int:
         split_seed=args.seed,
         split_ratio=args.split,
     )
-    lines = ["basis,k,accuracy,error_rate"]
-    for r in rows:
-        lines.append(f"{r['basis']},{r['k']},{_fmt(r['accuracy'])},{_fmt(r['error_rate'])}")
-    out = Path(args.out)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
+    out = _write_csv(args.out, "basis,k,accuracy,error_rate",
+                     [f"{r['basis']},{r['k']},{_fmt(r['accuracy'])},{_fmt(r['error_rate'])}"
+                      for r in rows])
     best = {}
     for k in ks:
         cand = [r for r in rows if r["k"] == k]
@@ -188,41 +192,42 @@ def cmd_knn_eval(args) -> int:
     }
     summary_path = out.with_suffix(".summary.json")
     summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {out} and {summary_path}", file=sys.stderr)
-    return 0
+    return f"{out} and {summary_path}"
 
 
-def _add_common(p: argparse.ArgumentParser, omit: tuple[str, ...] = ()) -> None:
-    """Register the shared options, except the ones the command does not read."""
-    if "input" not in omit:
-        p.add_argument(
-            "input", nargs="*", help="input file(s): InkML if .inkml or .xml, else pendigits"
-        )
-    if "basis" not in omit:
-        p.add_argument(
-            "--basis",
-            choices=BASIS_KINDS,
-            default="chebyshev-sobolev",
-            help="basis kind (default chebyshev-sobolev)",
-        )
-    p.add_argument(
-        "--lambda",
-        dest="lam",
-        type=float,
-        default=DEFAULT_LAMBDA,
-        help="derivative weight for the sobolev kinds (default %(default)s)",
-    )
-    if "degree" not in omit:
-        p.add_argument("--degree", type=int, default=10, help="truncation degree (default 10)")
-    if "spline" not in omit:
-        p.add_argument(
-            "--spline",
-            type=SplineKind,
-            choices=list(SplineKind),
-            default=SplineKind.LINEAR,
-            help="interpolating spline order (default linear)",
-        )
-    p.add_argument("--out", required=True, help="output file (or directory for approximate)")
+# every option a command may read, by its flag, with its argparse keywords
+_OPTIONS = {
+    "input": dict(nargs="*", help="input file(s): InkML if .inkml or .xml, else pendigits"),
+    "--basis": dict(choices=BASIS_KINDS, default="chebyshev-sobolev",
+                    help="basis kind (default chebyshev-sobolev)"),
+    "--lambda": dict(dest="lam", type=float, default=DEFAULT_LAMBDA,
+                     help="derivative weight for the sobolev kinds (default %(default)s)"),
+    "--degree": dict(type=int, default=10, help="truncation degree (default 10)"),
+    "--d-min": dict(type=int, default=3, help="smallest degree (default 3)"),
+    "--d-max": dict(type=int, default=20, help="largest degree (default 20)"),
+    "--spline": dict(choices=[k.value for k in SplineKind], default=SplineKind.LINEAR.value,
+                     help="interpolating spline order (default linear)"),
+    "--k-min": dict(type=int, default=1),
+    "--k-max": dict(type=int, default=10),
+    "--seed": dict(type=int, default=DEFAULT_SPLIT_SEED, help="split seed (default 0)"),
+    "--split": dict(type=float, default=DEFAULT_SPLIT_RATIO, help="training fraction (default 2/3)"),
+    "--out": dict(required=True, help="output file (or directory for approximate)"),
+}
+
+# each command once: its handler, its help and the options it reads
+_COMMANDS = {
+    "build-basis": (cmd_build_basis, "construct a basis and export it as JSON",
+                    ("--basis", "--lambda", "--degree", "--out")),
+    "approximate": (cmd_approximate, "sample reconstructed curves (one CSV per trace)",
+                    ("input", "--basis", "--lambda", "--degree", "--spline", "--out")),
+    "reconstruct": (cmd_reconstruct, "reconstruct sample points at the knots (CSV)",
+                    ("input", "--basis", "--lambda", "--degree", "--spline", "--out")),
+    "error-sweep": (cmd_error_sweep, "reconstruction error per trace and degree (CSV)",
+                    ("input", "--basis", "--lambda", "--d-min", "--d-max", "--spline", "--out")),
+    "knn-eval": (cmd_knn_eval, "kNN accuracy table over the four basis kinds",
+                 ("input", "--lambda", "--degree", "--spline", "--k-min", "--k-max", "--seed",
+                  "--split", "--out")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,55 +236,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Orthogonal-series representation and classification of digital ink.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("build-basis", help="construct a basis and export it as JSON")
-    _add_common(p, omit=("input", "spline"))
-    p.set_defaults(func=cmd_build_basis)
-
-    p = sub.add_parser("approximate", help="sample reconstructed curves (one CSV per trace)")
-    _add_common(p)
-    p.set_defaults(func=cmd_approximate)
-
-    p = sub.add_parser("reconstruct", help="reconstruct sample points at the knots (CSV)")
-    _add_common(p)
-    p.set_defaults(func=cmd_reconstruct)
-
-    p = sub.add_parser("error-sweep", help="reconstruction error per trace and degree (CSV)")
-    _add_common(p, omit=("degree",))
-    p.add_argument("--d-min", type=int, default=3, help="smallest degree (default 3)")
-    p.add_argument("--d-max", type=int, default=20, help="largest degree (default 20)")
-    p.set_defaults(func=cmd_error_sweep)
-
-    p = sub.add_parser("knn-eval", help="kNN accuracy table over the four basis kinds")
-    _add_common(p, omit=("basis",))
-    p.add_argument("--k-min", type=int, default=1)
-    p.add_argument("--k-max", type=int, default=10)
-    p.add_argument("--seed", type=int, default=DEFAULT_SPLIT_SEED, help="split seed (default 0)")
-    p.add_argument(
-        "--split",
-        type=float,
-        default=DEFAULT_SPLIT_RATIO,
-        help="training fraction (default 2/3)",
-    )
-    p.set_defaults(func=cmd_knn_eval)
-
+    for name, (func, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
+        p.set_defaults(func=func)
     return parser
 
 
 def _validate(args, parser: argparse.ArgumentParser) -> None:
-    if not (math.isfinite(args.lam) and args.lam >= 0):
-        parser.error("--lambda must be finite and non-negative")
-    # only projection needs degree 1: build-basis builds degree 0
-    if args.func is not cmd_build_basis and getattr(args, "degree", 1) < 1:
-        parser.error("--degree must be at least 1")
-    if hasattr(args, "k_min") and not 1 <= args.k_min <= args.k_max:
-        parser.error("need 1 <= --k-min <= --k-max")
-    if hasattr(args, "split") and not 0.0 < args.split < 1.0:
-        parser.error("--split must lie strictly between 0 and 1")
-    if hasattr(args, "d_min") and not 1 <= args.d_min <= args.d_max:
-        parser.error("need 1 <= --d-min <= --d-max")
-    if getattr(args, "d_max", 0) > MAX_DEGREE:
-        parser.error(f"--d-max must be at most {MAX_DEGREE}, the verified degree limit")
+    """The ranges the CLI builds itself; the library checks every value it is given."""
+    if hasattr(args, "k_min") and args.k_min > args.k_max:
+        parser.error("need --k-min <= --k-max")
+    if hasattr(args, "d_min") and args.d_min > args.d_max:
+        parser.error("need --d-min <= --d-max")
 
 
 def main(argv=None) -> int:
@@ -287,14 +257,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _validate(args, parser)
     try:
-        return args.func(args)
+        written = args.func(args)
     except (InkBasisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def entry() -> None:
-    sys.exit(main())
+    print(f"wrote {written}", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":

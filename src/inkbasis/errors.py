@@ -1,4 +1,5 @@
-"""The package's error contract, and the text reader of its file formats.
+"""The package's error contract, the text reader of its file formats, and the
+typed conversion of a value to an enum member.
 
 Every error is an InkBasisError: a ParseError, an InvalidParameterError, or an
 InvalidDataError, of which BasisMismatchError is one; the last three are ValueErrors.
@@ -51,3 +52,13 @@ def open_utf8(path) -> io.StringIO:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"not UTF-8 text: {exc.reason}", line) from None
     return io.StringIO(text, newline=None)
+
+
+def _enum_member(enum_type, value, what: str):
+    """enum_type(value); a value that names none of its members raises InvalidParameterError."""
+    try:
+        return enum_type(value)
+    except ValueError:
+        raise InvalidParameterError(
+            f"unknown {what} {value!r}; expected one of {[m.value for m in enum_type]}"
+        ) from None

@@ -31,7 +31,8 @@ import numpy as np
 
 from .bases import OrthoBasis, _project, project, synthesize
 from .errors import (
-    BasisMismatchError, InvalidDataError, InvalidParameterError, ParseError, open_utf8,
+    BasisMismatchError, InvalidDataError, InvalidParameterError, ParseError, _enum_member,
+    open_utf8,
 )
 from .poly import PiecewisePoly
 
@@ -350,15 +351,6 @@ def _cubic_arc_lengths(t: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return half * (np.hypot(v[..., 0], v[..., 1]) @ _GL8_WEIGHTS)
 
 
-def _spline_kind(spline) -> SplineKind:
-    try:
-        return SplineKind(spline)
-    except ValueError:
-        raise InvalidParameterError(
-            f"unknown spline {spline!r}; expected one of {[k.value for k in SplineKind]}"
-        ) from None
-
-
 # why a curve's normalization fails, by the code _knots or _too_far gives it (0: it does not)
 _KNOT_FAILURES = (
     None,
@@ -436,7 +428,7 @@ def arc_length_normalize(
     """
     pts = trace.points
     # a natural cubic through two points is the chord
-    if _spline_kind(spline) is SplineKind.LINEAR or len(pts) == 2:
+    if _enum_member(SplineKind, spline, "spline") is SplineKind.LINEAR or len(pts) == 2:
         knots, local, total, failure = _normalize_linear(pts[None])
         _raise_first_failure(failure)
         return NormalizedTrace(PiecewisePoly(knots[0], local[0]), float(total[0]))
@@ -461,7 +453,7 @@ def _normalized_buckets(
     failing trace in input order raises the error it raises alone.
     """
     buckets = []
-    if _spline_kind(spline) is SplineKind.LINEAR:
+    if _enum_member(SplineKind, spline, "spline") is SplineKind.LINEAR:
         failure = np.zeros(len(traces), dtype=int)
         for idx in _groups(len(t.points) for t in traces):
             knots, local, _, failure[idx] = _normalize_linear(
@@ -587,7 +579,7 @@ def _finite_or_none(value, key: str) -> float | None:
 
 def coeffs_from_json_dict(doc: dict) -> SymbolCoeffs:
     try:
-        return SymbolCoeffs(
+        c = SymbolCoeffs(
             basis_id=doc["basis_id"],
             xs=np.array(doc["xs"], dtype=float),
             ys=np.array(doc["ys"], dtype=float),
@@ -596,9 +588,13 @@ def coeffs_from_json_dict(doc: dict) -> SymbolCoeffs:
             y0=_finite_or_none(doc.get("y0"), "y0"),
             length=_finite_or_none(doc.get("length"), "length"),
         )
+        # json reads NaN and Infinity; a distance to them would be NaN
+        if not (np.isfinite(c.xs).all() and np.isfinite(c.ys).all()):
+            raise InvalidDataError("xs and ys must be finite")
+        return c
     except KeyError as exc:
         raise InvalidDataError(f"coefficient record lacks {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:  # OverflowError: an int past float's range
         raise InvalidDataError(f"malformed coefficient record: {exc}") from None
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import legendre as _leg
 
-from .errors import InvalidDataError, InvalidParameterError
+from .errors import InvalidDataError, InvalidParameterError, _enum_member
 
 
 class BasisKind(str, enum.Enum):
@@ -66,7 +66,7 @@ class DensePoly:
             raise InvalidDataError("coeffs must be a non-empty 1-D array")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "basis", BasisKind(self.basis))
+        object.__setattr__(self, "basis", _enum_member(BasisKind, self.basis, "basis"))
 
     @property
     def degree(self) -> int:

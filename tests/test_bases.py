@@ -234,6 +234,17 @@ class TestBuildBasis:
         with pytest.raises(InvalidParameterError, match="^unknown weight 'cosh'"):
             InnerProductSpec("cosh", 0.1, 1)
 
+    @pytest.mark.parametrize("kind", BASIS_KINDS)
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0, True, "0.5"])
+    def test_every_kind_refuses_a_lambda_the_spec_refuses(self, kind, lam):
+        with pytest.raises(InvalidParameterError, match="^lam must be"):
+            build_named_basis(kind, 3, lam=lam)
+
+    @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
+    def test_plain_kinds_drop_a_valid_lambda(self, kind):
+        assert spec_for_kind(kind, 0.5) == spec_for_kind(kind) == InnerProductSpec(
+            Weight.INVERSE_SQRT if kind == "chebyshev" else Weight.UNIT, 0.0, 0)
+
     def test_lam_past_float_range_is_typed(self):
         with pytest.raises(InvalidParameterError, match="^lam must be finite and non-negative"):
             InnerProductSpec(Weight.UNIT, 10**400, 1)

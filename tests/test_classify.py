@@ -234,6 +234,34 @@ class TestMatchSymbol:
             match_symbol(q, CoeffTable((other,)), CHEB10)
 
 
+@pytest.mark.parametrize("n", [12, 4])
+class TestCoefficientCountMustBeTheDegree:
+    """Records labelled chebyshev(degree=10) whose length is not 10 are refused by every reader."""
+
+    def records(self, n):
+        return [make_coeffs(CHEB10, np.arange(n) + i, np.zeros(n), label=str(i % 2))
+                for i in range(4)]
+
+    def test_match_symbol(self, n):
+        a, *models = self.records(n)
+        with pytest.raises(BasisMismatchError, match="needs 10 coefficients per coordinate"):
+            match_symbol(a, models, CHEB10)
+
+    def test_coeff_distance_sq(self, n):
+        a, b, *_ = self.records(n)
+        with pytest.raises(BasisMismatchError, match="needs 10 coefficients per coordinate"):
+            coeff_distance_sq(a, b, CHEB10)
+
+    def test_knn_classify(self, n):
+        a, *train = self.records(n)
+        with pytest.raises(BasisMismatchError, match="needs 10 coefficients per coordinate"):
+            knn_classify(LabeledDataset(tuple(train)), a, 1, CHEB10)
+
+    def test_knn_accuracy(self, n):
+        with pytest.raises(BasisMismatchError, match="needs 10 coefficients per coordinate"):
+            knn_accuracy(LabeledDataset(tuple(self.records(n)), split_ratio=0.5), CHEB10, [1])
+
+
 class TestDistanceKernel:
     def test_identical_rows_get_identical_distances(self, rng):
         # any position in any table size: equal rows must tie exactly, or the
@@ -499,6 +527,24 @@ class TestAccuracySweep:
                               spline=spline) == one_at_a_time
         assert calls.count(BasisKind.LEGENDRE) == calls.count(BasisKind.CHEBYSHEV) == n_buckets
         assert len(calls) == 2 * n_buckets
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"lam": math.nan}, "lam must be finite"), ({"degree": 101}, "exceeds the verified"),
+         ({"split_ratio": 0.0}, "split_ratio must lie"),
+         ({"split_ratio": 1.5}, "split_ratio must lie")],
+        ids=["nan-lambda", "degree-101", "split-0", "split-1.5"],
+    )
+    def test_parameters_are_refused_before_any_trace_is_normalized(
+        self, rng, monkeypatch, kwargs, message
+    ):
+        normalized = []
+        monkeypatch.setattr(classify, "_normalized_buckets",
+                            lambda *a: normalized.append(a) or _normalized_buckets(*a))
+        traces = synthetic_digit_traces(rng, per_class=3)
+        with pytest.raises(InvalidParameterError, match=message):
+            accuracy_sweep(traces, ["legendre", "chebyshev-sobolev"], [1], **kwargs)
+        assert normalized == []
 
     def test_builds_no_per_trace_objects(self, rng, monkeypatch):
         traces = synthetic_digit_traces(rng, per_class=4)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from inkbasis import bases, load_basis
+from inkbasis import bases, classify, load_basis
 from inkbasis.cli import main
 
 INKML_DOC = """<ink xmlns="http://www.w3.org/2003/InkML">
@@ -84,10 +84,8 @@ class TestBuildBasis:
     @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
     def test_non_finite_lambda_exits_2(self, tmp_path, capsys, lam):
         out = tmp_path / "basis.json"
-        with pytest.raises(SystemExit) as exc:
-            main(["build-basis", f"--lambda={lam}", "--degree", "3", "--out", str(out)])
-        assert exc.value.code == 2
-        assert "--lambda must be finite" in capsys.readouterr().err
+        assert main(["build-basis", f"--lambda={lam}", "--degree", "3", "--out", str(out)]) == 2
+        assert "lam must be finite and non-negative" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -112,10 +110,13 @@ class TestApproximate:
         assert rc == 2
         assert "not found" in capsys.readouterr().err
 
-    def test_degree_zero_rejected(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["approximate", "x.txt", "--degree", "0", "--out", str(tmp_path / "o")])
-        assert exc.value.code == 2
+    def test_degree_zero_rejected(self, tmp_path, capsys):
+        data = tmp_path / "digits.txt"
+        write_pendigits(data, per_class=2)
+        outdir = tmp_path / "o"
+        assert main(["approximate", str(data), "--degree", "0", "--out", str(outdir)]) == 2
+        assert "error: basis degree must be at least 1" in capsys.readouterr().err.splitlines()
+        assert not list(outdir.glob("*"))
 
     def test_inkml_input(self, tmp_path):
         doc = tmp_path / "sym.inkml"
@@ -192,9 +193,7 @@ class TestErrorSweep:
         data = tmp_path / "line.txt"
         straight_line_pendigits(data)
         out = tmp_path / "err.csv"
-        with pytest.raises(SystemExit) as exc:
-            main(["error-sweep", str(data), "--d-max", "101", "--out", str(out)])
-        assert exc.value.code == 2
+        assert main(["error-sweep", str(data), "--d-max", "101", "--out", str(out)]) == 2
         assert "100" in capsys.readouterr().err
         assert not out.exists()
 
@@ -367,3 +366,98 @@ def test_option_the_command_does_not_read_exits_2(tmp_path, capsys, command, opt
     assert exc.value.code == 2
     assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _refusals():
+    """(command, options, message) for every refusal of a parameter the CLI is given."""
+    for lam in ("nan", "inf", "-1"):
+        for command in ("build-basis", "approximate", "reconstruct", "error-sweep", "knn-eval"):
+            yield command, [f"--lambda={lam}"], "lam must be finite and non-negative"
+            if command != "knn-eval":
+                yield (command, ["--basis", "legendre", f"--lambda={lam}"],
+                       "lam must be finite and non-negative")
+    for command in ("approximate", "reconstruct", "knn-eval"):
+        yield command, ["--degree", "0"], "basis degree must be at least 1"
+    for command in ("build-basis", "approximate", "reconstruct", "knn-eval"):
+        yield command, ["--degree", "101"], "degree 101 exceeds the verified limit 100"
+    yield "error-sweep", ["--d-min", "0"], "basis degree must be at least 1"
+    yield "error-sweep", ["--d-max", "101"], "degree 101 exceeds the verified limit 100"
+    yield "error-sweep", ["--d-min", "6", "--d-max", "5"], "need --d-min <= --d-max"
+    yield "knn-eval", ["--split", "0"], "split_ratio must lie in (0, 1)"
+    yield "knn-eval", ["--split", "1.5"], "split_ratio must lie in (0, 1)"
+    yield "knn-eval", ["--k-min", "0"], "every k must be in [1, 12]"
+    yield "knn-eval", ["--k-min", "5", "--k-max", "2"], "need --k-min <= --k-max"
+
+
+@pytest.mark.parametrize(
+    "command, options, message",
+    [pytest.param(*case, id=" ".join([case[0], *case[1]])) for case in _refusals()],
+)
+def test_every_refusal_exits_2_with_one_error_line_and_no_data_file(
+    tmp_path, capsys, command, options, message
+):
+    data = tmp_path / "digits.txt"
+    write_pendigits(data, per_class=6)
+    inputs = [] if command == "build-basis" else [str(data)]
+    out = tmp_path / "out" / "o.csv"
+    out.parent.mkdir()
+    try:
+        code = main([command, *inputs, *options, "--out", str(out)])
+    except SystemExit as exc:  # the ranges the CLI checks itself, through argparse
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and message in errors[0]
+    assert "Traceback" not in err
+    assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
+
+
+@pytest.mark.parametrize(
+    "command, options, message",
+    [pytest.param(command, options, message, id=" ".join([command, *options]))
+     for command in ("approximate", "reconstruct", "error-sweep")
+     for options, message in [
+         (["--lambda=nan"], "lam must be finite"),
+         (["--basis", "legendre", "--lambda=-1"], "lam must be finite"),
+         (["--d-max" if command == "error-sweep" else "--degree", "101"],
+          "degree 101 exceeds the verified limit 100"),
+     ]],
+)
+def test_parameter_errors_come_before_the_input_is_read(
+    tmp_path, capsys, monkeypatch, command, options, message
+):
+    monkeypatch.delenv("INKBASIS_DATA_DIR", raising=False)
+    argv = [command, str(tmp_path / "missing.txt"), *options, "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "not found" not in err
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [(["--lambda=nan"], "lam must be finite"), (["--degree", "101"], "exceeds the verified"),
+     (["--split", "0"], "split_ratio must lie"), (["--split", "1.5"], "split_ratio must lie")],
+    ids=["nan-lambda", "degree-101", "split-0", "split-1.5"],
+)
+def test_knn_eval_refuses_parameters_before_any_trace_is_normalized(
+    tmp_path, capsys, monkeypatch, options, message
+):
+    normalized = []
+    real = classify._normalized_buckets
+    monkeypatch.setattr(classify, "_normalized_buckets",
+                        lambda *a: normalized.append(a) or real(*a))
+    data = tmp_path / "digits.txt"
+    write_pendigits(data, per_class=6)
+    assert main(["knn-eval", str(data), *options, "--out", str(tmp_path / "k.csv")]) == 2
+    assert message in capsys.readouterr().err
+    assert normalized == []
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "knn-eval"])
+def test_spline_choices_print_by_value(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--spline {linear,cubic}" in out and "SplineKind" not in out

@@ -538,14 +538,18 @@ class TestCoeffsJsonl:
              "x0 is not a finite number: True"),
             ('{"basis_id": "b", "xs": [1.0], "ys": [2.0], "label": [1]}',
              "label must be a string, got \\[1\\]"),
+            ('{"basis_id": "b", "xs": [NaN, 0.0], "ys": [2.0, 0.0]}', "xs and ys must be finite"),
+            ('{"basis_id": "b", "xs": [1.0], "ys": [-Infinity]}', "xs and ys must be finite"),
+            ('{"basis_id": "b", "xs": [' + "1" * 400 + '], "ys": [2.0]}',
+             "int too large to convert to float"),
             pytest.param('{"basis_id": "b", "xs": [' + "1" * 5001 + '], "ys": [2.0]}',
                          "^line 3: malformed JSON: Exceeds the limit",
                          marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                                                   reason="no int digit limit")),
         ],
         ids=["no-basis-id", "bad-json", "not-an-object", "non-numeric", "unequal-lengths",
-             "string-x0", "infinite-y0", "nan-length", "boolean-x0", "list-label",
-             "integer-past-digit-limit"],
+             "string-x0", "infinite-y0", "nan-length", "boolean-x0", "list-label", "nan-xs",
+             "infinite-ys", "integer-past-float-range", "integer-past-digit-limit"],
     )
     def test_malformed_line_raises_parse_error(self, rng, tmp_path, line, message):
         good = symbol_coeffs(make_random_trace(rng), build_named_basis("chebyshev", 1))

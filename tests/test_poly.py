@@ -11,6 +11,7 @@ from inkbasis import (
     BasisKind,
     DensePoly,
     InvalidDataError,
+    InvalidParameterError,
     PiecewisePoly,
     Weight,
     build_named_basis,
@@ -180,6 +181,11 @@ class TestDensePolyBasics:
     def test_rejects_empty_coeffs(self):
         with pytest.raises(InvalidDataError):
             DensePoly(BasisKind.CHEBYSHEV, [])
+
+    def test_unknown_basis_is_typed(self):
+        with pytest.raises(InvalidParameterError,
+                           match=r"^unknown basis 'hermite'; expected one of \['legendre', 'chebyshev'\]$"):
+            DensePoly("hermite", [1.0])
 
 
 class TestPiecewisePoly:

@@ -8,11 +8,13 @@ Four named families are supported on [-1, 1]:
   ``legendre-sobolev``    unit weight plus a first-derivative term
   ``chebyshev-sobolev``   inverse-sqrt weight plus a first-derivative term
 
-The derivative-augmented (Sobolev) families come from the LDL^T factor of
-one Gram matrix G of the classical elements: the family's expansion is
-L^-1, so each member has leading classical-basis coefficient one, which
-makes the families degenerate exactly to the classical ones as the
-derivative weight goes to zero.
+Each weight forms a coherent pair with itself: with B_k its classical
+elements, Q_k = B_k - b_k B_{k-2} has derivative c_k B_{k-1}, so the Gram
+matrix of the Q_k has only the diagonals |i - j| in {0, 2} and its LDL^T
+factor is the recurrence S_k = Q_k - ell_k S_{k-2}.  That recurrence, in a
+fixed elementwise order, builds, projects and synthesizes.  Each S_k has
+leading classical coefficient one, so the families become the classical
+ones as lam goes to zero, and a family is a prefix of any of higher degree.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +31,7 @@ from .errors import (
     BasisMismatchError, InvalidDataError, InvalidParameterError, ParseError, _enum_member,
     open_utf8,
 )
-from .poly import BasisKind, DensePoly, PiecewisePoly, Weight, _derivative_matrix, _moments
+from .poly import BasisKind, DensePoly, PiecewisePoly, Weight, _float_array, _frozen, _moments
 
 DEFAULT_LAMBDA = 0.125
 MAX_DEGREE = 100  # largest degree the projection is verified at against quadrature
@@ -100,78 +103,86 @@ def spec_for_kind(kind: str, lam: float = DEFAULT_LAMBDA) -> InnerProductSpec:
     return spec if kind.endswith("-sobolev") else InnerProductSpec(weight, 0.0, 0)
 
 
-def _classical_sq_norms(weight: Weight, n: int) -> np.ndarray:
-    """Squared norms of the classical elements 0..n-1 under their own weight."""
-    if weight is Weight.INVERSE_SQRT:
-        return np.r_[math.pi, np.full(n - 1, math.pi / 2.0)]
-    return 2.0 / (2 * np.arange(n) + 1.0)
+def _coherent_pair(spec: InnerProductSpec, n: int) -> tuple[np.ndarray, ...]:
+    """(h, b, c, g) for k < n: h_k = <B_k, B_k>, Q_k = B_k - b_k B_{k-2} with Q_k' = c_k
+    B_{k-1}, and g_k = <Q_k, Q_k> = h_k + b_k^2 h_{k-2} + lam c_k^2 h_{k-1}.
 
-
-def _gram(spec: InnerProductSpec, degree: int) -> np.ndarray:
-    """G[i, j] = <B_i, B_j> under spec, over the classical elements up to degree.
-
-    The derivative term is the classical form applied to the derivatives:
-    with D the derivative matrix (B_k' = sum_m D[k, m] B_m), G = diag(h) +
-    lam * D diag(h) D^T.  A lam for which G is not finite at this degree
-    raises InvalidParameterError.
+    A lam for which g is not finite raises InvalidParameterError.
     """
-    h = _classical_sq_norms(spec.weight, degree + 1)
-    G = np.diag(h)
-    if spec.is_sobolev:
-        D = _derivative_matrix(spec.classical_basis, degree)[:, :degree]
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-            G += spec.lam * (D * h[:degree]) @ D.T
-        if not np.isfinite(G).all():
-            raise InvalidParameterError(f"lambda {spec.lam!r} is too large at degree {degree}: "
-                                        "the Gram matrix is not finite")
-    return G
+    k = np.arange(n, dtype=float)
+    b, c = np.zeros(n), np.zeros(n)
+    if spec.weight is Weight.INVERSE_SQRT:
+        h = np.r_[math.pi, np.full(n - 1, math.pi / 2.0)]
+        if spec.is_sobolev:  # (T_k - k/(k-2) T_{k-2})' = 2k T_{k-1} (k >= 3), T_2' = 4 T_1
+            b[3:] = k[3:] / (k[3:] - 2.0)
+            c[1:] = 2.0 * k[1:]
+            c[1:2] = 1.0
+    else:
+        h = 2.0 / (2.0 * k + 1.0)
+        if spec.is_sobolev:  # (P_k - P_{k-2})' = (2k - 1) P_{k-1}
+            b[2:] = 1.0
+            c[1:] = 2.0 * k[1:] - 1.0
+    g = h.copy()
+    g[2:] += b[2:] * b[2:] * h[:-2]
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        g[1:] += spec.lam * (c[1:] * c[1:] * h[:-1])
+    if not np.isfinite(g).all():
+        raise InvalidParameterError(f"lambda {spec.lam!r} is too large at degree {n - 1}: "
+                                    "the Gram matrix is not finite")
+    return h, b, c, g
 
 
 def inner_closed_form(f: DensePoly, g: DensePoly, spec: InnerProductSpec) -> float:
-    """Inner product of two series in the weight's classical basis, by formula.
+    """sum_k h_k f_k g_k + lam sum_k h_k f'_k g'_k for series in the weight's classical basis.
 
-    Evaluates c_f^T G c_g with the Gram matrix G of the classical elements:
-    the diagonal classical norms, plus lam times the same form applied to
-    the derivatives at order 1.  No integration is performed.
+    No integration is performed; a lam that a basis of the operands' degree
+    refuses is refused here too.
     """
     cb = spec.classical_basis
     if f.basis is not cb or g.basis is not cb:
         raise BasisMismatchError(
             f"operands must both be in the {cb.value} basis for this weight"
         )
-    nf, ng = len(f.coeffs), len(g.coeffs)
-    G = _gram(spec, max(nf, ng) - 1)
-    return float(f.coeffs @ G[:nf, :ng] @ g.coeffs)
+    h = _coherent_pair(spec, max(f.degree, g.degree) + 1)[0]
+    m = min(f.degree, g.degree) + 1
+    total = float((h[:m] * f.coeffs[:m] * g.coeffs[:m]).sum())
+    if spec.is_sobolev and m > 1:
+        df, dg = f.derivative().coeffs, g.derivative().coeffs
+        total += spec.lam * float((h[: m - 1] * df[: m - 1] * dg[: m - 1]).sum())
+    return total
 
 
 @dataclass(frozen=True)
 class OrthoBasis:
-    """A constructed degree-graded orthogonal family.
+    """The orthogonal family S_0..S_degree of spec, by the recurrence of its coherent pair.
 
-    expansion row i holds the classical-basis coefficients of the i-th
-    family member (lower triangular, unit diagonal); sq_norms[i] is its
-    squared norm under the defining inner product.
+    ell_k = <Q_k, Q_{k-2}> / sq_norms[k - 2] and sq_norms[k] = <S_k, S_k>; a
+    plain spec has b = c = ell = 0.  Entry k of each array depends only on
+    entries below k, so a basis is a prefix of one of a higher degree.
     """
 
     spec: InnerProductSpec
     degree: int
-    expansion: np.ndarray
-    sq_norms: np.ndarray
+    b: np.ndarray = field(init=False, repr=False, compare=False)
+    c: np.ndarray = field(init=False, repr=False, compare=False)
+    ell: np.ndarray = field(init=False, repr=False, compare=False)
+    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        expansion = np.array(self.expansion, dtype=float)
-        sq_norms = np.array(self.sq_norms, dtype=float)
-        n = self.degree + 1
-        if n < 1 or expansion.shape != (n, n) or sq_norms.shape != (n,):
-            raise InvalidDataError("expansion/sq_norms shapes do not match degree")
-        if not (np.isfinite(expansion).all() and np.isfinite(sq_norms).all()):
-            raise InvalidDataError("expansion and sq_norms must be finite")
-        if np.any(sq_norms <= 0.0):
-            raise InvalidDataError("squared norms must be strictly positive")
-        expansion.setflags(write=False)
-        sq_norms.setflags(write=False)
-        object.__setattr__(self, "expansion", expansion)
-        object.__setattr__(self, "sq_norms", sq_norms)
+        degree = _integer(self.degree, "degree")
+        if degree < 0:
+            raise InvalidParameterError("degree must be non-negative")
+        if degree > MAX_DEGREE:
+            raise InvalidParameterError(f"degree {degree} exceeds the verified limit {MAX_DEGREE}")
+        h, b, c, g = _coherent_pair(self.spec, degree + 1)
+        off = (-b[2:] * h[:-2]).tolist()  # <Q_k, Q_{k-2}>
+        ell, s = [0.0, 0.0][: degree + 1], g[:2].tolist()
+        for k in range(2, degree + 1):
+            ell.append(off[k - 2] / s[k - 2])
+            s.append(g[k] - ell[k] * off[k - 2])
+        object.__setattr__(self, "degree", degree)
+        for name, value in (("b", b), ("c", c), ("ell", np.array(ell)), ("sq_norms", np.array(s))):
+            object.__setattr__(self, name, _frozen(value))
 
     @property
     def classical_basis(self) -> BasisKind:
@@ -184,40 +195,29 @@ class OrthoBasis:
             return f"{s.kind_name}(lam={s.lam!r},order={s.order},degree={self.degree})"
         return f"{s.kind_name}(degree={self.degree})"
 
+    @cached_property
+    def expansion(self) -> np.ndarray:
+        """Row i: the classical-basis coefficients of S_i (lower triangular, unit diagonal)."""
+        rows = np.eye(self.degree + 1)
+        rows[2:, :-2] -= np.diag(self.b[2:])
+        _forward(rows.T, self.ell)
+        return _frozen(rows)
+
     def member(self, i: int) -> DensePoly:
         """The i-th family member as a classical-basis polynomial."""
         return DensePoly(self.classical_basis, self.expansion[i, : i + 1])
 
 
+def _forward(v: np.ndarray, ell: np.ndarray) -> None:
+    """v[..., k] -= ell[k] * v[..., k - 2] in place, for k = 2, 3, ... in turn."""
+    vt = v.T
+    for k in range(2, v.shape[-1]):
+        vt[k] -= ell[k] * vt[k - 2]
+
+
 def build_basis(spec: InnerProductSpec, degree: int) -> OrthoBasis:
-    """Construct the orthogonal family of the given spec up to degree.
-
-    For a plain inner product the classical family is already orthogonal,
-    so the expansion is exactly the identity and the squared norms are the
-    textbook values.  Otherwise the family comes from the LDL^T factor of the
-    Gram matrix G of the classical elements (same span as the monomials,
-    better conditioned): G = L D L^T with L unit lower triangular, the
-    expansion is L^-1 and the squared norms are diag(D).
-    """
-    degree = _integer(degree, "degree")
-    if degree < 0:
-        raise InvalidParameterError("degree must be non-negative")
-    if degree > MAX_DEGREE:
-        raise InvalidParameterError(f"degree {degree} exceeds the verified limit {MAX_DEGREE}")
-    n = degree + 1
-    if not spec.is_sobolev:
-        return OrthoBasis(spec, degree, np.eye(n), _classical_sq_norms(spec.weight, n))
-
-    # G = L diag(r^2) L^T with L unit lower triangular, so the rows of L^-1
-    # are G-orthogonal with squared norms r^2; forward substitution keeps
-    # L^-1 exactly lower triangular with an exact unit diagonal
-    R = np.linalg.cholesky(_gram(spec, degree))
-    r = np.diag(R)
-    L = R / r
-    expansion = np.eye(n)
-    for i in range(1, n):
-        expansion[i, :i] = -L[i, :i] @ expansion[:i, :i]
-    return OrthoBasis(spec, degree, expansion, r * r)
+    """OrthoBasis(spec, degree); a degree or lam it refuses raises InvalidParameterError."""
+    return OrthoBasis(spec, degree)
 
 
 def build_named_basis(kind: str, degree: int, lam: float = DEFAULT_LAMBDA) -> OrthoBasis:
@@ -229,10 +229,8 @@ def project(f: PiecewisePoly, basis: OrthoBasis) -> np.ndarray:
 
     c[..., i] = <f, S_i> / <S_i, S_i>, one row per function of f: (2, degree + 1)
     for a curve's x and y, and (T, 2, degree + 1) for a bucket of T curves.
-    The inner products come from the moments of f (poly's closed-form
-    segment kernel, run once per call for the whole bucket) at the basis's
-    degree; each row is one expansion @ vector, so a curve's row has the
-    same bits in a bucket as alone.
+    A curve's row has the same bits in a bucket as alone, and at a degree as
+    truncated from any higher degree.
     """
     return _project(f, [basis])[0]
 
@@ -240,39 +238,43 @@ def project(f: PiecewisePoly, basis: OrthoBasis) -> np.ndarray:
 def _project(f: PiecewisePoly, bases: list[OrthoBasis]) -> list[np.ndarray]:
     """project(f, basis) for each of bases, bit for bit, in one moment pass per weight.
 
-    The bases may mix weights, kinds, lambdas and degrees.  The moments of f
-    are taken once per weight, at the largest degree among that weight's
-    bases, and each basis combines their prefix into its inner products
-    p + lam * D q at its own lambda and degree, D the legder/chebder matrix.
+    The moments of f (poly's closed-form kernel) are taken once per weight,
+    at the largest degree that needs them, and each basis combines their prefix.
     """
-    out = [None] * len(bases)
+    moments = {}
     for weight in dict.fromkeys(b.classical_basis for b in bases):
-        family = [i for i, b in enumerate(bases) if b.classical_basis is weight]
-        p, q = _moments(f, weight, max(bases[i].degree for i in family),
-                        any(bases[i].spec.is_sobolev for i in family))
-        for i in family:
-            b = bases[i]
-            d, lam = b.degree, b.spec.lam
-            v = np.ascontiguousarray(p[..., : d + 1])
-            if b.spec.is_sobolev and lam and d >= 1 and q is not None:
-                # one matrix-vector product per function, on a contiguous vector as
-                # at degree itself, keeps the bits of a lone function
-                dq = np.ascontiguousarray(q[..., :d])
-                v = v + lam * (_derivative_matrix(weight, d) @ dq[..., None])[..., 0]
-            out[i] = (b.expansion @ v[..., None])[..., 0] / b.sq_norms
+        family = [b for b in bases if b.classical_basis is weight]
+        moments[weight] = _moments(f, weight, max(b.degree for b in family),
+                                   any(b.spec.is_sobolev for b in family))
+    out = []
+    for basis in bases:
+        # <f, Q_k> = p_k - b_k p_{k-2} + lam c_k q_{k-1}, then the S_k by _forward
+        p, q = moments[basis.classical_basis]
+        n = basis.degree + 1
+        v = p[..., :n].copy()
+        v[..., 2:] -= basis.b[2:] * p[..., : n - 2]
+        if q is not None:
+            v[..., 1:] += basis.spec.lam * basis.c[1:] * q[..., : n - 1]
+        _forward(v, basis.ell)
+        out.append(v / basis.sq_norms)
     return out
 
 
-def synthesize(coeffs: np.ndarray, basis: OrthoBasis) -> DensePoly:
-    """Sum of coeffs[i] * S_i as a classical-basis polynomial."""
-    c = np.asarray(coeffs, dtype=float)
-    if c.ndim != 1 or len(c) > basis.degree + 1:
-        raise InvalidDataError(
-            f"expected at most {basis.degree + 1} coefficients, got {c.shape}"
-        )
-    full = np.zeros(basis.degree + 1)
-    full[: len(c)] = c
-    return DensePoly(basis.classical_basis, basis.expansion.T @ full)
+def synthesize(coeffs, basis: OrthoBasis) -> DensePoly:
+    """Sum of coeffs[i] * S_i as a classical-basis polynomial of the basis's degree.
+
+    The Q-basis coefficients u solve u_k + ell_{k+2} u_{k+2} = coeffs[k]
+    from the top down, and the classical ones are u_k - b_{k+2} u_{k+2}.
+    """
+    c = _float_array(coeffs, "coefficients")
+    n = basis.degree + 1
+    if c.ndim != 1 or len(c) > n:
+        raise InvalidDataError(f"expected at most {n} coefficients, got {c.shape}")
+    u = np.r_[c, np.zeros(n - len(c))]
+    for k in range(n - 3, -1, -1):
+        u[k] -= basis.ell[k + 2] * u[k + 2]
+    u[:-2] -= basis.b[2:] * u[2:]
+    return DensePoly(basis.classical_basis, u)
 
 
 NORMALIZATION = "unit-leading-classical-coefficient"

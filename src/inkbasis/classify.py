@@ -25,11 +25,12 @@ the kinds, and poly bounds the memory of each pass.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bases import DEFAULT_LAMBDA, OrthoBasis, build_named_basis
+from .bases import DEFAULT_LAMBDA, OrthoBasis, _integer, build_named_basis
 from .errors import BasisMismatchError, InvalidDataError, InvalidParameterError
 from .ink import (
     CoeffTable, InkTrace, NormalizedTrace, SplineKind, SymbolCoeffs, _normalized_buckets,
@@ -54,7 +55,7 @@ def _label_codes(labels: list) -> tuple[tuple[str, ...], np.ndarray]:
 
 def _split(n: int, seed: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     """Train and test indices: a seeded shuffle of range(n), cut at floor(ratio * n)."""
-    if not 0.0 < ratio < 1.0:
+    if isinstance(ratio, bool) or not isinstance(ratio, numbers.Real) or not 0.0 < ratio < 1.0:
         raise InvalidParameterError("split_ratio must lie in (0, 1)")
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
         raise InvalidParameterError(f"split_seed must be a non-negative integer, got {seed!r}")
@@ -215,7 +216,7 @@ def knn_classify(
     Vote ties break by smaller summed distance, then lexicographic label;
     equal distances keep dataset order.
     """
-    if not 1 <= k <= len(train):
+    if not 1 <= _integer(k, "k") <= len(train):
         raise InvalidParameterError(f"k must be in [1, {len(train)}]")
     dist = _sq_distances(train, query, basis)
     order = _nearest(dist, k)
@@ -242,6 +243,7 @@ def _accuracy(
     """
     if len(train) == 0:
         raise InvalidDataError("split left no training items")
+    ks = [_integer(k, "k") for k in ks]
     if not ks or min(ks) < 1:
         raise InvalidParameterError(f"every k must be in [1, {len(train)}], got {ks}")
     kmax = max(ks)

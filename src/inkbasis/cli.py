@@ -104,9 +104,9 @@ def _trace_file_name(index: int, label: str | None) -> str:
 def _projected(traces: list[InkTrace], bases: list[OrthoBasis], spline: str):
     """Each trace's index, the trace, its normalized curve and its coefficients on each of bases.
 
-    Each trace is normalized once and projected once, one moment pass per
-    weight at the largest degree among bases (error-sweep's degrees truncate
-    those moments), as the traces are consumed.
+    Each trace is normalized once and projected once, at the largest degree
+    among bases (error-sweep's lower degrees take the prefix of that
+    projection), as the traces are consumed.
     """
     for i, trace in enumerate(traces):
         normalized = arc_length_normalize(trace, spline)

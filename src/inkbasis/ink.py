@@ -34,7 +34,7 @@ from .errors import (
     BasisMismatchError, InvalidDataError, InvalidParameterError, ParseError, _enum_member,
     open_utf8,
 )
-from .poly import PiecewisePoly
+from .poly import PiecewisePoly, _frozen
 
 
 class SplineKind(str, enum.Enum):
@@ -63,8 +63,7 @@ class InkTrace:
         pts = pts[keep]  # a copy, so the caller's array stays writable
         if len(pts) < 2:
             raise InvalidDataError("trace has fewer than two distinct points")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _frozen(pts))
 
     def translated(self, dx: float, dy: float) -> "InkTrace":
         return replace(self, points=self.points + np.array([dx, dy]))
@@ -115,10 +114,8 @@ class SymbolCoeffs:
             raise InvalidDataError("xs and ys must be 1-D arrays of equal length")
         if self.label is not None and not isinstance(self.label, str):  # votes sort labels
             raise InvalidDataError(f"label must be a string, got {self.label!r}")
-        xs.setflags(write=False)
-        ys.setflags(write=False)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
+        object.__setattr__(self, "xs", _frozen(xs))
+        object.__setattr__(self, "ys", _frozen(ys))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,10 +146,9 @@ class CoeffTable(Sequence):
         xy = np.empty((len(items), 2 * d))
         xy[:, :d] = [c.xs for c in items]
         xy[:, d:] = [c.ys for c in items]
-        xy.setflags(write=False)
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "basis_id", basis_id)
-        object.__setattr__(self, "xy", xy)
+        object.__setattr__(self, "xy", _frozen(xy))
         object.__setattr__(self, "xs", xy[:, :d])
         object.__setattr__(self, "ys", xy[:, d:])
 
@@ -508,10 +504,10 @@ def to_coeffs(
 def _family_coeffs(
     normalized: NormalizedTrace, bases: list[OrthoBasis], label: str | None = None
 ) -> list[SymbolCoeffs]:
-    """to_coeffs(normalized, basis, label) for each of bases, from one moment pass per weight."""
-    rows = _project(normalized.curve, bases)
-    return [_symbol(row, b.basis_id, label, normalized.total_length)
-            for row, b in zip(rows, bases)]
+    """to_coeffs(normalized, basis, label) for bases of one spec: prefixes of one projection."""
+    rows = project(normalized.curve, max(bases, key=lambda b: b.degree))
+    return [_symbol(rows[:, : b.degree + 1], b.basis_id, label, normalized.total_length)
+            for b in bases]
 
 
 def _without_constants(rows: np.ndarray) -> np.ndarray:

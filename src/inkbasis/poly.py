@@ -49,6 +49,14 @@ _DERIV = {
 }
 
 
+def _float_array(values, name: str) -> np.ndarray:
+    """values as a new float array; a value that is not a number raises InvalidDataError."""
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidDataError(f"{name} must be numbers: {exc}") from None
+
+
 @dataclass(frozen=True)
 class DensePoly:
     """Coefficients of a polynomial in a named classical basis.
@@ -61,11 +69,10 @@ class DensePoly:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.array(self.coeffs, dtype=float))
+        c = np.atleast_1d(_float_array(self.coeffs, "coeffs"))
         if c.ndim != 1 or c.size == 0:
             raise InvalidDataError("coeffs must be a non-empty 1-D array")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "coeffs", _frozen(c))
         object.__setattr__(self, "basis", _enum_member(BasisKind, self.basis, "basis"))
 
     @property
@@ -74,7 +81,7 @@ class DensePoly:
 
     def __call__(self, x):
         """Value at scalar or array x; Legendre by Bonnet's recurrence, Chebyshev by Clenshaw's."""
-        xs = np.asarray(x, dtype=float)
+        xs = _float_array(x, "evaluation points")
         if self.basis is BasisKind.CHEBYSHEV:
             out = _cheb.chebval(xs, self.coeffs)
             return float(out) if np.ndim(out) == 0 else out
@@ -122,11 +129,11 @@ class PiecewisePoly:
     local: np.ndarray
 
     def __post_init__(self):
-        bp = np.array(self.breakpoints, dtype=float)
+        bp = _float_array(self.breakpoints, "breakpoints")
         if bp.ndim not in (1, 2) or bp.shape[-1] < 2:
             raise InvalidDataError("need at least two breakpoints")
         lead = bp.shape[:-1]  # () for one curve, (T,) for a bucket
-        c = np.array(self.local, dtype=float)
+        c = _float_array(self.local, "local coefficients")
         if c.ndim - bp.ndim not in (1, 2) or not 1 <= c.shape[-1] <= 4:
             raise InvalidDataError("local coefficients must be an ([T,] nseg, [m,] 1..4) array")
         if c.shape[: bp.ndim] != (*lead, bp.shape[-1] - 1):
@@ -155,10 +162,8 @@ class PiecewisePoly:
         if bad.any():
             *t, j = np.argwhere(bad)[0][: bp.ndim]
             raise InvalidDataError(f"discontinuity at breakpoint {bp[(*t, 1 + j)]}{_of_curve(t)}")
-        bp.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "local", c)
+        object.__setattr__(self, "breakpoints", _frozen(bp))
+        object.__setattr__(self, "local", _frozen(c))
 
     @property
     def segments(self) -> np.ndarray:
@@ -180,7 +185,7 @@ class PiecewisePoly:
 
 
 def _frozen(table: np.ndarray) -> np.ndarray:
-    """Mark a cached table read-only; every caller shares the same array."""
+    """The array, marked read-only: a frozen object's arrays and every cached table are shared."""
     table.setflags(write=False)
     return table
 
@@ -214,12 +219,6 @@ def _legendre_antiderivatives(n: int) -> np.ndarray:
     A[:1, 1:2] = 1.0
     A[1:] = (P[2:] - P[:-2]) / (2 * np.arange(1, n) + 1)[:, None]
     return _frozen(A)
-
-
-@lru_cache(maxsize=128)
-def _derivative_matrix(basis: BasisKind, degree: int) -> np.ndarray:
-    """(degree + 1, degree) matrix D with B_k' = sum_m D[k, m] B_m."""
-    return _frozen(_DERIV[basis](np.eye(degree + 1), axis=1))
 
 
 _TINY = np.finfo(float).tiny

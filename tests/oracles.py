@@ -262,6 +262,54 @@ def gram_schmidt_closed_form(weight, lam, degree):
     return expansion, sq_norms
 
 
+def mpmath_sobolev_basis(weight, lam, degree, dps=50):
+    """The Sobolev family (order 1) by an mpmath LDL^T of the classical Gram matrix.
+
+    G = diag(h) + lam D diag(h) D^T over the classical elements, with D the
+    exact derivative matrix (B_k' = sum_m D[k, m] B_m), is factored as
+    L diag(s) L^T at dps decimal digits; the expansion is L^-1 and the
+    squared norms are s.  This is the dense construction, not the library's
+    coherent-pair recurrence.  Returns (expansion, sq_norms) as lists of mpf,
+    expansion[i][j] for j <= i.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        n = degree + 1
+        lam = mpmath.mpf(lam)
+        if weight == "inverse_sqrt":
+            h = [mpmath.pi] + [mpmath.pi / 2] * (n - 1)
+
+            def der(k, m):  # T_k' = 2k (T_{k-1} + T_{k-3} + ...), the T_0 term halved
+                return k if m == 0 else 2 * k
+        else:
+            h = [mpmath.mpf(2) / (2 * k + 1) for k in range(n)]
+
+            def der(k, m):  # P_k' = sum of (2m + 1) P_m over m = k-1, k-3, ...
+                return 2 * m + 1
+
+        def gram(i, j):
+            total = sum((der(i, m) * der(j, m) * h[m] for m in range(i - 1, -1, -2)
+                         if m < j), mpmath.mpf(0))
+            return (h[i] if i == j else 0) + lam * total
+
+        # G[i][j] is zero unless i - j is even, and so are L and its inverse
+        s, L = [], [[mpmath.mpf(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i % 2, i, 2):
+                acc = gram(i, j) - sum((L[i][k] * L[j][k] * s[k] for k in range(j % 2, j, 2)),
+                                       mpmath.mpf(0))
+                L[i][j] = acc / s[j]
+            s.append(gram(i, i) - sum((L[i][k] ** 2 * s[k] for k in range(i % 2, i, 2)),
+                                      mpmath.mpf(0)))
+        E = [[mpmath.mpf(0)] * n for _ in range(n)]
+        for i in range(n):
+            E[i][i] = mpmath.mpf(1)
+            for j in range(i - 2, -1, -2):
+                E[i][j] = -sum((L[i][k] * E[k][j] for k in range(j, i, 2)), mpmath.mpf(0))
+        return E, s
+
+
 def dp_match_distance_sq(points_a, points_b):
     """Minimum summed squared distance over monotone point correspondences.
 

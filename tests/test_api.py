@@ -51,3 +51,29 @@ def test_errors_defines_only_the_contract():
     assert issubclass(errors.BasisMismatchError, errors.InvalidDataError)
     for name in ("InvalidParameterError", "InvalidDataError"):
         assert issubclass(getattr(errors, name), ValueError)
+
+
+
+def _identifiers(node) -> list[str]:
+    """The names a node spells: a name, an attribute, or what an import names."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or "", *(alias.name for alias in node.names)]
+    return []
+
+
+def test_bases_calls_no_blas_or_lapack():
+    # the families are one elementwise recurrence: no matrix product or factorization
+    tree = ast.parse((SRC / "bases.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"@ at line {node.lineno}")
+        found += [f"{name} at line {node.lineno}" for name in _identifiers(node)
+                  if name == "dot" or "linalg" in name or "cholesky" in name.lower()]
+    assert found == []

@@ -35,13 +35,14 @@ from inkbasis import (
 )
 from conftest import make_random_trace
 from inkbasis import BASIS_KINDS, OrthoBasis, arc_length_normalize, bases, poly, symbol_coeffs
-from inkbasis.bases import _project
+from inkbasis.bases import MAX_DEGREE, _project
 from inkbasis.poly import _BLOCK_BYTES
 from oracles import (
     closed_form_sobolev_gram,
     global_segments,
     gram_schmidt_by_quadrature,
     gram_schmidt_closed_form,
+    mpmath_sobolev_basis,
     piecewise_derivative_eval,
     project_by_rows,
     quad_inner_piecewise,
@@ -50,6 +51,7 @@ from oracles import (
 
 CS = spec_for_kind("chebyshev-sobolev", 0.125)
 LS = spec_for_kind("legendre-sobolev", 0.125)
+SOBOLEV_KINDS = ("legendre-sobolev", "chebyshev-sobolev")
 
 # (weight, lam, degree) compared with the closed-form Gram-Schmidt reference
 GS_CASES = [
@@ -250,23 +252,34 @@ class TestBuildBasis:
             InnerProductSpec(Weight.UNIT, 10**400, 1)
 
     def test_lambda_whose_gram_overflows_is_refused(self, recwarn):
+        # the banded Gram diagonal at degree 100 is lam * 200^2 * pi/2 + O(1): finite
+        # up to about 2.86e303
         with pytest.raises(InvalidParameterError,
-                           match=r"^lambda 1e\+302 is too large at degree 100: the Gram matrix"):
-            build_basis(spec_for_kind("chebyshev-sobolev", 1e302), 100)
-        basis = build_basis(spec_for_kind("chebyshev-sobolev", 1e301), 100)
+                           match=r"^lambda 3e\+303 is too large at degree 100: the Gram matrix"):
+            build_basis(spec_for_kind("chebyshev-sobolev", 3e303), 100)
+        build_basis(spec_for_kind("chebyshev-sobolev", 2e303), 100)
+        basis = build_basis(spec_for_kind("chebyshev-sobolev", 1e303), 100)
         trace = make_random_trace(np.random.default_rng(3))
         for spline in ("linear", "cubic"):
             c = symbol_coeffs(trace, basis, spline)
             assert np.isfinite([*c.xs, *c.ys, c.x0, c.y0]).all()
         assert not recwarn.list
 
-    @pytest.mark.parametrize("name", ["expansion", "sq_norms"])
-    def test_non_finite_arrays_are_refused(self, name):
-        b = build_basis(CS, 3)
-        arrays = {"expansion": b.expansion.copy(), "sq_norms": b.sq_norms.copy()}
-        arrays[name][-1] = np.nan
-        with pytest.raises(InvalidDataError, match="^expansion and sq_norms must be finite$"):
-            OrthoBasis(CS, 3, **arrays)
+    @pytest.mark.parametrize("kind", BASIS_KINDS)
+    def test_a_basis_is_a_prefix_of_a_higher_degree(self, kind):
+        top = build_named_basis(kind, MAX_DEGREE)
+        for d in (0, 1, 2, 3, 40):
+            b = build_named_basis(kind, d)
+            for name in ("b", "c", "ell", "sq_norms"):
+                assert np.array_equal(getattr(b, name), getattr(top, name)[: d + 1]), (d, name)
+            assert np.array_equal(b.expansion, top.expansion[: d + 1, : d + 1]), d
+
+    def test_a_basis_is_its_spec_and_degree(self):
+        b = OrthoBasis(CS, np.int64(7))
+        assert b == build_basis(CS, 7) and hash(b) == hash(build_basis(CS, 7))
+        assert repr(b) == f"OrthoBasis(spec={CS!r}, degree=7)"
+        for name in ("b", "c", "ell", "sq_norms", "expansion"):
+            assert not getattr(b, name).flags.writeable, name
 
     def test_numpy_integers_accepted(self):
         b = build_basis(InnerProductSpec(Weight.UNIT, np.float64(0.125), np.int64(1)), np.int64(3))
@@ -525,6 +538,16 @@ class TestSharedMoments:
             for basis, got in zip(mixed, rows):
                 assert np.array_equal(got, project(f, basis)), basis.basis_id
 
+    @pytest.mark.parametrize("spline", ["linear", "cubic"])
+    @pytest.mark.parametrize("kind", SOBOLEV_KINDS)
+    def test_truncated_projection_is_the_projection_at_every_degree(self, kind, spline):
+        knots, local = equal_shape_curves(spline, 5)
+        for f in (PiecewisePoly(knots[0], local[0]), PiecewisePoly(knots, local)):
+            full = project(f, build_named_basis(kind, MAX_DEGREE))
+            for d in range(MAX_DEGREE + 1):
+                got = project(f, build_named_basis(kind, d))
+                assert np.array_equal(got, full[..., : d + 1]), (d, f.local.shape)
+
     def test_equality_holds_under_other_cpu_kernels(self):
         env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
                    NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
@@ -535,6 +558,41 @@ class TestSharedMoments:
             env=env, cwd=Path(__file__).parents[1], capture_output=True, text=True,
         )
         assert out.returncode == 0, out.stdout[-2000:]
+
+
+REFERENCE_D100 = Path(__file__).parent / "data" / "sobolev_mpmath_d100.json"
+
+
+def assert_matches_reference(basis, expansion, sq_norms):
+    """sq_norms to 1e-15 relative and the expansion to 1e-15 absolute."""
+    n = basis.degree + 1
+    want = np.zeros((n, n))
+    for i in range(n):
+        want[i, : i + 1] = [float(x) for x in expansion[i][: i + 1]]
+    norms = np.array([float(x) for x in sq_norms])
+    assert np.max(np.abs(basis.sq_norms - norms) / norms) <= 1e-15
+    assert np.max(np.abs(basis.expansion - want)) <= 1e-15
+
+
+class TestMpmathReference:
+    """Both Sobolev kinds against an mpmath LDL^T of the dense classical Gram matrix."""
+
+    @pytest.mark.parametrize("kind", SOBOLEV_KINDS)
+    def test_degree_40(self, kind):
+        b = build_named_basis(kind, 40)
+        assert_matches_reference(b, *mpmath_sobolev_basis(b.spec.weight.value, b.spec.lam, 40))
+
+    @pytest.mark.parametrize("kind", SOBOLEV_KINDS)
+    def test_degree_100_from_stored_digits(self, kind):
+        doc = json.loads(REFERENCE_D100.read_text(encoding="utf-8"))
+        b = build_named_basis(kind, doc["degree"], doc["lambda"])
+        assert b.degree == MAX_DEGREE
+        ref = doc[kind]
+        # row i stores the entries j = i % 2, i % 2 + 2, ..., i; the others are zero
+        rows = [np.zeros(i + 1, dtype=object) for i in range(b.degree + 1)]
+        for i, row in enumerate(ref["expansion"]):
+            rows[i][i % 2 :: 2] = row
+        assert_matches_reference(b, rows, ref["sq_norms"])
 
 
 class TestSynthesize:
@@ -561,6 +619,18 @@ class TestSynthesize:
         b = build_basis(CS, 3)
         with pytest.raises(InvalidDataError, match=r"^expected at most 4 coefficients, got \(5,\)$"):
             synthesize(np.zeros(5), b)
+
+    def test_non_numeric_coefficients_are_typed(self):
+        with pytest.raises(InvalidDataError, match="^coefficients must be numbers: could not"):
+            synthesize(["a"], build_basis(CS, 3))
+
+    @pytest.mark.parametrize("kind", BASIS_KINDS)
+    def test_synthesis_inverts_the_expansion(self, kind, rng):
+        b = build_named_basis(kind, 40)
+        c = rng.uniform(-1, 1, 41)
+        want = np.einsum("ij,i->j", b.expansion, c)
+        np.testing.assert_allclose(synthesize(c, b).coeffs, want, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(synthesize(c[:7], b).coeffs[7:], 0.0)
 
 
 def identity_document(degree: int) -> dict:

@@ -29,7 +29,7 @@ from inkbasis import (
     to_coeffs,
 )
 from inkbasis import BASIS_KINDS, BasisKind, bases, classify
-from inkbasis.classify import _nearest, _sq_distances, _votes
+from inkbasis.classify import _nearest, _sq_distances, _votes, _weighted_sq, _weights
 from inkbasis.ink import _normalized_buckets
 from oracles import _vote, dp_match_distance_sq, quad_inner_series
 
@@ -196,18 +196,19 @@ class TestMatchSymbol:
             match_symbol(q, [], CHEB10)
 
     def test_argmin_invariant_under_norm_rescaling(self, rng):
-        from dataclasses import replace
-
+        # a basis is its spec and degree, so the norms are rescaled at the distance kernel
         q = make_coeffs(CHEB10, rng.uniform(-1, 1, 10), rng.uniform(-1, 1, 10))
         models = [
             make_coeffs(CHEB10, rng.uniform(-1, 1, 10), rng.uniform(-1, 1, 10))
             for _ in range(15)
         ]
-        scaled = replace(CHEB10, sq_norms=CHEB10.sq_norms * 17.5)
+        xy, w = CoeffTable(tuple(models)).xy, _weights(CHEB10, 10)
+        base = _weighted_sq(xy, np.concatenate([q.xs, q.ys]), w)
+        scaled = _weighted_sq(xy, np.concatenate([q.xs, q.ys]), w * 17.5)
         base_idx, base_d = match_symbol(q, models, CHEB10)
-        scaled_idx, scaled_d = match_symbol(q, models, scaled)
-        assert scaled_idx == base_idx
-        assert scaled_d == pytest.approx(17.5 * base_d, rel=1e-12)
+        assert (base_idx, base_d) == (int(np.argmin(base)), base[base_idx])
+        assert int(np.argmin(scaled)) == base_idx
+        assert scaled[base_idx] == pytest.approx(17.5 * base_d, rel=1e-12)
 
     def test_list_and_table_agree_bitwise(self, rng):
         q = make_coeffs(CS10, rng.uniform(-1, 1, 10), rng.uniform(-1, 1, 10))
@@ -398,6 +399,18 @@ class TestKnnClassify:
             with pytest.raises(InvalidParameterError):
                 knn_classify(ds, items[0], k, CHEB10)
 
+    @pytest.mark.parametrize("k", [1.5, 2.0, True, "2"])
+    def test_k_of_another_type_is_typed(self, rng, k):
+        items = tuple(
+            make_coeffs(CHEB10, rng.uniform(-1, 1, 10), rng.uniform(-1, 1, 10), "a")
+            for _ in range(6)
+        )
+        ds = LabeledDataset(items)
+        with pytest.raises(InvalidParameterError, match=f"^k must be an integer, got {k!r}$"):
+            knn_classify(ds, items[0], k, CHEB10)
+        with pytest.raises(InvalidParameterError, match=f"^k must be an integer, got {k!r}$"):
+            knn_accuracy(ds, CHEB10, [1, k])
+
     def test_train_as_test_is_perfect_at_k1(self, rng):
         traces = synthetic_digit_traces(rng, per_class=5)
         items = tuple(symbol_coeffs(t, CS10) for t in traces)
@@ -470,6 +483,12 @@ class TestLabeledDataset:
         for ratio in (0.0, 1.0, float("nan")):
             with pytest.raises(InvalidParameterError):
                 LabeledDataset((a,), split_ratio=ratio)
+
+    @pytest.mark.parametrize("ratio", ["a", None, True])
+    def test_split_ratio_of_another_type_is_typed(self, ratio):
+        a = make_coeffs(CHEB10, np.zeros(10), np.zeros(10), "a")
+        with pytest.raises(InvalidParameterError, match=r"^split_ratio must lie in \(0, 1\)$"):
+            LabeledDataset((a, a, a), split_ratio=ratio)
 
     def test_labels_are_coded_once_in_sorted_order(self):
         items = tuple(make_coeffs(CHEB10, np.zeros(10), np.zeros(10), label)
@@ -545,6 +564,12 @@ class TestAccuracySweep:
         with pytest.raises(InvalidParameterError, match=message):
             accuracy_sweep(traces, ["legendre", "chebyshev-sobolev"], [1], **kwargs)
         assert normalized == []
+
+    @pytest.mark.parametrize("ks", [[2.5], [1, True]])
+    def test_k_of_another_type_is_typed(self, rng, ks):
+        traces = synthetic_digit_traces(rng, per_class=3)
+        with pytest.raises(InvalidParameterError, match=f"^k must be an integer, got {ks[-1]!r}$"):
+            accuracy_sweep(traces, ["legendre"], ks)
 
     def test_builds_no_per_trace_objects(self, rng, monkeypatch):
         traces = synthetic_digit_traces(rng, per_class=4)

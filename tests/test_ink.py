@@ -438,6 +438,12 @@ class TestReconstruct:
         for i, si in enumerate(s):
             assert reconstruct(c, basis, si) == (xs[i], ys[i])
 
+    def test_non_numeric_parameters_are_typed(self):
+        basis = build_named_basis("chebyshev-sobolev", 3)
+        c = symbol_coeffs(InkTrace([(0, 0), (2, 1), (3, 3)]), basis)
+        with pytest.raises(InvalidDataError, match="^evaluation points must be numbers"):
+            reconstruct(c, basis, "abc")
+
     def test_missing_sidecar(self):
         basis = build_named_basis("chebyshev", 3)
         c = symbol_coeffs(InkTrace([(0, 0), (2, 1), (3, 3)]), basis)

@@ -182,6 +182,21 @@ class TestDensePolyBasics:
         with pytest.raises(InvalidDataError):
             DensePoly(BasisKind.CHEBYSHEV, [])
 
+    def test_non_numeric_coeffs_are_typed(self):
+        with pytest.raises(InvalidDataError, match="^coeffs must be numbers: could not convert"):
+            DensePoly(BasisKind.LEGENDRE, ["a"])
+
+    @pytest.mark.parametrize("breakpoints, local, name", [
+        (["a", "b"], [[1.0]], "breakpoints"), ([-1.0, 1.0], [["a"]], "local coefficients")])
+    def test_non_numeric_splines_are_typed(self, breakpoints, local, name):
+        with pytest.raises(InvalidDataError, match=f"^{name} must be numbers: could not convert"):
+            PiecewisePoly(breakpoints, local)
+
+    @pytest.mark.parametrize("basis", list(BasisKind))
+    def test_non_numeric_points_are_typed(self, basis):
+        with pytest.raises(InvalidDataError, match="^evaluation points must be numbers"):
+            DensePoly(basis, [1.0, 2.0])("abc")
+
     def test_unknown_basis_is_typed(self):
         with pytest.raises(InvalidParameterError,
                            match=r"^unknown basis 'hermite'; expected one of \['legendre', 'chebyshev'\]$"):

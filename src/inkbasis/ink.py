@@ -8,13 +8,13 @@ one knot vector.  One projection onto an orthogonal family gives a (2, d + 1)
 array; dropping its constant terms yields a translation- and scale-invariant
 fixed-size description of the symbol.
 
-For a corpus this module decides only the buckets of equal-shape curves:
-each is one PiecewisePoly, projected onto every basis by one bases._project
-call (which shares the moments), and its rows go back into input order.
+One normalizer takes a bucket of equal point counts for either spline; a
+trace is a bucket of one.  Each bucket is one PiecewisePoly, projected onto
+every basis by one bases._project call, and its rows go back into input order.
 
 The natural cubic is solved here, with numpy and a tridiagonal elimination
 on Python floats, and equals scipy's CubicSpline(bc_type="natural") bit for
-bit; the arc length of a cubic segment is 8-point Gauss-Legendre.
+bit; a cubic segment's arc length is 8-point Gauss-Legendre in a fixed order.
 """
 
 from __future__ import annotations
@@ -108,10 +108,15 @@ class SymbolCoeffs:
     length: float | None = None
 
     def __post_init__(self):
-        xs = np.array(self.xs, dtype=float)
-        ys = np.array(self.ys, dtype=float)
+        try:
+            xs, ys = np.array(self.xs, dtype=float), np.array(self.ys, dtype=float)
+        except (OverflowError, TypeError, ValueError):  # ragged, non-numeric or too large
+            raise InvalidDataError("xs and ys must be arrays of real numbers") from None
         if xs.shape != ys.shape or xs.ndim != 1:
             raise InvalidDataError("xs and ys must be 1-D arrays of equal length")
+        # json reads NaN and Infinity, and None becomes NaN; a distance to them would be NaN
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise InvalidDataError("xs and ys must be finite")
         if self.label is not None and not isinstance(self.label, str):  # votes sort labels
             raise InvalidDataError(f"label must be a string, got {self.label!r}")
         object.__setattr__(self, "xs", _frozen(xs))
@@ -262,31 +267,41 @@ def merge_strokes(traces: Iterable[InkTrace], label: str | None = None) -> InkTr
     return InkTrace(np.vstack([t.points for t in traces]), label=label)
 
 
-def _natural_cubic(t: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Local coefficients (nseg, ncol, 4) of the natural cubic through the rows of values.
+def _natural_cubic(t: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Local coefficients (T, nseg, ncol, 4) and failure codes (T,) of natural cubics.
 
-    Solves for the knot slopes s the system scipy's
-    CubicSpline(bc_type="natural") solves, by LAPACK dgtsv's elimination
-    with its row interchanges, on Python floats for all columns at once, and
-    builds the segments with CubicHermiteSpline's expressions: the result
-    equals CubicSpline(t, values, bc_type="natural").c bit for bit.  A fit
-    that is not finite raises InvalidDataError.
+    Curve k runs through the rows of values[k] (n, ncol) on the knots t[k],
+    with the slopes of _solve_slopes and CubicHermiteSpline's segments: it
+    equals CubicSpline(t[k], values[k], bc_type="natural").c bit for bit.
     """
-    dx = np.diff(t)
-    if not np.all(dx > 0):
-        raise InvalidDataError("cubic fit is not finite: knots are not strictly increasing")
-    slope = np.diff(values, axis=0) / dx[:, None]
-    h = dx.tolist()
+    dx = (t[:, 1:] - t[:, :-1])[..., None]
+    slope = (values[:, 1:] - values[:, :-1]) / dx
     # rows i = 1..n-2: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1] = rhs[i].
     # The end rows (s'' = 0) keep scipy's -0.5 * 0 * dx**2 term: it is NaN when
     # dx**2 overflows, and the fit is then rejected where scipy rejects it.
     rhs = np.empty(values.shape)
-    rhs[1:-1] = 3 * (dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:])
-    rhs[0] = -0.0 * (h[0] * h[0]) + 3 * (values[1] - values[0])
-    rhs[-1] = 0.0 * (h[-1] * h[-1]) + 3 * (values[-1] - values[-2])
-    diag = [2.0 * h[0], *(2 * (dx[:-1] + dx[1:])).tolist(), 2.0 * h[-1]]
+    rhs[:, 1:-1] = 3 * (dx[:, 1:] * slope[:, :-1] + dx[:, :-1] * slope[:, 1:])
+    rhs[:, 0] = -0.0 * (dx[:, 0] * dx[:, 0]) + 3 * (values[:, 1] - values[:, 0])
+    rhs[:, -1] = 0.0 * (dx[:, -1] * dx[:, -1]) + 3 * (values[:, -1] - values[:, -2])
+    solved = rhs.transpose(0, 2, 1).tolist()
+    failure = np.array([_solve_slopes(h, mid, cols) for h, mid, cols in zip(
+        dx[..., 0].tolist(), (2 * (dx[:, :-1, 0] + dx[:, 1:, 0])).tolist(), solved)])
+    s = np.array(solved).transpose(0, 2, 1)
+    cubic = (s[:, :-1] + s[:, 1:] - 2 * slope) / dx
+    local = np.stack([values[:, :-1], s[:, :-1], (slope - s[:, :-1]) / dx - cubic, cubic / dx], -1)
+    return local, failure
+
+
+def _solve_slopes(h: list, mid: list, cols: list) -> int:
+    """Solve one curve's slope system in place on its columns; return its failure code.
+
+    h holds the knot gaps and mid the inner diagonal.  The elimination is
+    LAPACK dgtsv's, with its row interchanges, on Python floats.
+    """
+    if not all(gap > 0.0 for gap in h):
+        return 5
+    diag = [2.0 * h[0], *mid, 2.0 * h[-1]]
     lower, upper = h[1:] + h[-1:], h[:1] + h[:-1]  # row i + 1's s[i], row i's s[i + 1]
-    cols = rhs.T.tolist()
     n = len(diag)
     try:
         for i in range(n - 1):
@@ -314,46 +329,52 @@ def _natural_cubic(t: np.ndarray, values: np.ndarray) -> np.ndarray:
             for i in range(n - 3, -1, -1):
                 b[i] = (b[i] - upper[i] * b[i + 1] - lower[i] * b[i + 2]) / diag[i]
     except ZeroDivisionError:  # dgtsv's zero pivot
-        raise InvalidDataError("cubic fit is not finite: singular slope system") from None
-    s = np.array(cols).T
-    if not np.all(np.isfinite(s)):
-        raise InvalidDataError("cubic fit is not finite: knot slopes are not finite")
-    dx = dx[:, None]
-    cubic = (s[:-1] + s[1:] - 2 * slope) / dx
-    return np.stack([values[:-1], s[:-1], (slope - s[:-1]) / dx - cubic, cubic / dx], axis=-1)
+        return 6
+    return 0 if all(all(map(math.isfinite, b)) for b in cols) else 7
 
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 def _node_velocities(t: np.ndarray, local: np.ndarray) -> np.ndarray:
-    """(nseg, 8, ncol) derivative of a cubic spline at each segment's Gauss-Legendre nodes.
+    """(T, nseg, 8, ncol) derivative of cubic splines at each segment's Gauss-Legendre nodes.
 
-    Each node is evaluated on the segment that holds it, summing the
-    derivative's terms in the order scipy's PPoly uses.
+    Each node is evaluated on the segment that holds it, its own or a
+    neighbour, summing the derivative's terms in the order scipy's PPoly uses.
     """
-    mid, half = (t[:-1] + t[1:]) / 2.0, (t[1:] - t[:-1]) / 2.0
-    nodes = mid[:, None] + half[:, None] * _GL8_NODES
-    seg = np.clip(np.searchsorted(t, nodes, side="right") - 1, 0, len(t) - 2)
-    u = (nodes - t[seg])[..., None]
-    c = local[seg]  # (nseg, 8, ncol, 4)
+    start, end = t[:, :-1, None], t[:, 1:, None]
+    nodes = (start + end) / 2.0 + (end - start) / 2.0 * _GL8_NODES  # (T, nseg, 8)
+    nseg = nodes.shape[1]
+    seg = np.arange(nseg)[:, None] + (nodes >= end) - (nodes < start)
+    np.minimum(np.maximum(seg, 0, out=seg), nseg - 1, out=seg)
+    seg += nseg * np.arange(len(t))[:, None, None]  # into the bucket's segments
+    u = (nodes - start.reshape(-1)[seg])[..., None]
+    c = local.reshape(-1, *local.shape[2:])[seg]  # (T, nseg, 8, ncol, 4)
     return c[..., 1] + (2.0 * c[..., 2]) * u + (3.0 * c[..., 3]) * (u * u)
 
 
-def _cubic_arc_lengths(t: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Per-segment arc lengths of the natural cubic through pts, 8-point Gauss-Legendre."""
-    v = _node_velocities(t, _natural_cubic(t, pts))
-    half = (t[1:] - t[:-1]) / 2.0
-    return half * (np.hypot(v[..., 0], v[..., 1]) @ _GL8_WEIGHTS)
+def _cubic_arc_lengths(t: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Segment arc lengths (T, nseg) of natural cubics through points, and the fits' codes."""
+    local, failure = _natural_cubic(t, points)
+    v = _node_velocities(t, local)
+    a = np.hypot(v[..., 0], v[..., 1]) * _GL8_WEIGHTS
+    # 8-point Gauss-Legendre as ((a0 + a7) + (a1 + a6)) + ((a2 + a5) + (a3 + a4)), an order
+    # whose weights add to exactly 2, so a straight segment's length is its chord
+    pairs = a[..., :4] + a[..., :3:-1]
+    gauss = (pairs[..., 0] + pairs[..., 1]) + (pairs[..., 2] + pairs[..., 3])
+    return (t[:, 1:] - t[:, :-1]) / 2.0 * gauss, failure
 
 
-# why a curve's normalization fails, by the code _knots or _too_far gives it (0: it does not)
+# why a curve's normalization fails, by its failure code (0: it does not)
 _KNOT_FAILURES = (
     None,
     "arc length is not finite: coordinates too large",
     "zero total arc length",
     "arc-length parameters collapse in float precision",
     "rescaled coordinates too large: the trace lies too far from the origin for its length",
+    "cubic fit is not finite: knots are not strictly increasing",
+    "cubic fit is not finite: singular slope system",
+    "cubic fit is not finite: knot slopes are not finite",
 )
 
 # largest magnitude of a rescaled coordinate: the weights' total mass on [-1, 1]
@@ -377,37 +398,43 @@ def _knots(seg_lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return knots, total, failure
 
 
-def _too_far(failure: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The failure codes, with 4 where a curve's (T, n, 2) rescaled values exceed _MAX_RESCALED.
-
-    A curve that already fails keeps its code.
-    """
-    far = np.abs(values).max(axis=(-2, -1)) > _MAX_RESCALED
-    return np.where(far & (failure == 0), 4, failure) if far.any() else failure
-
-
 def _raise_first_failure(failure: np.ndarray) -> None:
     """Raise the error of the first failing curve, if any."""
     if failure.any():
         raise InvalidDataError(_KNOT_FAILURES[failure[failure.nonzero()[0][0]]])
 
 
-def _normalize_linear(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Linear arc-length normalization of a bucket of traces, (T, n, 2) points.
+def _normalize(points: np.ndarray, spline: SplineKind) -> tuple[np.ndarray, ...]:
+    """Arc-length normalization of a bucket of traces, (T, n, 2) points.
 
-    Returns knots (T, n), local coefficients (T, n - 1, 2, 2), total lengths
-    (T,) and the failure codes (T,) of _knots and _too_far; the curves of
-    failing traces hold meaningless numbers.
+    Returns knots (T, n), local coefficients (T, n - 1, 2, width), total
+    lengths (T,) and failure codes (T,) indexing _KNOT_FAILURES; the curves
+    of failing traces hold meaningless numbers.
     """
-    # overflow shows as a non-finite total or values and is reported by its failure code
+    cubic = spline is SplineKind.CUBIC and points.shape[1] > 2  # through two points: the chord
+    codes = []  # each check's failure codes, in the order a curve runs them
+    # overflow shows as a non-finite total, values or fit and is reported by its failure code
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         step = points[:, 1:] - points[:, :-1]
-        knots, total, failure = _knots(np.hypot(step[..., 0], step[..., 1]))
+        lengths = np.hypot(step[..., 0], step[..., 1])
+        if cubic:  # the arc lengths of the natural cubic on chord-length knots
+            chord = np.zeros(points.shape[:2])
+            lengths.cumsum(axis=-1, out=chord[:, 1:])
+            lengths, fit = _cubic_arc_lengths(chord, points)
+            codes.append(fit)
+        knots, total, failure = _knots(lengths)
         values = points * (2.0 / total)[:, None, None]
-        local = np.empty(step.shape + (2,))
-        local[..., 0] = values[:, :-1]
-        local[..., 1] = (values[:, 1:] - values[:, :-1]) / (knots[:, 1:] - knots[:, :-1])[..., None]
-    return knots, local, total, _too_far(failure, values)
+        codes += [failure, 4 * (np.abs(values).max(axis=(-2, -1)) > _MAX_RESCALED)]
+        if cubic:
+            local, fit = _natural_cubic(knots, values)
+            codes.append(fit)
+        else:
+            slope = (values[:, 1:] - values[:, :-1]) / (knots[:, 1:] - knots[:, :-1])[..., None]
+            local = np.stack([values[:, :-1], slope], -1)
+    failure = codes.pop()
+    for code in reversed(codes):  # a curve reports the first check it fails
+        failure = np.where(code > 0, code, failure)
+    return knots, local, total, failure
 
 
 def arc_length_normalize(
@@ -419,58 +446,35 @@ def arc_length_normalize(
     arc length along the interpolating spline maps affinely onto [-1, 1],
     and coordinates are rescaled by 2/L, so the result is a (piecewise)
     unit-speed curve of total length 2 regardless of the input's position,
-    size, or sampling density.  A linear spline is a bucket of one for the
-    corpus path's bucket normalizer.
+    size, or sampling density.  The trace is a bucket of one for the corpus
+    path's normalizer.
     """
-    pts = trace.points
-    # a natural cubic through two points is the chord
-    if _enum_member(SplineKind, spline, "spline") is SplineKind.LINEAR or len(pts) == 2:
-        knots, local, total, failure = _normalize_linear(pts[None])
-        _raise_first_failure(failure)
-        return NormalizedTrace(PiecewisePoly(knots[0], local[0]), float(total[0]))
-    # overflow shows as a non-finite total, values or fit, and raises a typed error
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        t = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(pts, axis=0).T))])
-        knots, total, failure = _knots(_cubic_arc_lengths(t, pts)[None])
-        values = pts * (2.0 / total[0])
-    _raise_first_failure(_too_far(failure, values[None]))
-    local = _natural_cubic(knots[0], values)
-    return NormalizedTrace(PiecewisePoly(knots[0], local), float(total[0]))
+    spline = _enum_member(SplineKind, spline, "spline")
+    knots, local, total, failure = _normalize(trace.points[None], spline)
+    _raise_first_failure(failure)
+    return NormalizedTrace(PiecewisePoly(knots[0], local[0]), float(total[0]))
 
 
 def _normalized_buckets(
     traces: Sequence[InkTrace], spline: SplineKind
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The traces' normalized curves in buckets of equal shape.
+    """The traces' normalized curves in buckets of equal point counts.
 
     Each bucket is (indices into traces, knots (T, n), local (T, n - 1, 2,
-    width)).  Linear curves are normalized a bucket of equal point counts at
-    a time; cubic ones trace by trace, then stacked by shape.  The first
-    failing trace in input order raises the error it raises alone.
+    width)), normalized together by _normalize.  The first failing trace in
+    input order raises the error it raises alone.
     """
-    buckets = []
-    if _enum_member(SplineKind, spline, "spline") is SplineKind.LINEAR:
-        failure = np.zeros(len(traces), dtype=int)
-        for idx in _groups(len(t.points) for t in traces):
-            knots, local, _, failure[idx] = _normalize_linear(
-                np.stack([traces[i].points for i in idx])
-            )
-            buckets.append((idx, knots, local))
-        _raise_first_failure(failure)
-        return buckets
-    curves = [arc_length_normalize(t, spline) for t in traces]
-    for idx in _groups(n.curve.local.shape for n in curves):
-        buckets.append((idx, np.stack([curves[i].knots for i in idx]),
-                        np.stack([curves[i].curve.local for i in idx])))
-    return buckets
-
-
-def _groups(keys: Iterable) -> list[np.ndarray]:
-    """The indices of equal keys, one array per distinct key."""
+    spline = _enum_member(SplineKind, spline, "spline")
     groups = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return [np.array(idx) for idx in groups.values()]
+    for i, trace in enumerate(traces):
+        groups.setdefault(len(trace.points), []).append(i)
+    failure = np.zeros(len(traces), dtype=int)
+    buckets = []
+    for idx in map(np.array, groups.values()):
+        knots, local, _, failure[idx] = _normalize(np.stack([traces[i].points for i in idx]), spline)
+        buckets.append((idx, knots, local))
+    _raise_first_failure(failure)
+    return buckets
 
 
 def _project_buckets(
@@ -575,7 +579,7 @@ def _finite_or_none(value, key: str) -> float | None:
 
 def coeffs_from_json_dict(doc: dict) -> SymbolCoeffs:
     try:
-        c = SymbolCoeffs(
+        return SymbolCoeffs(
             basis_id=doc["basis_id"],
             xs=np.array(doc["xs"], dtype=float),
             ys=np.array(doc["ys"], dtype=float),
@@ -584,10 +588,6 @@ def coeffs_from_json_dict(doc: dict) -> SymbolCoeffs:
             y0=_finite_or_none(doc.get("y0"), "y0"),
             length=_finite_or_none(doc.get("length"), "length"),
         )
-        # json reads NaN and Infinity; a distance to them would be NaN
-        if not (np.isfinite(c.xs).all() and np.isfinite(c.ys).all()):
-            raise InvalidDataError("xs and ys must be finite")
-        return c
     except KeyError as exc:
         raise InvalidDataError(f"coefficient record lacks {exc}") from None
     except (OverflowError, TypeError, ValueError) as exc:  # OverflowError: an int past float's range

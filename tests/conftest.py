@@ -16,6 +16,30 @@ def make_random_trace(rng, n_min=4, n_max=14, scale=100.0) -> InkTrace:
     return InkTrace(start + np.vstack([[0.0, 0.0], np.cumsum(steps, axis=0)]))
 
 
+def knots_from_gaps(gaps, scale=1.0) -> np.ndarray:
+    """Knots from 0 with the given gaps, times scale."""
+    return scale * np.concatenate([[0.0], np.cumsum(gaps)])
+
+
+def skewed_knots(rng, n):
+    """n knots whose gaps span e^-12..e^12; the second gap is 2.5..1e4 times the first."""
+    gaps = np.exp(np.clip(rng.normal(scale=5.0, size=n - 1), -12.0, 12.0))
+    # the first row is 2 dx[0] s0 + dx[0] s1, the second's subdiagonal
+    # is dx[1]: the elimination swaps the rows when dx[1] > 2 dx[0]
+    gaps[1] = gaps[0] * rng.uniform(2.5, 1e4)
+    return knots_from_gaps(gaps)
+
+
+def near_duplicate_knots(rng, n, ulps):
+    """About 1.3 n knots, some a few ulps after another, and the indices of those twins."""
+    base = 1.0 + knots_from_gaps(rng.uniform(0.5, 1.5, n - 1))
+    near = base[rng.random(n) < 0.3]
+    # a knot a few ulps after another: its Gauss nodes can round onto
+    # the neighbouring segment
+    t = np.sort(np.concatenate([base, near + ulps * np.spacing(near)]))
+    return t, np.flatnonzero(np.diff(t) < 1e-3) + 1
+
+
 # Hand-drawn polyline prototypes on a 0..100 grid, one per class.
 _SHAPES = {
     "0": [(30, 90), (10, 60), (10, 30), (30, 5), (70, 5), (90, 30), (90, 60), (70, 90), (30, 90)],

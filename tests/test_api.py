@@ -67,13 +67,13 @@ def _identifiers(node) -> list[str]:
     return []
 
 
-def test_bases_calls_no_blas_or_lapack():
-    # the families are one elementwise recurrence: no matrix product or factorization
-    tree = ast.parse((SRC / "bases.py").read_text(encoding="utf-8"))
+def test_package_calls_no_blas_or_lapack():
+    # a BLAS kernel's last bits depend on the CPU: no matrix product or factorization
     found = []
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
-            found.append(f"@ at line {node.lineno}")
-        found += [f"{name} at line {node.lineno}" for name in _identifiers(node)
-                  if name == "dot" or "linalg" in name or "cholesky" in name.lower()]
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"@ at {path.name}:{node.lineno}")
+            found += [f"{name} at {path.name}:{node.lineno}" for name in _identifiers(node)
+                      if name == "dot" or "linalg" in name or "cholesky" in name.lower()]
     assert found == []

@@ -1,12 +1,13 @@
 """Ingestion, arc-length normalization, and the coefficient pipeline."""
 
+import itertools
 import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import make_random_trace
+from conftest import make_random_trace, near_duplicate_knots, skewed_knots
 from inkbasis import BASIS_KINDS, InvalidParameterError, poly
 from inkbasis import (
     BasisMismatchError,
@@ -15,6 +16,7 @@ from inkbasis import (
     InvalidDataError,
     ParseError,
     SplineKind,
+    SymbolCoeffs,
     accuracy_sweep,
     arc_length_normalize,
     build_named_basis,
@@ -28,7 +30,7 @@ from inkbasis import (
     to_coeffs,
     write_coeffs_jsonl,
 )
-from inkbasis.ink import _MAX_RESCALED, _normalize_linear, _normalized_buckets, _project_buckets
+from inkbasis.ink import _MAX_RESCALED, _normalize, _normalized_buckets, _project_buckets
 from inkbasis.poly import _BLOCK_BYTES
 
 PENDIGITS_LINE = "0,100, 0,0, 100,0, 100,100, 0,100, 0,0, 50,50, 100,50, 7"
@@ -229,6 +231,24 @@ class TestArcLengthNormalize:
             with pytest.raises(InvalidDataError):
                 arc_length_normalize(trace, spline)
 
+    @pytest.mark.parametrize(
+        "points, linear, cubic",
+        [([(0.0, 0.0), (1e308, 1e308), (-1e308, 0.0)], "arc length is not finite",
+          "cubic fit is not finite: knot slopes are not finite"),
+         ([(0.0, 0.0), (1e308, 0.0), (1e308, 1e-300), (2.0, 0.0)], "arc length is not finite",
+          "cubic fit is not finite: knots are not strictly increasing"),
+         ([(1e307, 0.0), (1e307, 1e-300), (1e307, 1.0), (0.0, 0.0)],
+          "arc-length parameters collapse", "cubic fit is not finite: singular slope system"),
+         ([(0.0, 0.0), (5e-324, 0.0), (1.0, 1.0)], "arc-length parameters collapse",
+          "arc length is not finite")],
+        ids=["slopes-overflow", "chord-knots-stall", "singular", "subnormal-gap"],
+    )
+    def test_a_curve_raises_the_first_check_it_fails(self, points, linear, cubic):
+        # a cubic's checks: its fit on chord length, its knots, its rescaled values, its refit
+        for spline, message in ((SplineKind.LINEAR, linear), (SplineKind.CUBIC, cubic)):
+            with pytest.raises(InvalidDataError, match=f"^{message}"):
+                arc_length_normalize(InkTrace(points), spline)
+
     @pytest.mark.parametrize("spline", list(SplineKind))
     def test_rescaled_overflow_is_typed(self, spline):
         # length 2, so the rescale is 1, yet a weighted integral of 1e308 overflows;
@@ -266,14 +286,29 @@ class TestArcLengthNormalize:
         assert not n.knots.flags.writeable
 
 
+def trace_on_knots(rng, t, twin=()):
+    """A trace whose chord steps follow the gaps of t; a twin point repeats its y."""
+    dy = np.diff(t, prepend=t[0]) * rng.normal(scale=0.3, size=len(t))
+    dy[twin] = 0.0
+    return InkTrace(np.column_stack([t, np.cumsum(dy)]))
+
+
 class TestBuckets:
-    @pytest.mark.parametrize("n_points", [2, 8, 300])
-    def test_linear_bucket_equals_bucket_of_one(self, rng, n_points):
-        points = np.stack([make_random_trace(rng, n_points, n_points).points for _ in range(5)])
-        together = _normalize_linear(points)
+    @pytest.mark.parametrize("n_points", [2, 3, 8, 300])
+    @pytest.mark.parametrize("spline", [SplineKind.LINEAR, SplineKind.CUBIC])
+    def test_bucket_equals_bucket_of_one(self, rng, spline, n_points):
+        traces = [make_random_trace(rng, n_points, n_points) for _ in range(3)]
+        if n_points > 2:  # the row interchange, and Gauss nodes on a neighbouring segment
+            traces += [trace_on_knots(rng, skewed_knots(rng, n_points)) for _ in range(3)]
+            # a few ulps can collapse the arc-length knots: the failure code is compared too
+            for ulps in (2, 20, 50):
+                t, twin = near_duplicate_knots(rng, n_points, ulps)
+                traces.append(trace_on_knots(rng, t[:n_points], twin[twin < n_points]))
+        points = np.stack([t.points for t in traces])
+        together = _normalize(points, spline)
         for i in range(len(points)):
-            for got, alone in zip(together, _normalize_linear(points[i : i + 1])):
-                assert np.array_equal(got[i], alone[0])
+            for got, alone in zip(together, _normalize(points[i : i + 1], spline)):
+                assert np.array_equal(got[i], alone[0], equal_nan=True)
 
     @pytest.mark.parametrize("degree", [1, 10, 60, 100])
     @pytest.mark.parametrize("spline", [SplineKind.LINEAR, SplineKind.CUBIC])
@@ -328,16 +363,20 @@ class TestBuckets:
             assert np.array_equal(row, project(arc_length_normalize(t, spline).curve, basis))
 
     def test_first_failing_trace_in_input_order_raises(self):
-        huge = InkTrace([(0.0, 0.0), (1e308, 1e308), (-1e308, 0.0)])  # infinite length
+        # linear: infinite length; cubic: the fit on chord length has infinite slopes
+        huge = InkTrace([(0.0, 0.0), (1e308, 1e308), (-1e308, 0.0)])
+        # linear: infinite length; cubic: chord-length knots not increasing
+        wide = InkTrace([(0.0, 0.0), (1e308, 0.0), (1e308, 1e-300), (2.0, 0.0)])
         flat = InkTrace([(0.0, 0.0), (1e-300, 0.0), (1.0, 0.0), (2.0, 0.0)])  # knots collapse
         far = InkTrace([(1e308, 0.0), (1e308, 1.0), (1e308, 2.0)])  # rescaled values too large
         ok = InkTrace([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (3.0, 1.0)])
-        for traces in ([ok, flat, huge], [ok, huge, flat], [ok, far, huge], [ok, huge, far],
-                       [ok, far, flat]):
+        for spline, traces in itertools.product(SplineKind, (
+                [ok, flat, huge], [ok, huge, flat], [ok, far, huge], [ok, huge, far],
+                [ok, far, flat], [ok, wide, flat], [ok, flat, wide], [ok, wide, huge])):
             with pytest.raises(InvalidDataError) as alone:
-                arc_length_normalize(traces[1])
+                arc_length_normalize(traces[1], spline)
             with pytest.raises(InvalidDataError, match=f"^{alone.value}$"):
-                _normalized_buckets(traces, SplineKind.LINEAR)
+                _normalized_buckets(traces, spline)
 
 
 def midpoint_resample(trace: InkTrace) -> InkTrace:
@@ -482,6 +521,18 @@ class TestCoeffTable:
     def test_empty(self):
         table = CoeffTable(())
         assert not table and len(table) == 0 and table.basis_id is None
+
+    @pytest.mark.parametrize(
+        "xs, ys, message",
+        [(["a"], [1.0], "arrays of real numbers"), ([1.0], [None], "finite"),
+         ([1.0, np.nan], [1.0, 2.0], "finite"), ([-np.inf], [0.0], "finite"),
+         ([[1.0], [2.0, 3.0]], [1.0, 2.0], "arrays of real numbers"),
+         ([1.0, 2.0], [1.0], "1-D arrays of equal length")],
+        ids=["string", "none", "nan", "infinity", "ragged", "unequal-lengths"],
+    )
+    def test_symbol_coeffs_are_finite_numbers(self, xs, ys, message):
+        with pytest.raises(InvalidDataError, match=f"^xs and ys must be {message}$"):
+            SymbolCoeffs("b", xs, ys)
 
 
 class TestCoeffsJsonl:

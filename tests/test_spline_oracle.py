@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from conftest import knots_from_gaps, near_duplicate_knots, skewed_knots
 from inkbasis import InvalidDataError
-from inkbasis.ink import _GL8_NODES, _natural_cubic, _node_velocities
+from inkbasis.ink import _GL8_NODES, _natural_cubic, _node_velocities, _raise_first_failure
 
 
 def scipy_natural(t, values):
@@ -25,18 +26,16 @@ def scipy_natural(t, values):
 
 def assert_matches_scipy(t, values):
     want_local, want_velocity = scipy_natural(t, values)
-    local = _natural_cubic(t, values)
-    assert local.shape == want_local.shape
-    assert np.array_equal(local, want_local)
-    assert np.array_equal(_node_velocities(t, local), want_velocity)
+    # a bucket of one curve
+    local, failure = _natural_cubic(t[None], values[None])
+    assert failure.tolist() == [0]
+    assert local.shape == (1, *want_local.shape)
+    assert np.array_equal(local[0], want_local)
+    assert np.array_equal(_node_velocities(t[None], local)[0], want_velocity)
 
 
 def random_walk(rng, n, scale=1.0):
     return scale * np.cumsum(rng.normal(size=(n, 2)), axis=0)
-
-
-def knots_from_gaps(gaps, scale=1.0):
-    return scale * np.concatenate([[0.0], np.cumsum(gaps)])
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 25, 40, 200, 1000])
@@ -51,11 +50,7 @@ def test_random_walks(n):
 def test_skewed_spacing_takes_the_row_interchange(n):
     rng = np.random.default_rng(100 + n)
     for _ in range(10):
-        gaps = np.exp(np.clip(rng.normal(scale=5.0, size=n - 1), -12.0, 12.0))
-        # the first row is 2 dx[0] s0 + dx[0] s1, the second's subdiagonal
-        # is dx[1]: the elimination swaps the rows when dx[1] > 2 dx[0]
-        gaps[1] = gaps[0] * rng.uniform(2.5, 1e4)
-        assert_matches_scipy(knots_from_gaps(gaps), random_walk(rng, n))
+        assert_matches_scipy(skewed_knots(rng, n), random_walk(rng, n))
 
 
 def test_growing_gaps_interchange_every_row():
@@ -67,13 +62,8 @@ def test_growing_gaps_interchange_every_row():
 def test_near_duplicate_knots(ulps):
     rng = np.random.default_rng(int(ulps))
     for n in (3, 30, 300):
-        base = 1.0 + knots_from_gaps(rng.uniform(0.5, 1.5, n - 1))
-        near = base[rng.random(n) < 0.3]
-        # a knot a few ulps after another: its Gauss nodes can round onto
-        # the neighbouring segment
-        t = np.sort(np.concatenate([base, near + ulps * np.spacing(near)]))
+        t, twin = near_duplicate_knots(rng, n, ulps)
         values = random_walk(rng, len(t))
-        twin = np.flatnonzero(np.diff(t) < 1e-3) + 1
         values[twin] = values[twin - 1] + 1e-9 * rng.normal(size=(len(twin), 2))
         assert_matches_scipy(t, values)
 
@@ -110,6 +100,8 @@ def test_rejects_what_scipy_rejects(t, values):
     t, values = np.array(t), np.array(values)
     with np.errstate(all="ignore"), pytest.raises(ValueError):
         CubicSpline(t, values, bc_type="natural")
-    with np.errstate(all="ignore"), pytest.raises(InvalidDataError, match="cubic fit is not finite: "):
-        _natural_cubic(t, values)
+    with np.errstate(all="ignore"):
+        _, failure = _natural_cubic(t[None], values[None])
+    with pytest.raises(InvalidDataError, match="^cubic fit is not finite: "):
+        _raise_first_failure(failure)
 

@@ -42,6 +42,21 @@ class SplineKind(str, enum.Enum):
     CUBIC = "cubic"
 
 
+def _real_array(values, message: str) -> np.ndarray:
+    """values as a new float array; anything but real numbers raises InvalidDataError(message).
+
+    Strings, bools and complex numbers are refused before numpy would convert
+    them; None in an object array becomes NaN, for the caller's finite check.
+    """
+    try:
+        array = np.array(values)
+        if array.dtype.kind in "iufO":  # ragged lists and ints past float's range raise here
+            return array.astype(float, copy=False)
+    except (OverflowError, TypeError, ValueError):
+        pass
+    raise InvalidDataError(message)
+
+
 @dataclass(frozen=True)
 class InkTrace:
     """At least two finite pen positions, optionally labeled; consecutive repeats are dropped."""
@@ -50,10 +65,7 @@ class InkTrace:
     label: str | None = None
 
     def __post_init__(self):
-        try:
-            pts = np.asarray(self.points, dtype=float)
-        except (OverflowError, TypeError, ValueError):  # ragged, non-numeric or too large
-            raise InvalidDataError("trace points must be (x, y) pairs of real numbers") from None
+        pts = _real_array(self.points, "trace points must be (x, y) pairs of real numbers")
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise InvalidDataError("a trace needs at least two (x, y) points")
         if not np.all(np.isfinite(pts)):
@@ -108,10 +120,8 @@ class SymbolCoeffs:
     length: float | None = None
 
     def __post_init__(self):
-        try:
-            xs, ys = np.array(self.xs, dtype=float), np.array(self.ys, dtype=float)
-        except (OverflowError, TypeError, ValueError):  # ragged, non-numeric or too large
-            raise InvalidDataError("xs and ys must be arrays of real numbers") from None
+        message = "xs and ys must be arrays of real numbers"
+        xs, ys = _real_array(self.xs, message), _real_array(self.ys, message)
         if xs.shape != ys.shape or xs.ndim != 1:
             raise InvalidDataError("xs and ys must be 1-D arrays of equal length")
         # json reads NaN and Infinity, and None becomes NaN; a distance to them would be NaN
@@ -581,8 +591,8 @@ def coeffs_from_json_dict(doc: dict) -> SymbolCoeffs:
     try:
         return SymbolCoeffs(
             basis_id=doc["basis_id"],
-            xs=np.array(doc["xs"], dtype=float),
-            ys=np.array(doc["ys"], dtype=float),
+            xs=doc["xs"],
+            ys=doc["ys"],
             label=doc.get("label"),
             x0=_finite_or_none(doc.get("x0"), "x0"),
             y0=_finite_or_none(doc.get("y0"), "y0"),
@@ -590,7 +600,7 @@ def coeffs_from_json_dict(doc: dict) -> SymbolCoeffs:
         )
     except KeyError as exc:
         raise InvalidDataError(f"coefficient record lacks {exc}") from None
-    except (OverflowError, TypeError, ValueError) as exc:  # OverflowError: an int past float's range
+    except (TypeError, ValueError) as exc:
         raise InvalidDataError(f"malformed coefficient record: {exc}") from None
 
 

@@ -10,10 +10,10 @@ Weighted integrals of a piecewise polynomial against the classical elements
 are basis-native closed forms: the family's three-term multiply-by-s
 recurrence and the closed-form antiderivative of each weighted element,
 summed segment by segment.  One kernel, _moments, serves one curve and a
-bucket: it broadcasts over the bucket axis, sums each curve's segments on
-their own and adds the Legendre forcing term by term in a fixed order, so a
-curve's integrals have the same bits in a bucket as alone, and the moments
-at a degree are an exact prefix of those at any higher degree.  It owns
+bucket: it broadcasts over the bucket axis, runs every recurrence
+elementwise and sums each curve's segments on their own, so a curve's
+integrals have the same bits in a bucket as alone, and the moments at a
+degree are an exact prefix of those at any higher degree.  It owns
 the memory of that work: a bucket of any size passes through it in blocks
 whose table fits one fixed budget.  Nothing here calls a quadrature routine.
 """
@@ -202,25 +202,6 @@ def _three_term(basis: BasisKind, n: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(up), _frozen(lo)
 
 
-@lru_cache(maxsize=128)
-def _legendre_antiderivatives(n: int) -> np.ndarray:
-    """Chebyshev coefficients of the Legendre antiderivatives A_0 .. A_{n-1}.
-
-    Uses P_p(cos t) = sum_k g_k g_{p-k} cos((p - 2k) t), g_k = C(2k, k) / 4^k,
-    whose terms are all positive; A_0 = s = T_1.
-    """
-    k = np.arange(1, n + 1)
-    g = np.cumprod(np.r_[1.0, (2 * k - 1) / (2 * k)])
-    P = np.zeros((n + 1, n + 1))
-    for p in range(n + 1):
-        i = np.arange(p + 1)
-        np.add.at(P[p], np.abs(p - 2 * i), g[i] * g[p - i])
-    A = np.zeros((n, n + 1))
-    A[:1, 1:2] = 1.0
-    A[1:] = (P[2:] - P[:-2]) / (2 * np.arange(1, n) + 1)[:, None]
-    return _frozen(A)
-
-
 _TINY = np.finfo(float).tiny
 
 
@@ -230,43 +211,32 @@ def _antiderivative_steps(basis: BasisKind, rows: int, s: np.ndarray) -> np.ndar
     s holds the breakpoints of one curve (n,) or of a bucket (T, n); the
     result is (rows, nseg) or (T, rows, nseg).  No difference is taken
     between nearby values of A_m, so each keeps its relative accuracy on
-    short segments, where cubic pieces have large coefficients.
+    short segments, where cubic pieces have large coefficients, and the
+    Legendre rows call no transcendental function.
     """
     a, b = s[..., :-1], s[..., 1:]
     out = np.empty(s.shape[:-1] + (rows, a.shape[-1]))
-    theta = np.arccos(s)
     if basis == BasisKind.LEGENDRE:
         # A_m is the integrated Legendre polynomial l_{m+1}, and
-        # (n + 1) l_{n+1} = (2n - 1) s l_n - (n - 2) l_{n-1}; the differences
-        # d_n = l_n(b) - l_n(a) obey it too, with b l_n(b) - a l_n(a)
-        # written as b d_n + (b - a) l_n(a), where l_n(a) comes from the
-        # Chebyshev expansion of A_{n-1}
+        # (n + 1) l_{n+1} = (2n - 1) s l_n - (n - 2) l_{n-1}.  It runs on
+        # l_n(a), from l_2(a) = (a - 1)(a + 1) / 2 and l_3 = a l_2, and on the
+        # differences d_n = l_n(b) - l_n(a), with b l_n(b) - a l_n(a) written
+        # as b d_n + (b - a) l_n(a).  Both are elementwise, a row at a time in
+        # a fixed order, so a table is an exact prefix of a longer one and a
+        # bucket's rows are those of each curve alone.
         h = b - a
         out[..., 0, :] = h
         out[..., 1:2, :] = (0.5 * h * (a + b))[..., None, :]
-        n = np.arange(2, rows)
-        alpha, beta = (2 * n - 1) / (n + 1), (n - 2) / (n + 1)
-        cheb_a = np.cos(np.arange(rows)[:, None] * theta[..., None, :-1])
-        scaled_b = alpha[:, None] * b[..., None, :]
-        # sum_k A_{n-1}[k] cos(k theta_a), added term by term in k, not by
-        # BLAS or einsum (which sums a one-segment column in SIMD lanes): each
-        # row adds its terms in the same order whatever the row count, bucket
-        # size or CPU kernels, so a table is an exact prefix of a longer one
-        # and a bucket's rows are those of each curve alone.  Row i holds
-        # the terms k = i + 2, i, i - 2, ... only: A_{i+1} has i's parity.
-        coef = _legendre_antiderivatives(rows - 1)[1:, :, None]
-        cheb_sum = np.zeros(cheb_a.shape[:-2] + (rows - 2, a.shape[-1]))
-        for k in range(rows):
-            first = k - 2 if k >= 2 else k
-            cheb_sum[..., first::2, :] += coef[first::2, k] * cheb_a[..., k : k + 1, :]
-        forcing = alpha[:, None] * h[..., None, :] * cheb_sum
-        # row views, so the recurrence indexes rows as fast for a bucket as for one curve
-        o, sb, f = (x.swapaxes(0, -2) for x in (out, scaled_b, forcing))
-        for i in range(rows - 2):
-            o[i + 2] = sb[i] * o[i + 1] + f[i] - beta[i] * o[i]
+        o = out.swapaxes(0, -2)  # row views: as fast to index for a bucket as for one curve
+        l_prev, l_n = 0.0, 0.5 * (a - 1.0) * (a + 1.0)  # l_1 drops out: n - 2 = 0 at n = 2
+        for n in range(2, rows):
+            alpha, beta = (2 * n - 1) / (n + 1), (n - 2) / (n + 1)
+            o[n] = alpha * b * o[n - 1] + alpha * h * l_n - beta * o[n - 2]
+            l_prev, l_n = l_n, alpha * a * l_n - beta * l_prev
         return out
     # Chebyshev: with mid the segment's midpoint in theta and half its
     # half-width, [-sin(m theta) / m] = (2 / m) cos(m mid) sin(m half)
+    theta = np.arccos(s)
     r = np.sin(theta)
     sum_s, sum_r = a + b, r[..., :-1] + r[..., 1:]
     # half the angle between the unit vectors (a, r_a) and (b, r_b), from

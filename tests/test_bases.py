@@ -1,5 +1,6 @@
 """Inner products, orthogonal family construction, projection, synthesis."""
 
+import hashlib
 import json
 import math
 import os
@@ -397,6 +398,23 @@ def equal_shape_curves(spline: str, count: int) -> tuple[np.ndarray, np.ndarray]
     return np.stack([c.breakpoints for c in curves]), np.stack([c.local for c in curves])
 
 
+def legendre_projection_digests() -> dict[str, str]:
+    """sha256 of the legendre and legendre-sobolev projections of fixed curves and buckets."""
+    rng = np.random.default_rng(20)
+    curves = {}
+    for spline in ("linear", "cubic"):
+        curves[spline] = arc_length_normalize(make_random_trace(rng, 50, 50), spline).curve
+        curves[f"{spline} bucket"] = PiecewisePoly(*equal_shape_curves(spline, 5))
+    digests = {}
+    for kind in ("legendre", "legendre-sobolev"):
+        for d in (10, 40, 100):
+            basis = build_named_basis(kind, d)
+            for name, f in curves.items():
+                digest = hashlib.sha256(project(f, basis).tobytes()).hexdigest()
+                digests[f"{kind} d={d} {name}"] = digest
+    return digests
+
+
 def curves_per_block(spline: str, degree: int) -> int:
     """Curves of seven x, y segments per pass of poly._moments at degree."""
     width = 2 if spline == "linear" else 4
@@ -443,8 +461,8 @@ class TestBucket:
             assert np.array_equal(got, alone), kind
 
     def test_equality_holds_under_other_blas_kernels(self):
-        # the Legendre forcing is added term by term, not by BLAS; other
-        # OpenBLAS kernels must give a bucket the bits of a bucket of one too
+        # the moment recurrences run elementwise, with no BLAS; other OpenBLAS
+        # kernels must give a bucket the bits of a bucket of one too
         env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
         test = f"{__file__}::TestBucket::test_bucket_projection_equals_bucket_of_one"
         cases = [f"{test}[{spline}-{d}]" for spline in ("linear", "cubic") for d in (10, 60, 100)]
@@ -453,6 +471,17 @@ class TestBucket:
             env=env, cwd=Path(__file__).parents[1], capture_output=True, text=True,
         )
         assert out.returncode == 0, out.stdout[-2000:]
+
+    def test_legendre_bits_do_not_depend_on_numpy_simd_loops(self):
+        # the Legendre path calls no transcendental function, so turning off
+        # numpy's AVX-512 loops must leave its projections' bits as they are
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+        code = ("import json, sys; sys.path.insert(0, 'tests'); import test_bases; "
+                "print(json.dumps(test_bases.legendre_projection_digests()))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, cwd=Path(__file__).parents[1],
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr[-2000:]
+        assert json.loads(out.stdout) == legendre_projection_digests()
 
     def test_segments_are_every_curves_rows(self):
         knots, local = equal_shape_curves("cubic", 3)
@@ -497,8 +526,8 @@ class TestBucket:
 
 
 # degrees at which moments taken once, at a larger degree, are truncated and
-# combined; at 33..37 an einsum of a one-segment curve's Legendre forcing would
-# sum it in SIMD lanes and give other bits than the full table
+# combined; each row of a moment recurrence depends only on lower rows, and at
+# 33..37 a sum by einsum over one segment would split into SIMD lanes
 SHARED_DEGREES = (1, 2, 10, 35, 40, 100)
 
 

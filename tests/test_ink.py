@@ -106,6 +106,15 @@ class TestInkTrace:
         with pytest.raises(InvalidDataError, match=r"^trace points must be \(x, y\) pairs"):
             InkTrace([("a", "b"), (1, 2)])
 
+    @pytest.mark.parametrize(
+        "points",
+        [[("0", "1"), ("2", "3")], [(True, False), (False, True)], [(1j, 0), (1, 2)]],
+        ids=["numeric-strings", "booleans", "complex"],
+    )
+    def test_numbers_in_other_types_are_refused(self, points):
+        with pytest.raises(InvalidDataError, match=r"^trace points must be \(x, y\) pairs"):
+            InkTrace(points)
+
     def test_callers_array_stays_writable(self):
         pts = np.array([(0.0, 0.0), (1.0, 0.0)])
         trace = InkTrace(pts)
@@ -527,12 +536,20 @@ class TestCoeffTable:
         [(["a"], [1.0], "arrays of real numbers"), ([1.0], [None], "finite"),
          ([1.0, np.nan], [1.0, 2.0], "finite"), ([-np.inf], [0.0], "finite"),
          ([[1.0], [2.0, 3.0]], [1.0, 2.0], "arrays of real numbers"),
-         ([1.0, 2.0], [1.0], "1-D arrays of equal length")],
-        ids=["string", "none", "nan", "infinity", "ragged", "unequal-lengths"],
+         ([1.0, 2.0], [1.0], "1-D arrays of equal length"),
+         (["1.5"], [1.0], "arrays of real numbers"), ([1.5], [True], "arrays of real numbers"),
+         (np.array([1.5]), np.array([True]), "arrays of real numbers"),
+         ([b"1"], [1.0], "arrays of real numbers"), ([1.0], [1j], "arrays of real numbers"),
+         ([10**400], [1.0], "arrays of real numbers")],
+        ids=["string", "none", "nan", "infinity", "ragged", "unequal-lengths", "numeric-string",
+             "boolean", "boolean-array", "bytes", "complex", "integer-past-float-range"],
     )
     def test_symbol_coeffs_are_finite_numbers(self, xs, ys, message):
         with pytest.raises(InvalidDataError, match=f"^xs and ys must be {message}$"):
             SymbolCoeffs("b", xs, ys)
+
+
+_NOT_REAL = "^line 3: malformed coefficient record: xs and ys must be arrays of real numbers$"
 
 
 class TestCoeffsJsonl:
@@ -583,7 +600,7 @@ class TestCoeffsJsonl:
             ('{"xs": [1.0], "ys": [2.0]}', "lacks 'basis_id'"),
             ('{"basis_id": "b", "xs": [1.0]', "malformed JSON"),
             ('[1.0, 2.0]', "malformed coefficient record"),
-            ('{"basis_id": "b", "xs": ["q"], "ys": [1.0]}', "could not convert"),
+            ('{"basis_id": "b", "xs": ["q"], "ys": [1.0]}', _NOT_REAL),
             ('{"basis_id": "b", "xs": [1.0, 2.0], "ys": [1.0]}', "equal length"),
             ('{"basis_id": "b", "xs": [1.0], "ys": [2.0], "x0": "abc", "y0": 0.0, "length": 1.0}',
              "x0 is not a finite number: 'abc'"),
@@ -597,16 +614,18 @@ class TestCoeffsJsonl:
              "label must be a string, got \\[1\\]"),
             ('{"basis_id": "b", "xs": [NaN, 0.0], "ys": [2.0, 0.0]}', "xs and ys must be finite"),
             ('{"basis_id": "b", "xs": [1.0], "ys": [-Infinity]}', "xs and ys must be finite"),
-            ('{"basis_id": "b", "xs": [' + "1" * 400 + '], "ys": [2.0]}',
-             "int too large to convert to float"),
+            ('{"basis_id": "b", "xs": [' + "1" * 400 + '], "ys": [2.0]}', _NOT_REAL),
             pytest.param('{"basis_id": "b", "xs": [' + "1" * 5001 + '], "ys": [2.0]}',
                          "^line 3: malformed JSON: Exceeds the limit",
                          marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                                                   reason="no int digit limit")),
+            ('{"basis_id": "b", "xs": ["1.5"], "ys": [2.0]}', _NOT_REAL),
+            ('{"basis_id": "b", "xs": [1.5], "ys": [true]}', _NOT_REAL),
         ],
         ids=["no-basis-id", "bad-json", "not-an-object", "non-numeric", "unequal-lengths",
              "string-x0", "infinite-y0", "nan-length", "boolean-x0", "list-label", "nan-xs",
-             "infinite-ys", "integer-past-float-range", "integer-past-digit-limit"],
+             "infinite-ys", "integer-past-float-range", "integer-past-digit-limit",
+             "numeric-string-xs", "boolean-ys"],
     )
     def test_malformed_line_raises_parse_error(self, rng, tmp_path, line, message):
         good = symbol_coeffs(make_random_trace(rng), build_named_basis("chebyshev", 1))

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from inkbasis import (
+    InkTrace,
     InvalidParameterError,
     PiecewisePoly,
     Weight,
@@ -93,6 +94,32 @@ def test_curve_projection_equals_per_coordinate_projection(weight, degree):
             for i in (0, 1):
                 alone = project(PiecewisePoly(curve.breakpoints, curve.local[:, i]), basis)
                 assert np.array_equal(got[i], alone), f"{kind} {spline} {n} points, row {i}"
+
+
+def _steps_spanning_decades(shortest: float, n: int = 200) -> InkTrace:
+    """n points whose step lengths run geometrically from shortest up to 1 and back."""
+    lengths = np.geomspace(shortest, 1.0, n // 2)
+    lengths = np.r_[lengths, lengths[-2::-1]][: n - 1]
+    angle = np.cumsum(np.random.default_rng(3).uniform(-1.0, 1.0, n - 1))
+    steps = lengths[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+    return InkTrace(np.vstack([[0.0, 0.0], np.cumsum(steps, axis=0)]))
+
+
+@pytest.mark.parametrize("spline, tol", [
+    ("linear", 1e-12),
+    # the cubic moments lose about two digits per two decades of step lengths:
+    # 4e-11, 2e-9, 1e-7 and 7e-6 for shortest steps of 1e-3, 1e-5, 1e-7 and 1e-9
+    pytest.param("cubic", 1e-9, marks=pytest.mark.xfail(
+        strict=True, reason="cubic projection loses accuracy on steps spanning many decades")),
+])
+def test_steps_spanning_nine_decades_match_quadrature(spline, tol):
+    trace = _steps_spanning_decades(1e-9)
+    norm = arc_length_normalize(trace, spline)
+    values = trace.points * (2.0 / norm.total_length)
+    plain, _ = quad_spline_inners(norm.knots, values, spline == "cubic", "legendre", 10)
+    basis = _basis("legendre", 10)
+    want = (basis.expansion @ plain) / basis.sq_norms[:, None]
+    assert float(np.max(np.abs(project(norm.curve, basis).T - want))) <= tol
 
 
 def test_degree_limit():

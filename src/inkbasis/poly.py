@@ -7,15 +7,15 @@ a cubic (or lower) in the local offset s - s_j, for one or more functions.
 A bucket of curves with equal segment counts adds a leading axis to both.
 
 Weighted integrals of a piecewise polynomial against the classical elements
-are basis-native closed forms: the family's three-term multiply-by-s
-recurrence and the closed-form antiderivative of each weighted element,
-summed segment by segment.  One kernel, _moments, serves one curve and a
+are basis-native closed forms, summed segment by segment: the family's
+multiply-by-s recurrence and one antiderivative recurrence for both
+weights, in +, -, *, / and sqrt alone, with no quadrature and no
+transcendental function.  One kernel, _moments, serves one curve and a
 bucket: it broadcasts over the bucket axis, runs every recurrence
 elementwise and sums each curve's segments on their own, so a curve's
 integrals have the same bits in a bucket as alone, and the moments at a
-degree are an exact prefix of those at any higher degree.  It owns
-the memory of that work: a bucket of any size passes through it in blocks
-whose table fits one fixed budget.  Nothing here calls a quadrature routine.
+degree are an exact prefix of those at any higher degree.  It owns the
+memory of that work: a bucket passes through it in blocks of one budget.
 """
 
 from __future__ import annotations
@@ -205,53 +205,55 @@ def _three_term(basis: BasisKind, n: int) -> tuple[np.ndarray, np.ndarray]:
 _TINY = np.finfo(float).tiny
 
 
+def _atan(t: np.ndarray) -> np.ndarray:
+    """arctan t for 0 <= t <= 1, from +, -, *, / and sqrt alone."""
+    for _ in range(2):  # tan(x / 2) = tan x / (1 + sec x), down to t <= tan(pi / 16)
+        t = t / (1.0 + np.sqrt(1.0 + t * t))
+    u, series = t * t, 0.0
+    for k in range(11, -1, -1):  # 12 terms of the odd series: truncated below 6e-19 t
+        series = series * u + (-1) ** k / (2 * k + 1)
+    return 4.0 * t * series
+
+
 def _antiderivative_steps(basis: BasisKind, rows: int, s: np.ndarray) -> np.ndarray:
     """[A_m] from s[..., j] to s[..., j+1] for m < rows: the integrals of B_m w per segment.
 
     s holds the breakpoints of one curve (n,) or of a bucket (T, n); the
-    result is (rows, nseg) or (T, rows, nseg).  No difference is taken
-    between nearby values of A_m, so each keeps its relative accuracy on
-    short segments, where cubic pieces have large coefficients, and the
-    Legendre rows call no transcendental function.
+    result is (rows, nseg) or (T, rows, nseg).  From m = 1 both weights obey
+    A_{m+1} = alpha s A_m - beta A_{m-1}, alpha = (2m + e) / (m + 1 + e) and
+    beta = (m - 1) / (m + 1 + e): Legendre (e = 1) has A_m = l_{m+1}, the
+    integrated Legendre polynomial, and Chebyshev (e = 0) A_m = -r U_{m-1}(s) / m
+    with r = sqrt((1 - s)(1 + s)).  The loop runs on v = A_m(a) and on
+    d_m = A_m(b) - A_m(a), with b A_m(b) - a A_m(a) written as b d_m + (b - a) v,
+    so no difference of nearby values is taken and each step keeps its
+    relative accuracy on short segments, where cubic pieces have large
+    coefficients.  Only +, -, *, / and sqrt run, elementwise, a row at a time:
+    the bits do not depend on numpy's SIMD loops, a table is an exact prefix
+    of a longer one and a bucket's rows are those of each curve alone.
     """
     a, b = s[..., :-1], s[..., 1:]
+    h = b - a
     out = np.empty(s.shape[:-1] + (rows, a.shape[-1]))
-    if basis == BasisKind.LEGENDRE:
-        # A_m is the integrated Legendre polynomial l_{m+1}, and
-        # (n + 1) l_{n+1} = (2n - 1) s l_n - (n - 2) l_{n-1}.  It runs on
-        # l_n(a), from l_2(a) = (a - 1)(a + 1) / 2 and l_3 = a l_2, and on the
-        # differences d_n = l_n(b) - l_n(a), with b l_n(b) - a l_n(a) written
-        # as b d_n + (b - a) l_n(a).  Both are elementwise, a row at a time in
-        # a fixed order, so a table is an exact prefix of a longer one and a
-        # bucket's rows are those of each curve alone.
-        h = b - a
-        out[..., 0, :] = h
-        out[..., 1:2, :] = (0.5 * h * (a + b))[..., None, :]
-        o = out.swapaxes(0, -2)  # row views: as fast to index for a bucket as for one curve
-        l_prev, l_n = 0.0, 0.5 * (a - 1.0) * (a + 1.0)  # l_1 drops out: n - 2 = 0 at n = 2
-        for n in range(2, rows):
-            alpha, beta = (2 * n - 1) / (n + 1), (n - 2) / (n + 1)
-            o[n] = alpha * b * o[n - 1] + alpha * h * l_n - beta * o[n - 2]
-            l_prev, l_n = l_n, alpha * a * l_n - beta * l_prev
-        return out
-    # Chebyshev: with mid the segment's midpoint in theta and half its
-    # half-width, [-sin(m theta) / m] = (2 / m) cos(m mid) sin(m half)
-    theta = np.arccos(s)
-    r = np.sin(theta)
-    sum_s, sum_r = a + b, r[..., :-1] + r[..., 1:]
-    # half the angle between the unit vectors (a, r_a) and (b, r_b), from
-    # their chord and their sum; r_b - r_a = (a - b)(a + b) / (r_a + r_b)
-    # has no cancellation
-    chord = (b - a) * np.hypot(1.0, sum_s / np.maximum(sum_r, _TINY))
-    half = np.arctan2(chord, np.hypot(sum_s, sum_r))[..., None, :]
-    mid = 0.5 * (theta[..., :-1] + theta[..., 1:])
-    # m * mid_hi is exact, so the argument of cos carries no rounding that grows with m
-    mid_hi = np.round(mid * 2.0**40) / 2.0**40
-    m = np.arange(1, rows)[:, None]
-    m_mid_hi = m * mid_hi[..., None, :]
-    cos_m_mid = np.cos(m_mid_hi) - np.sin(m_mid_hi) * (m * (mid - mid_hi)[..., None, :])
-    out[..., 0, :] = 2.0 * half[..., 0, :]
-    out[..., 1:, :] = cos_m_mid * np.sin(m * half) * (2.0 / m)
+    e = 1 if basis == BasisKind.LEGENDRE else 0
+    if e:
+        out[..., 0, :], row_1, v = h, 0.5 * h * (a + b), 0.5 * (a - 1.0) * (a + 1.0)
+    else:
+        # A_0(b) - A_0(a) is the angle between the unit vectors (a, r_a) and (b, r_b):
+        # a quarter of it is atan(chord / (|sum| + 2)), as chord^2 + |sum|^2 = 4.  slope
+        # is (r_a - r_b) / h without cancellation, 0 on the lone segment [-1, 1]
+        r = np.sqrt((1.0 - s) * (1.0 + s))
+        sum_s, sum_r = a + b, r[..., :-1] + r[..., 1:]
+        slope = sum_s / np.maximum(sum_r, _TINY)
+        chord = h * np.sqrt(1.0 + slope * slope)
+        out[..., 0, :] = 4.0 * _atan(chord / (np.sqrt(sum_s * sum_s + sum_r * sum_r) + 2.0))
+        row_1, v = h * slope, -r[..., :-1]
+    out[..., 1:2, :] = row_1[..., None, :]
+    o = out.swapaxes(0, -2)  # row views: as fast to index for a bucket as for one curve
+    v_prev = 0.0  # A_0 drops out: beta = 0 at m = 1
+    for m in range(1, rows - 1):
+        alpha, beta = (2 * m + e) / (m + 1 + e), (m - 1) / (m + 1 + e)
+        o[m + 1] = alpha * b * o[m] + alpha * h * v - beta * o[m - 1]
+        v_prev, v = v, alpha * a * v - beta * v_prev
     return out
 
 
@@ -294,8 +296,8 @@ def _moments(
 
     On a segment [a, b], s B_k = up[k] B_{k+1} + lo[k] B_{k-1} (the
     multiply-by-s matrix X), and B_m w has the closed-form antiderivative
-    A_m: (P_{m+1} - P_{m-1}) / (2m + 1) for Legendre, -sin(m theta) / m with
-    s = cos(theta) for Chebyshev.  So the integral of the local cubic
+    A_m: (P_{m+1} - P_{m-1}) / (2m + 1) for Legendre and -r U_{m-1}(s) / m,
+    r = sqrt(1 - s^2), for Chebyshev.  So the integral of the local cubic
     c(s - a) against B_k is row k of c(X - a) applied to the vector [A_m]_a^b,
     evaluated by Horner; f' is contracted the same way, and both share one
     table of [A_m].  Every row depends only on lower rows and is summed over

@@ -15,6 +15,7 @@ each basis element.  It is exact in exact arithmetic but loses accuracy
 from about degree 29, so tests use it at low degree only.
 """
 
+import math
 from collections import Counter
 from functools import lru_cache
 
@@ -423,7 +424,7 @@ def inner_piecewise(f, g, weight, deriv_order=0):
     total = 0.0
     for j in range(len(lo)):
         prod = np.convolve(segc[j], gc)
-        total += float(np.dot(prod, table[: len(prod), j]))
+        total += math.fsum(prod * table[: len(prod), j])  # exactly rounded, with no BLAS
     return total
 
 

@@ -398,15 +398,15 @@ def equal_shape_curves(spline: str, count: int) -> tuple[np.ndarray, np.ndarray]
     return np.stack([c.breakpoints for c in curves]), np.stack([c.local for c in curves])
 
 
-def legendre_projection_digests() -> dict[str, str]:
-    """sha256 of the legendre and legendre-sobolev projections of fixed curves and buckets."""
+def projection_digests() -> dict[str, str]:
+    """sha256 of every kind's projections of fixed curves and buckets."""
     rng = np.random.default_rng(20)
     curves = {}
     for spline in ("linear", "cubic"):
         curves[spline] = arc_length_normalize(make_random_trace(rng, 50, 50), spline).curve
         curves[f"{spline} bucket"] = PiecewisePoly(*equal_shape_curves(spline, 5))
     digests = {}
-    for kind in ("legendre", "legendre-sobolev"):
+    for kind in BASIS_KINDS:
         for d in (10, 40, 100):
             basis = build_named_basis(kind, d)
             for name, f in curves.items():
@@ -472,16 +472,20 @@ class TestBucket:
         )
         assert out.returncode == 0, out.stdout[-2000:]
 
-    def test_legendre_bits_do_not_depend_on_numpy_simd_loops(self):
-        # the Legendre path calls no transcendental function, so turning off
-        # numpy's AVX-512 loops must leave its projections' bits as they are
-        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    @pytest.mark.parametrize("disabled", ["X86_V4 AVX512_ICL AVX512_SPR",
+                                          "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"],
+                             ids=["avx512-off", "avx2-avx512-off"])
+    def test_projection_bits_do_not_depend_on_numpy_simd_loops(self, disabled):
+        # projection runs only +, -, *, / and sqrt, which round exactly, so
+        # turning off numpy's AVX-512 (or AVX2 and AVX-512) loops must leave
+        # every kind's bits as they are; numpy ignores features a CPU lacks
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled)
         code = ("import json, sys; sys.path.insert(0, 'tests'); import test_bases; "
-                "print(json.dumps(test_bases.legendre_projection_digests()))")
+                "print(json.dumps(test_bases.projection_digests()))")
         out = subprocess.run([sys.executable, "-c", code], env=env, cwd=Path(__file__).parents[1],
                              capture_output=True, text=True)
         assert out.returncode == 0, out.stderr[-2000:]
-        assert json.loads(out.stdout) == legendre_projection_digests()
+        assert json.loads(out.stdout) == projection_digests()
 
     def test_segments_are_every_curves_rows(self):
         knots, local = equal_shape_curves("cubic", 3)

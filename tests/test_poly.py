@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as npcheb
@@ -15,6 +16,7 @@ from inkbasis import (
     PiecewisePoly,
     Weight,
     build_named_basis,
+    poly,
     project,
 )
 from oracles import (
@@ -312,3 +314,35 @@ class TestInnerPiecewise:
         f = PiecewisePoly(np.array(breakpoints), [[0.0, 1.0]])
         with pytest.raises(InvalidDataError, match=r"^breakpoints must lie within \[-1, 1\]$"):
             project(f, build_named_basis("chebyshev-sobolev", 3, 0.125))
+
+
+def _exact_antiderivative(basis: BasisKind, m: int, s):
+    """A_m(s) of _antiderivative_steps in mpmath: the integral of B_m w up to s."""
+    if basis is BasisKind.CHEBYSHEV:
+        return -mpmath.acos(s) if m == 0 else -mpmath.sin(m * mpmath.acos(s)) / m
+    return s if m == 0 else (mpmath.legendre(m + 1, s) - mpmath.legendre(m - 1, s)) / (2 * m + 1)
+
+
+class TestAntiderivativeSteps:
+    def test_atan_is_within_four_ulp_of_mpmath(self):
+        t = np.r_[0.0, 1e-300, 1.0, np.random.default_rng(22).uniform(0.0, 1.0, 2000),
+                  np.geomspace(1e-12, 1.0, 200)]
+        got = poly._atan(t)
+        assert got[0] == 0.0
+        with mpmath.workdps(40):
+            ulps = [abs(mpmath.mpf(float(g)) - mpmath.atan(float(x))) / np.spacing(float(g))
+                    for x, g in zip(t[1:], got[1:])]
+        assert float(max(ulps)) <= 4.0
+
+    @pytest.mark.parametrize("basis", list(BasisKind))
+    def test_steps_match_mpmath_on_short_and_end_segments(self, basis):
+        # 40 rows, each to 1e-13 of the segment's weight integral (row 0), which bounds it
+        ends = [(-1.0, 1.0), (-1.0, -1.0 + 1e-12), (1.0 - 2.0**-50, 1.0), (0.99999, 1.0),
+                (0.3, 0.3 + 1e-9), (-0.5, -0.5 + 1e-15), (-0.999, 0.2), (0.7, 0.9)]
+        steps = poly._antiderivative_steps(basis, 40, np.array(ends))
+        with mpmath.workdps(60):
+            for (a, b), got in zip(ends, steps):
+                want = [_exact_antiderivative(basis, m, mpmath.mpf(b))
+                        - _exact_antiderivative(basis, m, mpmath.mpf(a)) for m in range(40)]
+                err = max(abs(mpmath.mpf(float(g)) - w) for g, w in zip(got[:, 0], want))
+                assert err <= 1e-13 * want[0], (a, b)

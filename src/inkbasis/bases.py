@@ -298,23 +298,28 @@ def basis_to_json_dict(basis: OrthoBasis) -> dict:
 def basis_from_json_dict(doc: dict) -> OrthoBasis:
     """build_basis of a document's spec and degree.
 
-    A document whose spec or degree build_basis refuses, or whose expansion
-    or sq_norms differ from the rebuilt ones by more than 1e-12 relative
-    (absolute below 1), raises InvalidDataError.
+    A spec or degree that build_basis refuses raises what build_basis
+    raises.  A document whose expansion or sq_norms differ from the rebuilt
+    ones by more than 1e-12 relative (absolute below 1), or that is
+    otherwise malformed, raises InvalidDataError.
     """
     try:
         s = doc["spec"]
-        basis = build_basis(InnerProductSpec(Weight(s["weight"]), s["lambda"], s["order"]),
-                            doc["degree"])
-        for name in ("expansion", "sq_norms"):
-            rebuilt = getattr(basis, name)
-            stored = np.array(doc[name], dtype=float).reshape(rebuilt.shape)
-            if not np.all(np.abs(stored - rebuilt) <= 1e-12 * np.maximum(1.0, np.abs(rebuilt))):
-                raise InvalidDataError(f"{name} is not that of {basis.basis_id}")
+        weight, lam, order, degree = Weight(s["weight"]), s["lambda"], s["order"], doc["degree"]
+        stored = {name: doc[name] for name in ("expansion", "sq_norms")}
     except KeyError as exc:
         raise InvalidDataError(f"basis document lacks {exc}") from None
-    except (OverflowError, TypeError, ValueError) as exc:  # the typed errors are ValueErrors
+    except (TypeError, ValueError) as exc:
         raise InvalidDataError(f"malformed basis document: {exc}") from None
+    basis = build_basis(InnerProductSpec(weight, lam, order), degree)
+    for name, values in stored.items():
+        rebuilt = getattr(basis, name)
+        try:
+            values = np.array(values, dtype=float).reshape(rebuilt.shape)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise InvalidDataError(f"malformed basis document: {exc}") from None
+        if not np.all(np.abs(values - rebuilt) <= 1e-12 * np.maximum(1.0, np.abs(rebuilt))):
+            raise InvalidDataError(f"{name} is not that of {basis.basis_id}")
     return basis
 
 

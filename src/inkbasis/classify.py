@@ -11,16 +11,28 @@ Models are a CoeffTable, its coefficients stacked once into (N, 2d) rows
 coded once (classes, codes) and whose split comes from _split.  Every
 distance comes from one kernel, _weighted_sq, in the direct difference form
 sum_i h_i ((x_i - u_i)^2 + (y_i - v_i)^2) with the weights [h | h] of
-_weights, never negative and exactly 0 on duplicates.  Every neighbour list
-comes from _nearest, whose order equals a stable sort, and every vote from
-_votes, which decides all k = 1..kmax at once and equals the reference
-_vote in tests/oracles.py.
+_weights, never negative and exactly 0 on duplicates.
+
+Every neighbour list, for match_symbol, knn_classify and the corpus vote,
+comes from one kernel, _nearest_rows, which screens before it refines.  The
+screen expands each distance as xn + qn - 2 <x, q w>, with the rows' norms
+xn computed once per table, and bounds the rounding of that expansion; the
+rows it cannot rule out are refined with _weighted_sq and ordered by
+_nearest, a stable sort.  Neighbours and distances so have the bits of a
+full scan (tests/oracles.nearest_rows), and the screen's own values, whose
+last bits depend on the loop einsum picks for the CPU, reach no output.
+The screen is an einsum, not a matrix product: a BLAS kernel's bits vary
+with the CPU too, and the package calls none.  Only coeff_distance_sq
+computes a distance to every row.  Every vote comes from _votes, which
+decides all k = 1..kmax at once and equals the reference _vote in
+tests/oracles.py.
 
 knn_accuracy and accuracy_sweep, the corpus path, vote through one kernel,
-_accuracy.  The sweep codes the labels and draws the split once, and each
-kind votes on the [xs | ys] rows of its projected array, with no per-trace
-object; ink buckets and projects the traces, bases shares the moments of
-the kinds, and poly bounds the memory of each pass.
+_accuracy, which screens blocks of test rows within poly's byte budget.
+The sweep codes the labels and draws the split once, and each kind votes on
+the [xs | ys] rows of its projected array, with no per-trace object; ink
+buckets and projects the traces, bases shares the moments of the kinds, and
+poly bounds the memory of each pass.
 """
 
 from __future__ import annotations
@@ -36,6 +48,7 @@ from .ink import (
     CoeffTable, InkTrace, NormalizedTrace, SplineKind, SymbolCoeffs, _normalized_buckets,
     _project_buckets, _without_constants, reconstruct,
 )
+from .poly import _BLOCK_BYTES, _frozen
 
 DEFAULT_SPLIT_SEED = 0
 DEFAULT_SPLIT_RATIO = 2.0 / 3.0
@@ -99,8 +112,18 @@ def _weights(basis: OrthoBasis, d: int) -> np.ndarray:
     return np.concatenate([h, h])
 
 
-def _row_weights(table: CoeffTable, query: SymbolCoeffs, basis: OrthoBasis) -> np.ndarray:
-    """The weights of a distance from query to the table's rows, all of one basis and its degree."""
+def _row_weights(
+    table: CoeffTable, query: SymbolCoeffs, basis: OrthoBasis
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The weights w of a distance from query to the table's rows, and the rows' _norms under w.
+
+    Both are made on the table's first use and kept in its _norms slot: a
+    table has one basis_id, and a basis_id names one basis.
+    """
+    if not isinstance(basis, OrthoBasis):
+        raise InvalidParameterError(f"basis must be an OrthoBasis, got {type(basis).__name__}")
+    if not isinstance(query, SymbolCoeffs):
+        raise InvalidDataError(f"query must be a SymbolCoeffs, got {type(query).__name__}")
     if table.basis_id != query.basis_id or query.basis_id != basis.basis_id:
         raise BasisMismatchError(
             f"coefficient bases differ: {table.basis_id} / {query.basis_id} vs {basis.basis_id}"
@@ -109,11 +132,18 @@ def _row_weights(table: CoeffTable, query: SymbolCoeffs, basis: OrthoBasis) -> n
     if len(query.xs) != d or table.xs.shape[1] != d:
         raise BasisMismatchError(f"{basis.basis_id} needs {d} coefficients per coordinate, got "
                                  f"{len(query.xs)} and {table.xs.shape[1]}")
-    return _weights(basis, d)
+    if table._norms is None:
+        w = _weights(basis, d)
+        object.__setattr__(table, "_norms", (w, _norms(table.xy, w)))
+    return table._norms
 
 
-def _weighted_sq(xy: np.ndarray, q: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_j w_j (xy[i, j] - q_j)^2 for every row i of xy."""
+def _row(c: SymbolCoeffs) -> np.ndarray:
+    return np.concatenate([c.xs, c.ys])
+
+
+def _weighted_sq(xy: np.ndarray, q, w: np.ndarray) -> np.ndarray:
+    """sum_j w_j (xy[i, j] - q_j)^2 for every row i of xy; q is one row or one per row of xy."""
     diff = xy - q
     diff *= diff
     # einsum rather than @: BLAS gemv rounds identical rows differently
@@ -121,22 +151,104 @@ def _weighted_sq(xy: np.ndarray, q: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j->i", diff, w)
 
 
-def _sq_distances(table: CoeffTable, query: SymbolCoeffs, basis: OrthoBasis) -> np.ndarray:
-    """Squared function-space distance from the query to every row of the table."""
-    w = _row_weights(table, query, basis)
-    return _weighted_sq(table.xy, np.concatenate([query.xs, query.ys]), w)
+# Beyond these limits the screen could overflow, so a table with a norm at or
+# past _SCREEN_LIMIT or a weight outside [2**-128, 2**128], and a query with
+# a norm at or past it, are not screened: every row is a candidate.
+_SCREEN_LIMIT = 2.0**512
 
 
-def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest distances; equals argsort(dist, kind="stable")[:k].
+def _gap(m: int) -> float:
+    """g = 8 gamma_{m+3}, gamma_n = n u / (1 - n u): the screen's relative bound for m columns."""
+    n = (m + 3) * 2.0**-53  # u = 2^-53, the unit roundoff
+    return 8 * n / (1 - n)
 
-    Partitioning finds the k-th value; every index at or below it is then
-    stable-sorted, so ties at the k-th distance keep dataset order.  NaNs
-    pass the ~(dist > kth) test too, and sort last, as in argsort.
+
+def _norms(xy: np.ndarray, w: np.ndarray) -> np.ndarray | None:
+    """The rows' screen norms (2, N), (1 + g) xn / 2 and (1 - g) xn / 2, with xn = sum (x x) w.
+
+    None where the screen's bound does not hold (see _SCREEN_LIMIT).
     """
-    kth = np.partition(dist, k - 1)[k - 1]
-    cand = np.flatnonzero(~(dist > kth))
-    return cand[np.argsort(dist[cand], kind="stable")[:k]]
+    if not np.all((w >= 2.0**-128) & (w <= 2.0**128)):
+        return None
+    xn = _weighted_sq(xy, 0.0, w)
+    if not xn.max(initial=0.0) < _SCREEN_LIMIT:
+        return None
+    g = _gap(xy.shape[1])
+    return _frozen(np.stack([xn * (0.5 + 0.5 * g), xn * (0.5 - 0.5 * g)]))
+
+
+def _nearest_rows(
+    xy: np.ndarray, xn: np.ndarray | None, queries: np.ndarray, w: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each query row's k nearest rows of xy, nearest first: their indices and distances, (Q, k).
+
+    Equal, bit for bit, to a full scan, _weighted_sq to every row followed by
+    a stable sort (tests/oracles.nearest_rows).  A screen picks the rows that
+    can be among the k nearest, and only those are refined with _weighted_sq.
+    xn is _norms(xy, w); with None, or for a query whose norm is not below
+    _SCREEN_LIMIT, every row is a candidate.
+
+    The bound.  Let X = sum w x^2, Q = sum w q^2 and C = sum w x q, so the
+    distance is D = X + Q - 2C; let S = X + Q.  As 2|x q| w <= w (x^2 + q^2),
+    the terms of 2C sum in absolute value to at most S, and D <= 2S.  A sum of
+    m terms, each made with r roundings, is within gamma_{m-1+r} times the
+    sum of its terms' absolute values, in any order of summation and with or
+    without fused multiply-adds (u = 2^-53, gamma_n = n u / (1 - n u)).
+    Hence, for a row:
+      xn = sum (x x) w and qn = sum q (q w), as computed: within gamma_{m+1} X
+        and gamma_{m+1} Q;
+      c = sum x (q w), the cross term: within gamma_{m+1} S / 2;
+      the refine R = sum w (x - q)^2, with x - q rounded: within
+        gamma_{m+3} D <= 2 gamma_{m+3} S;
+      hi = (1 + g) xn / 2 and lo = (1 - g) xn / 2 (_norms): two roundings each;
+      upper = hi - c and lower = lo - c: one rounding each, of at most 2uS.
+    Adding these up, g = 8 gamma_{m+3} (5 gamma_{m+3} would do) gives, for the
+    approximate distance A = xn + qn - 2c and e = g (xn + qn),
+      R/2 <= upper + (1 + g) qn / 2 + eta   and   R/2 >= lower + (1 - g) qn / 2 - eta,
+    that is A - e <= R <= A + e up to eta: upper and lower are (A + e)/2 and
+    (A - e)/2 less the query's share, which is the same for every row.  eta =
+    m 2^-700 covers gradual underflow: a rounded product loses at most
+    2^-1075, which a later weight (<= 2^128) or factor (|x| <= 2^320 within the
+    limits) scales to at most 2^-755, m times per sum.  Within the limits no
+    value is NaN or infinite.
+
+    The candidates.  Let tau be the k-th smallest upper.  The k rows at or
+    below it have R/2 <= tau + (1 + g) qn / 2 + eta, so the k-th smallest R
+    is at most that too, and any row whose R is at most the k-th smallest,
+    ties included, has lower <= tau + g qn + 2 eta.  The computed threshold
+    tau + (2 g qn + 4 eta) is at least that, and rounding is monotonic, so
+    every such row is a candidate.  _weighted_sq reduces each row on its
+    own, so a candidate's R has the full scan's bits, whatever loop einsum
+    picks; the screen's own values reach no output.  The screen is an einsum,
+    not a matrix product, as the package calls no BLAS.
+    """
+    qw = queries * w
+    qn = np.einsum("qj,qj->q", queries, qw)
+    if xn is None:
+        keep = np.ones((len(queries), len(xy)), dtype=bool)
+    else:
+        c = np.einsum("ij,qj->qi", xy, qw)
+        upper = xn[0] - c
+        tau = upper.min(axis=1) if k == 1 else np.partition(upper, k - 1, axis=1)[:, k - 1]
+        fold = 2 * _gap(xy.shape[1]) * qn + 4 * xy.shape[1] * 2.0**-700
+        keep = np.subtract(xn[1], c, out=c) <= (tau + fold)[:, None]
+        keep[~(qn < _SCREEN_LIMIT)] = True
+    rows, cols = np.divmod(np.flatnonzero(keep), len(xy))
+    dist = _weighted_sq(xy[cols], queries[rows], w)
+    pick = _nearest(rows, dist, k)
+    return cols[pick], dist[pick]
+
+
+def _nearest(rows: np.ndarray, dist: np.ndarray, k: int) -> np.ndarray:
+    """Positions of each query's k smallest distances, nearest first: (Q, k), Q = rows[-1] + 1.
+
+    rows numbers the query of each distance, ascending, with at least k per
+    query.  Within a query the order equals argsort(dist, kind="stable"):
+    equal distances keep their order, and NaNs sort last.
+    """
+    order = np.lexsort((dist, rows))
+    starts = np.searchsorted(rows, np.arange(rows[-1] + 1))
+    return order[starts[:, None] + np.arange(k)]
 
 
 def coeff_distance_sq(a: SymbolCoeffs, b: SymbolCoeffs, basis: OrthoBasis) -> float:
@@ -146,7 +258,9 @@ def coeff_distance_sq(a: SymbolCoeffs, b: SymbolCoeffs, basis: OrthoBasis) -> fl
     times the family's squared norms; the constant terms were dropped, so
     position does not contribute.
     """
-    return float(_sq_distances(CoeffTable((b,)), a, basis)[0])
+    table = CoeffTable((b,))
+    w, _ = _row_weights(table, a, basis)
+    return float(_weighted_sq(table.xy, _row(a), w)[0])
 
 
 def representation_error(
@@ -176,14 +290,16 @@ def match_symbol(
 ) -> tuple[int, float]:
     """Index and squared distance of the closest model; ties take the lowest index.
 
-    A CoeffTable is used as is; any other sequence is stacked once per call.
+    A CoeffTable is used as is, and its rows' norms are computed on its first
+    match only.  Any other sequence is stacked once per call, so it pays the
+    stacking and the norm pass on every call.
     """
     if not models:
         raise InvalidDataError("no models to match against")
     table = models if isinstance(models, CoeffTable) else CoeffTable(tuple(models))
-    dist = _sq_distances(table, sample, basis)
-    best = int(np.argmin(dist))
-    return best, float(dist[best])
+    w, xn = _row_weights(table, sample, basis)
+    near, dist = _nearest_rows(table.xy, xn, _row(sample)[None], w, 1)
+    return int(near[0, 0]), float(dist[0, 0])
 
 
 _NO_CODE = np.iinfo(np.int64).max  # above every label code
@@ -208,6 +324,11 @@ def _votes(codes: np.ndarray, dists: np.ndarray) -> np.ndarray:
     return np.where(tied & (sums == best), codes[..., None, :], _NO_CODE).min(axis=-1)
 
 
+def _check_dataset(dataset: LabeledDataset) -> None:
+    if not isinstance(dataset, LabeledDataset):
+        raise InvalidDataError(f"a kNN vote needs a LabeledDataset, got {type(dataset).__name__}")
+
+
 def knn_classify(
     train: LabeledDataset, query: SymbolCoeffs, k: int, basis: OrthoBasis
 ) -> str:
@@ -216,19 +337,21 @@ def knn_classify(
     Vote ties break by smaller summed distance, then lexicographic label;
     equal distances keep dataset order.
     """
+    _check_dataset(train)
+    w, xn = _row_weights(train, query, basis)
     if not 1 <= _integer(k, "k") <= len(train):
         raise InvalidParameterError(f"k must be in [1, {len(train)}]")
-    dist = _sq_distances(train, query, basis)
-    order = _nearest(dist, k)
-    return train.classes[_votes(train.codes[order], dist[order])[-1]]
+    near, dist = _nearest_rows(train.xy, xn, _row(query)[None], w, k)
+    return train.classes[_votes(train.codes[near[0]], dist[0])[-1]]
 
 
 def knn_accuracy(
     dataset: LabeledDataset, basis: OrthoBasis, ks: list[int]
 ) -> dict[int, float]:
     """Test-set accuracy of kNN for each k, under the dataset's own split."""
+    _check_dataset(dataset)
     train, test = dataset.split_indices()
-    w = _row_weights(dataset, dataset[0], basis)
+    w, _ = _row_weights(dataset, dataset[0], basis)
     return _accuracy(dataset.xy, dataset.codes, train, test, w, ks)
 
 
@@ -238,8 +361,9 @@ def _accuracy(
 ) -> dict[int, float]:
     """Share of the test rows of xy whose kNN vote among the train rows is their own code, per k.
 
-    Each test row's kmax nearest training rows are found once, and all rows
-    vote for every k at once.
+    Each test row's kmax nearest training rows are found once, by
+    _nearest_rows on blocks of test rows whose screen fits _BLOCK_BYTES, and
+    all rows vote for every k at once.
     """
     if len(train) == 0:
         raise InvalidDataError("split left no training items")
@@ -250,12 +374,13 @@ def _accuracy(
     if kmax > len(train):
         raise InvalidParameterError(f"k={kmax} exceeds training size {len(train)}")
     train_xy = xy[train]
-    near = np.empty((len(test), kmax), dtype=int)
+    xn = _norms(train_xy, w)
+    block = max(1, _BLOCK_BYTES // (8 * len(train)))
+    near = np.empty((len(test), kmax), dtype=np.intp)
     near_dists = np.empty((len(test), kmax))
-    for row, ti in enumerate(test):
-        dist = _weighted_sq(train_xy, xy[ti], w)
-        near[row] = _nearest(dist, kmax)
-        near_dists[row] = dist[near[row]]
+    for i in range(0, len(test), block):
+        part = slice(i, i + block)
+        near[part], near_dists[part] = _nearest_rows(train_xy, xn, xy[test[part]], w, kmax)
     hits = np.sum(_votes(codes[train][near], near_dists) == codes[test][:, None], axis=0)
     n_test = max(1, len(test))
     return {k: int(hits[k - 1]) / n_test for k in ks}

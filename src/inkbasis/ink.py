@@ -141,7 +141,9 @@ class CoeffTable(Sequence):
     coefficients stacked once: xy is the (N, 2d) matrix of rows [xs | ys],
     and xs, ys are its two read-only (N, d) halves, so a distance to every
     row is a few array operations.  All items share one basis_id and one
-    coefficient length; an empty table has basis_id None.
+    coefficient length; an empty table has basis_id None.  _norms holds the
+    weights of that basis and the rows' norms under them, which classify
+    computes on the table's first use.
     """
 
     items: tuple[SymbolCoeffs, ...]
@@ -149,9 +151,13 @@ class CoeffTable(Sequence):
     xy: np.ndarray = field(init=False, repr=False)
     xs: np.ndarray = field(init=False, repr=False)
     ys: np.ndarray = field(init=False, repr=False)
+    _norms: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         items = tuple(self.items)
+        odd = [c for c in items if not isinstance(c, SymbolCoeffs)]
+        if odd:
+            raise InvalidDataError(f"a table holds SymbolCoeffs, got {type(odd[0]).__name__}")
         shapes = {(c.basis_id, len(c.xs)) for c in items}
         if len(shapes) > 1:
             raise BasisMismatchError(
@@ -588,20 +594,21 @@ def _finite_or_none(value, key: str) -> float | None:
 
 
 def coeffs_from_json_dict(doc: dict) -> SymbolCoeffs:
+    if not isinstance(doc, dict):
+        raise InvalidDataError(f"a coefficient record is a JSON object, got {type(doc).__name__}")
     try:
-        return SymbolCoeffs(
-            basis_id=doc["basis_id"],
-            xs=doc["xs"],
-            ys=doc["ys"],
-            label=doc.get("label"),
-            x0=_finite_or_none(doc.get("x0"), "x0"),
-            y0=_finite_or_none(doc.get("y0"), "y0"),
-            length=_finite_or_none(doc.get("length"), "length"),
-        )
+        basis_id, xs, ys = doc["basis_id"], doc["xs"], doc["ys"]
     except KeyError as exc:
         raise InvalidDataError(f"coefficient record lacks {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise InvalidDataError(f"malformed coefficient record: {exc}") from None
+    return SymbolCoeffs(
+        basis_id=basis_id,
+        xs=xs,
+        ys=ys,
+        label=doc.get("label"),
+        x0=_finite_or_none(doc.get("x0"), "x0"),
+        y0=_finite_or_none(doc.get("y0"), "y0"),
+        length=_finite_or_none(doc.get("length"), "length"),
+    )
 
 
 def write_coeffs_jsonl(items: Iterable[SymbolCoeffs], path) -> None:

@@ -7,7 +7,8 @@ orthogonal families are rebuilt by Gram-Schmidt over monomial seeds with
 quadrature inner products (and, to high degree, by modified Gram-Schmidt
 with closed-form inner products), Chebyshev series are summed naively by the
 forward three-term recurrence, and the point-matching distance is an
-exhaustive dynamic program, and the kNN vote is counted label by label.
+exhaustive dynamic program, the kNN vote is counted label by label, and
+the nearest rows come from a full scan with a stable sort.
 
 One section keeps the earlier projection route as a second reference:
 closed-form monomial moments contracted with the monomial expansion of
@@ -352,6 +353,25 @@ def _vote(labels, dists):
         if lab in summed:
             summed[lab] += d
     return min(candidates, key=lambda lab: (summed[lab], lab))
+
+
+def nearest_rows(xy, queries, w, k):
+    """The unscreened reference for classify._nearest_rows: a full scan per query.
+
+    Every row's distance comes from the library's own kernel,
+    classify._weighted_sq, since the point is bit-identical neighbours and
+    distances; the k nearest are then a stable argsort's first k, so equal
+    distances keep dataset order and NaNs sort last.
+    """
+    from inkbasis.classify import _weighted_sq
+
+    near = np.empty((len(queries), k), dtype=np.intp)
+    near_dists = np.empty((len(queries), k))
+    for r, q in enumerate(queries):
+        dist = _weighted_sq(xy, q, w)
+        near[r] = np.argsort(dist, kind="stable")[:k]
+        near_dists[r] = dist[near[r]]
+    return near, near_dists
 
 
 def weighted_moment(k, a, b, weight):

@@ -721,28 +721,28 @@ class TestBasisJson:
             (lambda d: d.pop("spec"), InvalidDataError, "lacks 'spec'"),
             (lambda d: d["expansion"].pop(), InvalidDataError, "cannot reshape"),
             (lambda d: d["spec"].update(weight="cosh"), InvalidDataError, "'cosh'"),
-            (lambda d: d.update(degree=float("inf")), InvalidDataError,
-             "^malformed basis document: degree must be an integer, got inf$"),
+            (lambda d: d.update(degree=float("inf")), InvalidParameterError,
+             "^degree must be an integer, got inf$"),
             (lambda d: d.update(sq_norms="abc"), InvalidDataError, "malformed"),
             (lambda d: d["sq_norms"].__setitem__(0, -1.0), InvalidDataError,
-             r"^malformed basis document: sq_norms is not that of chebyshev-sobolev\(lam=0.125,"),
-            (lambda d: d.update(degree=-1, expansion=[], sq_norms=[]), InvalidDataError,
-             "^malformed basis document: degree must be non-negative$"),
-            (lambda d: d["spec"].update(order=2), InvalidDataError,
-             "^malformed basis document: order 2 not implemented$"),
+             r"^sq_norms is not that of chebyshev-sobolev\(lam=0.125,order=1,degree=3\)$"),
+            (lambda d: d.update(degree=-1, expansion=[], sq_norms=[]), InvalidParameterError,
+             "^degree must be non-negative$"),
+            (lambda d: d["spec"].update(order=2), InvalidParameterError,
+             "^order 2 not implemented$"),
             (None, ParseError, "line 3: malformed JSON"),
             (lambda d: d["spec"].update({"lambda": 0.5}), InvalidDataError,
-             r"^malformed basis document: expansion is not that of chebyshev-sobolev\(lam=0.5,"),
-            (lambda d: d["spec"].update(order=True), InvalidDataError,
-             "^malformed basis document: order must be an integer, got True$"),
-            (lambda d: d["spec"].update(order=1.9), InvalidDataError,
-             "^malformed basis document: order must be an integer, got 1.9$"),
-            (lambda d: d.update(degree=3.9), InvalidDataError,
-             "^malformed basis document: degree must be an integer, got 3.9$"),
-            (lambda d: d["spec"].update({"lambda": True}), InvalidDataError,
-             "^malformed basis document: lam must be a real number, got True$"),
-            (lambda d: d.update(identity_document(150)), InvalidDataError,
-             "^malformed basis document: degree 150 exceeds the verified limit 100$"),
+             r"^expansion is not that of chebyshev-sobolev\(lam=0.5,order=1,degree=3\)$"),
+            (lambda d: d["spec"].update(order=True), InvalidParameterError,
+             "^order must be an integer, got True$"),
+            (lambda d: d["spec"].update(order=1.9), InvalidParameterError,
+             "^order must be an integer, got 1.9$"),
+            (lambda d: d.update(degree=3.9), InvalidParameterError,
+             "^degree must be an integer, got 3.9$"),
+            (lambda d: d["spec"].update({"lambda": True}), InvalidParameterError,
+             "^lam must be a real number, got True$"),
+            (lambda d: d.update(identity_document(150)), InvalidParameterError,
+             "^degree 150 exceeds the verified limit 100$"),
         ],
         ids=["no-spec", "short-expansion", "unknown-weight", "infinite-degree",
              "string-norms", "negative-norm", "negative-degree", "order-2", "bad-json",

@@ -29,9 +29,9 @@ from inkbasis import (
     to_coeffs,
 )
 from inkbasis import BASIS_KINDS, BasisKind, bases, classify
-from inkbasis.classify import _nearest, _sq_distances, _votes, _weighted_sq, _weights
+from inkbasis.classify import _nearest, _nearest_rows, _norms, _votes, _weighted_sq, _weights
 from inkbasis.ink import _normalized_buckets
-from oracles import _vote, dp_match_distance_sq, quad_inner_series
+from oracles import _vote, dp_match_distance_sq, nearest_rows, quad_inner_series
 
 CHEB10 = build_named_basis("chebyshev", 10)
 CS10 = build_named_basis("chebyshev-sobolev", 10)
@@ -263,6 +263,39 @@ class TestCoefficientCountMustBeTheDegree:
             knn_accuracy(LabeledDataset(tuple(self.records(n)), split_ratio=0.5), CHEB10, [1])
 
 
+_NOT_A_BASIS = "^basis must be an OrthoBasis, got NoneType$"
+_NOT_A_QUERY = "^query must be a SymbolCoeffs, got NoneType$"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda q, ds: match_symbol(q, ds, None), InvalidParameterError, _NOT_A_BASIS),
+        (lambda q, ds: match_symbol(None, ds, CHEB10), InvalidDataError, _NOT_A_QUERY),
+        (lambda q, ds: match_symbol(q, [1, 2], CHEB10), InvalidDataError,
+         "^a table holds SymbolCoeffs, got int$"),
+        (lambda q, ds: knn_classify(ds, q, 1, None), InvalidParameterError, _NOT_A_BASIS),
+        (lambda q, ds: knn_classify(ds, None, 1, CHEB10), InvalidDataError, _NOT_A_QUERY),
+        (lambda q, ds: coeff_distance_sq(q, q, None), InvalidParameterError, _NOT_A_BASIS),
+        (lambda q, ds: coeff_distance_sq(None, q, CHEB10), InvalidDataError, _NOT_A_QUERY),
+        (lambda q, ds: coeff_distance_sq(q, None, CHEB10), InvalidDataError,
+         "^a table holds SymbolCoeffs, got NoneType$"),
+        (lambda q, ds: knn_accuracy(ds, None, [1]), InvalidParameterError, _NOT_A_BASIS),
+        (lambda q, ds: knn_classify(CoeffTable(ds.items), q, 1, CHEB10), InvalidDataError,
+         "^a kNN vote needs a LabeledDataset, got CoeffTable$"),
+        (lambda q, ds: knn_accuracy(None, CHEB10, [1]), InvalidDataError,
+         "^a kNN vote needs a LabeledDataset, got NoneType$"),
+    ],
+    ids=["match-basis", "match-query", "match-models", "knn-basis", "knn-query",
+         "distance-basis", "distance-first", "distance-second", "accuracy-basis", "knn-table",
+         "accuracy-dataset"],
+)
+def test_wrong_kinds_of_object_are_typed_errors(call, error, message):
+    items = tuple(make_coeffs(CHEB10, np.full(10, i), np.zeros(10), str(i % 2)) for i in range(4))
+    with pytest.raises(error, match=message):
+        call(items[0], LabeledDataset(items, split_ratio=0.5))
+
+
 class TestDistanceKernel:
     def test_identical_rows_get_identical_distances(self, rng):
         # any position in any table size: equal rows must tie exactly, or the
@@ -273,39 +306,184 @@ class TestDistanceKernel:
                 row = make_coeffs(basis, rng.uniform(-1, 1, d), rng.uniform(-1, 1, d))
                 q = make_coeffs(basis, rng.uniform(-1, 1, d), rng.uniform(-1, 1, d))
                 for n in (1, 2, 3, 7, 17, 100):
-                    dist = _sq_distances(CoeffTable((row,) * n), q, basis)
+                    xy = CoeffTable((row,) * n).xy
+                    dist = _weighted_sq(xy, np.concatenate([q.xs, q.ys]), _weights(basis, d))
                     assert np.all(dist == coeff_distance_sq(q, row, basis))
 
     def test_length_mismatch(self):
         basis = build_named_basis("chebyshev", 10)
         table = CoeffTable((make_coeffs(basis, np.zeros(10), np.zeros(10)),))
         with pytest.raises(BasisMismatchError):
-            _sq_distances(table, make_coeffs(basis, np.zeros(9), np.zeros(9)), basis)
+            match_symbol(make_coeffs(basis, np.zeros(9), np.zeros(9)), table, basis)
+
+
+def nearest_one(dist, k):
+    """_nearest on the distances of a single query."""
+    return _nearest(np.zeros(len(dist), dtype=np.intp), dist, k)[0]
 
 
 class TestNearest:
     @given(
-        st.lists(st.integers(0, 4), min_size=1, max_size=40),
+        st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=40), min_size=1, max_size=4),
         st.data(),
     )
-    def test_equals_stable_argsort(self, values, data):
-        dist = np.array(values, dtype=float)
-        k = data.draw(st.integers(1, len(dist)))
-        np.testing.assert_array_equal(_nearest(dist, k), np.argsort(dist, kind="stable")[:k])
+    def test_equals_stable_argsort(self, groups, data):
+        # each query's distances in one flat array, query after query
+        k = data.draw(st.integers(1, min(len(g) for g in groups)))
+        rows = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+        dist = np.concatenate([np.array(g, dtype=float) for g in groups])
+        got = _nearest(rows, dist, k)
+        for r, g in enumerate(groups):
+            want = np.argsort(np.array(g, dtype=float), kind="stable")[:k]
+            np.testing.assert_array_equal(got[r] - np.flatnonzero(rows == r)[0], want)
 
     def test_many_ties_at_kth(self):
         dist = np.array([3.0, 1.0, 2.0, 2.0, 1.0, 2.0, 2.0, 0.0, 2.0])
         for k in range(1, len(dist) + 1):
             np.testing.assert_array_equal(
-                _nearest(dist, k), np.argsort(dist, kind="stable")[:k]
+                nearest_one(dist, k), np.argsort(dist, kind="stable")[:k]
             )
 
     def test_nan_sorts_last(self):
         dist = np.array([np.nan, 1.0, np.nan, 0.0])
         for k in range(1, 5):
             np.testing.assert_array_equal(
-                _nearest(dist, k), np.argsort(dist, kind="stable")[:k]
+                nearest_one(dist, k), np.argsort(dist, kind="stable")[:k]
             )
+
+
+# coefficient scales: products that underflow, ordinary, near the screen's
+# norm limit 2**512, and past it, where the screen is skipped (at 1e150,
+# A = xn + qn - 2c would overflow)
+SCALES = (1e-160, 1e-3, 1.0, 1e70, 1e80, 1e150)
+
+
+def tied_rows(seed, n, d, scale, dup, nudges, nan):
+    """n rows of 2d coefficients that tie often: small integers, exact duplicates, ulp nudges."""
+    rng = np.random.default_rng(seed)
+    xy = rng.integers(-2, 3, size=(n, 2 * d)) * scale
+    xy[rng.random(n) < dup] = xy[0]
+    for _ in range(nudges):
+        i, j = rng.integers(n), rng.integers(2 * d)
+        xy[i, j] = np.nextafter(xy[i, j], rng.choice([-np.inf, np.inf]))
+    if nan:
+        xy[rng.integers(n), rng.integers(2 * d)] = np.nan
+    queries = xy[rng.integers(0, n, 4)]
+    queries[1] = np.nextafter(queries[1], np.inf)
+    queries[2] = rng.integers(-2, 3, 2 * d) * scale
+    queries[3] *= rng.choice([1.0, 1e150, 1e300])  # a query past the limit is not screened
+    return xy, queries
+
+
+@st.composite
+def tables(draw):
+    return dict(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        n=draw(st.integers(1, 30)),
+        kind=draw(st.sampled_from(BASIS_KINDS)),
+        d=draw(st.integers(1, 4)),
+        scale=draw(st.sampled_from(SCALES)),
+        dup=draw(st.sampled_from([0.0, 0.3, 0.9])),
+        nudges=draw(st.integers(0, 12)),
+    )
+
+
+# past the limits, the full scan overflows as the library's always did
+OVERFLOWS = pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+ONE_ROW = dict(seed=0, n=1, kind="chebyshev", d=1, scale=1.0, dup=0.0, nudges=0)
+HUGE = dict(seed=1, n=12, kind="chebyshev-sobolev", d=3, scale=1e150, dup=0.3, nudges=4)
+
+
+class TestNearestRows:
+    """_nearest_rows, and every caller, against the unscreened full scan of tests/oracles."""
+
+    @staticmethod
+    def same(got, want):
+        assert np.array_equal(got[0], want[0])
+        assert got[1].tobytes() == want[1].tobytes()
+
+    @OVERFLOWS
+    @settings(max_examples=60, deadline=None)
+    @given(tables(), st.booleans())
+    @example(ONE_ROW, False)
+    @example(HUGE, False)
+    @example(HUGE, True)
+    def test_equals_the_full_scan_for_every_k(self, t, nan):
+        basis = build_named_basis(t["kind"], t["d"])
+        w = _weights(basis, t["d"])
+        xy, queries = tied_rows(t["seed"], t["n"], t["d"], t["scale"], t["dup"], t["nudges"], nan)
+        xn = _norms(xy, w)
+        for k in range(1, min(t["n"], 12) + 1):
+            self.same(_nearest_rows(xy, xn, queries, w, k), nearest_rows(xy, queries, w, k))
+
+    @OVERFLOWS
+    @settings(max_examples=40, deadline=None)
+    @given(tables())
+    @example(ONE_ROW)
+    @example(HUGE)
+    def test_match_and_knn_equal_the_full_scan(self, t):
+        basis, d = build_named_basis(t["kind"], t["d"]), t["d"]
+        w = _weights(basis, d)
+        xy, queries = tied_rows(t["seed"], t["n"], d, t["scale"], t["dup"], t["nudges"], False)
+        labels = [str(i % 3) for i in range(t["n"])]
+        items = tuple(make_coeffs(basis, r[:d], r[d:], lab) for r, lab in zip(xy, labels))
+        models, train = CoeffTable(items), LabeledDataset(items)
+        for q in queries[np.isfinite(queries).all(axis=1)]:
+            sample = make_coeffs(basis, q[:d], q[d:])
+            near, dists = nearest_rows(xy, q[None], w, min(t["n"], 5))
+            index, dist = match_symbol(sample, models, basis)
+            assert index == near[0, 0]
+            assert np.float64(dist).tobytes() == dists[0, 0].tobytes()
+            for k in range(1, len(near[0]) + 1):
+                want = _vote([labels[i] for i in near[0, :k]], dists[0, :k])
+                assert knn_classify(train, sample, k, basis) == want
+
+    @OVERFLOWS
+    @settings(max_examples=30, deadline=None)
+    @given(tables(), st.integers(1, 4), st.integers(1, 6))
+    @example(dict(HUGE, n=30), 4, 6)
+    def test_blocks_that_cut_the_test_rows_unevenly(self, t, block, kmax):
+        basis = build_named_basis(t["kind"], t["d"])
+        w = _weights(basis, t["d"])
+        xy, _ = tied_rows(t["seed"], max(t["n"], 4), t["d"], t["scale"], t["dup"], t["nudges"],
+                          False)
+        train, test = np.arange(0, len(xy), 2), np.arange(1, len(xy), 2)
+        kmax = min(kmax, len(train))
+        codes = np.arange(len(xy)) % 3
+        seen = []
+        real = classify._nearest_rows
+
+        def spy(*args):
+            seen.append(real(*args))
+            return seen[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classify, "_BLOCK_BYTES", 8 * len(train) * block)
+            mp.setattr(classify, "_nearest_rows", spy)
+            acc = classify._accuracy(xy, codes, train, test, w, list(range(1, kmax + 1)))
+        assert [len(near) for near, _ in seen[:-1]] == [block] * (len(seen) - 1)
+        got = tuple(np.concatenate(part) for part in zip(*seen))
+        want = nearest_rows(xy[train], xy[test], w, kmax)
+        self.same(got, want)
+        hits = np.sum(_votes(codes[train][want[0]], want[1]) == codes[test][:, None], axis=0)
+        assert acc == {k: int(hits[k - 1]) / len(test) for k in range(1, kmax + 1)}
+
+    def test_screen_is_skipped_past_the_limits(self):
+        w = np.ones(2)
+        assert _norms(np.array([[1e76, 0.0]]), w) is not None  # a norm of 1e152 < 2**512
+        assert _norms(np.array([[1e78, 0.0]]), w) is None
+        assert _norms(np.array([[np.nan, 0.0]]), w) is None
+        assert _norms(np.array([[1.0, 0.0]]), np.array([1.0, 2.0**-129])) is None
+
+    def test_a_table_computes_its_norms_once(self, rng, monkeypatch):
+        models = CoeffTable(tuple(make_coeffs(CS10, rng.uniform(-1, 1, 10), rng.uniform(-1, 1, 10))
+                                  for _ in range(50)))
+        calls = []
+        real = classify._norms
+        monkeypatch.setattr(classify, "_norms", lambda xy, w: calls.append(len(xy)) or real(xy, w))
+        for _ in range(3):
+            match_symbol(models[7], models, CS10)
+        assert calls == [50]
 
 
 class TestVotes:
@@ -434,7 +612,7 @@ class TestKnnClassify:
         queries = items[1:6] + [make_coeffs(CHEB10, rng.integers(0, 2, 10), rng.integers(0, 2, 10))
                                 for _ in range(5)]
         for q in queries:
-            dist = _sq_distances(ds, q, CHEB10)
+            dist = _weighted_sq(ds.xy, np.concatenate([q.xs, q.ys]), _weights(CHEB10, 10))
             for k in range(1, len(near) + 1):
                 order = np.argsort(dist, kind="stable")[:k]
                 want = _vote([items[i].label for i in order], dist[order])
@@ -660,24 +838,24 @@ class TestAccuracySweep:
         items = tuple(symbol_coeffs(t, basis) for t in traces)
         ds = LabeledDataset(items)
         seen = []
-        real = classify._nearest
+        real = classify._nearest_rows
 
-        def spy(dist, k):
-            seen.append(dist.copy())
-            return real(dist, k)
+        def spy(xy, xn, queries, w, k):
+            near, dists = real(xy, xn, queries, w, k)
+            seen.extend(dists[:, 0])
+            return near, dists
 
-        monkeypatch.setattr(classify, "_nearest", spy)
+        monkeypatch.setattr(classify, "_nearest_rows", spy)
         knn_accuracy(ds, basis, [1])
         train_idx, test_idx = ds.split_indices()
         n = len(traces) // 2
-        train_pos = {int(j): p for p, j in enumerate(train_idx)}
+        train_set = {int(j) for j in train_idx}
         checked = 0
         for dist, ti in zip(seen, test_idx):
-            twin = (int(ti) + n) % len(traces)
-            if twin in train_pos:
-                assert dist[train_pos[twin]] == 0.0
+            if (int(ti) + n) % len(traces) in train_set:  # its twin is a training item
+                assert dist == 0.0
                 checked += 1
-            assert np.all(dist >= 0.0)
+            assert dist >= 0.0
         assert len(seen) == len(test_idx) and checked > 0
 
 

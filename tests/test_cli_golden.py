@@ -42,6 +42,15 @@ CASES = {
         ["error-sweep", *map(str, WALKS), "--basis", "chebyshev", "--d-min", "3", "--d-max", "40"],
         ["error_sweep_chebyshev.csv"],
     ),
+    "error_sweep_legendre": (
+        ["error-sweep", *map(str, WALKS), "--basis", "legendre", "--d-min", "3", "--d-max", "40"],
+        ["error_sweep_legendre.csv"],
+    ),
+    "error_sweep_cubic": (
+        ["error-sweep", *map(str, WALKS), "--basis", "chebyshev-sobolev", "--spline", "cubic",
+         "--d-min", "3", "--d-max", "40"],
+        ["error_sweep_cubic.csv"],
+    ),
     "error_sweep_legendre_sobolev": (
         ["error-sweep", *map(str, WALKS), "--basis", "legendre-sobolev",
          "--d-min", "3", "--d-max", "40"],

@@ -14,7 +14,10 @@ matrix of the Q_k has only the diagonals |i - j| in {0, 2} and its LDL^T
 factor is the recurrence S_k = Q_k - ell_k S_{k-2}.  That recurrence, in a
 fixed elementwise order, builds, projects and synthesizes.  Each S_k has
 leading classical coefficient one, so the families become the classical
-ones as lam goes to zero, and a family is a prefix of any of higher degree.
+ones as lam goes to zero, and a family is a prefix of any of higher degree:
+the first d + 1 coefficients of a projection, and the polynomial that
+synthesize makes of them on the higher basis, are bit for bit those of the
+basis of degree d.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .errors import (
     BasisMismatchError, InvalidDataError, InvalidParameterError, ParseError, _enum_member,
     open_utf8,
 )
-from .poly import BasisKind, DensePoly, PiecewisePoly, Weight, _float_array, _frozen, _moments
+from .poly import BasisKind, DensePoly, PiecewisePoly, Weight, _frozen, _moments, _real_array
 
 DEFAULT_LAMBDA = 0.125
 MAX_DEGREE = 100  # largest degree the projection is verified at against quadrature
@@ -261,19 +264,21 @@ def _project(f: PiecewisePoly, bases: list[OrthoBasis]) -> list[np.ndarray]:
 
 
 def synthesize(coeffs, basis: OrthoBasis) -> DensePoly:
-    """Sum of coeffs[i] * S_i as a classical-basis polynomial of the basis's degree.
+    """Sum of coeffs[i] * S_i as a classical-basis polynomial of degree len(coeffs) - 1.
 
     The Q-basis coefficients u solve u_k + ell_{k+2} u_{k+2} = coeffs[k]
     from the top down, and the classical ones are u_k - b_{k+2} u_{k+2}.
+    Only the first len(coeffs) entries of ell and b are read, so a prefix of
+    a projection synthesizes, bit for bit, as it would on the basis of its
+    own degree.
     """
-    c = _float_array(coeffs, "coefficients")
+    u = _real_array(coeffs, "coefficients must be numbers (real, not bool)")
     n = basis.degree + 1
-    if c.ndim != 1 or len(c) > n:
-        raise InvalidDataError(f"expected at most {n} coefficients, got {c.shape}")
-    u = np.r_[c, np.zeros(n - len(c))]
-    for k in range(n - 3, -1, -1):
+    if u.ndim != 1 or len(u) > n:
+        raise InvalidDataError(f"expected at most {n} coefficients, got {u.shape}")
+    for k in range(len(u) - 3, -1, -1):
         u[k] -= basis.ell[k + 2] * u[k + 2]
-    u[:-2] -= basis.b[2:] * u[2:]
+    u[:-2] -= basis.b[2 : len(u)] * u[2:]
     return DensePoly(basis.classical_basis, u)
 
 

@@ -106,9 +106,9 @@ class LabeledDataset(CoeffTable):
         return _split(len(self.items), self.split_seed, self.split_ratio)
 
 
-def _weights(basis: OrthoBasis, d: int) -> np.ndarray:
-    """The weights [h | h] of a distance between [xs | ys] rows of d coefficients each."""
-    h = basis.sq_norms[1 : d + 1]
+def _weights(basis: OrthoBasis) -> np.ndarray:
+    """The weights [h | h] of a distance between [xs | ys] rows of the basis's degree 1..d."""
+    h = basis.sq_norms[1:]
     return np.concatenate([h, h])
 
 
@@ -133,7 +133,7 @@ def _row_weights(
         raise BasisMismatchError(f"{basis.basis_id} needs {d} coefficients per coordinate, got "
                                  f"{len(query.xs)} and {table.xs.shape[1]}")
     if table._norms is None:
-        w = _weights(basis, d)
+        w = _weights(basis)
         object.__setattr__(table, "_norms", (w, _norms(table.xy, w)))
     return table._norms
 
@@ -418,7 +418,7 @@ def accuracy_sweep(
     _, codes = _label_codes([t.label for t in traces])
     rows = []
     for kind, basis, xy in zip(basis_kinds, bases, xys):
-        acc = _accuracy(xy, codes, train, test, _weights(basis, degree), ks)
+        acc = _accuracy(xy, codes, train, test, _weights(basis), ks)
         for k in ks:
             rows.append(
                 {

@@ -9,13 +9,17 @@ output files, every CSV through _write_csv; diagnostics go to stderr.
 Re-running a command with the same configuration produces byte-identical
 files.
 
-The CLI checks only the ranges it builds itself (--k-min <= --k-max and
---d-min <= --d-max).  Every other value goes to the library as given, and
-the library refuses it: each command builds its bases before it reads any
-input, and knn-eval's accuracy_sweep builds them and draws its split before
-it normalizes any trace.  approximate, reconstruct and error-sweep share one
-per-trace loop, _projected.  An InkBasisError or OSError prints one
-"error: <message>" line and exits 2.
+The CLI checks only the ranges it builds itself: --k-min <= --k-max,
+--d-min <= --d-max, and in error-sweep --d-min >= 1, since no basis is
+built at --d-min.  Every other value goes to the library as given, and the
+library refuses it: each command builds its basis before it reads any
+input, and knn-eval's accuracy_sweep builds its bases and draws its split
+before it normalizes any trace.  approximate, reconstruct and error-sweep
+share one per-trace loop, _projected, on one basis: error-sweep's is at
+--d-max, and each lower degree d reconstructs from the first d + 1
+coefficients of its projection, since a family is a prefix of any of
+higher degree.  An InkBasisError or OSError prints one "error: <message>"
+line and exits 2.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,12 +39,12 @@ from .errors import InkBasisError, InvalidParameterError
 from .ink import (
     InkTrace,
     SplineKind,
-    _family_coeffs,
     arc_length_normalize,
     load_pendigits,
     merge_strokes,
     parse_inkml,
     reconstruct,
+    to_coeffs,
 )
 
 DATA_DIR_ENV = "INKBASIS_DATA_DIR"
@@ -101,16 +106,15 @@ def _trace_file_name(index: int, label: str | None) -> str:
     return stem + ".csv"
 
 
-def _projected(traces: list[InkTrace], bases: list[OrthoBasis], spline: str):
-    """Each trace's index, the trace, its normalized curve and its coefficients on each of bases.
+def _projected(traces: list[InkTrace], basis: OrthoBasis, spline: str):
+    """Each trace's index, the trace, its normalized curve and its coefficients on basis.
 
-    Each trace is normalized once and projected once, at the largest degree
-    among bases (error-sweep's lower degrees take the prefix of that
-    projection), as the traces are consumed.
+    Each trace is normalized once and projected once, as the traces are
+    consumed; error-sweep's lower degrees take prefixes of that projection.
     """
     for i, trace in enumerate(traces):
         normalized = arc_length_normalize(trace, spline)
-        yield i, trace, normalized, _family_coeffs(normalized, bases, trace.label)
+        yield i, trace, normalized, to_coeffs(normalized, basis, trace.label)
 
 
 def _write_csv(path, header: str, rows: list[str]) -> Path:
@@ -131,7 +135,7 @@ def cmd_approximate(args) -> str:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     samples = np.linspace(-1.0, 1.0, 200)
-    for i, trace, normalized, (coeffs,) in _projected(traces, [basis], args.spline):
+    for i, trace, normalized, coeffs in _projected(traces, basis, args.spline):
         xhat, yhat = reconstruct(coeffs, basis, samples)
         rows = [f"{_fmt(s)},{_fmt(x)},{_fmt(y)},original"
                 for s, (x, y) in zip(normalized.knots, trace.points)]
@@ -144,7 +148,7 @@ def cmd_reconstruct(args) -> Path:
     basis = build_named_basis(args.basis, args.degree, args.lam)
     traces = _load_traces(args.input)
     rows = []
-    for i, trace, normalized, (coeffs,) in _projected(traces, [basis], args.spline):
+    for i, trace, normalized, coeffs in _projected(traces, basis, args.spline):
         xhat, yhat = reconstruct(coeffs, basis, normalized.knots)
         rows += [f"{i},{j},original,{_fmt(x)},{_fmt(y)}" for j, (x, y) in enumerate(trace.points)]
         rows += [f"{i},{j},reconstructed,{_fmt(x)},{_fmt(y)}"
@@ -153,11 +157,15 @@ def cmd_reconstruct(args) -> Path:
 
 
 def cmd_error_sweep(args) -> Path:
-    bases = [build_named_basis(args.basis, d, args.lam) for d in range(args.d_min, args.d_max + 1)]
+    if args.d_min < 1:  # before any prefix is cut: a slice to a negative d counts from the end
+        raise InvalidParameterError("basis degree must be at least 1")
+    basis = build_named_basis(args.basis, args.d_max, args.lam)
     traces = _load_traces(args.input)
-    rows = [f"{i},{basis.degree},{_fmt(representation_error(trace, normalized, coeffs, basis))}"
-            for i, trace, normalized, family in _projected(traces, bases, args.spline)
-            for basis, coeffs in zip(bases, family)]
+    rows = []
+    for i, trace, normalized, coeffs in _projected(traces, basis, args.spline):
+        for d in range(args.d_min, args.d_max + 1):
+            prefix = replace(coeffs, xs=coeffs.xs[:d], ys=coeffs.ys[:d])
+            rows.append(f"{i},{d},{_fmt(representation_error(trace, normalized, prefix, basis))}")
     return _write_csv(args.out, "trace_id,degree,error", rows)
 
 

@@ -34,27 +34,12 @@ from .errors import (
     BasisMismatchError, InvalidDataError, InvalidParameterError, ParseError, _enum_member,
     open_utf8,
 )
-from .poly import PiecewisePoly, _frozen
+from .poly import PiecewisePoly, _frozen, _real_array
 
 
 class SplineKind(str, enum.Enum):
     LINEAR = "linear"
     CUBIC = "cubic"
-
-
-def _real_array(values, message: str) -> np.ndarray:
-    """values as a new float array; anything but real numbers raises InvalidDataError(message).
-
-    Strings, bools and complex numbers are refused before numpy would convert
-    them; None in an object array becomes NaN, for the caller's finite check.
-    """
-    try:
-        array = np.array(values)
-        if array.dtype.kind in "iufO":  # ragged lists and ints past float's range raise here
-            return array.astype(float, copy=False)
-    except (OverflowError, TypeError, ValueError):
-        pass
-    raise InvalidDataError(message)
 
 
 @dataclass(frozen=True)
@@ -519,15 +504,6 @@ def to_coeffs(
     """
     return _symbol(project(normalized.curve, basis), basis.basis_id, label,
                    normalized.total_length)
-
-
-def _family_coeffs(
-    normalized: NormalizedTrace, bases: list[OrthoBasis], label: str | None = None
-) -> list[SymbolCoeffs]:
-    """to_coeffs(normalized, basis, label) for bases of one spec: prefixes of one projection."""
-    rows = project(normalized.curve, max(bases, key=lambda b: b.degree))
-    return [_symbol(rows[:, : b.degree + 1], b.basis_id, label, normalized.total_length)
-            for b in bases]
 
 
 def _without_constants(rows: np.ndarray) -> np.ndarray:

@@ -49,12 +49,20 @@ _DERIV = {
 }
 
 
-def _float_array(values, name: str) -> np.ndarray:
-    """values as a new float array; a value that is not a number raises InvalidDataError."""
+def _real_array(values, message: str) -> np.ndarray:
+    """values as a new float array; anything but real numbers raises InvalidDataError(message).
+
+    Strings, bytes, bools and complex numbers are refused before numpy would
+    convert them; None in an object array becomes NaN, for the caller's
+    finite check.
+    """
     try:
-        return np.array(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidDataError(f"{name} must be numbers: {exc}") from None
+        array = np.array(values)
+        if array.dtype.kind in "iufO":  # ragged lists and ints past float's range raise here
+            return array.astype(float, copy=False)
+    except (OverflowError, TypeError, ValueError):
+        pass
+    raise InvalidDataError(message)
 
 
 @dataclass(frozen=True)
@@ -69,7 +77,7 @@ class DensePoly:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(_float_array(self.coeffs, "coeffs"))
+        c = np.atleast_1d(_real_array(self.coeffs, "coeffs must be numbers (real, not bool)"))
         if c.ndim != 1 or c.size == 0:
             raise InvalidDataError("coeffs must be a non-empty 1-D array")
         object.__setattr__(self, "coeffs", _frozen(c))
@@ -81,7 +89,7 @@ class DensePoly:
 
     def __call__(self, x):
         """Value at scalar or array x; Legendre by Bonnet's recurrence, Chebyshev by Clenshaw's."""
-        xs = _float_array(x, "evaluation points")
+        xs = _real_array(x, "evaluation points must be numbers (real, not bool)")
         if self.basis is BasisKind.CHEBYSHEV:
             out = _cheb.chebval(xs, self.coeffs)
             return float(out) if np.ndim(out) == 0 else out
@@ -129,11 +137,11 @@ class PiecewisePoly:
     local: np.ndarray
 
     def __post_init__(self):
-        bp = _float_array(self.breakpoints, "breakpoints")
+        bp = _real_array(self.breakpoints, "breakpoints must be numbers (real, not bool)")
         if bp.ndim not in (1, 2) or bp.shape[-1] < 2:
             raise InvalidDataError("need at least two breakpoints")
         lead = bp.shape[:-1]  # () for one curve, (T,) for a bucket
-        c = _float_array(self.local, "local coefficients")
+        c = _real_array(self.local, "local coefficients must be numbers (real, not bool)")
         if c.ndim - bp.ndim not in (1, 2) or not 1 <= c.shape[-1] <= 4:
             raise InvalidDataError("local coefficients must be an ([T,] nseg, [m,] 1..4) array")
         if c.shape[: bp.ndim] != (*lead, bp.shape[-1] - 1):

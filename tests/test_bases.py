@@ -653,9 +653,11 @@ class TestSynthesize:
         with pytest.raises(InvalidDataError, match=r"^expected at most 4 coefficients, got \(5,\)$"):
             synthesize(np.zeros(5), b)
 
-    def test_non_numeric_coefficients_are_typed(self):
-        with pytest.raises(InvalidDataError, match="^coefficients must be numbers: could not"):
-            synthesize(["a"], build_basis(CS, 3))
+    @pytest.mark.parametrize("coeffs", [["a"], ["1.5", True], [True, False], [1j]])
+    def test_non_numeric_coefficients_are_typed(self, coeffs):
+        message = r"^coefficients must be numbers \(real, not bool\)$"
+        with pytest.raises(InvalidDataError, match=message):
+            synthesize(coeffs, build_basis(CS, 3))
 
     @pytest.mark.parametrize("kind", BASIS_KINDS)
     def test_synthesis_inverts_the_expansion(self, kind, rng):
@@ -663,7 +665,11 @@ class TestSynthesize:
         c = rng.uniform(-1, 1, 41)
         want = np.einsum("ij,i->j", b.expansion, c)
         np.testing.assert_allclose(synthesize(c, b).coeffs, want, rtol=0, atol=1e-14)
-        np.testing.assert_array_equal(synthesize(c[:7], b).coeffs[7:], 0.0)
+        # a prefix synthesizes at its own degree, with the bits of the basis of that degree
+        for k in range(41):
+            got = synthesize(c[: k + 1], b).coeffs
+            own = synthesize(c[: k + 1], build_named_basis(kind, k)).coeffs
+            assert got.tobytes() == own.tobytes()
 
 
 def identity_document(degree: int) -> dict:

@@ -202,7 +202,7 @@ class TestMatchSymbol:
             make_coeffs(CHEB10, rng.uniform(-1, 1, 10), rng.uniform(-1, 1, 10))
             for _ in range(15)
         ]
-        xy, w = CoeffTable(tuple(models)).xy, _weights(CHEB10, 10)
+        xy, w = CoeffTable(tuple(models)).xy, _weights(CHEB10)
         base = _weighted_sq(xy, np.concatenate([q.xs, q.ys]), w)
         scaled = _weighted_sq(xy, np.concatenate([q.xs, q.ys]), w * 17.5)
         base_idx, base_d = match_symbol(q, models, CHEB10)
@@ -307,7 +307,7 @@ class TestDistanceKernel:
                 q = make_coeffs(basis, rng.uniform(-1, 1, d), rng.uniform(-1, 1, d))
                 for n in (1, 2, 3, 7, 17, 100):
                     xy = CoeffTable((row,) * n).xy
-                    dist = _weighted_sq(xy, np.concatenate([q.xs, q.ys]), _weights(basis, d))
+                    dist = _weighted_sq(xy, np.concatenate([q.xs, q.ys]), _weights(basis))
                     assert np.all(dist == coeff_distance_sq(q, row, basis))
 
     def test_length_mismatch(self):
@@ -410,7 +410,7 @@ class TestNearestRows:
     @example(HUGE, True)
     def test_equals_the_full_scan_for_every_k(self, t, nan):
         basis = build_named_basis(t["kind"], t["d"])
-        w = _weights(basis, t["d"])
+        w = _weights(basis)
         xy, queries = tied_rows(t["seed"], t["n"], t["d"], t["scale"], t["dup"], t["nudges"], nan)
         xn = _norms(xy, w)
         for k in range(1, min(t["n"], 12) + 1):
@@ -423,7 +423,7 @@ class TestNearestRows:
     @example(HUGE)
     def test_match_and_knn_equal_the_full_scan(self, t):
         basis, d = build_named_basis(t["kind"], t["d"]), t["d"]
-        w = _weights(basis, d)
+        w = _weights(basis)
         xy, queries = tied_rows(t["seed"], t["n"], d, t["scale"], t["dup"], t["nudges"], False)
         labels = [str(i % 3) for i in range(t["n"])]
         items = tuple(make_coeffs(basis, r[:d], r[d:], lab) for r, lab in zip(xy, labels))
@@ -444,7 +444,7 @@ class TestNearestRows:
     @example(dict(HUGE, n=30), 4, 6)
     def test_blocks_that_cut_the_test_rows_unevenly(self, t, block, kmax):
         basis = build_named_basis(t["kind"], t["d"])
-        w = _weights(basis, t["d"])
+        w = _weights(basis)
         xy, _ = tied_rows(t["seed"], max(t["n"], 4), t["d"], t["scale"], t["dup"], t["nudges"],
                           False)
         train, test = np.arange(0, len(xy), 2), np.arange(1, len(xy), 2)
@@ -612,7 +612,7 @@ class TestKnnClassify:
         queries = items[1:6] + [make_coeffs(CHEB10, rng.integers(0, 2, 10), rng.integers(0, 2, 10))
                                 for _ in range(5)]
         for q in queries:
-            dist = _weighted_sq(ds.xy, np.concatenate([q.xs, q.ys]), _weights(CHEB10, 10))
+            dist = _weighted_sq(ds.xy, np.concatenate([q.xs, q.ys]), _weights(CHEB10))
             for k in range(1, len(near) + 1):
                 order = np.argsort(dist, kind="stable")[:k]
                 want = _vote([items[i].label for i in order], dist[order])

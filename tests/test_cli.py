@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from inkbasis import bases, classify, load_basis
+from inkbasis import bases, classify, cli, load_basis
 from inkbasis.cli import main
 
 INKML_DOC = """<ink xmlns="http://www.w3.org/2003/InkML">
@@ -210,6 +210,29 @@ class TestErrorSweep:
         assert calls == [9] * 2 * len(_PROTO)
         assert len(out.read_text().splitlines()) == 1 + 8 * 2 * len(_PROTO)
 
+    def test_one_basis_per_run(self, tmp_path, monkeypatch):
+        # every degree is a prefix of the family at --d-max
+        data = tmp_path / "digits.txt"
+        write_pendigits(data, per_class=2)
+        built = []
+        real = cli.build_named_basis
+        monkeypatch.setattr(cli, "build_named_basis",
+                            lambda *a: built.append(real(*a)) or built[-1])
+        out = tmp_path / "err.csv"
+        assert main(["error-sweep", str(data), "--d-min", "2", "--d-max", "9",
+                     "--out", str(out)]) == 0
+        assert [b.degree for b in built] == [9]
+        degrees = [int(r.split(",")[1]) for r in out.read_text().splitlines()[1:]]
+        assert degrees == list(range(2, 10)) * 2 * len(_PROTO)
+
+    def test_d_min_below_one_is_refused_on_empty_input(self, tmp_path, capsys):
+        data = tmp_path / "empty.txt"
+        data.write_text("", encoding="utf-8")
+        out = tmp_path / "err.csv"
+        assert main(["error-sweep", str(data), "--d-min", "0", "--out", str(out)]) == 2
+        assert "basis degree must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_rerun(self, tmp_path):
         data = tmp_path / "digits.txt"
         write_pendigits(data, per_class=2)
@@ -381,6 +404,7 @@ def _refusals():
     for command in ("build-basis", "approximate", "reconstruct", "knn-eval"):
         yield command, ["--degree", "101"], "degree 101 exceeds the verified limit 100"
     yield "error-sweep", ["--d-min", "0"], "basis degree must be at least 1"
+    yield "error-sweep", ["--d-min", "-5"], "basis degree must be at least 1"
     yield "error-sweep", ["--d-max", "101"], "degree 101 exceeds the verified limit 100"
     yield "error-sweep", ["--d-min", "6", "--d-max", "5"], "need --d-min <= --d-max"
     yield "knn-eval", ["--split", "0"], "split_ratio must lie in (0, 1)"
@@ -422,7 +446,9 @@ def test_every_refusal_exits_2_with_one_error_line_and_no_data_file(
          (["--basis", "legendre", "--lambda=-1"], "lam must be finite"),
          (["--d-max" if command == "error-sweep" else "--degree", "101"],
           "degree 101 exceeds the verified limit 100"),
-     ]],
+     ]]
+    + [pytest.param("error-sweep", ["--d-min", "0"], "basis degree must be at least 1",
+                    id="error-sweep --d-min 0")],
 )
 def test_parameter_errors_come_before_the_input_is_read(
     tmp_path, capsys, monkeypatch, command, options, message

@@ -184,20 +184,24 @@ class TestDensePolyBasics:
         with pytest.raises(InvalidDataError):
             DensePoly(BasisKind.CHEBYSHEV, [])
 
-    def test_non_numeric_coeffs_are_typed(self):
-        with pytest.raises(InvalidDataError, match="^coeffs must be numbers: could not convert"):
-            DensePoly(BasisKind.LEGENDRE, ["a"])
+    @pytest.mark.parametrize("coeffs", [["a"], ["2", False], [True], [1j], [b"1"], [10**400]])
+    def test_non_numeric_coeffs_are_typed(self, coeffs):
+        with pytest.raises(InvalidDataError, match=r"^coeffs must be numbers \(real, not bool\)$"):
+            DensePoly(BasisKind.LEGENDRE, coeffs)
 
     @pytest.mark.parametrize("breakpoints, local, name", [
-        (["a", "b"], [[1.0]], "breakpoints"), ([-1.0, 1.0], [["a"]], "local coefficients")])
+        (["a", "b"], [[1.0]], "breakpoints"), ([-1.0, 1.0], [["a"]], "local coefficients"),
+        (["-1", "1"], [[True, "0.5"]], "breakpoints"),
+        ([-1.0, 1.0], [[True, False]], "local coefficients")])
     def test_non_numeric_splines_are_typed(self, breakpoints, local, name):
-        with pytest.raises(InvalidDataError, match=f"^{name} must be numbers: could not convert"):
+        with pytest.raises(InvalidDataError, match=rf"^{name} must be numbers \(real, not bool\)$"):
             PiecewisePoly(breakpoints, local)
 
     @pytest.mark.parametrize("basis", list(BasisKind))
-    def test_non_numeric_points_are_typed(self, basis):
+    @pytest.mark.parametrize("points", ["abc", True])
+    def test_non_numeric_points_are_typed(self, basis, points):
         with pytest.raises(InvalidDataError, match="^evaluation points must be numbers"):
-            DensePoly(basis, [1.0, 2.0])("abc")
+            DensePoly(basis, [1.0, 2.0])(points)
 
     def test_unknown_basis_is_typed(self):
         with pytest.raises(InvalidParameterError,

@@ -23,8 +23,13 @@ DATA = Path(__file__).parent / "data" / "cli_golden"
 PENDIGITS = DATA / "pendigits.txt"
 WALKS = [DATA / "walk_0.inkml", DATA / "walk_1.inkml"]
 
-# name -> (argv without --out, the files the command writes, relative to --out's directory)
+# name -> (argv without --out, the files the command writes, relative to --out's parent);
+# --out is the first file, or the directory that holds it
 CASES = {
+    "approximate": (
+        ["approximate", *map(str, WALKS)],
+        ["approximate/trace_00000_w.csv", "approximate/trace_00001_w.csv"],
+    ),
     "knn_eval": (
         ["knn-eval", str(PENDIGITS)],
         ["knn_eval.csv", "knn_eval.summary.json"],
@@ -63,17 +68,18 @@ CASES = {
 }
 
 
-def run_case(name: str, outdir: Path) -> list[Path]:
+def run_case(name: str, outdir: Path) -> list[str]:
+    """Run one case with its output under outdir; return the files it wrote, relative to outdir."""
     argv, files = CASES[name]
-    assert main([*argv, "--out", str(outdir / files[0])]) == 0
-    return [outdir / f for f in files]
+    assert main([*argv, "--out", str(outdir / Path(files[0]).parts[0])]) == 0
+    return files
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_bytes_match_golden(name, tmp_path):
-    for path in run_case(name, tmp_path):
-        expected = (DATA / path.name).read_bytes()
-        assert path.read_bytes() == expected, f"{path.name} differs from the golden copy"
+    for file in run_case(name, tmp_path):
+        expected = (DATA / file).read_bytes()
+        assert (tmp_path / file).read_bytes() == expected, f"{file} differs from the golden copy"
 
 
 if __name__ == "__main__":

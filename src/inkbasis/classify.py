@@ -56,9 +56,6 @@ DEFAULT_SPLIT_RATIO = 2.0 / 3.0
 
 def _label_codes(labels: list) -> tuple[tuple[str, ...], np.ndarray]:
     """The distinct labels, sorted, and each label's index among them; votes sort the labels."""
-    odd = [label for label in labels if label is not None and not isinstance(label, str)]
-    if odd:
-        raise InvalidDataError(f"label must be a string, got {odd[0]!r}")
     if None in labels:
         raise InvalidDataError("every dataset item needs a label")
     classes = sorted(set(labels))

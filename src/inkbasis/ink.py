@@ -42,14 +42,21 @@ class SplineKind(str, enum.Enum):
     CUBIC = "cubic"
 
 
+def _check_label(label) -> None:
+    """Refuse a label that is neither None nor a string: votes sort the labels."""
+    if label is not None and not isinstance(label, str):
+        raise InvalidDataError(f"label must be a string, got {label!r}")
+
+
 @dataclass(frozen=True)
 class InkTrace:
-    """At least two finite pen positions, optionally labeled; consecutive repeats are dropped."""
+    """At least two finite pen positions and a None or str label; consecutive repeats dropped."""
 
     points: np.ndarray
     label: str | None = None
 
     def __post_init__(self):
+        _check_label(self.label)
         pts = _real_array(self.points, "trace points must be (x, y) pairs of real numbers")
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise InvalidDataError("a trace needs at least two (x, y) points")
@@ -86,14 +93,24 @@ class NormalizedTrace:
         return self.curve.breakpoints
 
 
+def _finite_float(value, key: str) -> float:
+    """value as a finite float, converted by _real_array; anything else raises InvalidDataError."""
+    message = f"{key} is not a finite number: {value!r}"
+    number = _real_array(value, message)
+    if number.ndim != 0 or not np.isfinite(number):
+        raise InvalidDataError(message)
+    return float(number)
+
+
 @dataclass(frozen=True)
 class SymbolCoeffs:
-    """Fixed-size coefficient description of one symbol.
+    """Fixed-size coefficient description of one symbol; it checks every field once, here.
 
-    xs and ys hold the degree 1..d expansion coefficients of the curve's x
-    and y; the constant terms are dropped (they carry only
-    position) but retained as x0/y0, along with the original length, so
-    reconstructions can be mapped back to the input frame.
+    basis_id is a string.  xs and ys hold the degree 1..d expansion
+    coefficients of the curve's x and y, finite reals; the constant terms
+    are dropped (they carry only position) but retained as x0/y0, along
+    with the original length, so reconstructions can be mapped back to the
+    input frame.  That sidecar is all None or all finite floats.
     """
 
     basis_id: str
@@ -105,6 +122,8 @@ class SymbolCoeffs:
     length: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.basis_id, str):
+            raise InvalidDataError(f"basis_id must be a string, got {self.basis_id!r}")
         message = "xs and ys must be arrays of real numbers"
         xs, ys = _real_array(self.xs, message), _real_array(self.ys, message)
         if xs.shape != ys.shape or xs.ndim != 1:
@@ -112,10 +131,14 @@ class SymbolCoeffs:
         # json reads NaN and Infinity, and None becomes NaN; a distance to them would be NaN
         if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
             raise InvalidDataError("xs and ys must be finite")
-        if self.label is not None and not isinstance(self.label, str):  # votes sort labels
-            raise InvalidDataError(f"label must be a string, got {self.label!r}")
+        _check_label(self.label)
         object.__setattr__(self, "xs", _frozen(xs))
         object.__setattr__(self, "ys", _frozen(ys))
+        if not (self.x0 is self.y0 is self.length is None):  # then a missing one is not finite
+            for key in ("x0", "y0", "length"):
+                value = getattr(self, key)
+                if type(value) is not float or not math.isfinite(value):  # _symbol and JSON's floats
+                    object.__setattr__(self, key, _finite_float(value, key))
 
 
 @dataclass(frozen=True, eq=False)
@@ -532,9 +555,9 @@ def reconstruct(
     """x and y of the truncated series at parameters s, in the input frame.
 
     Restores the constant terms x0, y0 and undoes normalization's 2/L
-    rescale.
+    rescale, from the sidecar that SymbolCoeffs holds all or none of.
     """
-    if coeffs.x0 is None or coeffs.y0 is None or coeffs.length is None:
+    if coeffs.x0 is None:
         raise InvalidDataError("coefficients lack the constant-term sidecar")
     px = synthesize(np.concatenate([[coeffs.x0], coeffs.xs]), basis)
     py = synthesize(np.concatenate([[coeffs.y0], coeffs.ys]), basis)
@@ -556,19 +579,6 @@ def coeffs_to_json_dict(c: SymbolCoeffs) -> dict:
     return doc
 
 
-def _finite_or_none(value, key: str) -> float | None:
-    if value is None:
-        return None
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise InvalidDataError(f"{key} is not a finite number: {value!r}")
-
-
 def coeffs_from_json_dict(doc: dict) -> SymbolCoeffs:
     if not isinstance(doc, dict):
         raise InvalidDataError(f"a coefficient record is a JSON object, got {type(doc).__name__}")
@@ -576,15 +586,7 @@ def coeffs_from_json_dict(doc: dict) -> SymbolCoeffs:
         basis_id, xs, ys = doc["basis_id"], doc["xs"], doc["ys"]
     except KeyError as exc:
         raise InvalidDataError(f"coefficient record lacks {exc}") from None
-    return SymbolCoeffs(
-        basis_id=basis_id,
-        xs=xs,
-        ys=ys,
-        label=doc.get("label"),
-        x0=_finite_or_none(doc.get("x0"), "x0"),
-        y0=_finite_or_none(doc.get("y0"), "y0"),
-        length=_finite_or_none(doc.get("length"), "length"),
-    )
+    return SymbolCoeffs(basis_id, xs, ys, *map(doc.get, ("label", "x0", "y0", "length")))
 
 
 def write_coeffs_jsonl(items: Iterable[SymbolCoeffs], path) -> None:

@@ -782,8 +782,8 @@ class TestAccuracySweep:
     )
     def test_labels_must_be_strings(self, rng, label, message):
         traces = synthetic_digit_traces(rng, per_class=3)
-        traces[4] = InkTrace(traces[4].points, label=label)
         with pytest.raises(InvalidDataError, match=f"^{re.escape(message)}$"):
+            traces[4] = InkTrace(traces[4].points, label=label)
             accuracy_sweep(traces, ["chebyshev"], [1], degree=4)
 
     def test_separable_classes_classify_well(self, rng):

@@ -1,6 +1,7 @@
 """Ingestion, arc-length normalization, and the coefficient pipeline."""
 
 import itertools
+import re
 import sys
 from collections import Counter
 
@@ -120,6 +121,13 @@ class TestInkTrace:
         trace = InkTrace(pts)
         pts[0, 0] = 5.0
         assert trace.points[0, 0] == 0.0
+
+    @pytest.mark.parametrize("label", [7, b"a", ["a"]])
+    def test_label_is_none_or_a_string(self, label):
+        message = f"^label must be a string, got {re.escape(repr(label))}$"
+        with pytest.raises(InvalidDataError, match=message):
+            InkTrace([(0, 0), (1, 1)], label=label)
+        assert InkTrace([(0, 0), (1, 1)], label=None).label is None
 
 
 class TestParseInkml:
@@ -548,6 +556,33 @@ class TestCoeffTable:
         with pytest.raises(InvalidDataError, match=f"^xs and ys must be {message}$"):
             SymbolCoeffs("b", xs, ys)
 
+    @pytest.mark.parametrize("basis_id", [5, None, b"b"])
+    def test_basis_id_is_a_string(self, basis_id):
+        with pytest.raises(InvalidDataError,
+                           match=f"^basis_id must be a string, got {re.escape(repr(basis_id))}$"):
+            SymbolCoeffs(basis_id, [1.0], [2.0])
+
+    @pytest.mark.parametrize(
+        "sidecar, message",
+        [({"x0": np.nan, "y0": 0.0, "length": 1.0}, "x0 is not a finite number: nan"),
+         ({"x0": 0.0, "y0": 0.0, "length": "abc"}, "length is not a finite number: 'abc'"),
+         ({"x0": 0.0, "y0": True, "length": 1.0}, "y0 is not a finite number: True"),
+         ({"x0": 0.0, "y0": 0.0, "length": [1.0]}, "length is not a finite number: [1.0]"),
+         ({"x0": 0.0, "y0": 0.0, "length": np.inf}, "length is not a finite number: inf"),
+         ({"x0": 1.0}, "y0 is not a finite number: None"),
+         ({"length": 2.0}, "x0 is not a finite number: None")],
+        ids=["nan-x0", "string-length", "boolean-y0", "list-length", "infinite-length",
+             "x0-alone", "length-alone"],
+    )
+    def test_sidecar_is_all_none_or_all_finite(self, sidecar, message):
+        with pytest.raises(InvalidDataError, match=f"^{re.escape(message)}$"):
+            SymbolCoeffs("b", [1.0], [2.0], **sidecar)
+
+    def test_sidecar_is_stored_as_floats(self):
+        c = SymbolCoeffs("b", [1.0], [2.0], x0=np.float64(0.5), y0=3, length=np.int64(2))
+        assert (c.x0, c.y0, c.length) == (0.5, 3.0, 2.0)
+        assert [type(v) for v in (c.x0, c.y0, c.length)] == [float, float, float]
+
 
 _NOT_REAL = "^line 3: xs and ys must be arrays of real numbers$"
 
@@ -639,6 +674,22 @@ class TestCoeffsJsonl:
         with pytest.raises(ParseError, match=message) as exc:
             read_coeffs_jsonl(path)
         assert exc.value.line == 3
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [(['{"basis_id": "a", "xs": [1.0], "ys": [2.0]}',
+           '{"basis_id": 5, "xs": [1.0], "ys": [2.0]}'],
+          "^line 2: basis_id must be a string, got 5$"),
+         (['{"basis_id": 5, "xs": [1.0], "ys": [2.0]}'], "^line 1: basis_id must be a string, got 5$"),
+         (['{"basis_id": "b", "xs": [1.0], "ys": [2.0], "x0": 0.5}'],
+          "^line 1: y0 is not a finite number: None$")],
+        ids=["mixed-basis-id-types", "numeric-basis-id", "x0-alone"],
+    )
+    def test_a_record_refuses_its_own_fields(self, tmp_path, lines, message):
+        path = tmp_path / "coeffs.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=message):
+            read_coeffs_jsonl(path)
 
     def test_not_utf8_raises_parse_error(self, rng, tmp_path):
         good = symbol_coeffs(make_random_trace(rng), build_named_basis("chebyshev", 1))

@@ -45,8 +45,8 @@ import numpy as np
 from .bases import DEFAULT_LAMBDA, OrthoBasis, _integer, build_named_basis
 from .errors import BasisMismatchError, InvalidDataError, InvalidParameterError
 from .ink import (
-    CoeffTable, InkTrace, NormalizedTrace, SplineKind, SymbolCoeffs, _normalized_buckets,
-    _project_buckets, _without_constants, reconstruct,
+    CoeffTable, InkTrace, NormalizedTrace, SplineKind, SymbolCoeffs, _check_degree,
+    _normalized_buckets, _project_buckets, _without_constants, reconstruct,
 )
 from .poly import _BLOCK_BYTES, _frozen
 
@@ -398,21 +398,24 @@ def accuracy_sweep(
     Each trace is normalized once, in buckets of equal shape, and projected
     once per weight; each kind votes on the [xs | ys] rows of its projected
     array, with a kind-by-kind projection's bits, and all kinds share one
-    coding of the labels and one split.  The bases are built and the split
-    drawn before any trace is normalized, so a bad kind, degree, lambda or
-    split costs no normalization; then the first failing trace in input
-    order raises what it raises alone.  Returns {"basis", "k", "accuracy",
+    coding of the labels and one split.  The bases are built and checked,
+    the labels coded and the split drawn before any trace is normalized, so
+    a bad kind, degree, lambda, split or missing label costs no
+    normalization; then the first failing trace in input order raises what
+    it raises alone.  Returns {"basis", "k", "accuracy",
     "error_rate"} rows in sweep order.
     """
     if not traces:
         raise InvalidDataError("no traces supplied")
     ks = list(k_range)
     bases = [build_named_basis(kind, degree, lam) for kind in basis_kinds]
+    for basis in bases:
+        _check_degree(basis.degree)
     train, test = _split(len(traces), split_seed, split_ratio)
+    _, codes = _label_codes([t.label for t in traces])
     buckets = _normalized_buckets(traces, spline)
     xys = [_without_constants(coeffs).reshape(len(traces), -1)
            for coeffs in _project_buckets(buckets, bases, len(traces))]
-    _, codes = _label_codes([t.label for t in traces])
     rows = []
     for kind, basis, xy in zip(basis_kinds, bases, xys):
         acc = _accuracy(xy, codes, train, test, _weights(basis), ks)

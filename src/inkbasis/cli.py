@@ -9,17 +9,18 @@ output files, every CSV through _write_csv; diagnostics go to stderr.
 Re-running a command with the same configuration produces byte-identical
 files.
 
-The CLI checks only the ranges it builds itself: --k-min <= --k-max,
---d-min <= --d-max, and in error-sweep --d-min >= 1, since no basis is
-built at --d-min.  Every other value goes to the library as given, and the
-library refuses it: each command builds its basis before it reads any
-input, and knn-eval's accuracy_sweep builds its bases and draws its split
-before it normalizes any trace.  approximate, reconstruct and error-sweep
-share one per-trace loop, _projected, on one basis: error-sweep's is at
---d-max, and each lower degree d reconstructs from the first d + 1
-coefficients of its projection, since a family is a prefix of any of
-higher degree.  An InkBasisError or OSError prints one "error: <message>"
-line and exits 2.
+The CLI checks only the ranges it builds itself: --k-min <= --k-max and
+--d-min <= --d-max.  Every other value goes to the library as given, and
+the library refuses it: approximate, reconstruct and error-sweep build
+their basis, and check the degree of 1 or more that a projection needs
+(error-sweep's at --d-min), before they read any input, and knn-eval's
+accuracy_sweep builds and checks its bases, codes the labels and draws its
+split before it normalizes any trace.  approximate, reconstruct and
+error-sweep share one per-trace loop, _projected, on one basis:
+error-sweep's is at --d-max, and each lower degree d reconstructs from the
+first d + 1 coefficients of its projection, since a family is a prefix of
+any of higher degree.  An InkBasisError or OSError prints one
+"error: <message>" line and exits 2.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .errors import InkBasisError, InvalidParameterError
 from .ink import (
     InkTrace,
     SplineKind,
+    _check_degree,
     arc_length_normalize,
     load_pendigits,
     merge_strokes,
@@ -131,6 +133,7 @@ def cmd_build_basis(args) -> str:
 
 def cmd_approximate(args) -> str:
     basis = build_named_basis(args.basis, args.degree, args.lam)
+    _check_degree(basis.degree)
     traces = _load_traces(args.input)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -146,6 +149,7 @@ def cmd_approximate(args) -> str:
 
 def cmd_reconstruct(args) -> Path:
     basis = build_named_basis(args.basis, args.degree, args.lam)
+    _check_degree(basis.degree)
     traces = _load_traces(args.input)
     rows = []
     for i, trace, normalized, coeffs in _projected(traces, basis, args.spline):
@@ -157,8 +161,7 @@ def cmd_reconstruct(args) -> Path:
 
 
 def cmd_error_sweep(args) -> Path:
-    if args.d_min < 1:  # before any prefix is cut: a slice to a negative d counts from the end
-        raise InvalidParameterError("basis degree must be at least 1")
+    _check_degree(args.d_min)  # before a prefix is cut: a slice to d < 0 counts from the end
     basis = build_named_basis(args.basis, args.d_max, args.lam)
     traces = _load_traces(args.input)
     rows = []

@@ -529,10 +529,15 @@ def to_coeffs(
                    normalized.total_length)
 
 
+def _check_degree(degree: int) -> None:
+    """Refuse a degree below 1: dropping the constant terms leaves no coefficient."""
+    if degree < 1:
+        raise InvalidParameterError("basis degree must be at least 1")
+
+
 def _without_constants(rows: np.ndarray) -> np.ndarray:
     """The degree 1..d coefficients of projected (..., 2, d + 1) rows; d must be at least 1."""
-    if rows.shape[-1] < 2:
-        raise InvalidParameterError("basis degree must be at least 1")
+    _check_degree(rows.shape[-1] - 1)
     return rows[..., 1:]
 
 
@@ -569,8 +574,8 @@ def coeffs_to_json_dict(c: SymbolCoeffs) -> dict:
     doc = {
         "label": c.label,
         "basis_id": c.basis_id,
-        "xs": [float(v) for v in c.xs],
-        "ys": [float(v) for v in c.ys],
+        "xs": c.xs.tolist(),
+        "ys": c.ys.tolist(),
     }
     if c.x0 is not None:
         doc["x0"] = c.x0

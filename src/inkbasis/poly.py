@@ -49,17 +49,34 @@ _DERIV = {
 }
 
 
+_BOOLS = (bool, np.bool_)
+_PLAIN_NUMBERS = frozenset((float, int))
+
+
+def _holds_bool(values) -> bool:
+    """Whether a bool sits anywhere in values: a scalar, or nested lists, tuples and arrays."""
+    if isinstance(values, (list, tuple)):  # a list of Python floats and ints is one pass in C
+        return not _PLAIN_NUMBERS.issuperset(map(type, values)) and any(map(_holds_bool, values))
+    if isinstance(values, np.ndarray):
+        return values.dtype.kind == "b" or (
+            values.dtype == object and any(map(_holds_bool, values.flat)))
+    return isinstance(values, _BOOLS)
+
+
 def _real_array(values, message: str) -> np.ndarray:
     """values as a new float array; anything but real numbers raises InvalidDataError(message).
 
     Strings, bytes, bools and complex numbers are refused before numpy would
-    convert them; None in an object array becomes NaN, for the caller's
-    finite check.
+    convert them, and so is a bool among numbers, which numpy would promote:
+    a numeric array is taken as it is, and anything else is scanned.  None
+    in an object array becomes NaN, for the caller's finite check.
     """
     try:
         array = np.array(values)
-        if array.dtype.kind in "iufO":  # ragged lists and ints past float's range raise here
-            return array.astype(float, copy=False)
+        kind = array.dtype.kind
+        numeric = kind in "iuf" and isinstance(values, np.ndarray)
+        if numeric or kind in "iufO" and not _holds_bool(values):
+            return array.astype(float, copy=False)  # ragged lists and ints past float's range raise
     except (OverflowError, TypeError, ValueError):
         pass
     raise InvalidDataError(message)

@@ -729,8 +729,9 @@ class TestAccuracySweep:
         "kwargs, message",
         [({"lam": math.nan}, "lam must be finite"), ({"degree": 101}, "exceeds the verified"),
          ({"split_ratio": 0.0}, "split_ratio must lie"),
-         ({"split_ratio": 1.5}, "split_ratio must lie")],
-        ids=["nan-lambda", "degree-101", "split-0", "split-1.5"],
+         ({"split_ratio": 1.5}, "split_ratio must lie"),
+         ({"degree": 0}, "basis degree must be at least 1")],
+        ids=["nan-lambda", "degree-101", "split-0", "split-1.5", "degree-0"],
     )
     def test_parameters_are_refused_before_any_trace_is_normalized(
         self, rng, monkeypatch, kwargs, message
@@ -741,6 +742,16 @@ class TestAccuracySweep:
         traces = synthetic_digit_traces(rng, per_class=3)
         with pytest.raises(InvalidParameterError, match=message):
             accuracy_sweep(traces, ["legendre", "chebyshev-sobolev"], [1], **kwargs)
+        assert normalized == []
+
+    def test_a_missing_label_is_refused_before_any_trace_is_normalized(self, rng, monkeypatch):
+        normalized = []
+        monkeypatch.setattr(classify, "_normalized_buckets",
+                            lambda *a: normalized.append(a) or _normalized_buckets(*a))
+        traces = synthetic_digit_traces(rng, per_class=3)
+        traces[-1] = InkTrace(traces[-1].points)
+        with pytest.raises(InvalidDataError, match="^every dataset item needs a label$"):
+            accuracy_sweep(traces, ["legendre"], [1])
         assert normalized == []
 
     @pytest.mark.parametrize("ks", [[2.5], [1, True]])

@@ -447,8 +447,10 @@ def test_every_refusal_exits_2_with_one_error_line_and_no_data_file(
          (["--d-max" if command == "error-sweep" else "--degree", "101"],
           "degree 101 exceeds the verified limit 100"),
      ]]
-    + [pytest.param("error-sweep", ["--d-min", "0"], "basis degree must be at least 1",
-                    id="error-sweep --d-min 0")],
+    + [pytest.param(command, [option, "0"], "basis degree must be at least 1",
+                    id=f"{command} {option} 0")
+       for command, option in [("error-sweep", "--d-min"), ("approximate", "--degree"),
+                               ("reconstruct", "--degree")]],
 )
 def test_parameter_errors_come_before_the_input_is_read(
     tmp_path, capsys, monkeypatch, command, options, message
@@ -463,8 +465,9 @@ def test_parameter_errors_come_before_the_input_is_read(
 @pytest.mark.parametrize(
     "options, message",
     [(["--lambda=nan"], "lam must be finite"), (["--degree", "101"], "exceeds the verified"),
-     (["--split", "0"], "split_ratio must lie"), (["--split", "1.5"], "split_ratio must lie")],
-    ids=["nan-lambda", "degree-101", "split-0", "split-1.5"],
+     (["--split", "0"], "split_ratio must lie"), (["--split", "1.5"], "split_ratio must lie"),
+     (["--degree", "0"], "basis degree must be at least 1")],
+    ids=["nan-lambda", "degree-101", "split-0", "split-1.5", "degree-0"],
 )
 def test_knn_eval_refuses_parameters_before_any_trace_is_normalized(
     tmp_path, capsys, monkeypatch, options, message

@@ -109,8 +109,9 @@ class TestInkTrace:
 
     @pytest.mark.parametrize(
         "points",
-        [[("0", "1"), ("2", "3")], [(True, False), (False, True)], [(1j, 0), (1, 2)]],
-        ids=["numeric-strings", "booleans", "complex"],
+        [[("0", "1"), ("2", "3")], [(True, False), (False, True)], [(1j, 0), (1, 2)],
+         [(0, True), (1, 2)]],
+        ids=["numeric-strings", "booleans", "complex", "a-boolean-among-numbers"],
     )
     def test_numbers_in_other_types_are_refused(self, points):
         with pytest.raises(InvalidDataError, match=r"^trace points must be \(x, y\) pairs"):
@@ -548,9 +549,11 @@ class TestCoeffTable:
          (["1.5"], [1.0], "arrays of real numbers"), ([1.5], [True], "arrays of real numbers"),
          (np.array([1.5]), np.array([True]), "arrays of real numbers"),
          ([b"1"], [1.0], "arrays of real numbers"), ([1.0], [1j], "arrays of real numbers"),
-         ([10**400], [1.0], "arrays of real numbers")],
+         ([10**400], [1.0], "arrays of real numbers"),
+         ([1.5, True], [1.0, 2.0], "arrays of real numbers")],
         ids=["string", "none", "nan", "infinity", "ragged", "unequal-lengths", "numeric-string",
-             "boolean", "boolean-array", "bytes", "complex", "integer-past-float-range"],
+             "boolean", "boolean-array", "bytes", "complex", "integer-past-float-range",
+             "a-boolean-among-numbers"],
     )
     def test_symbol_coeffs_are_finite_numbers(self, xs, ys, message):
         with pytest.raises(InvalidDataError, match=f"^xs and ys must be {message}$"):
@@ -606,6 +609,19 @@ class TestCoeffsJsonl:
             assert np.array_equal(a.xs, b.xs)  # bitwise
             assert np.array_equal(a.ys, b.ys)
             assert a.x0 == b.x0 and a.y0 == b.y0 and a.length == b.length
+
+    def test_written_bytes(self, tmp_path):
+        top = np.finfo(float).max
+        item = SymbolCoeffs("b", [-0.0, 5e-324, top], [1.5, -top, 0.1], "a", -0.0, 5e-324, top)
+        path = tmp_path / "coeffs.jsonl"
+        write_coeffs_jsonl([item], path)
+        assert path.read_bytes() == (
+            b'{"label": "a", "basis_id": "b", "xs": [-0.0, 5e-324, 1.7976931348623157e+308], '
+            b'"ys": [1.5, -1.7976931348623157e+308, 0.1], '
+            b'"x0": -0.0, "y0": 5e-324, "length": 1.7976931348623157e+308}\n'
+        )
+        back = read_coeffs_jsonl(path)[0]
+        assert back.xs.tobytes() == item.xs.tobytes() and back.ys.tobytes() == item.ys.tobytes()
 
     def test_reads_a_bit_exact_table(self, rng, tmp_path):
         basis = build_named_basis("legendre-sobolev", 9)
@@ -682,8 +698,10 @@ class TestCoeffsJsonl:
           "^line 2: basis_id must be a string, got 5$"),
          (['{"basis_id": 5, "xs": [1.0], "ys": [2.0]}'], "^line 1: basis_id must be a string, got 5$"),
          (['{"basis_id": "b", "xs": [1.0], "ys": [2.0], "x0": 0.5}'],
-          "^line 1: y0 is not a finite number: None$")],
-        ids=["mixed-basis-id-types", "numeric-basis-id", "x0-alone"],
+          "^line 1: y0 is not a finite number: None$"),
+         (['{"basis_id": "b", "xs": [1.5, true], "ys": [1.0, 2.0]}'],
+          "^line 1: xs and ys must be arrays of real numbers$")],
+        ids=["mixed-basis-id-types", "numeric-basis-id", "x0-alone", "a-boolean-among-numbers"],
     )
     def test_a_record_refuses_its_own_fields(self, tmp_path, lines, message):
         path = tmp_path / "coeffs.jsonl"

@@ -184,7 +184,8 @@ class TestDensePolyBasics:
         with pytest.raises(InvalidDataError):
             DensePoly(BasisKind.CHEBYSHEV, [])
 
-    @pytest.mark.parametrize("coeffs", [["a"], ["2", False], [True], [1j], [b"1"], [10**400]])
+    @pytest.mark.parametrize(
+        "coeffs", [["a"], ["2", False], [True], [1j], [b"1"], [10**400], [2.0, False]])
     def test_non_numeric_coeffs_are_typed(self, coeffs):
         with pytest.raises(InvalidDataError, match=r"^coeffs must be numbers \(real, not bool\)$"):
             DensePoly(BasisKind.LEGENDRE, coeffs)
@@ -192,13 +193,15 @@ class TestDensePolyBasics:
     @pytest.mark.parametrize("breakpoints, local, name", [
         (["a", "b"], [[1.0]], "breakpoints"), ([-1.0, 1.0], [["a"]], "local coefficients"),
         (["-1", "1"], [[True, "0.5"]], "breakpoints"),
-        ([-1.0, 1.0], [[True, False]], "local coefficients")])
+        ([-1.0, 1.0], [[True, False]], "local coefficients"),
+        ([-1.0, 1.0], [[1.5, True]], "local coefficients"),
+        ([-1, True], [[1.5]], "breakpoints")])
     def test_non_numeric_splines_are_typed(self, breakpoints, local, name):
         with pytest.raises(InvalidDataError, match=rf"^{name} must be numbers \(real, not bool\)$"):
             PiecewisePoly(breakpoints, local)
 
     @pytest.mark.parametrize("basis", list(BasisKind))
-    @pytest.mark.parametrize("points", ["abc", True])
+    @pytest.mark.parametrize("points", ["abc", True, [0.5, True]])
     def test_non_numeric_points_are_typed(self, basis, points):
         with pytest.raises(InvalidDataError, match="^evaluation points must be numbers"):
             DensePoly(basis, [1.0, 2.0])(points)
@@ -207,6 +210,31 @@ class TestDensePolyBasics:
         with pytest.raises(InvalidParameterError,
                            match=r"^unknown basis 'hermite'; expected one of \['legendre', 'chebyshev'\]$"):
             DensePoly("hermite", [1.0])
+
+
+class TestRealArray:
+    @pytest.mark.parametrize(
+        "values",
+        [[True, 1.5], [1.5, True], [(0, True), (1, 2)], [np.True_, 2.0],
+         [np.array([1.0]), np.array([True])], np.array([1.0, True], dtype=object),
+         [[1.0, 2.0], (3.0, False)]],
+        ids=["bool-first", "bool-last", "bool-in-a-pair", "numpy-bool", "bool-array-in-a-list",
+             "object-array", "bool-in-a-nested-tuple"],
+    )
+    def test_a_bool_among_numbers_is_refused(self, values):
+        with pytest.raises(InvalidDataError, match="^not real$"):
+            poly._real_array(values, "not real")
+
+    @pytest.mark.parametrize(
+        "values",
+        [[1.5, 2], [(0, 1), (1, 2.5)], np.arange(3), np.float64(2.0), 3, [np.float64(1.0), 2],
+         np.array([1.0, 2], dtype=object)],
+        ids=["floats-and-ints", "pairs", "int-array", "numpy-scalar", "int", "numpy-floats",
+             "object-array"],
+    )
+    def test_real_numbers_become_floats(self, values):
+        out = poly._real_array(values, "not real")
+        assert out.dtype == float and np.array_equal(out, np.asarray(values, dtype=float))
 
 
 class TestPiecewisePoly:

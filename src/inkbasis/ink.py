@@ -134,10 +134,10 @@ class SymbolCoeffs:
         _check_label(self.label)
         object.__setattr__(self, "xs", _frozen(xs))
         object.__setattr__(self, "ys", _frozen(ys))
-        if not (self.x0 is self.y0 is self.length is None):  # then a missing one is not finite
+        if not (self.x0 is self.y0 is self.length is None):  # all or none: a missing one is refused
             for key in ("x0", "y0", "length"):
                 value = getattr(self, key)
-                if type(value) is not float or not math.isfinite(value):  # _symbol and JSON's floats
+                if type(value) is not float or not math.isfinite(value):  # as _symbol and json give
                     object.__setattr__(self, key, _finite_float(value, key))
 
 

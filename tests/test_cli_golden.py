@@ -4,7 +4,9 @@ Each case runs one CLI command on the small inputs under
 tests/data/cli_golden/ and compares every file it writes with the
 committed copy, byte for byte.  The inputs come from inkbench/gen.py:
 60 pendigits lines (seed 1) and two InkML random walks of 100 and 1000
-points (seed 2).
+points (seed 2).  reconstruct_mixed.txt holds the first 21 of those lines
+with some points repeated in place, so that its lines hold 2 to 8 distinct
+points, three lines of each count in shuffled order: seven buckets, crossed.
 
 An intended change of output bytes is re-baselined with
 
@@ -21,6 +23,7 @@ from inkbasis.cli import main
 
 DATA = Path(__file__).parent / "data" / "cli_golden"
 PENDIGITS = DATA / "pendigits.txt"
+MIXED = DATA / "reconstruct_mixed.txt"
 WALKS = [DATA / "walk_0.inkml", DATA / "walk_1.inkml"]
 
 # name -> (argv without --out, the files the command writes, relative to --out's parent);
@@ -64,6 +67,11 @@ CASES = {
     "reconstruct_cubic": (
         ["reconstruct", str(PENDIGITS), "--spline", "cubic"],
         ["reconstruct_cubic.csv"],
+    ),
+    "reconstruct_mixed": (
+        ["reconstruct", str(MIXED), "--basis", "chebyshev-sobolev", "--degree", "10",
+         "--spline", "linear"],
+        ["reconstruct_mixed.csv"],
     ),
 }
 

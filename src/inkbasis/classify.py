@@ -27,12 +27,12 @@ computes a distance to every row.  Every vote comes from _votes, which
 decides all k = 1..kmax at once and equals the reference _vote in
 tests/oracles.py.
 
-knn_accuracy and accuracy_sweep, the corpus path, vote through one kernel,
-_accuracy, which screens blocks of test rows within poly's byte budget.
-The sweep codes the labels and draws the split once, and each kind votes on
-the [xs | ys] rows of its projected array, with no per-trace object; ink
-buckets and projects the traces, bases shares the moments of the kinds, and
-poly bounds the memory of each pass.
+knn_accuracy and accuracy_sweep vote through one kernel, _accuracy, which
+screens blocks of test rows within poly's byte budget.  The sweep codes the
+labels and draws the split once, and each kind votes on the [xs | ys] rows
+of its projected array, with no per-trace object; ink._corpus, the corpus
+path of every command, buckets and projects the traces, bases shares the
+moments of the kinds, and poly bounds the memory of each pass.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ import numpy as np
 from .bases import DEFAULT_LAMBDA, OrthoBasis, _integer, build_named_basis
 from .errors import BasisMismatchError, InvalidDataError, InvalidParameterError
 from .ink import (
-    CoeffTable, InkTrace, NormalizedTrace, SplineKind, SymbolCoeffs, _check_degree,
-    _normalized_buckets, _project_buckets, _without_constants, reconstruct,
+    CoeffTable, InkTrace, NormalizedTrace, SplineKind, SymbolCoeffs, _check_degree, _corpus,
+    _without_constants, reconstruct,
 )
 from .poly import _BLOCK_BYTES, _frozen
 
@@ -413,9 +413,8 @@ def accuracy_sweep(
         _check_degree(basis.degree)
     train, test = _split(len(traces), split_seed, split_ratio)
     _, codes = _label_codes([t.label for t in traces])
-    buckets = _normalized_buckets(traces, spline)
-    xys = [_without_constants(coeffs).reshape(len(traces), -1)
-           for coeffs in _project_buckets(buckets, bases, len(traces))]
+    xys = [_without_constants(rows).reshape(len(traces), -1)
+           for rows in _corpus(traces, spline, bases)[1]]
     rows = []
     for kind, basis, xy in zip(basis_kinds, bases, xys):
         acc = _accuracy(xy, codes, train, test, _weights(basis), ks)

@@ -15,12 +15,14 @@ the library refuses it: approximate, reconstruct and error-sweep build
 their basis, and check the degree of 1 or more that a projection needs
 (error-sweep's at --d-min), before they read any input, and knn-eval's
 accuracy_sweep builds and checks its bases, codes the labels and draws its
-split before it normalizes any trace.  approximate, reconstruct and
-error-sweep share one per-trace loop, _projected, on one basis:
-error-sweep's is at --d-max, and each lower degree d reconstructs from the
-first d + 1 coefficients of its projection, since a family is a prefix of
-any of higher degree.  An InkBasisError or OSError prints one
-"error: <message>" line and exits 2.
+split before it normalizes any trace.  Every command that projects reads
+its traces' coefficients from one corpus path, ink._corpus, which
+normalizes every trace before it projects any, so a failing trace stops a
+command before it writes a file.  approximate, reconstruct and error-sweep
+read it through _projected, on one basis: error-sweep's is at --d-max, and
+each lower degree d reconstructs from the first d + 1 coefficients of its
+projection, since a family is a prefix of any of higher degree.  An
+InkBasisError or OSError prints one "error: <message>" line and exits 2.
 """
 
 from __future__ import annotations
@@ -38,16 +40,10 @@ from .bases import BASIS_KINDS, DEFAULT_LAMBDA, OrthoBasis, build_named_basis, s
 from .classify import DEFAULT_SPLIT_RATIO, DEFAULT_SPLIT_SEED, accuracy_sweep, representation_error
 from .errors import InkBasisError, InvalidParameterError
 from .ink import (
-    InkTrace,
-    SplineKind,
-    _check_degree,
-    arc_length_normalize,
-    load_pendigits,
-    merge_strokes,
-    parse_inkml,
-    reconstruct,
-    to_coeffs,
+    InkTrace, NormalizedTrace, SplineKind, _check_degree, _corpus, _symbol, load_pendigits,
+    merge_strokes, parse_inkml, reconstruct,
 )
+from .poly import PiecewisePoly
 
 DATA_DIR_ENV = "INKBASIS_DATA_DIR"
 
@@ -111,12 +107,18 @@ def _trace_file_name(index: int, label: str | None) -> str:
 def _projected(traces: list[InkTrace], basis: OrthoBasis, spline: str):
     """Each trace's index, the trace, its normalized curve and its coefficients on basis.
 
-    Each trace is normalized once and projected once, as the traces are
-    consumed; error-sweep's lower degrees take prefixes of that projection.
+    The first step runs the corpus path over all traces: each is normalized
+    and projected once, in its bucket, and a failing trace raises before
+    anything is yielded.  Each curve is its slice of its bucket; error-sweep's
+    lower degrees take prefixes of the projection.
     """
+    buckets, [rows] = _corpus(traces, spline, [basis])
+    curves = {i: NormalizedTrace(PiecewisePoly(k, c), length)
+              for idx, knots, local, total in buckets
+              for i, k, c, length in zip(idx.tolist(), knots, local, total.tolist())}
     for i, trace in enumerate(traces):
-        normalized = arc_length_normalize(trace, spline)
-        yield i, trace, normalized, to_coeffs(normalized, basis, trace.label)
+        curve = curves[i]
+        yield i, trace, curve, _symbol(rows[i], basis.basis_id, trace.label, curve.total_length)
 
 
 def _write_csv(path, header: str, rows: list[str]) -> Path:

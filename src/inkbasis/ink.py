@@ -9,8 +9,10 @@ array; dropping its constant terms yields a translation- and scale-invariant
 fixed-size description of the symbol.
 
 One normalizer takes a bucket of equal point counts for either spline; a
-trace is a bucket of one.  Each bucket is one PiecewisePoly, projected onto
-every basis by one bases._project call, and its rows go back into input order.
+trace is a bucket of one.  Every command turns its traces into coefficients
+through one corpus path, _corpus: it normalizes all buckets, then projects
+each bucket, one PiecewisePoly, onto every basis by one bases._project call,
+and its rows go back into input order.
 
 The natural cubic is solved here, with numpy and a tridiagonal elimination
 on Python floats, and equals scipy's CubicSpline(bc_type="natural") bit for
@@ -479,14 +481,18 @@ def arc_length_normalize(
     return NormalizedTrace(PiecewisePoly(knots[0], local[0]), float(total[0]))
 
 
-def _normalized_buckets(
-    traces: Sequence[InkTrace], spline: SplineKind
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The traces' normalized curves in buckets of equal point counts.
+def _corpus(
+    traces: Sequence[InkTrace], spline: SplineKind, bases: list[OrthoBasis]
+) -> tuple[list[tuple[np.ndarray, ...]], list[np.ndarray]]:
+    """The traces normalized in buckets of equal point counts, and projected onto every basis.
 
     Each bucket is (indices into traces, knots (T, n), local (T, n - 1, 2,
-    width)), normalized together by _normalize.  The first failing trace in
-    input order raises the error it raises alone.
+    width), total lengths (T,)), normalized together by _normalize.  Every
+    bucket is normalized before any is projected, and the first failing
+    trace in input order raises the error it raises alone.  Then each bucket
+    is one PiecewisePoly and one _project call over all bases, and each
+    basis's rows, (len(traces), 2, degree + 1) in input order, equal
+    project's on the same curves.
     """
     spline = _enum_member(SplineKind, spline, "spline")
     groups = {}
@@ -495,25 +501,14 @@ def _normalized_buckets(
     failure = np.zeros(len(traces), dtype=int)
     buckets = []
     for idx in map(np.array, groups.values()):
-        knots, local, _, failure[idx] = _normalize(np.stack([traces[i].points for i in idx]), spline)
-        buckets.append((idx, knots, local))
+        *curves, failure[idx] = _normalize(np.stack([traces[i].points for i in idx]), spline)
+        buckets.append((idx, *curves))
     _raise_first_failure(failure)
-    return buckets
-
-
-def _project_buckets(
-    buckets: list[tuple[np.ndarray, np.ndarray, np.ndarray]], bases: list[OrthoBasis], count: int
-) -> list[np.ndarray]:
-    """(count, 2, degree + 1) per basis: the buckets' curves projected, in input order.
-
-    Each bucket is one PiecewisePoly and one _project call over all bases;
-    each basis's rows equal project's on the same curves.
-    """
-    out = [np.empty((count, 2, b.degree + 1)) for b in bases]
-    for idx, knots, local in buckets:
-        for coeffs, rows in zip(out, _project(PiecewisePoly(knots, local), bases)):
-            coeffs[idx] = rows
-    return out
+    rows = [np.empty((len(traces), 2, b.degree + 1)) for b in bases]
+    for idx, knots, local, _ in buckets:
+        for out, projected in zip(rows, _project(PiecewisePoly(knots, local), bases)):
+            out[idx] = projected
+    return buckets, rows
 
 
 def to_coeffs(

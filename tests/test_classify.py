@@ -30,7 +30,7 @@ from inkbasis import (
 )
 from inkbasis import BASIS_KINDS, BasisKind, bases, classify
 from inkbasis.classify import _nearest, _nearest_rows, _norms, _votes, _weighted_sq, _weights
-from inkbasis.ink import _normalized_buckets
+from inkbasis.ink import _corpus
 from oracles import _vote, dp_match_distance_sq, nearest_rows, quad_inner_series
 
 CHEB10 = build_named_basis("chebyshev", 10)
@@ -710,7 +710,7 @@ class TestAccuracySweep:
         # the kinds of one weight share their moments: the rows equal those
         # of one kind at a time, from half the kernel passes
         traces = synthetic_digit_traces(rng, per_class=8)
-        n_buckets = len(_normalized_buckets(traces, spline))
+        n_buckets = len(_corpus(traces, spline, [])[0])
         assert n_buckets > 1  # the shapes differ in point count
         calls = []
         real = bases._moments
@@ -737,8 +737,8 @@ class TestAccuracySweep:
         self, rng, monkeypatch, kwargs, message
     ):
         normalized = []
-        monkeypatch.setattr(classify, "_normalized_buckets",
-                            lambda *a: normalized.append(a) or _normalized_buckets(*a))
+        monkeypatch.setattr(classify, "_corpus",
+                            lambda *a: normalized.append(a) or _corpus(*a))
         traces = synthetic_digit_traces(rng, per_class=3)
         with pytest.raises(InvalidParameterError, match=message):
             accuracy_sweep(traces, ["legendre", "chebyshev-sobolev"], [1], **kwargs)
@@ -746,8 +746,8 @@ class TestAccuracySweep:
 
     def test_a_missing_label_is_refused_before_any_trace_is_normalized(self, rng, monkeypatch):
         normalized = []
-        monkeypatch.setattr(classify, "_normalized_buckets",
-                            lambda *a: normalized.append(a) or _normalized_buckets(*a))
+        monkeypatch.setattr(classify, "_corpus",
+                            lambda *a: normalized.append(a) or _corpus(*a))
         traces = synthetic_digit_traces(rng, per_class=3)
         traces[-1] = InkTrace(traces[-1].points)
         with pytest.raises(InvalidDataError, match="^every dataset item needs a label$"):

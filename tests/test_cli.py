@@ -118,6 +118,19 @@ class TestApproximate:
         assert "error: basis degree must be at least 1" in capsys.readouterr().err.splitlines()
         assert not list(outdir.glob("*"))
 
+    @pytest.mark.parametrize("spline", ["linear", "cubic"])
+    def test_a_failing_trace_stops_the_run_before_any_file(self, tmp_path, capsys, spline):
+        # every trace is normalized before the first file is written
+        ok, far = tmp_path / "ok.inkml", tmp_path / "far.inkml"
+        ok.write_text(INKML_DOC, encoding="utf-8")
+        far.write_text('<ink xmlns="http://www.w3.org/2003/InkML">'
+                       "<trace>1e308 0, 1e308 1, 1e308 2</trace></ink>", encoding="utf-8")
+        outdir = tmp_path / "o"
+        argv = ["approximate", str(ok), str(ok), str(far), str(ok), "--spline", spline]
+        assert main([*argv, "--out", str(outdir)]) == 2
+        assert capsys.readouterr().err.startswith("error: rescaled coordinates too large: ")
+        assert not list(outdir.glob("*"))
+
     def test_inkml_input(self, tmp_path):
         doc = tmp_path / "sym.inkml"
         doc.write_text(INKML_DOC, encoding="utf-8")
@@ -198,17 +211,25 @@ class TestErrorSweep:
         assert not out.exists()
 
     def test_each_trace_is_projected_once(self, tmp_path, monkeypatch):
-        # every degree truncates the moments taken at --d-max
+        # one moment pass per bucket of equal point counts, at --d-max, which
+        # passes its curves in blocks; every degree truncates those moments
         data = tmp_path / "digits.txt"
         write_pendigits(data, per_class=2)
+        lines = data.read_text().splitlines()
+        for keep in (3, 5, 3):  # the repeated points drop: traces of 3 and 5 points
+            pts = _PROTO[7][:keep] + _PROTO[7][keep - 1 : keep] * (8 - keep)
+            lines.insert(2, ",".join(str(v) for xy in pts for v in xy) + ",7")
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
         calls = []
         real = bases._moments
         monkeypatch.setattr(bases, "_moments", lambda *a: calls.append(a[2]) or real(*a))
         out = tmp_path / "err.csv"
         assert main(["error-sweep", str(data), "--d-min", "2", "--d-max", "9",
                      "--out", str(out)]) == 0
-        assert calls == [9] * 2 * len(_PROTO)
-        assert len(out.read_text().splitlines()) == 1 + 8 * 2 * len(_PROTO)
+        assert calls == [9] * 3
+        rows = out.read_text().splitlines()[1:]
+        assert [r.split(",")[:2] for r in rows] == [
+            [str(i), str(d)] for i in range(len(lines)) for d in range(2, 10)]
 
     def test_one_basis_per_run(self, tmp_path, monkeypatch):
         # every degree is a prefix of the family at --d-max
@@ -473,8 +494,8 @@ def test_knn_eval_refuses_parameters_before_any_trace_is_normalized(
     tmp_path, capsys, monkeypatch, options, message
 ):
     normalized = []
-    real = classify._normalized_buckets
-    monkeypatch.setattr(classify, "_normalized_buckets",
+    real = classify._corpus
+    monkeypatch.setattr(classify, "_corpus",
                         lambda *a: normalized.append(a) or real(*a))
     data = tmp_path / "digits.txt"
     write_pendigits(data, per_class=6)

@@ -31,7 +31,7 @@ from inkbasis import (
     to_coeffs,
     write_coeffs_jsonl,
 )
-from inkbasis.ink import _MAX_RESCALED, _normalize, _normalized_buckets, _project_buckets
+from inkbasis.ink import _MAX_RESCALED, _corpus, _normalize
 from inkbasis.poly import _BLOCK_BYTES
 
 PENDIGITS_LINE = "0,100, 0,0, 100,0, 100,100, 0,100, 0,0, 50,50, 100,50, 7"
@@ -335,8 +335,6 @@ class TestBuckets:
         width = 2 if spline is SplineKind.LINEAR else 4
         block = _BLOCK_BYTES // (8 * 2 * (degree + width) * 7)
         traces = [make_random_trace(rng, 8, 8) for _ in range(block + 1)]
-        [(idx, knots, local)] = _normalized_buckets(traces, spline)  # one shape, one bucket
-        np.testing.assert_array_equal(idx, np.arange(block + 1))
         bases = [build_named_basis(kind, degree) for kind in BASIS_KINDS]
         want = []
         for basis in bases:
@@ -344,16 +342,30 @@ class TestBuckets:
             want.append(np.array([[[c.x0, *c.xs], [c.y0, *c.ys]] for c in alone]))
         for size in sorted({1, 2, block - 1, block, block + 1}):
             # the four kinds together, in one _project call
-            got = _project_buckets([(idx[:size], knots[:size], local[:size])], bases, size)
+            [(idx, *_)], got = _corpus(traces[:size], spline, bases)  # one shape, one bucket
+            np.testing.assert_array_equal(idx, np.arange(size))
             for kind, rows, rows_alone in zip(BASIS_KINDS, got, want):
                 assert np.array_equal(rows, rows_alone[:size]), f"{kind}, {size} traces"
+
+    @pytest.mark.parametrize("spline", [SplineKind.LINEAR, SplineKind.CUBIC])
+    def test_corpus_buckets_hold_each_curve_as_alone(self, rng, spline):
+        # the CLI's normalized curves and lengths are slices of the buckets
+        traces = [make_random_trace(rng, 2, 9) for _ in range(30)]
+        buckets, rows = _corpus(traces, spline, [])
+        assert rows == []
+        assert sorted(np.concatenate([idx for idx, *_ in buckets])) == list(range(30))
+        for idx, knots, local, total in buckets:
+            for i, k, c, length in zip(idx, knots, local, total):
+                alone = arc_length_normalize(traces[i], spline)
+                assert np.array_equal(k, alone.knots) and np.array_equal(c, alone.curve.local)
+                assert length == alone.total_length
 
     def test_a_far_trace_fails_the_corpus_where_it_stands(self):
         far = InkTrace([(1e308, 0.0), (1e308, 1.0), (1e308, 2.0)], label="1")
         ok = [InkTrace([(0.0, 0.0), (1.0, i), (2.0, 0.0)], label=str(i % 2)) for i in range(1, 7)]
         for spline in SplineKind:
             with pytest.raises(InvalidDataError, match="^rescaled coordinates too large: "):
-                _normalized_buckets([*ok[:3], far, *ok[3:]], spline)
+                _corpus([*ok[:3], far, *ok[3:]], spline, [])
             with pytest.raises(InvalidDataError, match="^rescaled coordinates too large: "):
                 accuracy_sweep([*ok[:3], far, *ok[3:]], ["chebyshev-sobolev"], [1], degree=3,
                                spline=spline)
@@ -369,11 +381,9 @@ class TestBuckets:
         real = poly.PiecewisePoly.__post_init__
         monkeypatch.setattr(poly.PiecewisePoly, "__post_init__",
                             lambda self: calls.append(np.shape(self.breakpoints)) or real(self))
-        buckets = _normalized_buckets(traces, spline)
-        calls.clear()
-        [rows] = _project_buckets(buckets, [basis], len(traces))
+        buckets, [rows] = _corpus(traces, spline, [basis])
         counts = Counter(len(t.points) for t in traces)
-        assert sorted(len(idx) for idx, _, _ in buckets) == sorted(counts.values())
+        assert sorted(len(idx) for idx, *_ in buckets) == sorted(counts.values())
         width = 2 if spline is SplineKind.LINEAR else 4
         assert counts[9] > _BLOCK_BYTES // (8 * 2 * (10 + width) * 8)
         assert len(calls) == len(buckets) and all(len(shape) == 2 for shape in calls)
@@ -394,7 +404,7 @@ class TestBuckets:
             with pytest.raises(InvalidDataError) as alone:
                 arc_length_normalize(traces[1], spline)
             with pytest.raises(InvalidDataError, match=f"^{alone.value}$"):
-                _normalized_buckets(traces, spline)
+                _corpus(traces, spline, [])
 
 
 def midpoint_resample(trace: InkTrace) -> InkTrace:

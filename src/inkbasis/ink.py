@@ -198,11 +198,17 @@ def parse_pendigits(source: str | Iterable[str]) -> list[InkTrace]:
 
     The first 16 fields are eight (x, y) pairs, the last is the class digit.
     Blank lines are skipped; anything else malformed, a sample with fewer
-    than two distinct points included, raises ParseError with its line number.
+    than two distinct points or a line that is not a string included, raises
+    ParseError with its line number.  A source that is neither a string nor
+    an iterable of lines raises InvalidDataError.
     """
+    if isinstance(source, (bytes, bytearray)) or not isinstance(source, (str, Iterable)):
+        raise InvalidDataError(f"source must be text or lines of text, got {type(source).__name__}")
     lines = source.splitlines() if isinstance(source, str) else source
     traces = []
     for lineno, raw in enumerate(lines, start=1):
+        if not isinstance(raw, str):
+            raise ParseError(f"a line must be a string, got {type(raw).__name__}", lineno)
         line = raw.strip()
         if not line:
             continue
@@ -236,8 +242,12 @@ def parse_inkml(document: str | bytes | IO) -> list[InkTrace]:
 
     Each trace element holds comma-separated points whose coordinates are
     space-separated; only the first two channels are read.  A document-level
-    annotation, when present, becomes the label of every trace.
+    annotation, when present, becomes the label of every trace.  The document
+    is its text or an open file; a path goes to load_inkml.
     """
+    if not isinstance(document, (str, bytes)) and not hasattr(document, "read"):
+        raise InvalidDataError(f"document must be str, bytes or a file object, got "
+                               f"{type(document).__name__}")
     try:
         if isinstance(document, (str, bytes)):
             root = ET.fromstring(document)
@@ -288,6 +298,9 @@ def merge_strokes(traces: Iterable[InkTrace], label: str | None = None) -> InkTr
     traces = list(traces)
     if not traces:
         raise InvalidDataError("no strokes to merge")
+    odd = [t for t in traces if not isinstance(t, InkTrace)]
+    if odd:
+        raise InvalidDataError(f"strokes must be InkTraces, got {type(odd[0]).__name__}")
     if label is None:
         label = traces[0].label
     return InkTrace(np.vstack([t.points for t in traces]), label=label)
@@ -475,6 +488,8 @@ def arc_length_normalize(
     size, or sampling density.  The trace is a bucket of one for the corpus
     path's normalizer.
     """
+    if not isinstance(trace, InkTrace):
+        raise InvalidDataError(f"trace must be an InkTrace, got {type(trace).__name__}")
     spline = _enum_member(SplineKind, spline, "spline")
     knots, local, total, failure = _normalize(trace.points[None], spline)
     _raise_first_failure(failure)
@@ -520,6 +535,9 @@ def to_coeffs(
     scaling of the source trace, and do not depend on how densely the
     curve was sampled.
     """
+    if not isinstance(normalized, NormalizedTrace):
+        raise InvalidDataError(
+            f"normalized must be a NormalizedTrace, got {type(normalized).__name__}")
     return _symbol(project(normalized.curve, basis), basis.basis_id, label,
                    normalized.total_length)
 
@@ -555,8 +573,20 @@ def reconstruct(
     """x and y of the truncated series at parameters s, in the input frame.
 
     Restores the constant terms x0, y0 and undoes normalization's 2/L
-    rescale, from the sidecar that SymbolCoeffs holds all or none of.
+    rescale, from the sidecar that SymbolCoeffs holds all or none of.  The
+    record must be of this basis, as for match_symbol: its basis_id that of
+    basis, with at most basis.degree coefficients per coordinate, or
+    BasisMismatchError is raised.  So a record of another family, lambda or
+    degree is refused, a lower degree of the same family included, and a
+    prefix of a projection, which keeps its basis's id, is accepted.
     """
+    if not isinstance(coeffs, SymbolCoeffs):
+        raise InvalidDataError(f"coeffs must be a SymbolCoeffs, got {type(coeffs).__name__}")
+    if not isinstance(basis, OrthoBasis):
+        raise InvalidParameterError(f"basis must be an OrthoBasis, got {type(basis).__name__}")
+    if coeffs.basis_id != basis.basis_id or len(coeffs.xs) > basis.degree:
+        raise BasisMismatchError(f"coefficient bases differ: {coeffs.basis_id} with "
+                                 f"{len(coeffs.xs)} per coordinate vs {basis.basis_id}")
     if coeffs.x0 is None:
         raise InvalidDataError("coefficients lack the constant-term sidecar")
     px = synthesize(np.concatenate([[coeffs.x0], coeffs.xs]), basis)

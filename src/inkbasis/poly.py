@@ -199,7 +199,7 @@ class PiecewisePoly:
         bp = self.breakpoints
         if bp.ndim != 1:
             raise InvalidParameterError("a bucket of curves is evaluated curve by curve")
-        xs = np.asarray(s, dtype=float)
+        xs = _real_array(s, "evaluation points must be numbers (real, not bool)")
         j = np.clip(np.searchsorted(bp, xs, side="right") - 1, 0, len(self.local) - 1)
         t = (xs - bp[j]).reshape(xs.shape + (1,) * (self.local.ndim - 2))
         c = self.local[j]

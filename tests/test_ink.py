@@ -1,6 +1,8 @@
 """Ingestion, arc-length normalization, and the coefficient pipeline."""
 
+import dataclasses
 import itertools
+import os
 import re
 import sys
 from collections import Counter
@@ -27,6 +29,7 @@ from inkbasis import (
     project,
     read_coeffs_jsonl,
     reconstruct,
+    representation_error,
     symbol_coeffs,
     to_coeffs,
     write_coeffs_jsonl,
@@ -518,6 +521,38 @@ class TestReconstruct:
         with pytest.raises(InvalidDataError):
             reconstruct(bare, basis, 0.0)
 
+    @pytest.mark.parametrize("kind, degree", [
+        ("legendre", 5), ("chebyshev", 5), ("chebyshev", 2), ("chebyshev-sobolev", 3)])
+    def test_another_basis_is_refused(self, kind, degree):
+        # a lower degree of the same family is refused too, as match_symbol refuses it
+        trace = InkTrace([(0, 0), (2, 1), (3, 3), (5, 2)])
+        n = arc_length_normalize(trace)
+        c = to_coeffs(n, build_named_basis("chebyshev", 3))
+        other = build_named_basis(kind, degree)
+        message = (r"^coefficient bases differ: chebyshev\(degree=3\) with 3 per coordinate vs "
+                   f"{re.escape(other.basis_id)}$")
+        with pytest.raises(BasisMismatchError, match=message):
+            reconstruct(c, other, 0.0)
+        with pytest.raises(BasisMismatchError, match=message):
+            representation_error(trace, n, c, other)
+
+    def test_more_coefficients_than_the_basis_has_are_refused(self):
+        basis = build_named_basis("legendre-sobolev", 3)
+        c = SymbolCoeffs(basis.basis_id, np.ones(4), np.ones(4), None, 0.0, 0.0, 1.0)
+        with pytest.raises(BasisMismatchError, match="with 4 per coordinate vs legendre-sobolev"):
+            reconstruct(c, basis, 0.0)
+
+    @pytest.mark.parametrize("kind", BASIS_KINDS)
+    def test_a_prefix_keeps_its_basis_and_reconstructs_as_the_lower_degree(self, rng, kind):
+        # error-sweep's lower degrees: a prefix of the projection at --d-max
+        n = arc_length_normalize(make_random_trace(rng))
+        high, low = build_named_basis(kind, 9), build_named_basis(kind, 4)
+        c = to_coeffs(n, high)
+        prefix = dataclasses.replace(c, xs=c.xs[:4], ys=c.ys[:4])
+        got = reconstruct(prefix, high, n.knots)
+        want = reconstruct(to_coeffs(n, low), low, n.knots)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
 
 class TestCoeffTable:
     def make(self, rng, basis, n):
@@ -734,3 +769,41 @@ class TestCoeffsJsonl:
         path.write_text("", encoding="utf-8")
         back = read_coeffs_jsonl(path)
         assert isinstance(back, CoeffTable) and not back
+
+
+_CHEB3 = build_named_basis("chebyshev", 3)
+_LINE3 = symbol_coeffs(InkTrace([(0, 0), (1, 2)]), _CHEB3)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda fd: parse_inkml(fd), InvalidDataError,
+     "^document must be str, bytes or a file object, got int$"),
+    (lambda fd: parse_inkml(123), InvalidDataError,
+     "^document must be str, bytes or a file object, got int$"),
+    (lambda fd: parse_pendigits(123), InvalidDataError,
+     "^source must be text or lines of text, got int$"),
+    (lambda fd: parse_pendigits(PENDIGITS_LINE.encode()), InvalidDataError,
+     "^source must be text or lines of text, got bytes$"),
+    (lambda fd: parse_pendigits([PENDIGITS_LINE, 7]), ParseError,
+     "^line 2: a line must be a string, got int$"),
+    (lambda fd: merge_strokes([1]), InvalidDataError, "^strokes must be InkTraces, got int$"),
+    (lambda fd: arc_length_normalize("x"), InvalidDataError,
+     "^trace must be an InkTrace, got str$"),
+    (lambda fd: to_coeffs("x", _CHEB3), InvalidDataError,
+     "^normalized must be a NormalizedTrace, got str$"),
+    (lambda fd: reconstruct("x", _CHEB3, 0.0), InvalidDataError,
+     "^coeffs must be a SymbolCoeffs, got str$"),
+    (lambda fd: reconstruct(_LINE3, "x", 0.0),
+     InvalidParameterError, "^basis must be an OrthoBasis, got str$"),
+], ids=["inkml-descriptor", "inkml-int", "pendigits-int", "pendigits-bytes", "pendigits-line",
+        "merge-strokes", "normalize", "to-coeffs", "reconstruct-coeffs", "reconstruct-basis"])
+def test_wrong_kinds_of_argument_are_typed_errors(tmp_path, call, error, message):
+    doc = tmp_path / "sym.inkml"
+    doc.write_text('<ink><trace>0 0, 1 1</trace></ink>', encoding="utf-8")
+    fd = os.open(doc, os.O_RDONLY)
+    try:
+        with pytest.raises(error, match=message):
+            call(fd)
+        os.fstat(fd)  # the caller's descriptor is still open
+    finally:
+        os.close(fd)

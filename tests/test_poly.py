@@ -292,6 +292,13 @@ class TestPiecewisePoly:
         f = PiecewisePoly(np.array([-1.0, 1.0]), [[[0.0, 1.0], [2.0, 0.0]]])
         np.testing.assert_array_equal(f(1.0), [2.0, 2.0])
 
+    @pytest.mark.parametrize("points", ["abc", True, [0.5, True]])
+    def test_non_numeric_points_are_typed(self, points):
+        f = PiecewisePoly([-1.0, 1.0], [[1.0, 2.0]])
+        with pytest.raises(InvalidDataError,
+                           match=r"^evaluation points must be numbers \(real, not bool\)$"):
+            f(points)
+
     def test_rejects_deeper_value_axes(self):
         with pytest.raises(InvalidDataError):
             PiecewisePoly(np.array([-1.0, 1.0]), np.zeros((1, 1, 1, 2)))

@@ -34,7 +34,9 @@ from .errors import (
     BasisMismatchError, InvalidDataError, InvalidParameterError, ParseError, _enum_member,
     open_utf8,
 )
-from .poly import BasisKind, DensePoly, PiecewisePoly, Weight, _frozen, _moments, _real_array
+from .poly import (
+    _BLOCK_BYTES, BasisKind, DensePoly, PiecewisePoly, Weight, _frozen, _moments, _real_array,
+)
 
 DEFAULT_LAMBDA = 0.125
 MAX_DEGREE = 100  # largest degree the projection is verified at against quadrature
@@ -141,6 +143,11 @@ def inner_closed_form(f: DensePoly, g: DensePoly, spec: InnerProductSpec) -> flo
     No integration is performed; a lam that a basis of the operands' degree
     refuses is refused here too.
     """
+    for name, value in (("f", f), ("g", g)):
+        if not isinstance(value, DensePoly):
+            raise InvalidDataError(f"{name} must be a DensePoly, got {type(value).__name__}")
+    if not isinstance(spec, InnerProductSpec):
+        raise InvalidParameterError(f"spec must be an InnerProductSpec, got {type(spec).__name__}")
     cb = spec.classical_basis
     if f.basis is not cb or g.basis is not cb:
         raise BasisMismatchError(
@@ -211,6 +218,12 @@ class OrthoBasis:
         return DensePoly(self.classical_basis, self.expansion[i, : i + 1])
 
 
+def _check_basis(basis) -> None:
+    """Refuse a basis that is not an OrthoBasis, before any work that would read it."""
+    if not isinstance(basis, OrthoBasis):
+        raise InvalidParameterError(f"basis must be an OrthoBasis, got {type(basis).__name__}")
+
+
 def _forward(v: np.ndarray, ell: np.ndarray) -> None:
     """v[..., k] -= ell[k] * v[..., k - 2] in place, for k = 2, 3, ... in turn."""
     vt = v.T
@@ -235,6 +248,9 @@ def project(f: PiecewisePoly, basis: OrthoBasis) -> np.ndarray:
     A curve's row has the same bits in a bucket as alone, and at a degree as
     truncated from any higher degree.
     """
+    _check_basis(basis)
+    if not isinstance(f, PiecewisePoly):
+        raise InvalidDataError(f"f must be a PiecewisePoly, got {type(f).__name__}")
     return _project(f, [basis])[0]
 
 
@@ -261,6 +277,52 @@ def _project(f: PiecewisePoly, bases: list[OrthoBasis]) -> list[np.ndarray]:
         _forward(v, basis.ell)
         out.append(v / basis.sq_norms)
     return out
+
+
+def _evaluate(rows: np.ndarray, basis: OrthoBasis, s: np.ndarray, degrees=None):
+    """Yield (part, d, sum_{k <= d} rows[part, ..., k] S_k(s)) for each d in degrees, ascending.
+
+    rows holds series coefficients on the family, (m, D + 1) for one set or
+    (T, m, D + 1) for a bucket, with D at most basis.degree; degrees default
+    to (D,).  s holds points shared by every set, (n,), or, for a bucket, the
+    points of each curve, (T, 1, n); the sums are (m, n) or (block, m, n),
+    and part is the slice of the bucket axis they cover.  One walk over k =
+    0..D carries B_k by its three-term recurrence (Legendre by Bonnet's step
+    in DensePoly's order, Chebyshev as 2 s T_{k-1} - T_{k-2}), Q_k = B_k -
+    b_k B_{k-2}, S_k = Q_k - ell_k S_{k-2} and the running sum.  Only +, -, *
+    and / run, elementwise, in a fixed order, and entry k depends only on
+    entries below k: the sum at d has the bits of the basis of degree d, and
+    a curve's sums have the same bits in a bucket as alone.  A bucket passes
+    in blocks of curves whose sums fit poly's _BLOCK_BYTES.
+    """
+    top = rows.shape[-1] - 1
+    wanted = frozenset([top] if degrees is None else degrees)
+    legendre = basis.classical_basis is BasisKind.LEGENDRE
+    if s.ndim == rows.ndim:  # each curve its own points: blocks of curves
+        block = max(1, _BLOCK_BYTES // (8 * rows[0, ..., 0].size * s.shape[-1]))
+        parts = [slice(i, i + block) for i in range(0, len(rows), block)]
+    else:
+        parts = [slice(None)]
+    for part in parts:
+        a, x = rows[part], s[part] if s.ndim == rows.ndim else s
+        two_x = 2.0 * x  # exact
+        b_prev = s_prev = b_prev2 = s_prev2 = None
+        for k in range(top + 1):
+            if k == 0:
+                b_k = np.ones(x.shape)
+            elif k == 1:
+                b_k = x
+            elif legendre:
+                b_k = ((2 * k - 1) * x * b_prev - (k - 1) * b_prev2) / k
+            else:
+                b_k = two_x * b_prev - b_prev2
+            q_k = b_k - basis.b[k] * b_prev2 if basis.b[k] else b_k
+            s_k = q_k - basis.ell[k] * s_prev2 if basis.ell[k] else q_k
+            term = a[..., k, None] * s_k
+            total = term if k == 0 else total + term
+            if k in wanted:
+                yield part, k, total
+            b_prev2, b_prev, s_prev2, s_prev = b_prev, b_k, s_prev, s_k
 
 
 def synthesize(coeffs, basis: OrthoBasis) -> DensePoly:
@@ -329,6 +391,7 @@ def basis_from_json_dict(doc: dict) -> OrthoBasis:
 
 
 def save_basis(basis: OrthoBasis, path) -> None:
+    _check_basis(basis)  # before the file is opened, and so emptied
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(basis_to_json_dict(basis), fh, indent=2)
         fh.write("\n")

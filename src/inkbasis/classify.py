@@ -38,11 +38,12 @@ moments of the kinds, and poly bounds the memory of each pass.
 from __future__ import annotations
 
 import numbers
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bases import DEFAULT_LAMBDA, OrthoBasis, _integer, build_named_basis
+from .bases import DEFAULT_LAMBDA, OrthoBasis, _check_basis, _integer, build_named_basis
 from .errors import BasisMismatchError, InvalidDataError, InvalidParameterError
 from .ink import (
     CoeffTable, InkTrace, NormalizedTrace, SplineKind, SymbolCoeffs, _check_degree, _corpus,
@@ -117,8 +118,7 @@ def _row_weights(
     Both are made on the table's first use and kept in its _norms slot: a
     table has one basis_id, and a basis_id names one basis.
     """
-    if not isinstance(basis, OrthoBasis):
-        raise InvalidParameterError(f"basis must be an OrthoBasis, got {type(basis).__name__}")
+    _check_basis(basis)
     if not isinstance(query, SymbolCoeffs):
         raise InvalidDataError(f"query must be a SymbolCoeffs, got {type(query).__name__}")
     if table.basis_id != query.basis_id or query.basis_id != basis.basis_id:
@@ -268,10 +268,16 @@ def representation_error(
 ) -> float:
     """Summed pointwise distance between a trace and its reconstruction.
 
-    The truncated series is evaluated at the knot parameters, mapped back
-    to the input frame (undo the 2/L rescale, restore the constant terms),
-    and compared point by point with the source trace.
+    The truncated series is evaluated at the knot parameters by reconstruct,
+    mapped back to the input frame (undo the 2/L rescale, restore the
+    constant terms), and compared point by point with the source trace: the
+    sum over the points of np.hypot, by np.sum, as error-sweep sums each degree.
     """
+    if not isinstance(trace, InkTrace):
+        raise InvalidDataError(f"trace must be an InkTrace, got {type(trace).__name__}")
+    if not isinstance(normalized, NormalizedTrace):
+        raise InvalidDataError(
+            f"normalized must be a NormalizedTrace, got {type(normalized).__name__}")
     if len(normalized.knots) != len(trace.points):
         raise InvalidDataError(
             f"{len(normalized.knots)} knots vs {len(trace.points)} points"
@@ -291,6 +297,9 @@ def match_symbol(
     match only.  Any other sequence is stacked once per call, so it pays the
     stacking and the norm pass on every call.
     """
+    if not isinstance(models, Sequence):
+        raise InvalidDataError(
+            f"models must be a CoeffTable or a list of SymbolCoeffs, got {type(models).__name__}")
     if not models:
         raise InvalidDataError("no models to match against")
     table = models if isinstance(models, CoeffTable) else CoeffTable(tuple(models))
@@ -405,8 +414,16 @@ def accuracy_sweep(
     it raises alone.  Returns {"basis", "k", "accuracy",
     "error_rate"} rows in sweep order.
     """
+    if not isinstance(traces, Sequence):
+        raise InvalidDataError(f"traces must be a list of InkTraces, got {type(traces).__name__}")
+    odd = [t for t in traces if not isinstance(t, InkTrace)]
+    if odd:
+        raise InvalidDataError(f"traces must be InkTraces, got {type(odd[0]).__name__}")
     if not traces:
         raise InvalidDataError("no traces supplied")
+    if not isinstance(k_range, Iterable):
+        raise InvalidParameterError(
+            f"k_range must be a range or a list of integers, got {type(k_range).__name__}")
     ks = list(k_range)
     bases = [build_named_basis(kind, degree, lam) for kind in basis_kinds]
     for basis in bases:

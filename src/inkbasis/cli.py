@@ -31,19 +31,16 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .bases import BASIS_KINDS, DEFAULT_LAMBDA, OrthoBasis, build_named_basis, save_basis
-from .classify import DEFAULT_SPLIT_RATIO, DEFAULT_SPLIT_SEED, accuracy_sweep, representation_error
+from .bases import BASIS_KINDS, DEFAULT_LAMBDA, OrthoBasis, _evaluate, build_named_basis, save_basis
+from .classify import DEFAULT_SPLIT_RATIO, DEFAULT_SPLIT_SEED, accuracy_sweep
 from .errors import InkBasisError, InvalidParameterError
 from .ink import (
-    InkTrace, NormalizedTrace, SplineKind, _check_degree, _corpus, _symbol, load_pendigits,
-    merge_strokes, parse_inkml, reconstruct,
+    InkTrace, SplineKind, _check_degree, _corpus, load_pendigits, merge_strokes, parse_inkml,
 )
-from .poly import PiecewisePoly
 
 DATA_DIR_ENV = "INKBASIS_DATA_DIR"
 
@@ -104,21 +101,21 @@ def _trace_file_name(index: int, label: str | None) -> str:
     return stem + ".csv"
 
 
-def _projected(traces: list[InkTrace], basis: OrthoBasis, spline: str):
-    """Each trace's index, the trace, its normalized curve and its coefficients on basis.
+def _reconstructions(traces: list[InkTrace], basis: OrthoBasis, spline: str, degrees=None):
+    """Yield (indices, d, x and y (T, 2, n) in the input frame) for each block of each bucket.
 
-    The first step runs the corpus path over all traces: each is normalized
-    and projected once, in its bucket, and a failing trace raises before
-    anything is yielded.  Each curve is its slice of its bucket; error-sweep's
-    lower degrees take prefixes of the projection.
+    The corpus path normalizes every trace and projects it once, in its
+    bucket, and a failing trace raises before anything is yielded.  Then one
+    pass of bases._evaluate per bucket sums the series at the bucket's knots
+    for every d in degrees (default: basis.degree, ascending), and undoes
+    normalization's 2/L rescale; the sum at d has the bits of the basis of
+    degree d, and a curve's values have the same bits as alone.
     """
     buckets, [rows] = _corpus(traces, spline, [basis])
-    curves = {i: NormalizedTrace(PiecewisePoly(k, c), length)
-              for idx, knots, local, total in buckets
-              for i, k, c, length in zip(idx.tolist(), knots, local, total.tolist())}
-    for i, trace in enumerate(traces):
-        curve = curves[i]
-        yield i, trace, curve, _symbol(rows[i], basis.basis_id, trace.label, curve.total_length)
+    for idx, knots, _, total in buckets:
+        scale = (total / 2.0)[:, None, None]
+        for part, d, values in _evaluate(rows[idx], basis, knots[:, None], degrees):
+            yield idx[part], d, values * scale[part]
 
 
 def _write_csv(path, header: str, rows: list[str]) -> Path:
@@ -137,14 +134,21 @@ def cmd_approximate(args) -> str:
     basis = build_named_basis(args.basis, args.degree, args.lam)
     _check_degree(basis.degree)
     traces = _load_traces(args.input)
+    buckets, [projected] = _corpus(traces, args.spline, [basis])
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    knots, scale = [None] * len(traces), np.empty(len(traces))
+    for idx, bucket_knots, _, total in buckets:
+        scale[idx] = total / 2.0
+        for i, k in zip(idx.tolist(), bucket_knots):
+            knots[i] = k
     samples = np.linspace(-1.0, 1.0, 200)
-    for i, trace, normalized, coeffs in _projected(traces, basis, args.spline):
-        xhat, yhat = reconstruct(coeffs, basis, samples)
+    (_, _, values), = _evaluate(projected, basis, samples)  # one table of S_k serves every trace
+    values *= scale[:, None, None]
+    for i, trace in enumerate(traces):
         rows = [f"{_fmt(s)},{_fmt(x)},{_fmt(y)},original"
-                for s, (x, y) in zip(normalized.knots, trace.points)]
-        rows += [f"{_fmt(s)},{_fmt(x)},{_fmt(y)},approx" for s, x, y in zip(samples, xhat, yhat)]
+                for s, (x, y) in zip(knots[i], trace.points)]
+        rows += [f"{_fmt(s)},{_fmt(x)},{_fmt(y)},approx" for s, x, y in zip(samples, *values[i])]
         _write_csv(outdir / _trace_file_name(i, trace.label), "s,x,y,kind", rows)
     return f"{len(traces)} files to {outdir}"
 
@@ -153,9 +157,12 @@ def cmd_reconstruct(args) -> Path:
     basis = build_named_basis(args.basis, args.degree, args.lam)
     _check_degree(basis.degree)
     traces = _load_traces(args.input)
+    hats = [None] * len(traces)
+    for idx, _, values in _reconstructions(traces, basis, args.spline):
+        for i, hat in zip(idx.tolist(), values):
+            hats[i] = hat
     rows = []
-    for i, trace, normalized, coeffs in _projected(traces, basis, args.spline):
-        xhat, yhat = reconstruct(coeffs, basis, normalized.knots)
+    for i, (trace, (xhat, yhat)) in enumerate(zip(traces, hats)):
         rows += [f"{i},{j},original,{_fmt(x)},{_fmt(y)}" for j, (x, y) in enumerate(trace.points)]
         rows += [f"{i},{j},reconstructed,{_fmt(x)},{_fmt(y)}"
                  for j, (x, y) in enumerate(zip(xhat, yhat))]
@@ -163,14 +170,19 @@ def cmd_reconstruct(args) -> Path:
 
 
 def cmd_error_sweep(args) -> Path:
-    _check_degree(args.d_min)  # before a prefix is cut: a slice to d < 0 counts from the end
+    _check_degree(args.d_min)
     basis = build_named_basis(args.basis, args.d_max, args.lam)
     traces = _load_traces(args.input)
-    rows = []
-    for i, trace, normalized, coeffs in _projected(traces, basis, args.spline):
-        for d in range(args.d_min, args.d_max + 1):
-            prefix = replace(coeffs, xs=coeffs.xs[:d], ys=coeffs.ys[:d])
-            rows.append(f"{i},{d},{_fmt(representation_error(trace, normalized, prefix, basis))}")
+    errors = np.empty((len(traces), args.d_max + 1 - args.d_min))
+    for idx, d, values in _reconstructions(traces, basis, args.spline,
+                                            range(args.d_min, args.d_max + 1)):
+        if d == args.d_min:  # a block's first degree: its traces' points, as x and y rows
+            points = np.stack([traces[i].points.T for i in idx.tolist()])
+        off = points - values
+        # representation_error's reduction: hypot per point, np.sum over the points
+        errors[idx, d - args.d_min] = np.sum(np.hypot(off[:, 0], off[:, 1]), axis=-1)
+    rows = [f"{i},{d},{_fmt(e)}" for i, per_degree in enumerate(errors.tolist())
+            for d, e in enumerate(per_degree, start=args.d_min)]
     return _write_csv(args.out, "trace_id,degree,error", rows)
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 import xml.etree.ElementTree as ET
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -31,12 +32,12 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .bases import OrthoBasis, _project, project, synthesize
+from .bases import OrthoBasis, _check_basis, _evaluate, _project, project
 from .errors import (
     BasisMismatchError, InvalidDataError, InvalidParameterError, ParseError, _enum_member,
     open_utf8,
 )
-from .poly import PiecewisePoly, _frozen, _real_array
+from .poly import PiecewisePoly, _frozen, _points, _real_array
 
 
 class SplineKind(str, enum.Enum):
@@ -72,10 +73,20 @@ class InkTrace:
         object.__setattr__(self, "points", _frozen(pts))
 
     def translated(self, dx: float, dy: float) -> "InkTrace":
-        return replace(self, points=self.points + np.array([dx, dy]))
+        return replace(self, points=self.points + np.array([_real(dx, "dx"), _real(dy, "dy")]))
 
     def scaled(self, factor: float) -> "InkTrace":
-        return replace(self, points=self.points * float(factor))
+        return replace(self, points=self.points * _real(factor, "factor"))
+
+
+def _real(value, name: str) -> float:
+    """value as a float; anything but a real number, a bool included, is refused."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer past float's range
+            pass
+    raise InvalidParameterError(f"{name} must be a real number, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -295,6 +306,9 @@ def merge_strokes(traces: Iterable[InkTrace], label: str | None = None) -> InkTr
     Pen-up gaps become straight connecting segments.  The label defaults to
     the first stroke's label.
     """
+    if not isinstance(traces, Iterable):
+        raise InvalidDataError(f"strokes must be an iterable of InkTraces, got "
+                               f"{type(traces).__name__}")
     traces = list(traces)
     if not traces:
         raise InvalidDataError("no strokes to merge")
@@ -564,6 +578,7 @@ def symbol_coeffs(
     trace: InkTrace, basis: OrthoBasis, spline: SplineKind = SplineKind.LINEAR
 ) -> SymbolCoeffs:
     """Full pipeline: normalize a raw trace and project it."""
+    _check_basis(basis)
     return to_coeffs(arc_length_normalize(trace, spline), basis, label=trace.label)
 
 
@@ -578,21 +593,24 @@ def reconstruct(
     basis, with at most basis.degree coefficients per coordinate, or
     BasisMismatchError is raised.  So a record of another family, lambda or
     degree is refused, a lower degree of the same family included, and a
-    prefix of a projection, which keeps its basis's id, is accepted.
+    prefix of a projection, which keeps its basis's id, is accepted.  The
+    series is summed by bases._evaluate at the record's own degree, so a
+    prefix reconstructs, bit for bit, as on the basis of its degree.  A
+    parameter that is not a finite real number raises InvalidDataError.
     """
     if not isinstance(coeffs, SymbolCoeffs):
         raise InvalidDataError(f"coeffs must be a SymbolCoeffs, got {type(coeffs).__name__}")
-    if not isinstance(basis, OrthoBasis):
-        raise InvalidParameterError(f"basis must be an OrthoBasis, got {type(basis).__name__}")
+    _check_basis(basis)
     if coeffs.basis_id != basis.basis_id or len(coeffs.xs) > basis.degree:
         raise BasisMismatchError(f"coefficient bases differ: {coeffs.basis_id} with "
                                  f"{len(coeffs.xs)} per coordinate vs {basis.basis_id}")
     if coeffs.x0 is None:
         raise InvalidDataError("coefficients lack the constant-term sidecar")
-    px = synthesize(np.concatenate([[coeffs.x0], coeffs.xs]), basis)
-    py = synthesize(np.concatenate([[coeffs.y0], coeffs.ys]), basis)
-    scale = coeffs.length / 2.0
-    return px(s) * scale, py(s) * scale
+    xs = _points(s)
+    rows = np.array([[coeffs.x0, *coeffs.xs], [coeffs.y0, *coeffs.ys]])
+    (_, _, values), = _evaluate(rows, basis, xs.reshape(-1))
+    x, y = values.reshape((2, *xs.shape)) * (coeffs.length / 2.0)
+    return (float(x), float(y)) if xs.ndim == 0 else (x, y)
 
 
 def coeffs_to_json_dict(c: SymbolCoeffs) -> dict:

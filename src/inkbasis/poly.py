@@ -82,6 +82,18 @@ def _real_array(values, message: str) -> np.ndarray:
     raise InvalidDataError(message)
 
 
+def _points(s) -> np.ndarray:
+    """Evaluation points as a float array, the one conversion of every evaluator.
+
+    A point that is not a real number, or not finite (None, NaN, +-inf),
+    raises InvalidDataError.
+    """
+    xs = _real_array(s, "evaluation points must be numbers (real, not bool)")
+    if not np.isfinite(xs).all():
+        raise InvalidDataError("evaluation points must be finite")
+    return xs
+
+
 @dataclass(frozen=True)
 class DensePoly:
     """Coefficients of a polynomial in a named classical basis.
@@ -106,7 +118,7 @@ class DensePoly:
 
     def __call__(self, x):
         """Value at scalar or array x; Legendre by Bonnet's recurrence, Chebyshev by Clenshaw's."""
-        xs = _real_array(x, "evaluation points must be numbers (real, not bool)")
+        xs = _points(x)
         if self.basis is BasisKind.CHEBYSHEV:
             out = _cheb.chebval(xs, self.coeffs)
             return float(out) if np.ndim(out) == 0 else out
@@ -199,7 +211,7 @@ class PiecewisePoly:
         bp = self.breakpoints
         if bp.ndim != 1:
             raise InvalidParameterError("a bucket of curves is evaluated curve by curve")
-        xs = _real_array(s, "evaluation points must be numbers (real, not bool)")
+        xs = _points(s)
         j = np.clip(np.searchsorted(bp, xs, side="right") - 1, 0, len(self.local) - 1)
         t = (xs - bp[j]).reshape(xs.shape + (1,) * (self.local.ndim - 2))
         c = self.local[j]

@@ -1,5 +1,6 @@
 """Inner products, orthogonal family construction, projection, synthesis."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as npcheb
@@ -35,14 +37,18 @@ from inkbasis import (
     synthesize,
 )
 from conftest import make_random_trace
-from inkbasis import BASIS_KINDS, OrthoBasis, arc_length_normalize, bases, poly, symbol_coeffs
-from inkbasis.bases import MAX_DEGREE, _project
+from inkbasis import (
+    BASIS_KINDS, OrthoBasis, arc_length_normalize, bases, poly, representation_error,
+    symbol_coeffs, to_coeffs,
+)
+from inkbasis.bases import MAX_DEGREE, _evaluate, _project
 from inkbasis.poly import _BLOCK_BYTES
 from oracles import (
     closed_form_sobolev_gram,
     global_segments,
     gram_schmidt_by_quadrature,
     gram_schmidt_closed_form,
+    mpmath_series_sums,
     mpmath_sobolev_basis,
     piecewise_derivative_eval,
     project_by_rows,
@@ -670,6 +676,120 @@ class TestSynthesize:
             got = synthesize(c[: k + 1], b).coeffs
             own = synthesize(c[: k + 1], build_named_basis(kind, k)).coeffs
             assert got.tobytes() == own.tobytes()
+
+
+def evaluated(rows, basis, s, degrees=None) -> dict:
+    """bases._evaluate's running sums with its blocks put back together: {d: array}."""
+    out = {}
+    for _, d, values in _evaluate(rows, basis, s, degrees):
+        out.setdefault(d, []).append(values)
+    return {d: np.concatenate(v) if s.ndim == rows.ndim else v[0] for d, v in out.items()}
+
+
+def evaluation_digests() -> dict[str, str]:
+    """sha256 of every kind's running sums, at every degree, for fixed series and points."""
+    rng = np.random.default_rng(27)
+    rows = rng.uniform(-1.0, 1.0, (3, 2, MAX_DEGREE + 1))
+    s = np.sort(rng.uniform(-1.0, 1.0, (3, 1, 50)))
+    return {kind: hashlib.sha256(b"".join(
+        v.tobytes() for v in evaluated(rows, build_named_basis(kind, MAX_DEGREE), s,
+                                       range(MAX_DEGREE + 1)).values())).hexdigest()
+        for kind in BASIS_KINDS}
+
+
+U = 2.0**-53  # the unit roundoff
+
+
+class TestEvaluate:
+    """The one evaluation kernel: every degree's sum in one pass of the family recurrence.
+
+    The stated bound: on [-1, 1], a running sum at degree d is within
+    2 (d + 1) u sum_{k <= d} |a_k| of the exact sum of the same series (u =
+    2^-53), and a summed reconstruction error over n points within
+    2 n (d + 1) u (L / 2) sum_k (|x_k| + |y_k|) + n u E, L the trace's length
+    and E the error.  It is measured, not proven: the worst share of it seen
+    here is about 0.47, at d = 1, where (d + 1) u sum |a_k| is proven.
+    """
+
+    @pytest.mark.parametrize("degree", [40, 100])
+    @pytest.mark.parametrize("kind", BASIS_KINDS)
+    def test_within_the_stated_bound_of_mpmath(self, kind, degree):
+        rng = np.random.default_rng(degree)
+        basis = build_named_basis(kind, degree)
+        trace = make_random_trace(rng, 30, 30)
+        n = arc_length_normalize(trace)
+        projected = project(n.curve, basis)
+        # a projection's decaying coefficients, and coefficients that do not decay
+        for rows in (projected, rng.uniform(-1.0, 1.0, (2, degree + 1))):
+            s = np.r_[-1.0, -1.0 + 2.0**-30, np.sort(rng.uniform(-1.0, 1.0, 24)), 1.0]
+            exact = mpmath_series_sums(rows, basis, s)
+            got = evaluated(rows, basis, s, range(degree + 1))
+            for d in range(degree + 1):
+                bound = 2 * (d + 1) * U * np.abs(rows[:, : d + 1]).sum(axis=1)
+                error = np.abs(got[d] - exact[d].astype(float))
+                assert (error <= bound[:, None]).all(), (d, (error / bound[:, None]).max())
+        # the summed error of the reconstruction at the knots, for the top degree and a prefix
+        exact = mpmath_series_sums(projected, basis, n.knots)
+        c = to_coeffs(n, basis)
+        half = mpmath.mpf(n.total_length) / 2
+        for d in (degree // 2, degree):
+            prefix = dataclasses.replace(c, xs=c.xs[:d], ys=c.ys[:d])
+            got = representation_error(trace, n, prefix, basis)
+            want = mpmath.fsum(mpmath.sqrt((mpmath.mpf(px) - x * half) ** 2
+                                           + (mpmath.mpf(py) - y * half) ** 2)
+                               for (px, py), x, y in zip(trace.points.tolist(), *exact[d]))
+            size, terms = len(trace.points), np.abs(projected[:, : d + 1]).sum()
+            bound = size * (2 * (d + 1) * U * n.total_length / 2 * terms + U * got)
+            assert abs(got - want) <= bound, (d, float(abs(got - want) / bound))
+
+    @pytest.mark.parametrize("kind", BASIS_KINDS)
+    def test_a_prefix_has_the_bits_of_the_lower_degree_basis(self, kind):
+        rng = np.random.default_rng(3)
+        rows = rng.uniform(-1.0, 1.0, (3, 2, 41))
+        s = np.sort(rng.uniform(-1.0, 1.0, (3, 1, 60)))
+        every = evaluated(rows, build_named_basis(kind, 40), s, range(41))
+        assert sorted(every) == list(range(41))
+        for d in range(41):
+            (_, top, own), = _evaluate(rows[..., : d + 1], build_named_basis(kind, d), s)
+            assert top == d and np.array_equal(every[d], own), d
+
+    @pytest.mark.parametrize("kind", BASIS_KINDS)
+    def test_a_bucket_has_the_bits_of_each_curve_alone(self, kind):
+        # curves of 300 points: 27 per block, so 55 curves cross two block boundaries
+        rng = np.random.default_rng(4)
+        block = poly._BLOCK_BYTES // (8 * 2 * 300)
+        rows = rng.uniform(-1.0, 1.0, (2 * block + 1, 2, 21))
+        s = np.sort(rng.uniform(-1.0, 1.0, (2 * block + 1, 1, 300)))
+        basis = build_named_basis(kind, 20)
+        parts = [(part, values) for part, _, values in _evaluate(rows, basis, s)]
+        assert [p.start for p, _ in parts] == [0, block, 2 * block]
+        assert max(values.nbytes for _, values in parts) <= poly._BLOCK_BYTES
+        bucket = evaluated(rows, basis, s, range(21))
+        for i in range(len(rows)):
+            alone = evaluated(rows[i], basis, s[i, 0], range(21))
+            assert all(np.array_equal(bucket[d][i], alone[d]) for d in range(21)), i
+        # points shared by every curve sum as each curve's own copy of them
+        shared, copies = s[0, 0], np.broadcast_to(s[0], s.shape)
+        assert np.array_equal(evaluated(rows, basis, shared)[20],
+                              evaluated(rows, basis, copies)[20])
+
+    def test_plain_legendre_sums_as_densepoly_evaluates(self):
+        # Bonnet's step in DensePoly's order, so error-sweep's legendre bytes did not move
+        rng = np.random.default_rng(5)
+        c, s = rng.uniform(-1.0, 1.0, 41), np.sort(rng.uniform(-1.0, 1.0, 80))
+        every = evaluated(c[None], build_named_basis("legendre", 40), s, range(41))
+        for d in range(41):
+            assert np.array_equal(every[d][0], DensePoly(BasisKind.LEGENDRE, c[: d + 1])(s)), d
+
+    def test_bits_do_not_depend_on_numpy_simd_loops(self):
+        # only +, -, * and / run, which round exactly on every CPU
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
+        code = ("import json, sys; sys.path.insert(0, 'tests'); import test_bases; "
+                "print(json.dumps(test_bases.evaluation_digests()))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, cwd=Path(__file__).parents[1],
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr[-2000:]
+        assert json.loads(out.stdout) == evaluation_digests()
 
 
 def identity_document(degree: int) -> dict:

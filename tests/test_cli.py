@@ -1,11 +1,12 @@
 """Command-line interface: files in, CSV/JSON out, exit codes."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from inkbasis import bases, classify, cli, load_basis
+from inkbasis import arc_length_normalize, bases, classify, cli, load_basis, reconstruct, to_coeffs
 from inkbasis.cli import main
 
 INKML_DOC = """<ink xmlns="http://www.w3.org/2003/InkML">
@@ -34,6 +35,17 @@ def write_pendigits(path, per_class=12, seed=0):
             lines.append(f"{flat},{label}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return len(lines)
+
+
+def mixed_pendigits(path):
+    """Pendigits lines of 3, 5 and 8 distinct points, mixed: three buckets; returns the traces."""
+    write_pendigits(path, per_class=2)
+    lines = path.read_text().splitlines()
+    for at, keep in ((1, 3), (4, 5), (2, 3)):  # repeated points drop
+        pts = _PROTO[7][:keep] + _PROTO[7][keep - 1 : keep] * (8 - keep)
+        lines.insert(at, ",".join(str(v) for xy in pts for v in xy) + ",7")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return cli._load_traces([str(path)])
 
 
 def straight_line_pendigits(path):
@@ -104,6 +116,22 @@ class TestApproximate:
         assert kinds == {"original", "approx"}
         assert sum(r.endswith("approx") for r in rows) == 200
 
+    def test_samples_are_the_library_reconstruction(self, tmp_path):
+        # one table of the family at the shared samples serves every trace
+        data = tmp_path / "digits.txt"
+        traces = mixed_pendigits(data)
+        outdir = tmp_path / "approx"
+        assert main(["approximate", str(data), "--degree", "7", "--out", str(outdir)]) == 0
+        basis = bases.build_named_basis("chebyshev-sobolev", 7)
+        samples = np.linspace(-1.0, 1.0, 200)
+        for i, trace in enumerate(traces):
+            n = arc_length_normalize(trace)
+            xhat, yhat = reconstruct(to_coeffs(n, basis), basis, samples)
+            rows = (outdir / f"trace_{i:05d}_{trace.label}.csv").read_text().splitlines()
+            assert [r for r in rows if r.endswith(",approx")] == [
+                f"{s!r},{x!r},{y!r},approx"
+                for s, x, y in zip(samples.tolist(), xhat.tolist(), yhat.tolist())]
+
     def test_missing_input_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("INKBASIS_DATA_DIR", raising=False)
         rc = main(["approximate", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "o")])
@@ -152,6 +180,21 @@ class TestReconstruct:
         assert sum(",original," in r for r in rows) == 8
         assert sum(",reconstructed," in r for r in rows) == 8
 
+    @pytest.mark.parametrize("spline", ["linear", "cubic"])
+    def test_rows_are_the_library_reconstruction(self, tmp_path, spline):
+        data = tmp_path / "digits.txt"
+        traces = mixed_pendigits(data)
+        out = tmp_path / "recon.csv"
+        assert main(["reconstruct", str(data), "--spline", spline, "--out", str(out)]) == 0
+        basis = bases.build_named_basis("chebyshev-sobolev", 10)
+        want = []
+        for i, trace in enumerate(traces):
+            n = arc_length_normalize(trace, spline)
+            xhat, yhat = reconstruct(to_coeffs(n, basis), basis, n.knots)
+            want += [f"{i},{j},reconstructed,{x!r},{y!r}"
+                     for j, (x, y) in enumerate(zip(xhat.tolist(), yhat.tolist()))]
+        assert [r for r in out.read_text().splitlines() if ",reconstructed," in r] == want
+
     def test_line_reconstructs_exactly(self, tmp_path):
         data = tmp_path / "digits.txt"
         straight_line_pendigits(data)
@@ -167,6 +210,26 @@ class TestReconstruct:
 
 
 class TestErrorSweep:
+    @pytest.mark.parametrize("spline", ["linear", "cubic"])
+    @pytest.mark.parametrize("kind", bases.BASIS_KINDS)
+    def test_each_degree_is_the_representation_error_of_its_prefix(self, tmp_path, kind, spline):
+        # one pass of the family recurrence per bucket gives every degree the bits of
+        # representation_error on the prefix record, one trace at a time
+        data = tmp_path / "digits.txt"
+        traces = mixed_pendigits(data)
+        out = tmp_path / "err.csv"
+        assert main(["error-sweep", str(data), "--basis", kind, "--spline", spline,
+                     "--d-min", "1", "--d-max", "12", "--out", str(out)]) == 0
+        basis = bases.build_named_basis(kind, 12)
+        want = []
+        for i, trace in enumerate(traces):
+            n = arc_length_normalize(trace, spline)
+            c = to_coeffs(n, basis)
+            for d in range(1, 13):
+                prefix = dataclasses.replace(c, xs=c.xs[:d], ys=c.ys[:d])
+                want.append(f"{i},{d},{classify.representation_error(trace, n, prefix, basis)!r}")
+        assert out.read_text().splitlines()[1:] == want
+
     def test_straight_line_errors_are_tiny(self, tmp_path):
         data = tmp_path / "line.txt"
         straight_line_pendigits(data)

@@ -13,8 +13,10 @@ import pytest
 from conftest import make_random_trace, near_duplicate_knots, skewed_knots
 from inkbasis import BASIS_KINDS, InvalidParameterError, poly
 from inkbasis import (
+    BasisKind,
     BasisMismatchError,
     CoeffTable,
+    DensePoly,
     InkTrace,
     InvalidDataError,
     ParseError,
@@ -23,6 +25,8 @@ from inkbasis import (
     accuracy_sweep,
     arc_length_normalize,
     build_named_basis,
+    inner_closed_form,
+    match_symbol,
     merge_strokes,
     parse_inkml,
     parse_pendigits,
@@ -30,6 +34,7 @@ from inkbasis import (
     read_coeffs_jsonl,
     reconstruct,
     representation_error,
+    save_basis,
     symbol_coeffs,
     to_coeffs,
     write_coeffs_jsonl,
@@ -514,6 +519,23 @@ class TestReconstruct:
         with pytest.raises(InvalidDataError, match="^evaluation points must be numbers"):
             reconstruct(c, basis, "abc")
 
+    @pytest.mark.parametrize("points", [None, np.nan, np.inf, -np.inf, [0.5, None],
+                                        [0.5, np.nan], np.array([0.5, np.inf]), [-np.inf, 0.5]])
+    def test_points_that_are_not_finite_are_refused(self, points):
+        basis = build_named_basis("chebyshev-sobolev", 3)
+        c = symbol_coeffs(InkTrace([(0, 0), (2, 1), (3, 3)]), basis)
+        with pytest.raises(InvalidDataError, match="^evaluation points must be finite$"):
+            reconstruct(c, basis, points)
+
+    def test_array_of_any_shape(self, rng):
+        basis = build_named_basis("legendre-sobolev", 6)
+        c = symbol_coeffs(make_random_trace(rng), basis)
+        s = np.linspace(-1.0, 1.0, 12)
+        xs, ys = reconstruct(c, basis, s)
+        xg, yg = reconstruct(c, basis, s.reshape(3, 4))
+        assert xg.shape == yg.shape == (3, 4)
+        assert np.array_equal(xg.ravel(), xs) and np.array_equal(yg.ravel(), ys)
+
     def test_missing_sidecar(self):
         basis = build_named_basis("chebyshev", 3)
         c = symbol_coeffs(InkTrace([(0, 0), (2, 1), (3, 3)]), basis)
@@ -772,7 +794,10 @@ class TestCoeffsJsonl:
 
 
 _CHEB3 = build_named_basis("chebyshev", 3)
-_LINE3 = symbol_coeffs(InkTrace([(0, 0), (1, 2)]), _CHEB3)
+_TRACE3 = InkTrace([(0, 0), (1, 2)], label="a")
+_NORM3 = arc_length_normalize(_TRACE3)
+_LINE3 = symbol_coeffs(_TRACE3, _CHEB3)
+_LEG1 = DensePoly(BasisKind.LEGENDRE, [1.0, 2.0])
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -795,8 +820,47 @@ _LINE3 = symbol_coeffs(InkTrace([(0, 0), (1, 2)]), _CHEB3)
      "^coeffs must be a SymbolCoeffs, got str$"),
     (lambda fd: reconstruct(_LINE3, "x", 0.0),
      InvalidParameterError, "^basis must be an OrthoBasis, got str$"),
+    (lambda fd: merge_strokes(123), InvalidDataError,
+     "^strokes must be an iterable of InkTraces, got int$"),
+    (lambda fd: to_coeffs(_NORM3, "x"), InvalidParameterError,
+     "^basis must be an OrthoBasis, got str$"),
+    (lambda fd: symbol_coeffs(_TRACE3, "x"), InvalidParameterError,
+     "^basis must be an OrthoBasis, got str$"),
+    (lambda fd: project(_NORM3.curve, "x"), InvalidParameterError,
+     "^basis must be an OrthoBasis, got str$"),
+    (lambda fd: project("x", _CHEB3), InvalidDataError, "^f must be a PiecewisePoly, got str$"),
+    (lambda fd: _TRACE3.translated("a", 1), InvalidParameterError,
+     "^dx must be a real number, got str$"),
+    (lambda fd: _TRACE3.translated(1, True), InvalidParameterError,
+     "^dy must be a real number, got bool$"),
+    (lambda fd: _TRACE3.scaled("x"), InvalidParameterError,
+     "^factor must be a real number, got str$"),
+    (lambda fd: _TRACE3.scaled(10**400), InvalidParameterError,
+     "^factor must be a real number, got int$"),
+    (lambda fd: match_symbol(_LINE3, 5, _CHEB3), InvalidDataError,
+     "^models must be a CoeffTable or a list of SymbolCoeffs, got int$"),
+    (lambda fd: representation_error("t", _NORM3, _LINE3, _CHEB3), InvalidDataError,
+     "^trace must be an InkTrace, got str$"),
+    (lambda fd: representation_error(_TRACE3, "n", _LINE3, _CHEB3), InvalidDataError,
+     "^normalized must be a NormalizedTrace, got str$"),
+    (lambda fd: accuracy_sweep([_TRACE3], ["legendre"], 5), InvalidParameterError,
+     "^k_range must be a range or a list of integers, got int$"),
+    (lambda fd: accuracy_sweep(_TRACE3, ["legendre"], [1]), InvalidDataError,
+     "^traces must be a list of InkTraces, got InkTrace$"),
+    (lambda fd: accuracy_sweep([_TRACE3, "t"], ["legendre"], [1]), InvalidDataError,
+     "^traces must be InkTraces, got str$"),
+    (lambda fd: save_basis("x", fd), InvalidParameterError,
+     "^basis must be an OrthoBasis, got str$"),
+    (lambda fd: inner_closed_form(1, 2, _CHEB3.spec), InvalidDataError,
+     "^f must be a DensePoly, got int$"),
+    (lambda fd: inner_closed_form(_LEG1, _LEG1, "s"), InvalidParameterError,
+     "^spec must be an InnerProductSpec, got str$"),
 ], ids=["inkml-descriptor", "inkml-int", "pendigits-int", "pendigits-bytes", "pendigits-line",
-        "merge-strokes", "normalize", "to-coeffs", "reconstruct-coeffs", "reconstruct-basis"])
+        "merge-strokes", "normalize", "to-coeffs", "reconstruct-coeffs", "reconstruct-basis",
+        "merge-strokes-int", "to-coeffs-basis", "symbol-coeffs-basis", "project-basis",
+        "project-curve", "translated-dx", "translated-dy", "scaled", "scaled-overflow",
+        "match-models", "error-trace", "error-normalized", "sweep-k-range", "sweep-traces",
+        "sweep-trace", "save-basis", "inner-operand", "inner-spec"])
 def test_wrong_kinds_of_argument_are_typed_errors(tmp_path, call, error, message):
     doc = tmp_path / "sym.inkml"
     doc.write_text('<ink><trace>0 0, 1 1</trace></ink>', encoding="utf-8")

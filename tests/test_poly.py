@@ -37,6 +37,11 @@ def leg(*coeffs):
     return DensePoly(BasisKind.LEGENDRE, np.array(coeffs, dtype=float))
 
 
+# None, NaN and +-inf, alone and among finite points
+NON_FINITE_POINTS = [None, np.nan, np.inf, -np.inf, [0.5, None], [0.5, np.nan],
+                     np.array([0.5, np.inf]), [[0.0, -np.inf]]]
+
+
 class TestClenshaw:
     def test_t2_at_half(self):
         assert cheb(0, 0, 1)(0.5) == pytest.approx(-0.5, abs=1e-15)
@@ -206,6 +211,12 @@ class TestDensePolyBasics:
         with pytest.raises(InvalidDataError, match="^evaluation points must be numbers"):
             DensePoly(basis, [1.0, 2.0])(points)
 
+    @pytest.mark.parametrize("basis", list(BasisKind))
+    @pytest.mark.parametrize("points", NON_FINITE_POINTS)
+    def test_points_that_are_not_finite_are_refused(self, basis, points):
+        with pytest.raises(InvalidDataError, match="^evaluation points must be finite$"):
+            DensePoly(basis, [1.0, 2.0])(points)
+
     def test_unknown_basis_is_typed(self):
         with pytest.raises(InvalidParameterError,
                            match=r"^unknown basis 'hermite'; expected one of \['legendre', 'chebyshev'\]$"):
@@ -297,6 +308,12 @@ class TestPiecewisePoly:
         f = PiecewisePoly([-1.0, 1.0], [[1.0, 2.0]])
         with pytest.raises(InvalidDataError,
                            match=r"^evaluation points must be numbers \(real, not bool\)$"):
+            f(points)
+
+    @pytest.mark.parametrize("points", NON_FINITE_POINTS)
+    def test_points_that_are_not_finite_are_refused(self, points):
+        f = PiecewisePoly([-1.0, 1.0], [[1.0, 2.0]])
+        with pytest.raises(InvalidDataError, match="^evaluation points must be finite$"):
             f(points)
 
     def test_rejects_deeper_value_axes(self):

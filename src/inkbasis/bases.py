@@ -12,12 +12,16 @@ Each weight forms a coherent pair with itself: with B_k its classical
 elements, Q_k = B_k - b_k B_{k-2} has derivative c_k B_{k-1}, so the Gram
 matrix of the Q_k has only the diagonals |i - j| in {0, 2} and its LDL^T
 factor is the recurrence S_k = Q_k - ell_k S_{k-2}.  That recurrence, in a
-fixed elementwise order, builds, projects and synthesizes.  Each S_k has
-leading classical coefficient one, so the families become the classical
-ones as lam goes to zero, and a family is a prefix of any of higher degree:
-the first d + 1 coefficients of a projection, and the polynomial that
-synthesize makes of them on the higher basis, are bit for bit those of the
-basis of degree d.
+fixed elementwise order, builds, projects, evaluates and synthesizes.  Each
+S_k has leading classical coefficient one, so the families become the
+classical ones as lam goes to zero, and a family is a prefix of any of
+higher degree: the first d + 1 coefficients of a projection, the polynomial
+that synthesize makes of them on the higher basis, and their sum at any
+points, are bit for bit those of the basis of degree d.  One kernel,
+_evaluate, sums a series at points: a single walk over k gives the running
+sum at every degree, for one set of coefficients or a bucket, within
+2 (d + 1) u sum |a_k| of the exact sum on [-1, 1] (u = 2^-53; a bound
+checked against mpmath, not proven).
 """
 
 from __future__ import annotations
@@ -301,10 +305,10 @@ def _evaluate(rows: np.ndarray, basis: OrthoBasis, s: np.ndarray, degrees=None):
     if s.ndim == rows.ndim:  # each curve its own points: blocks of curves
         block = max(1, _BLOCK_BYTES // (8 * rows[0, ..., 0].size * s.shape[-1]))
         parts = [slice(i, i + block) for i in range(0, len(rows), block)]
-    else:
+    else:  # one table of the family serves every set
         parts = [slice(None)]
     for part in parts:
-        a, x = rows[part], s[part] if s.ndim == rows.ndim else s
+        a, x = rows[part], s[part]
         two_x = 2.0 * x  # exact
         b_prev = s_prev = b_prev2 = s_prev2 = None
         for k in range(top + 1):

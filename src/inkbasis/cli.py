@@ -19,10 +19,15 @@ split before it normalizes any trace.  Every command that projects reads
 its traces' coefficients from one corpus path, ink._corpus, which
 normalizes every trace before it projects any, so a failing trace stops a
 command before it writes a file.  approximate, reconstruct and error-sweep
-read it through _projected, on one basis: error-sweep's is at --d-max, and
-each lower degree d reconstructs from the first d + 1 coefficients of its
-projection, since a family is a prefix of any of higher degree.  An
-InkBasisError or OSError prints one "error: <message>" line and exits 2.
+project on one basis, error-sweep's at --d-max, and sum their series with
+one kernel, bases._evaluate: reconstruct and error-sweep in one pass per
+bucket at the bucket's knots, approximate in one pass over every trace at
+the shared samples.  error-sweep's pass hands back the running sum at every
+degree d from --d-min to --d-max, which has the bits of the basis of degree
+d, since a family is a prefix of any of higher degree; each degree's error
+is then the sum over the points of np.hypot, as representation_error sums
+it.  An InkBasisError or OSError prints one "error: <message>" line and
+exits 2.
 """
 
 from __future__ import annotations
@@ -170,7 +175,7 @@ def cmd_reconstruct(args) -> Path:
 
 
 def cmd_error_sweep(args) -> Path:
-    _check_degree(args.d_min)
+    _check_degree(args.d_min)  # as for the other commands: degree 0 leaves no coefficient
     basis = build_named_basis(args.basis, args.d_max, args.lam)
     traces = _load_traces(args.input)
     errors = np.empty((len(traces), args.d_max + 1 - args.d_min))

@@ -12,7 +12,9 @@ One normalizer takes a bucket of equal point counts for either spline; a
 trace is a bucket of one.  Every command turns its traces into coefficients
 through one corpus path, _corpus: it normalizes all buckets, then projects
 each bucket, one PiecewisePoly, onto every basis by one bases._project call,
-and its rows go back into input order.
+and its rows go back into input order.  reconstruct maps coefficients back
+to points through bases._evaluate, the kernel the commands sum a whole
+bucket with, so a record gives the same bits alone as in a command.
 
 The natural cubic is solved here, with numpy and a tridiagonal elimination
 on Python floats, and equals scipy's CubicSpline(bc_type="natural") bit for

@@ -794,7 +794,7 @@ class TestCoeffsJsonl:
 
 
 _CHEB3 = build_named_basis("chebyshev", 3)
-_TRACE3 = InkTrace([(0, 0), (1, 2)], label="a")
+_TRACE3 = InkTrace([(0, 0), (1, 2)])
 _NORM3 = arc_length_normalize(_TRACE3)
 _LINE3 = symbol_coeffs(_TRACE3, _CHEB3)
 _LEG1 = DensePoly(BasisKind.LEGENDRE, [1.0, 2.0])

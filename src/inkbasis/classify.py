@@ -16,7 +16,8 @@ _weights, never negative and exactly 0 on duplicates.
 Every neighbour list, for match_symbol, knn_classify and the corpus vote,
 comes from one kernel, _nearest_rows, which screens before it refines.  The
 screen expands each distance as xn + qn - 2 <x, q w>, with the rows' norms
-xn computed once per table, and bounds the rounding of that expansion; the
+xn and a column-major copy of the rows made once per table (_norms), and
+bounds the rounding of that expansion; the
 rows it cannot rule out are refined with _weighted_sq and ordered by
 _nearest, a stable sort.  Neighbours and distances so have the bits of a
 full scan (tests/oracles.nearest_rows), and the screen's own values, whose
@@ -64,12 +65,17 @@ def _label_codes(labels: list) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(classes), np.array([code_of[label] for label in labels])
 
 
-def _split(n: int, seed: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
-    """Train and test indices: a seeded shuffle of range(n), cut at floor(ratio * n)."""
+def _check_split(seed: int, ratio: float) -> None:
+    """Refuse a split ratio outside (0, 1) and a seed that is not a non-negative integer."""
     if isinstance(ratio, bool) or not isinstance(ratio, numbers.Real) or not 0.0 < ratio < 1.0:
         raise InvalidParameterError("split_ratio must lie in (0, 1)")
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
         raise InvalidParameterError(f"split_seed must be a non-negative integer, got {seed!r}")
+
+
+def _split(n: int, seed: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
+    """Train and test indices: a seeded shuffle of range(n), cut at floor(ratio * n)."""
+    _check_split(seed, ratio)
     perm = np.random.default_rng(seed).permutation(n)
     cut = int(n * ratio)
     return perm[:cut], perm[cut:]
@@ -95,7 +101,9 @@ class LabeledDataset(CoeffTable):
         if not self.items:
             raise InvalidDataError("dataset must contain at least one item")
         classes, codes = _label_codes([c.label for c in self.items])
-        self.split_indices()  # a bad split_ratio or split_seed fails here, not at the first vote
+        # a bad split fails here, not at the first vote; only a vote draws it, so a
+        # dataset that only answers queries never imports numpy.random
+        _check_split(self.split_seed, self.split_ratio)
         codes.setflags(write=False)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "codes", codes)
@@ -161,17 +169,24 @@ def _gap(m: int) -> float:
 
 
 def _norms(xy: np.ndarray, w: np.ndarray) -> np.ndarray | None:
-    """The rows' screen norms (2, N), (1 + g) xn / 2 and (1 - g) xn / 2, with xn = sum (x x) w.
+    """The screen's read-only table of the (N, m) rows xy under the weights w, (2 + m, N).
 
-    None where the screen's bound does not hold (see _SCREEN_LIMIT).
+    Row 0 holds the rows' norms (1 + g) xn / 2 and row 1 (1 - g) xn / 2,
+    with xn = sum (x x) w; rows 2.. hold xy.T, a column-major copy of the
+    rows, which the screen's einsum reads faster than xy.  None where the
+    screen's bound does not hold (see _SCREEN_LIMIT).
     """
-    if not np.all((w >= 2.0**-128) & (w <= 2.0**128)):
+    if not ((w >= 2.0**-128) & (w <= 2.0**128)).all():
         return None
     xn = _weighted_sq(xy, 0.0, w)
     if not xn.max(initial=0.0) < _SCREEN_LIMIT:
         return None
     g = _gap(xy.shape[1])
-    return _frozen(np.stack([xn * (0.5 + 0.5 * g), xn * (0.5 - 0.5 * g)]))
+    screen = np.empty((2 + xy.shape[1], len(xy)))
+    np.multiply(xn, 0.5 + 0.5 * g, out=screen[0])
+    np.multiply(xn, 0.5 - 0.5 * g, out=screen[1])
+    screen[2:] = xy.T
+    return _frozen(screen)
 
 
 def _nearest_rows(
@@ -182,8 +197,9 @@ def _nearest_rows(
     Equal, bit for bit, to a full scan, _weighted_sq to every row followed by
     a stable sort (tests/oracles.nearest_rows).  A screen picks the rows that
     can be among the k nearest, and only those are refined with _weighted_sq.
-    xn is _norms(xy, w); with None, or for a query whose norm is not below
-    _SCREEN_LIMIT, every row is a candidate.
+    xn is _norms(xy, w), the rows' norms and a column-major copy of xy; with
+    None, or for a query whose norm is not below _SCREEN_LIMIT, every row is
+    a candidate.
 
     The bound.  Let X = sum w x^2, Q = sum w q^2 and C = sum w x q, so the
     distance is D = X + Q - 2C; let S = X + Q.  As 2|x q| w <= w (x^2 + q^2),
@@ -224,7 +240,7 @@ def _nearest_rows(
     if xn is None:
         keep = np.ones((len(queries), len(xy)), dtype=bool)
     else:
-        c = np.einsum("ij,qj->qi", xy, qw)
+        c = np.einsum("qj,ji->qi", qw, xn[2:])
         upper = xn[0] - c
         tau = upper.min(axis=1) if k == 1 else np.partition(upper, k - 1, axis=1)[:, k - 1]
         fold = 2 * _gap(xy.shape[1]) * qn + 4 * xy.shape[1] * 2.0**-700

@@ -30,6 +30,7 @@ import numbers
 import xml.etree.ElementTree as ET
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import IO, Iterable
 
 import numpy as np
@@ -65,13 +66,14 @@ class InkTrace:
         pts = _real_array(self.points, "trace points must be (x, y) pairs of real numbers")
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise InvalidDataError("a trace needs at least two (x, y) points")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise InvalidDataError("trace coordinates must be finite")
-        keep = np.ones(len(pts), dtype=bool)
-        keep[1:] = np.any(pts[1:] != pts[:-1], axis=1)
-        pts = pts[keep]  # a copy, so the caller's array stays writable
+        moved = (pts[1:] != pts[:-1]).any(axis=1)
+        if not moved.all():
+            pts = pts[np.concatenate(([True], moved))]
         if len(pts) < 2:
             raise InvalidDataError("trace has fewer than two distinct points")
+        # _real_array made a new array, so the caller's array stays writable
         object.__setattr__(self, "points", _frozen(pts))
 
     def translated(self, dx: float, dy: float) -> "InkTrace":
@@ -140,15 +142,21 @@ class SymbolCoeffs:
         if not isinstance(self.basis_id, str):
             raise InvalidDataError(f"basis_id must be a string, got {self.basis_id!r}")
         message = "xs and ys must be arrays of real numbers"
-        xs, ys = _real_array(self.xs, message), _real_array(self.ys, message)
-        if xs.shape != ys.shape or xs.ndim != 1:
+        try:  # one conversion of both, (2, d)
+            xy = _real_array((self.xs, self.ys), message)
+        except InvalidDataError:  # either is not real numbers (raised here), or their shapes differ
+            _real_array(self.xs, message)
+            _real_array(self.ys, message)
+            xy = None
+        if xy is None or xy.ndim != 2:
             raise InvalidDataError("xs and ys must be 1-D arrays of equal length")
         # json reads NaN and Infinity, and None becomes NaN; a distance to them would be NaN
-        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        if not np.isfinite(xy).all():
             raise InvalidDataError("xs and ys must be finite")
         _check_label(self.label)
-        object.__setattr__(self, "xs", _frozen(xs))
-        object.__setattr__(self, "ys", _frozen(ys))
+        _frozen(xy)
+        object.__setattr__(self, "xs", xy[0])
+        object.__setattr__(self, "ys", xy[1])
         if not (self.x0 is self.y0 is self.length is None):  # all or none: a missing one is refused
             for key in ("x0", "y0", "length"):
                 value = getattr(self, key)
@@ -165,8 +173,9 @@ class CoeffTable(Sequence):
     and xs, ys are its two read-only (N, d) halves, so a distance to every
     row is a few array operations.  All items share one basis_id and one
     coefficient length; an empty table has basis_id None.  _norms holds the
-    weights of that basis and the rows' norms under them, which classify
-    computes on the table's first use.
+    weights of that basis and the screen's table under them (the rows'
+    norms and a column-major copy of xy), which classify computes on the
+    table's first use.
     """
 
     items: tuple[SymbolCoeffs, ...]
@@ -254,8 +263,9 @@ def parse_inkml(document: str | bytes | IO) -> list[InkTrace]:
     """Parse the trace elements of an InkML document.
 
     Each trace element holds comma-separated points whose coordinates are
-    space-separated; only the first two channels are read.  A document-level
-    annotation, when present, becomes the label of every trace.  The document
+    space-separated; only the first two channels are read, converted for the
+    whole element in one numpy call, which reads each as float() does.  A
+    document-level annotation, when present, becomes the label of every trace.  The document
     is its text or an open file; a path goes to load_inkml.
     """
     if not isinstance(document, (str, bytes)) and not hasattr(document, "read"):
@@ -281,20 +291,29 @@ def parse_inkml(document: str | bytes | IO) -> list[InkTrace]:
         if _local_tag(el.tag) != "trace":
             continue
         text = el.text or ""
-        pts = []
-        for chunk in text.split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            channels = chunk.split()
-            if len(channels) < 2:
-                raise ParseError(f"trace point needs x and y: {chunk!r}")
-            try:
-                pts.append((float(channels[0]), float(channels[1])))
-            except ValueError:
-                raise ParseError(f"non-numeric coordinate in {chunk!r}") from None
-        traces.append(InkTrace(np.array(pts, dtype=float).reshape(-1, 2), label=label))
+        pairs = [channels[:2] for channels in map(str.split, text.split(",")) if channels]
+        coords = list(chain.from_iterable(pairs))
+        try:  # numpy parses each str as float() does
+            pts = np.array(coords, dtype=float)
+        except ValueError:
+            pts = None
+        if pts is None or len(coords) != 2 * len(pairs):
+            _refuse_points(text)
+        traces.append(InkTrace(pts.reshape(-1, 2), label=label))
     return traces
+
+
+def _refuse_points(text: str) -> None:
+    """Raise the ParseError of the first point of a trace element's text that is not an x and a y."""
+    for chunk in map(str.strip, text.split(",")):
+        channels = chunk.split()
+        if len(channels) == 1:
+            raise ParseError(f"trace point needs x and y: {chunk!r}")
+        try:
+            list(map(float, channels[:2]))
+        except ValueError:
+            raise ParseError(f"non-numeric coordinate in {chunk!r}") from None
+    raise ParseError(f"malformed trace points: {text!r}")  # not reached: a point fails above
 
 
 def load_inkml(path) -> list[InkTrace]:
@@ -306,7 +325,7 @@ def merge_strokes(traces: Iterable[InkTrace], label: str | None = None) -> InkTr
     """Concatenate strokes end-to-end in time order into one trace.
 
     Pen-up gaps become straight connecting segments.  The label defaults to
-    the first stroke's label.
+    the first stroke's label; one stroke with its own label is returned as is.
     """
     if not isinstance(traces, Iterable):
         raise InvalidDataError(f"strokes must be an iterable of InkTraces, got "
@@ -319,7 +338,9 @@ def merge_strokes(traces: Iterable[InkTrace], label: str | None = None) -> InkTr
         raise InvalidDataError(f"strokes must be InkTraces, got {type(odd[0]).__name__}")
     if label is None:
         label = traces[0].label
-    return InkTrace(np.vstack([t.points for t in traces]), label=label)
+    if len(traces) == 1 and label is traces[0].label:
+        return traces[0]  # a frozen record: merging one stroke is that stroke
+    return InkTrace(np.concatenate([t.points for t in traces]), label=label)
 
 
 def _natural_cubic(t: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -335,15 +356,20 @@ def _natural_cubic(t: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nd
     # The end rows (s'' = 0) keep scipy's -0.5 * 0 * dx**2 term: it is NaN when
     # dx**2 overflows, and the fit is then rejected where scipy rejects it.
     rhs = np.empty(values.shape)
-    rhs[:, 1:-1] = 3 * (dx[:, 1:] * slope[:, :-1] + dx[:, :-1] * slope[:, 1:])
+    inner = np.multiply(dx[:, 1:], slope[:, :-1], out=rhs[:, 1:-1])
+    inner += dx[:, :-1] * slope[:, 1:]
+    inner *= 3
     rhs[:, 0] = -0.0 * (dx[:, 0] * dx[:, 0]) + 3 * (values[:, 1] - values[:, 0])
     rhs[:, -1] = 0.0 * (dx[:, -1] * dx[:, -1]) + 3 * (values[:, -1] - values[:, -2])
     solved = rhs.transpose(0, 2, 1).tolist()
     failure = np.array([_solve_slopes(h, mid, cols) for h, mid, cols in zip(
         dx[..., 0].tolist(), (2 * (dx[:, :-1, 0] + dx[:, 1:, 0])).tolist(), solved)])
     s = np.array(solved).transpose(0, 2, 1)
+    local = np.empty(slope.shape + (4,))
+    local[..., 0], local[..., 1] = values[:, :-1], s[:, :-1]
     cubic = (s[:, :-1] + s[:, 1:] - 2 * slope) / dx
-    local = np.stack([values[:, :-1], s[:, :-1], (slope - s[:, :-1]) / dx - cubic, cubic / dx], -1)
+    np.subtract((slope - s[:, :-1]) / dx, cubic, out=local[..., 2])
+    np.divide(cubic, dx, out=local[..., 3])
     return local, failure
 
 
@@ -388,7 +414,20 @@ def _solve_slopes(h: list, mid: list, cols: list) -> int:
     return 0 if all(all(map(math.isfinite, b)) for b in cols) else 7
 
 
-_GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# 8-point Gauss-Legendre on [-1, 1], the values numpy's leggauss(8) gives, written out so
+# that loading the module calls no LAPACK; each node is within 1 ulp and each weight
+# within 8e-16 of the exact value (tests/test_ink.py checks both and the weights' sum)
+_GL8_NODES = _frozen(np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362,
+]))
+_GL8_WEIGHTS = _frozen(np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706,
+]))
+
+
+_DERIVATIVE = _frozen(np.array([1.0, 2.0, 3.0]))
 
 
 def _node_velocities(t: np.ndarray, local: np.ndarray) -> np.ndarray:
@@ -404,8 +443,9 @@ def _node_velocities(t: np.ndarray, local: np.ndarray) -> np.ndarray:
     np.minimum(np.maximum(seg, 0, out=seg), nseg - 1, out=seg)
     seg += nseg * np.arange(len(t))[:, None, None]  # into the bucket's segments
     u = (nodes - start.reshape(-1)[seg])[..., None]
-    c = local.reshape(-1, *local.shape[2:])[seg]  # (T, nseg, 8, ncol, 4)
-    return c[..., 1] + (2.0 * c[..., 2]) * u + (3.0 * c[..., 3]) * (u * u)
+    # the derivative's coefficients c1, 2 c2 and 3 c3 per segment, then at each node
+    c = (local[..., 1:] * _DERIVATIVE).reshape(-1, *local.shape[2:-1], 3)[seg]  # (T, nseg, 8, ncol, 3)
+    return c[..., 0] + c[..., 1] * u + c[..., 2] * (u * u)
 
 
 def _cubic_arc_lengths(t: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -487,8 +527,8 @@ def _normalize(points: np.ndarray, spline: SplineKind) -> tuple[np.ndarray, ...]
             slope = (values[:, 1:] - values[:, :-1]) / (knots[:, 1:] - knots[:, :-1])[..., None]
             local = np.stack([values[:, :-1], slope], -1)
     failure = codes.pop()
-    for code in reversed(codes):  # a curve reports the first check it fails
-        failure = np.where(code > 0, code, failure)
+    for code in reversed(codes):  # a curve reports the first check it fails (code not 0)
+        failure = np.where(code, code, failure)
     return knots, local, total, failure
 
 

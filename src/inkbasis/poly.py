@@ -58,8 +58,8 @@ def _holds_bool(values) -> bool:
     if isinstance(values, (list, tuple)):  # a list of Python floats and ints is one pass in C
         return not _PLAIN_NUMBERS.issuperset(map(type, values)) and any(map(_holds_bool, values))
     if isinstance(values, np.ndarray):
-        return values.dtype.kind == "b" or (
-            values.dtype == object and any(map(_holds_bool, values.flat)))
+        kind = values.dtype.kind
+        return kind == "b" or kind == "O" and any(map(_holds_bool, values.flat))
     return isinstance(values, _BOOLS)
 
 
@@ -175,25 +175,22 @@ class PiecewisePoly:
             raise InvalidDataError("local coefficients must be an ([T,] nseg, [m,] 1..4) array")
         if c.shape[: bp.ndim] != (*lead, bp.shape[-1] - 1):
             raise InvalidDataError("segment count must be breakpoint count - 1")
-        finite = np.isfinite(c).reshape(*lead, -1).all(axis=-1)
-        if not finite.all():
-            t = np.argwhere(~finite)[0]
+        if not np.isfinite(c).all():
+            t = np.argwhere(~np.isfinite(c).reshape(*lead, -1).all(axis=-1))[0]
             raise InvalidDataError(f"local coefficients must be finite{_of_curve(t)}")
-        rising = np.diff(bp) > 0
+        rising = bp[..., 1:] > bp[..., :-1]
         if not rising.all():
             t = np.argwhere(~rising)[0][:-1]
             raise InvalidDataError(f"breakpoints must be strictly increasing{_of_curve(t)}")
         # continuity at interior breakpoints, 1e-12 relative: each segment's
-        # end value, with powers of its width h as np.vander builds them
-        width = c.shape[-1]
-        h = np.diff(bp[..., :-1])
-        powers = np.ones(h.shape + (width,))
-        powers[..., 1:] = h[..., None]
-        np.multiply.accumulate(powers, axis=-1, out=powers)
-        powers = powers.reshape(h.shape + (1,) * (c.ndim - bp.ndim - 1) + (width,))
+        # end value, by Horner in its width h, against the next one's start
         per_curve = (slice(None),) * len(lead)
-        left = np.einsum("...u,...u->...", c[(*per_curve, np.s_[:-1])], powers)
-        right = c[(*per_curve, np.s_[1:])][..., 0]
+        before, after = c[(*per_curve, np.s_[:-1])], c[(*per_curve, np.s_[1:])]
+        h = bp[..., 1:-1] - bp[..., :-2]
+        h = h.reshape(h.shape + (1,) * (c.ndim - bp.ndim - 1))
+        left, right = before[..., -1], after[..., 0]
+        for u in range(c.shape[-1] - 2, -1, -1):
+            left = left * h + before[..., u]
         scale = np.maximum(np.maximum(np.abs(left), np.abs(right)), 1.0)
         bad = np.abs(left - right) > 1e-12 * scale
         if bad.any():

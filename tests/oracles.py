@@ -8,8 +8,9 @@ quadrature inner products (and, to high degree, by modified Gram-Schmidt
 with closed-form inner products), Chebyshev series are summed naively by the
 forward three-term recurrence, and the point-matching distance is an
 exhaustive dynamic program, the kNN vote is counted label by label, the
-nearest rows come from a full scan with a stable sort, and a series on a
-family is summed at 40 digits by mpmath.
+nearest rows come from a full scan with a stable sort, a series on a
+family is summed at 40 digits by mpmath, and InkML points are read one
+float() per channel.
 
 One section keeps the earlier projection route as a second reference:
 closed-form monomial moments contracted with the monomial expansion of
@@ -344,6 +345,31 @@ def mpmath_series_sums(rows, basis, s, dps=40):
                 total = [t + row[k] * S[k] for t, row in zip(total, a)]
                 out[k, :, j] = total
     return out
+
+
+def inkml_points(text):
+    """The (n, 2) points of an InkML trace element's text, one float() per channel.
+
+    Comma-separated points of whitespace-separated channels, of which the
+    first two are read; a blank point is skipped.  The first point with one
+    channel, or with a first or second channel float() refuses, raises
+    ParseError with the message parse_inkml gives.
+    """
+    from inkbasis import ParseError
+
+    pts = []
+    for chunk in text.split(","):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        channels = chunk.split()
+        if len(channels) < 2:
+            raise ParseError(f"trace point needs x and y: {chunk!r}")
+        try:
+            pts.append((float(channels[0]), float(channels[1])))
+        except ValueError:
+            raise ParseError(f"non-numeric coordinate in {chunk!r}") from None
+    return np.array(pts, dtype=float).reshape(-1, 2)
 
 
 def dp_match_distance_sq(points_a, points_b):

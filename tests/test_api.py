@@ -68,7 +68,9 @@ def _identifiers(node) -> list[str]:
 
 
 def test_package_calls_no_blas_or_lapack():
-    # a BLAS kernel's last bits depend on the CPU: no matrix product or factorization
+    # a BLAS kernel's last bits depend on the CPU: no matrix product or factorization,
+    # and no Gauss nodes or polynomial roots (leggauss, polyroots), which numpy takes
+    # from a LAPACK eigensolver
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -76,6 +78,9 @@ def test_package_calls_no_blas_or_lapack():
                 found.append(f"@ at {path.name}:{node.lineno}")
             found += [f"{name} at {path.name}:{node.lineno}" for name in _identifiers(node)
                       if name == "dot" or "linalg" in name or "cholesky" in name.lower()]
+            if isinstance(node, ast.Call):
+                found += [f"{name}() at {path.name}:{node.lineno}"
+                          for name in _identifiers(node.func) if name.endswith(("gauss", "roots"))]
     assert found == []
 
 

@@ -1,7 +1,11 @@
 """Coefficient distances, reconstruction error, matching, kNN."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -418,25 +422,32 @@ class TestNearestRows:
 
     @OVERFLOWS
     @settings(max_examples=40, deadline=None)
-    @given(tables())
-    @example(ONE_ROW)
-    @example(HUGE)
-    def test_match_and_knn_equal_the_full_scan(self, t):
+    @given(tables(), st.booleans())
+    @example(ONE_ROW, False)
+    @example(ONE_ROW, True)
+    @example(HUGE, False)
+    @example(HUGE, True)
+    def test_match_and_knn_equal_the_full_scan(self, t, one_table):
+        # with one_table, a LabeledDataset is both the models and the training set,
+        # and its one screen table, made on first use, serves every call
         basis, d = build_named_basis(t["kind"], t["d"]), t["d"]
         w = _weights(basis)
         xy, queries = tied_rows(t["seed"], t["n"], d, t["scale"], t["dup"], t["nudges"], False)
         labels = [str(i % 3) for i in range(t["n"])]
         items = tuple(make_coeffs(basis, r[:d], r[d:], lab) for r, lab in zip(xy, labels))
-        models, train = CoeffTable(items), LabeledDataset(items)
+        train = LabeledDataset(items)
+        models = train if one_table else CoeffTable(items)
         for q in queries[np.isfinite(queries).all(axis=1)]:
             sample = make_coeffs(basis, q[:d], q[d:])
             near, dists = nearest_rows(xy, q[None], w, min(t["n"], 5))
             index, dist = match_symbol(sample, models, basis)
+            screen = models._norms
             assert index == near[0, 0]
             assert np.float64(dist).tobytes() == dists[0, 0].tobytes()
             for k in range(1, len(near[0]) + 1):
                 want = _vote([labels[i] for i in near[0, :k]], dists[0, :k])
                 assert knn_classify(train, sample, k, basis) == want
+            assert models._norms is screen
 
     @OVERFLOWS
     @settings(max_examples=30, deadline=None)
@@ -467,6 +478,16 @@ class TestNearestRows:
         self.same(got, want)
         hits = np.sum(_votes(codes[train][want[0]], want[1]) == codes[test][:, None], axis=0)
         assert acc == {k: int(hits[k - 1]) / len(test) for k in range(1, kmax + 1)}
+
+    def test_the_screen_reads_a_read_only_column_major_copy(self, rng):
+        xy = rng.uniform(-1, 1, (30, 20))
+        w = _weights(CS10)
+        screen = _norms(xy, w)
+        assert screen.shape == (22, 30) and not screen.flags.writeable
+        assert np.array_equal(screen[2:], xy.T) and screen[2:].flags.c_contiguous
+        xn, g = _weighted_sq(xy, 0.0, w), classify._gap(20)
+        assert screen[0].tobytes() == (xn * (0.5 + 0.5 * g)).tobytes()
+        assert screen[1].tobytes() == (xn * (0.5 - 0.5 * g)).tobytes()
 
     def test_screen_is_skipped_past_the_limits(self):
         w = np.ones(2)
@@ -683,6 +704,24 @@ class TestLabeledDataset:
         with pytest.raises(InvalidParameterError, match="^split_seed must be a non-negative"):
             LabeledDataset((a, a, a), split_seed=seed)
         assert len(LabeledDataset((a, a, a), split_seed=np.int64(3)).split_indices()[0]) == 2
+
+    def test_queries_leave_numpy_random_unloaded(self):
+        # the split is checked at construction and drawn only for a vote over it, so a
+        # dataset that answers queries never imports numpy.random (a fresh process, so
+        # modules the tests import do not count)
+        code = (
+            "import sys, inkbasis\n"
+            "b = inkbasis.build_named_basis('chebyshev', 3)\n"
+            "items = tuple(inkbasis.SymbolCoeffs(b.basis_id, [i, 1.0, 2.0], [0.0, i, 1.0],"
+            " label=str(i % 2)) for i in range(6))\n"
+            "ds = inkbasis.LabeledDataset(items)\n"
+            "inkbasis.match_symbol(items[0], ds, b), inkbasis.knn_classify(ds, items[1], 3, b)\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(classify.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_table_holds_items_by_column(self, rng):
         items = tuple(

@@ -7,11 +7,13 @@ import re
 import sys
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 
 from conftest import make_random_trace, near_duplicate_knots, skewed_knots
-from inkbasis import BASIS_KINDS, InvalidParameterError, poly
+from oracles import inkml_points
+from inkbasis import BASIS_KINDS, InkBasisError, InvalidParameterError, poly
 from inkbasis import (
     BasisKind,
     BasisMismatchError,
@@ -39,7 +41,9 @@ from inkbasis import (
     to_coeffs,
     write_coeffs_jsonl,
 )
-from inkbasis.ink import _MAX_RESCALED, _corpus, _normalize
+from inkbasis.ink import (
+    _GL8_NODES, _GL8_WEIGHTS, _MAX_RESCALED, _corpus, _cubic_arc_lengths, _normalize,
+)
 from inkbasis.poly import _BLOCK_BYTES
 
 PENDIGITS_LINE = "0,100, 0,0, 100,0, 100,100, 0,100, 0,0, 50,50, 100,50, 7"
@@ -131,6 +135,20 @@ class TestInkTrace:
         pts[0, 0] = 5.0
         assert trace.points[0, 0] == 0.0
 
+    @pytest.mark.parametrize(
+        "points",
+        [np.array([(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)]),
+         np.array([(0.0, 0.0), (0.0, 0.0), (2.0, 1.0)]),
+         np.array([(0, 0), (1, 0), (2, 1)]),
+         np.array([(0, 0), (1, 0), (1, 0)]),
+         InkTrace([(0.0, 0.0), (1.0, 0.0)]).points],
+        ids=["float", "float-with-a-repeat", "int", "int-with-a-repeat", "another-trace's"],
+    )
+    def test_points_never_share_the_callers_memory(self, points):
+        trace = InkTrace(points)
+        assert not np.shares_memory(trace.points, points)
+        assert not trace.points.flags.writeable
+
     @pytest.mark.parametrize("label", [7, b"a", ["a"]])
     def test_label_is_none_or_a_string(self, label):
         message = f"^label must be a string, got {re.escape(repr(label))}$"
@@ -173,6 +191,26 @@ class TestParseInkml:
         with pytest.raises(ParseError):
             parse_inkml("<ink><trace>0 zero, 1 1</trace></ink>")
 
+    @pytest.mark.parametrize("text", [
+        "0 0, 1 1", "1_000 2, 3 4", " 1.5 2 , 3 4 ", "+1 -2, .5 5., 1.0e+00 0001",
+        "1 2 3, 4 5 abc", "1 2,, 3 4,", "1 2\n3 4, 5 6", "nan 1, 2 2", "1e400 0, 1 1",
+        "infinity 0, 1 1", "inF 0, -iNfInItY 1", "\u0661\u0662 3, 4 5", "1e-400 0, 1 1",
+        "0x10 1, 2 2", "1e 2, 3 4", "1__0 2, 3 4", "_1 2, 3 4", "0b1 1, 2 2", "1j 0, 1 1",
+        "\u22121 0, 1 1", "1, 2 3", "1 a, 2", "1 2, 3", "0 0, 1 a, 2", "", " , ", "5 5",
+        "1 2, 1 2",
+    ])
+    def test_points_are_read_as_float_reads_them(self, text):
+        # what parse_inkml accepts and refuses, and with which message, is one
+        # float() per channel (oracles.inkml_points), converted in one numpy call
+        def outcome(parse):
+            try:
+                return [t.points.tobytes() for t in parse()]
+            except InkBasisError as exc:
+                return type(exc).__name__, str(exc)
+
+        doc = f"<ink><trace>{text}</trace></ink>"
+        assert outcome(lambda: parse_inkml(doc)) == outcome(lambda: [InkTrace(inkml_points(text))])
+
     def test_load_from_file(self, tmp_path):
         from inkbasis import load_inkml
 
@@ -194,6 +232,11 @@ class TestMergeStrokes:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             merge_strokes([])
+
+    def test_one_stroke_is_itself(self):
+        a = InkTrace([(0, 0), (1, 0)], label="x")
+        assert merge_strokes([a]) is a
+        assert merge_strokes([a], label="y").label == "y"
 
 
 class TestArcLengthNormalize:
@@ -310,6 +353,32 @@ class TestArcLengthNormalize:
         assert n.knots is n.curve.breakpoints
         assert n.curve.local.shape[:2] == (len(trace.points) - 1, 2)
         assert not n.knots.flags.writeable
+
+
+class TestGaussLegendre:
+    """The 8-point rule of the cubic arc length, written out as literals."""
+
+    def test_literals_are_numpys_leggauss(self):
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        assert _GL8_NODES.tobytes() == nodes.tobytes()
+        assert _GL8_WEIGHTS.tobytes() == weights.tobytes()
+
+    def test_literals_lie_near_the_exact_rule(self):
+        with mpmath.workdps(40):
+            for x, w in zip(_GL8_NODES, _GL8_WEIGHTS):
+                node = mpmath.findroot(lambda s: mpmath.legendre(8, s), mpmath.mpf(float(x)))
+                slope = 8 * (node * mpmath.legendre(8, node) - mpmath.legendre(7, node)) / (node**2 - 1)
+                assert abs(x - node) <= 1e-15
+                assert abs(w - 2 / ((1 - node**2) * slope**2)) <= 1e-15
+
+    def test_paired_weights_sum_to_exactly_two(self):
+        # a straight unit-speed segment's length is (t1 - t0) / 2 times the weights'
+        # sum in _cubic_arc_lengths' order, so it is its knot gap only if that sum is 2
+        t = np.array([[0.0, 3.0, 5.0, 9.0, 9.5]])
+        points = np.stack([t[0], np.zeros(5)], -1)[None]
+        lengths, failure = _cubic_arc_lengths(t, points)
+        assert failure.tolist() == [0]
+        assert lengths.tolist() == [[3.0, 2.0, 4.0, 0.5]]
 
 
 def trace_on_knots(rng, t, twin=()):

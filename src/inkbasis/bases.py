@@ -202,7 +202,7 @@ class OrthoBasis:
     def classical_basis(self) -> BasisKind:
         return self.spec.classical_basis
 
-    @property
+    @cached_property
     def basis_id(self) -> str:
         s = self.spec
         if s.is_sobolev:

@@ -24,9 +24,9 @@ full scan (tests/oracles.nearest_rows), and the screen's own values, whose
 last bits depend on the loop einsum picks for the CPU, reach no output.
 The screen is an einsum, not a matrix product: a BLAS kernel's bits vary
 with the CPU too, and the package calls none.  Only coeff_distance_sq
-computes a distance to every row.  Every vote comes from _votes, which
-decides all k = 1..kmax at once and equals the reference _vote in
-tests/oracles.py.
+computes a distance to every row.  Every vote follows the reference _vote
+in tests/oracles.py: knn_classify's from _vote, at its one k, and the
+corpus vote's from _votes, which decides all k = 1..kmax at once.
 
 knn_accuracy and accuracy_sweep vote through one kernel, _accuracy, which
 screens blocks of test rows within poly's byte budget.  The sweep codes the
@@ -346,6 +346,20 @@ def _votes(codes: np.ndarray, dists: np.ndarray) -> np.ndarray:
     return np.where(tied & (sums == best), codes[..., None, :], _NO_CODE).min(axis=-1)
 
 
+def _vote(codes: np.ndarray, dists: np.ndarray) -> int:
+    """Winning label code among one query's k neighbours: _votes' rule at k alone.
+
+    codes (k,) and dists (k,), nearest first.  bincount adds each label's
+    distances in neighbour order, starting from 0.0, as the reference _vote
+    does; the tied codes ascend, so argmin takes the smaller label on equal sums.
+    """
+    counts = np.bincount(codes)
+    top = np.flatnonzero(counts == counts.max())
+    if len(top) == 1:
+        return int(top[0])
+    return int(top[np.bincount(codes, weights=dists)[top].argmin()])
+
+
 def _check_dataset(dataset: LabeledDataset) -> None:
     if not isinstance(dataset, LabeledDataset):
         raise InvalidDataError(f"a kNN vote needs a LabeledDataset, got {type(dataset).__name__}")
@@ -364,7 +378,7 @@ def knn_classify(
     if not 1 <= _integer(k, "k") <= len(train):
         raise InvalidParameterError(f"k must be in [1, {len(train)}]")
     near, dist = _nearest_rows(train.xy, xn, _row(query)[None], w, k)
-    return train.classes[_votes(train.codes[near[0]], dist[0])[-1]]
+    return train.classes[_vote(train.codes[near[0]], dist[0])]
 
 
 def knn_accuracy(

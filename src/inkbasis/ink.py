@@ -223,10 +223,38 @@ def parse_pendigits(source: str | Iterable[str]) -> list[InkTrace]:
     than two distinct points or a line that is not a string included, raises
     ParseError with its line number.  A source that is neither a string nor
     an iterable of lines raises InvalidDataError.
+
+    Every field of every line is converted in one pass of int, which reads
+    what int() reads (padding, signs, "1_000", non-ASCII digits), and the
+    coordinates in one float array.  When any line is not a string, does not
+    hold 17 fields, or fails int, the float conversion or InkTrace, the lines
+    are read one by one instead, which raises the ParseError of the first
+    bad line.
     """
     if isinstance(source, (bytes, bytearray)) or not isinstance(source, (str, Iterable)):
         raise InvalidDataError(f"source must be text or lines of text, got {type(source).__name__}")
-    lines = source.splitlines() if isinstance(source, str) else source
+    lines = source.splitlines() if isinstance(source, str) else list(source)
+    try:
+        traces = _pendigits_rows(lines)
+    except (TypeError, ValueError, OverflowError, InvalidDataError):
+        traces = None
+    return _pendigits_lines(lines) if traces is None else traces
+
+
+def _pendigits_rows(lines: list) -> list[InkTrace] | None:
+    """The traces of well-formed pendigits lines; None, or a raise, for any other line."""
+    rows = list(filter(str.strip, lines))  # str.strip refuses a line that is not a str
+    if any(row.count(",") != 16 for row in rows):
+        return None
+    values = list(map(int, ",".join(rows).split(","))) if rows else []
+    labels = map(str, values[16::17])
+    del values[16::17]
+    pts = np.array(values, dtype=float).reshape(-1, 8, 2)
+    return [InkTrace(p, label=label) for p, label in zip(pts, labels)]
+
+
+def _pendigits_lines(lines: list) -> list[InkTrace]:
+    """The traces of pendigits lines, read one by one: the first bad line raises its ParseError."""
     traces = []
     for lineno, raw in enumerate(lines, start=1):
         if not isinstance(raw, str):

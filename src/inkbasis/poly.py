@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
-from numpy.polynomial import legendre as _leg
 
 from .errors import InvalidDataError, InvalidParameterError, _enum_member
 
@@ -41,12 +39,6 @@ class Weight(str, enum.Enum):
 
     UNIT = "unit"                  # dx
     INVERSE_SQRT = "inverse_sqrt"  # dx / sqrt(1 - x^2)
-
-
-_DERIV = {
-    BasisKind.LEGENDRE: _leg.legder,
-    BasisKind.CHEBYSHEV: _cheb.chebder,
-}
 
 
 _BOOLS = (bool, np.bool_)
@@ -120,7 +112,11 @@ class DensePoly:
         """Value at scalar or array x; Legendre by Bonnet's recurrence, Chebyshev by Clenshaw's."""
         xs = _points(x)
         if self.basis is BasisKind.CHEBYSHEV:
-            out = _cheb.chebval(xs, self.coeffs)
+            # imported here: no command or query evaluates a DensePoly, and the import costs
+            # every process a few milliseconds
+            from numpy.polynomial.chebyshev import chebval
+
+            out = chebval(xs, self.coeffs)
             return float(out) if np.ndim(out) == 0 else out
         scalar = xs.ndim == 0
         xs = np.atleast_1d(xs)
@@ -139,7 +135,10 @@ class DensePoly:
         """Exact derivative, expressed in the same basis."""
         if self.degree == 0:
             return DensePoly(self.basis, np.zeros(1))
-        return DensePoly(self.basis, _DERIV[self.basis](self.coeffs))
+        from numpy.polynomial import chebyshev, legendre  # as in __call__: imported where used
+
+        der = chebyshev.chebder if self.basis is BasisKind.CHEBYSHEV else legendre.legder
+        return DensePoly(self.basis, der(self.coeffs))
 
 
 def _of_curve(t) -> str:

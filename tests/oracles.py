@@ -9,8 +9,9 @@ with closed-form inner products), Chebyshev series are summed naively by the
 forward three-term recurrence, and the point-matching distance is an
 exhaustive dynamic program, the kNN vote is counted label by label, the
 nearest rows come from a full scan with a stable sort, a series on a
-family is summed at 40 digits by mpmath, and InkML points are read one
-float() per channel.
+family is summed at 40 digits by mpmath, InkML points are read one
+float() per channel, and pendigits samples one line and one int() per field
+at a time.
 
 One section keeps the earlier projection route as a second reference:
 closed-form monomial moments contracted with the monomial expansion of
@@ -370,6 +371,41 @@ def inkml_points(text):
         except ValueError:
             raise ParseError(f"non-numeric coordinate in {chunk!r}") from None
     return np.array(pts, dtype=float).reshape(-1, 2)
+
+
+def pendigits_traces(source):
+    """The traces of pendigits text or lines, read line by line: the reference for parse_pendigits.
+
+    Blank lines are skipped; each other line is 17 fields, stripped and read
+    by int(), the first 16 as float (x, y) pairs and the last as the label.
+    The first line that is not a string or not such a sample raises
+    ParseError with its line number and the message parse_pendigits gives.
+    """
+    from inkbasis import InkTrace, InvalidDataError, ParseError
+
+    lines = source.splitlines() if isinstance(source, str) else source
+    traces = []
+    for lineno, raw in enumerate(lines, start=1):
+        if not isinstance(raw, str):
+            raise ParseError(f"a line must be a string, got {type(raw).__name__}", lineno)
+        line = raw.strip()
+        if not line:
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != 17:
+            raise ParseError(f"expected 17 fields, got {len(fields)}", lineno)
+        try:
+            values = [int(f) for f in fields]
+            pts = np.array(values[:16], dtype=float).reshape(8, 2)
+        except ValueError as exc:
+            raise ParseError(f"non-integer field: {exc}", lineno) from None
+        except OverflowError:
+            raise ParseError("coordinate too large for a float", lineno) from None
+        try:
+            traces.append(InkTrace(pts, label=str(values[16])))
+        except InvalidDataError as exc:
+            raise ParseError(str(exc), lineno) from None
+    return traces
 
 
 def dp_match_distance_sq(points_a, points_b):

@@ -31,6 +31,31 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_commands_and_queries_load_no_numpy_polynomial(tmp_path):
+    # only DensePoly's evaluation and derivative use numpy.polynomial, and they
+    # import it; a fresh process runs a command of each kind and a query
+    golden = Path(__file__).parent / "data" / "cli_golden"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = (
+        "import sys, inkbasis\n"
+        "from inkbasis.cli import main\n"
+        f"g, out = {str(golden)!r}, {str(tmp_path)!r}\n"
+        "for argv in (['knn-eval', g + '/pendigits.txt', '--spline', 'cubic'],\n"
+        "             ['error-sweep', g + '/walk_0.inkml', '--d-max', '12'],\n"
+        "             ['build-basis']):\n"
+        "    assert main([*argv, '--out', out + '/o']) == 0\n"
+        "b = inkbasis.build_named_basis('chebyshev-sobolev', 10)\n"
+        "t = inkbasis.merge_strokes(inkbasis.parse_inkml('<ink><trace>0 0, 3 1, 4 4</trace></ink>'))\n"
+        "q = inkbasis.to_coeffs(inkbasis.arc_length_normalize(t, 'cubic'), b)\n"
+        "ds = inkbasis.LabeledDataset((inkbasis.SymbolCoeffs(q.basis_id, q.xs, q.ys, '1'),) * 4)\n"
+        "inkbasis.match_symbol(q, ds, b), inkbasis.knn_classify(ds, q, 3, b)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_every_raise_names_a_contract_class():
     stray = []
     for path in sorted(SRC.glob("*.py")):

@@ -520,8 +520,11 @@ class TestVotes:
     )
     # a count tie, then a summed-distance tie at k = 4, so the label decides
     @example([[("b", 1), ("a", 0), ("a", 2), ("b", 1), ("c", 0)]])
+    # distances that overflowed: the tied labels' sums are all inf, as is an untied one's
+    @example([[("a", np.inf), ("c", np.inf), ("b", np.inf), ("c", 0), ("b", 0)]])
     def test_every_k_equals_the_reference_vote(self, rows):
-        # neighbours in any order: small integer distances make many ties
+        # neighbours in any order: small integer distances make many ties; knn_classify
+        # votes at its one k through _vote, the corpus vote at every k through _votes
         labels = sorted({lab for row in rows for lab, _ in row})
         codes = np.array([[labels.index(lab) for lab, _ in row] for row in rows])
         dists = np.array([[d for _, d in row] for row in rows], dtype=float)
@@ -532,6 +535,7 @@ class TestVotes:
             for k in range(1, len(row) + 1):
                 neighbours = [lab for lab, _ in row[:k]]
                 assert labels[won[r, k - 1]] == _vote(neighbours, dists[r, :k])
+                assert classify._vote(codes[r, :k], dists[r, :k]) == won[r, k - 1]
 
 
 class TestKnnClassify:

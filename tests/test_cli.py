@@ -1,10 +1,18 @@
 """Command-line interface: files in, CSV/JSON out, exit codes."""
 
 import dataclasses
+import gc
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from inkbasis import arc_length_normalize, bases, classify, cli, load_basis, reconstruct, to_coeffs
 from inkbasis.cli import main
@@ -574,3 +582,91 @@ def test_spline_choices_print_by_value(capsys, command):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "--spline {linear,cubic}" in out and "SplineKind" not in out
+
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden"
+GOLDEN_LINES = (GOLDEN / "pendigits.txt").read_text(encoding="utf-8").splitlines()
+
+
+def cli_process(*argv, cwd):
+    """Run python -m inkbasis.cli in a fresh process, as a user or the benchmark does."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "inkbasis.cli", *map(str, argv)], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestProcessExit:
+    """A CLI process freezes the collector once main returns; main itself leaves it alone."""
+
+    def test_main_leaves_the_collector_unfrozen(self, tmp_path):
+        before = gc.get_freeze_count()
+        assert main(["knn-eval", str(GOLDEN / "pendigits.txt"), "--out",
+                     str(tmp_path / "k.csv")]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_module_run_writes_the_golden_bytes(self, tmp_path):
+        done = cli_process("knn-eval", GOLDEN / "pendigits.txt", "--out", "knn_eval.csv",
+                           cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == "wrote knn_eval.csv and knn_eval.summary.json\n"
+        for name in ("knn_eval.csv", "knn_eval.summary.json"):
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+    def test_module_run_exits_2_on_a_malformed_file(self, tmp_path):
+        lines = list(GOLDEN_LINES)
+        lines[4] = lines[4].replace(",", ";", 1)
+        (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        done = cli_process("knn-eval", "bad.txt", "--out", "k.csv", cwd=tmp_path)
+        assert done.returncode == 2
+        assert done.stderr == "error: line 5: expected 17 fields, got 16\n"
+        assert not (tmp_path / "k.csv").exists()
+
+
+# field values a mutation writes: non-integer, huge and non-finite text among integers
+_FIELDS = st.one_of(
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(["", " ", "1.5", "1e3", "abc", "nan", "inf", "-inf", "0x10", "1_000",
+                     "9" * 400, "-" + "9" * 400, "1" + "0" * 308, "-1" + "0" * 154,
+                     "1" + "0" * 160, "7" * 20, "\u0663", "5,5", "1\n2"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+)
+
+
+@st.composite
+def mutated_pendigits(draw):
+    """The golden pendigits lines with one to three lines truncated, or a field changed,
+    dropped or added."""
+    lines = list(GOLDEN_LINES)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        fields = lines[i].split(",")
+        j = draw(st.integers(0, len(fields) - 1))
+        kind = draw(st.sampled_from(["truncate", "replace", "drop", "add"]))
+        if kind == "truncate":
+            lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+            continue
+        if kind == "replace":
+            fields[j] = draw(_FIELDS)
+        elif kind == "drop":
+            del fields[j]
+        else:
+            fields.insert(j, draw(_FIELDS))
+        lines[i] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_pendigits())
+def test_knn_eval_on_mutated_pendigits_exits_0_or_2_without_a_traceback(tmp_path, capsys, text):
+    # an exception main does not turn into exit 2 would end a process with exit 1
+    # and a traceback; here it fails the test
+    data = tmp_path / "digits.txt"
+    data.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning on stderr would be wrong numbers
+        code = main(["knn-eval", str(data), "--out", str(tmp_path / "k.csv")])
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1

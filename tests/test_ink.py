@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import make_random_trace, near_duplicate_knots, skewed_knots
-from oracles import inkml_points
+from oracles import inkml_points, pendigits_traces
 from inkbasis import BASIS_KINDS, InkBasisError, InvalidParameterError, poly
 from inkbasis import (
     BasisKind,
@@ -43,6 +43,7 @@ from inkbasis import (
 )
 from inkbasis.ink import (
     _GL8_NODES, _GL8_WEIGHTS, _MAX_RESCALED, _corpus, _cubic_arc_lengths, _normalize,
+    _pendigits_rows,
 )
 from inkbasis.poly import _BLOCK_BYTES
 
@@ -86,6 +87,59 @@ class TestParsePendigits:
     def test_accepts_line_iterable(self):
         traces = parse_pendigits([PENDIGITS_LINE, "", PENDIGITS_LINE])
         assert len(traces) == 2
+
+    @pytest.mark.parametrize("line", [
+        "-1,+2, -0,3, 4,5, 6,7, 8,9, 10,11, 12,13, 14,15, +7",
+        "   0,  28,  50,   7,  25,  40,  49,  22,  78,  49,  90,  32,  65,  18,  11,   0,   8",
+        "\t1 ,2\t, 3,4, 5,6, 7,8, 9,10, 11,12, 13,14, 15,16, 2\r",
+        "\u20031,\u00a02, 3,4, 5,6, 7,8, 9,10, 11,12, 13,14, 15,16, 2\u3000",
+        "1_000,2, 3,4, 5,6, 7,8, 9,10, 11,12, 13,14, 15,16, 1_0",
+        "\u0661\u0662,\uff13, 3,4, 5,6, 7,8, 9,10, 11,12, 13,14, 15,16, \u0663",
+        "9007199254740993,1, 9223372036854775809,4, -18446744073709551617,6, 7,8, 9,10, 11,12, "
+        "13,14, 15,16, 4",
+        "1,2, 3,4, 5,6, 7,8, 9,10, 11,12, 13,14, 15,16, 05",
+        "1,2, 3,4, 5,6, 7,8, 9,10, 11,12, 13,14, 15,16, " + "9" * 400,
+        "9" * 400 + ",2, 3,4, 5,6, 7,8, 9,10, 11,12, 13,14, 15,16, 1",
+        "1,-" + "9" * 400 + ", 3,4, 5,6, 7,8, 9,10, 11,12, 13,14, 15,16, 1",
+        "1" + "0" * 308 + ",2, 3,4, 5,6, 7,8, 9,10, 11,12, 13,14, 15,16, 1",
+        "1.0,2, 3,4, 5,6, 7,8, 9,10, 11,12, 13,14, 15,16, 1",
+        "0x10,2, 3,4, 5,6, 7,8, 9,10, 11,12, 13,14, 15,16, 1",
+        "1,2, 3,4, 5,6, 7,8, 9,10, 11,12, 13,14, 15,16, 1e3",
+        "1__0,2, 3,4, 5,6, 7,8, 9,10, 11,12, 13,14, 15,16, 1",
+        "1,,3,4, 5,6, 7,8, 9,10, 11,12, 13,14, 15,16, 1",
+        "1, ,3,4, 5,6, 7,8, 9,10, 11,12, 13,14, 15,16, 1",
+        "1,2, 3,4, 5,6, 7,8, 9,10, 11,12, 13,14, 15,16",
+        "1,2, 3,4, 5,6, 7,8, 9,10, 11,12, 13,14, 15,16, 1, 2",
+        "1,2, 3,4, 5,6, 7,8, 9,10, 11,12, 13,14, 15,16, 1,",
+        ",,,,,,,,,,,,,,,,",
+        "", "   ", "\t\r",
+        "5,5, " * 8 + "1",
+        "5,5, " * 7 + "6,6, 1",
+        "1,2, 3,4, 5,6, 7,8, 9,10, 11,12, 13,14, 15,16, 1\n1,2",
+        "1,2, 3,4, 5,6, 7,8, 9,10, 11,12, 13,14, 15,16\n1,2, 3,4, 5,6, 7,8, 9,10, 11,12, 13,14, "
+        "15,16, 1,2",  # as text, 16 and 18 fields: 34 in all
+        7, b"1,2, 3,4, 5,6, 7,8, 9,10, 11,12, 13,14, 15,16, 1", None,
+    ])
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_lines_are_read_as_the_line_by_line_reader_reads_them(self, line, at):
+        # what parse_pendigits accepts and refuses, with which message and line
+        # number, is one int() per field of one line at a time (oracles.pendigits_traces),
+        # though it converts every line in one pass; the line sits alone, or third
+        # after a good line and a blank one
+        def outcome(parse, source):
+            try:
+                return [(t.points.tobytes(), t.label) for t in parse(source)]
+            except InkBasisError as exc:
+                return type(exc).__name__, str(exc), exc.line
+
+        lines = [PENDIGITS_LINE, " ", line, PENDIGITS_LINE][2 - at:]
+        want = outcome(pendigits_traces, lines)
+        assert outcome(parse_pendigits, lines) == want
+        if isinstance(want, list):  # read in the one pass, not line by line
+            assert outcome(_pendigits_rows, lines) == want
+        if all(isinstance(x, str) for x in lines):
+            text = "\n".join(lines)
+            assert outcome(parse_pendigits, text) == outcome(pendigits_traces, text)
 
 
 class TestInkTrace:

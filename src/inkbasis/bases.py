@@ -39,7 +39,8 @@ from .errors import (
     open_utf8,
 )
 from .poly import (
-    _BLOCK_BYTES, BasisKind, DensePoly, PiecewisePoly, Weight, _frozen, _moments, _real_array,
+    BasisKind, DensePoly, PiecewisePoly, Weight, _blocks, _classical, _frozen, _moments,
+    _real_array,
 )
 
 DEFAULT_LAMBDA = 0.125
@@ -290,36 +291,23 @@ def _evaluate(rows: np.ndarray, basis: OrthoBasis, s: np.ndarray, degrees=None):
     (T, m, D + 1) for a bucket, with D at most basis.degree; degrees default
     to (D,).  s holds points shared by every set, (n,), or, for a bucket, the
     points of each curve, (T, 1, n); the sums are (m, n) or (block, m, n),
-    and part is the slice of the bucket axis they cover.  One walk over k =
-    0..D carries B_k by its three-term recurrence (Legendre by Bonnet's step
-    in DensePoly's order, Chebyshev as 2 s T_{k-1} - T_{k-2}), Q_k = B_k -
-    b_k B_{k-2}, S_k = Q_k - ell_k S_{k-2} and the running sum.  Only +, -, *
-    and / run, elementwise, in a fixed order, and entry k depends only on
-    entries below k: the sum at d has the bits of the basis of degree d, and
-    a curve's sums have the same bits in a bucket as alone.  A bucket passes
-    in blocks of curves whose sums fit poly's _BLOCK_BYTES.
+    and part is the slice of the bucket axis they cover.  poly owns the
+    classical walk and the byte budget: one walk over its B_k, k = 0..D,
+    carries Q_k = B_k - b_k B_{k-2}, S_k = Q_k - ell_k S_{k-2} and the
+    running sum, with +, -, * and / alone, elementwise, in a fixed order,
+    and a bucket passes in its _blocks of curves.  Entry k depends only on
+    entries below k: the sum at d has the bits of the basis of degree d,
+    and a curve's sums have the same bits in a bucket as alone.
     """
     top = rows.shape[-1] - 1
     wanted = frozenset([top] if degrees is None else degrees)
-    legendre = basis.classical_basis is BasisKind.LEGENDRE
-    if s.ndim == rows.ndim:  # each curve its own points: blocks of curves
-        block = max(1, _BLOCK_BYTES // (8 * rows[0, ..., 0].size * s.shape[-1]))
-        parts = [slice(i, i + block) for i in range(0, len(rows), block)]
-    else:  # one table of the family serves every set
-        parts = [slice(None)]
+    parts = [slice(None)]  # one table of the family serves every set
+    if s.ndim == rows.ndim:  # or each curve has its own points: blocks of curves
+        parts = _blocks(len(rows), rows[0, ..., 0].size * s.shape[-1])
     for part in parts:
-        a, x = rows[part], s[part]
-        two_x = 2.0 * x  # exact
-        b_prev = s_prev = b_prev2 = s_prev2 = None
-        for k in range(top + 1):
-            if k == 0:
-                b_k = np.ones(x.shape)
-            elif k == 1:
-                b_k = x
-            elif legendre:
-                b_k = ((2 * k - 1) * x * b_prev - (k - 1) * b_prev2) / k
-            else:
-                b_k = two_x * b_prev - b_prev2
+        a = rows[part]
+        b_prev = b_prev2 = s_prev = s_prev2 = None
+        for k, b_k in enumerate(_classical(basis.classical_basis, s[part], top)):
             q_k = b_k - basis.b[k] * b_prev2 if basis.b[k] else b_k
             s_k = q_k - basis.ell[k] * s_prev2 if basis.ell[k] else q_k
             term = a[..., k, None] * s_k

@@ -50,7 +50,7 @@ from .ink import (
     CoeffTable, InkTrace, NormalizedTrace, SplineKind, SymbolCoeffs, _check_degree, _corpus,
     _without_constants, reconstruct,
 )
-from .poly import _BLOCK_BYTES, _frozen
+from .poly import _blocks, _frozen
 
 DEFAULT_SPLIT_SEED = 0
 DEFAULT_SPLIT_RATIO = 2.0 / 3.0
@@ -398,8 +398,8 @@ def _accuracy(
     """Share of the test rows of xy whose kNN vote among the train rows is their own code, per k.
 
     Each test row's kmax nearest training rows are found once, by
-    _nearest_rows on blocks of test rows whose screen fits _BLOCK_BYTES, and
-    all rows vote for every k at once.
+    _nearest_rows on poly's _blocks of test rows, whose screen fits its
+    budget, and all rows vote for every k at once.
     """
     if len(train) == 0:
         raise InvalidDataError("split left no training items")
@@ -411,11 +411,9 @@ def _accuracy(
         raise InvalidParameterError(f"k={kmax} exceeds training size {len(train)}")
     train_xy = xy[train]
     xn = _norms(train_xy, w)
-    block = max(1, _BLOCK_BYTES // (8 * len(train)))
     near = np.empty((len(test), kmax), dtype=np.intp)
     near_dists = np.empty((len(test), kmax))
-    for i in range(0, len(test), block):
-        part = slice(i, i + block)
+    for part in _blocks(len(test), len(train)):
         near[part], near_dists[part] = _nearest_rows(train_xy, xn, xy[test[part]], w, kmax)
     hits = np.sum(_votes(codes[train][near], near_dists) == codes[test][:, None], axis=0)
     n_test = max(1, len(test))

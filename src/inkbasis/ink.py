@@ -224,56 +224,48 @@ def parse_pendigits(source: str | Iterable[str]) -> list[InkTrace]:
     ParseError with its line number.  A source that is neither a string nor
     an iterable of lines raises InvalidDataError.
 
-    Every field of every line is converted in one pass of int, which reads
-    what int() reads (padding, signs, "1_000", non-ASCII digits), and the
-    coordinates in one float array.  When any line is not a string, does not
-    hold 17 fields, or fails int, the float conversion or InkTrace, the lines
-    are read one by one instead, which raises the ParseError of the first
-    bad line.
+    One pass checks each line and reads its stripped fields with int(), which
+    reads padding, signs, "1_000" and non-ASCII digits; then all coordinates
+    become one float array and each line an InkTrace.  A line that fails its
+    own checks first builds the lines above it: the first bad line raises.
     """
     if isinstance(source, (bytes, bytearray)) or not isinstance(source, (str, Iterable)):
         raise InvalidDataError(f"source must be text or lines of text, got {type(source).__name__}")
-    lines = source.splitlines() if isinstance(source, str) else list(source)
-    try:
-        traces = _pendigits_rows(lines)
-    except (TypeError, ValueError, OverflowError, InvalidDataError):
-        traces = None
-    return _pendigits_lines(lines) if traces is None else traces
-
-
-def _pendigits_rows(lines: list) -> list[InkTrace] | None:
-    """The traces of well-formed pendigits lines; None, or a raise, for any other line."""
-    rows = list(filter(str.strip, lines))  # str.strip refuses a line that is not a str
-    if any(row.count(",") != 16 for row in rows):
-        return None
-    values = list(map(int, ",".join(rows).split(","))) if rows else []
-    labels = map(str, values[16::17])
-    del values[16::17]
-    pts = np.array(values, dtype=float).reshape(-1, 8, 2)
-    return [InkTrace(p, label=label) for p, label in zip(pts, labels)]
-
-
-def _pendigits_lines(lines: list) -> list[InkTrace]:
-    """The traces of pendigits lines, read one by one: the first bad line raises its ParseError."""
-    traces = []
-    for lineno, raw in enumerate(lines, start=1):
+    values, linenos = [], []
+    for lineno, raw in enumerate(source.splitlines() if isinstance(source, str) else source, 1):
         if not isinstance(raw, str):
-            raise ParseError(f"a line must be a string, got {type(raw).__name__}", lineno)
-        line = raw.strip()
-        if not line:
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 17:
-            raise ParseError(f"expected 17 fields, got {len(fields)}", lineno)
+            reason = f"a line must be a string, got {type(raw).__name__}"
+        elif len(fields := raw.split(",")) != 17:
+            if not raw.strip():
+                continue
+            reason = f"expected 17 fields, got {len(fields)}"
+        else:
+            try:
+                values.extend(map(int, map(str.strip, fields)))
+                linenos.append(lineno)
+                continue
+            except ValueError as exc:
+                reason = f"non-integer field: {exc}"
+                del values[17 * len(linenos):]
+        _pendigits_traces(values, linenos)
+        raise ParseError(reason, lineno)
+    return _pendigits_traces(values, linenos)
+
+
+def _pendigits_traces(values: list[int], linenos: list[int]) -> list[InkTrace]:
+    """The traces of rows of 17 ints, read from lines linenos; the first bad row raises."""
+    coords = values[:]
+    del coords[16::17]
+    try:
+        pts = np.array(coords, dtype=float).reshape(-1, 8, 2)
+    except OverflowError:  # the rows above the first int float() refuses come first
+        row = next(i for i, v in enumerate(coords) if abs(v) >= 2**1024 - 2**970) // 16
+        _pendigits_traces(values[: 17 * row], linenos[:row])
+        raise ParseError("coordinate too large for a float", linenos[row]) from None
+    traces = []
+    for p, label, lineno in zip(pts, map(str, values[16::17]), linenos):
         try:
-            values = [int(f) for f in fields]
-            pts = np.array(values[:16], dtype=float).reshape(8, 2)
-        except ValueError as exc:
-            raise ParseError(f"non-integer field: {exc}", lineno) from None
-        except OverflowError:
-            raise ParseError("coordinate too large for a float", lineno) from None
-        try:
-            traces.append(InkTrace(pts, label=str(values[16])))
+            traces.append(InkTrace(p, label))
         except InvalidDataError as exc:
             raise ParseError(str(exc), lineno) from None
     return traces

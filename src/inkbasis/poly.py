@@ -1,7 +1,8 @@
 """Polynomial arithmetic in classical bases on [-1, 1].
 
 Dense polynomials carry their coefficients in one of two classical bases,
-Legendre or Chebyshev of the first kind.  Piecewise polynomials are arrays:
+Legendre or Chebyshev of the first kind, whose three-term recurrence one
+walk, _classical, runs for every evaluator.  Piecewise polynomials are arrays:
 strictly increasing breakpoints s_j and, per interval, the coefficients of
 a cubic (or lower) in the local offset s - s_j, for one or more functions.
 A bucket of curves with equal segment counts adds a leading axis to both.
@@ -15,7 +16,8 @@ bucket: it broadcasts over the bucket axis, runs every recurrence
 elementwise and sums each curve's segments on their own, so a curve's
 integrals have the same bits in a bucket as alone, and the moments at a
 degree are an exact prefix of those at any higher degree.  It owns the
-memory of that work: a bucket passes through it in blocks of one budget.
+memory of that work, and of every table a bucket is built in: _blocks cuts
+a bucket into blocks of one budget.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ class DensePoly:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        """Value at scalar or array x; Legendre by Bonnet's recurrence, Chebyshev by Clenshaw's."""
+        """Value at scalar or array x; Legendre summed over _classical, Chebyshev by Clenshaw's."""
         xs = _points(x)
         if self.basis is BasisKind.CHEBYSHEV:
             # imported here: no command or query evaluates a DensePoly, and the import costs
@@ -119,16 +121,9 @@ class DensePoly:
             out = chebval(xs, self.coeffs)
             return float(out) if np.ndim(out) == 0 else out
         scalar = xs.ndim == 0
-        xs = np.atleast_1d(xs)
         c = self.coeffs
-        total = np.full_like(xs, c[0])  # P_0 = 1
-        if len(c) > 1:
-            p_prev = np.ones_like(xs)
-            p_cur = xs.copy()
-            total = total + c[1] * p_cur
-            for n in range(2, len(c)):
-                p_prev, p_cur = p_cur, ((2 * n - 1) * xs * p_cur - (n - 1) * p_prev) / n
-                total = total + c[n] * p_cur
+        for k, p_k in enumerate(_classical(BasisKind.LEGENDRE, np.atleast_1d(xs), self.degree)):
+            total = c[k] * p_k if k == 0 else total + c[k] * p_k
         return float(total[0]) if scalar else total
 
     def derivative(self) -> "DensePoly":
@@ -235,6 +230,23 @@ def _three_term(basis: BasisKind, n: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(up), _frozen(lo)
 
 
+def _classical(kind: BasisKind, x: np.ndarray, top: int):
+    """Yield B_0(x), ..., B_top(x) of kind, by Bonnet's step or by 2 x T_{k-1} - T_{k-2}.
+
+    Only +, -, * and / run, elementwise, in a fixed order: B_k's bits depend on no top.
+    """
+    two_x, b_prev = 2.0 * x, None  # 2 x is exact
+    for k in range(top + 1):
+        if k < 2:
+            b_k = np.ones(x.shape) if k == 0 else x
+        elif kind is BasisKind.LEGENDRE:
+            b_k = ((2 * k - 1) * x * b_prev - (k - 1) * b_prev2) / k
+        else:
+            b_k = two_x * b_prev - b_prev2
+        yield b_k
+        b_prev2, b_prev = b_prev, b_k
+
+
 _TINY = np.finfo(float).tiny
 
 
@@ -310,8 +322,14 @@ def _horner(c: np.ndarray, a: np.ndarray, steps: np.ndarray, up, lo) -> np.ndarr
     return r
 
 
-# byte budget of the (block, m, rows, nseg) table one pass of _moments builds for a bucket
+# byte budget of a block of a bucket's table, in _moments, bases._evaluate and classify._accuracy
 _BLOCK_BYTES = 1 << 17
+
+
+def _blocks(n: int, floats_each: int) -> list[slice]:
+    """Slices of range(n) of as many items of floats_each floats as fit _BLOCK_BYTES, or one."""
+    block = max(1, _BLOCK_BYTES // (8 * floats_each))
+    return [slice(i, i + block) for i in range(0, n, block)]
 
 
 def _moments(
@@ -336,24 +354,27 @@ def _moments(
     table of [A_m].  Every row depends only on lower rows and is summed over
     its own curve's segments, so the moments at a degree are an exact prefix
     of those at a higher one, and a curve's rows have the same bits in a
-    bucket as alone.  A bucket passes in blocks of curves whose table fits
-    _BLOCK_BYTES, and the blocks' p and q are concatenated.
+    bucket as alone.  A bucket passes in the _blocks of curves whose table
+    fits _BLOCK_BYTES, and the blocks' p and q are concatenated.
     """
     bp, c = f.breakpoints, f.local
     if bp[..., 0].min() < -1.0 or bp[..., -1].max() > 1.0:
         raise InvalidDataError("breakpoints must lie within [-1, 1]")
     width = c.shape[-1]
-    up, lo = _three_term(basis, degree + width)
-    blocks = [(bp, c)]
-    if bp.ndim == 2:
-        block = max(1, _BLOCK_BYTES // (8 * (degree + width) * (c[0].size // width)))
-        blocks = [(bp[i : i + block], c[i : i + block]) for i in range(0, len(bp), block)]
-    ps, qs = [], []
-    for bp, c in blocks:
-        steps = _antiderivative_steps(basis, degree + width, bp)
+    rows = degree + width
+    up, lo = _three_term(basis, rows)
+
+    def inners(bp, c):
+        steps = _antiderivative_steps(basis, rows, bp)
         a = bp[..., :-1]
-        ps.append(_horner(c, a, steps, up, lo).sum(axis=-1))
-        if derivative and width > 1:
-            dc = c[..., 1:] * np.arange(1, width)
-            qs.append(_horner(dc, a, steps[..., : degree + width - 2, :], up, lo).sum(axis=-1))
-    return np.concatenate(ps), np.concatenate(qs) if qs else None
+        p = _horner(c, a, steps, up, lo).sum(axis=-1)
+        if not derivative or width == 1:
+            return p, None
+        dc = c[..., 1:] * np.arange(1, width)
+        return p, _horner(dc, a, steps[..., : rows - 2, :], up, lo).sum(axis=-1)
+
+    if bp.ndim == 1:
+        return inners(bp, c)
+    parts = _blocks(len(bp), rows * (c[0].size // width))
+    ps, qs = zip(*(inners(bp[part], c[part]) for part in parts))
+    return np.concatenate(ps), None if qs[0] is None else np.concatenate(qs)

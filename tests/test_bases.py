@@ -38,7 +38,7 @@ from inkbasis import (
 )
 from conftest import make_random_trace
 from inkbasis import (
-    BASIS_KINDS, OrthoBasis, arc_length_normalize, bases, poly, representation_error,
+    BASIS_KINDS, OrthoBasis, arc_length_normalize, bases, classify, poly, representation_error,
     symbol_coeffs, to_coeffs,
 )
 from inkbasis.bases import MAX_DEGREE, _evaluate, _project
@@ -466,6 +466,36 @@ class TestBucket:
             assert len(tables) == 4 and max(t.nbytes for t in tables) <= _BLOCK_BYTES
             assert np.array_equal(got, alone), kind
 
+    def test_poly_alone_sizes_every_block(self, monkeypatch):
+        # one budget, read only in poly: a budget of one byte puts one item in each block
+        # of the moments, the evaluation kernel and the vote, and no output moves a bit
+        rng = np.random.default_rng(6)
+        basis = build_named_basis("chebyshev-sobolev", 10)
+        bucket = PiecewisePoly(*equal_shape_curves("cubic", 9))
+        s = np.sort(rng.uniform(-1.0, 1.0, (9, 1, 50)))
+        xy, codes = rng.uniform(-1.0, 1.0, (40, 20)), np.arange(40) % 3
+        train, test = np.arange(0, 40, 2), np.arange(1, 40, 2)
+        tables, votes = [], []
+        steps, nearest = poly._antiderivative_steps, classify._nearest_rows
+        monkeypatch.setattr(poly, "_antiderivative_steps", lambda *a: tables.append(1) or steps(*a))
+        monkeypatch.setattr(classify, "_nearest_rows", lambda *a: votes.append(1) or nearest(*a))
+
+        def run():
+            tables.clear()
+            votes.clear()
+            rows = project(bucket, basis)
+            sums = [values for _, _, values in _evaluate(rows, basis, s)]
+            acc = classify._accuracy(xy, codes, train, test, classify._weights(basis), [1, 3])
+            return (len(tables), len(sums), len(votes)), rows, np.concatenate(sums), acc
+
+        blocks, rows, sums, acc = run()
+        assert blocks == (1, 1, 1)
+        monkeypatch.setattr(poly, "_BLOCK_BYTES", 1)
+        small_blocks, small_rows, small_sums, small_acc = run()
+        assert small_blocks == (9, 9, 20)
+        assert np.array_equal(small_rows, rows) and np.array_equal(small_sums, sums)
+        assert small_acc == acc
+
     def test_equality_holds_under_other_blas_kernels(self):
         # the moment recurrences run elementwise, with no BLAS; other OpenBLAS
         # kernels must give a bucket the bits of a bucket of one too
@@ -774,7 +804,7 @@ class TestEvaluate:
                               evaluated(rows, basis, copies)[20])
 
     def test_plain_legendre_sums_as_densepoly_evaluates(self):
-        # Bonnet's step in DensePoly's order, so error-sweep's legendre bytes did not move
+        # both sum over poly's one classical walk, so error-sweep's legendre bytes did not move
         rng = np.random.default_rng(5)
         c, s = rng.uniform(-1.0, 1.0, 41), np.sort(rng.uniform(-1.0, 1.0, 80))
         every = evaluated(c[None], build_named_basis("legendre", 40), s, range(41))

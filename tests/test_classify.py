@@ -32,7 +32,7 @@ from inkbasis import (
     symbol_coeffs,
     to_coeffs,
 )
-from inkbasis import BASIS_KINDS, BasisKind, bases, classify
+from inkbasis import BASIS_KINDS, BasisKind, bases, classify, poly
 from inkbasis.classify import _nearest, _nearest_rows, _norms, _votes, _weighted_sq, _weights
 from inkbasis.ink import _corpus
 from oracles import _vote, dp_match_distance_sq, nearest_rows, quad_inner_series
@@ -469,9 +469,10 @@ class TestNearestRows:
             return seen[-1]
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(classify, "_BLOCK_BYTES", 8 * len(train) * block)
+            mp.setattr(poly, "_BLOCK_BYTES", 8 * len(train) * block)
             mp.setattr(classify, "_nearest_rows", spy)
             acc = classify._accuracy(xy, codes, train, test, w, list(range(1, kmax + 1)))
+        assert len(seen) == -(-len(test) // block)
         assert [len(near) for near, _ in seen[:-1]] == [block] * (len(seen) - 1)
         got = tuple(np.concatenate(part) for part in zip(*seen))
         want = nearest_rows(xy[train], xy[test], w, kmax)

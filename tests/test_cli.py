@@ -670,3 +670,53 @@ def test_knn_eval_on_mutated_pendigits_exits_0_or_2_without_a_traceback(tmp_path
     assert "Traceback" not in err
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+GOLDEN_WALK = (GOLDEN / "walk_0.inkml").read_text(encoding="utf-8")
+
+# channel values a mutation writes: text, non-finite and huge values among coordinates
+_CHANNELS = st.one_of(
+    st.floats(-1e3, 1e3).map(repr),
+    st.floats(1e154, 1e308).map(repr),
+    st.floats(-1e308, -1e154).map(repr),
+    st.sampled_from(["", "nan", "-nan", "inf", "-inf", "1e309", "abc", "0x10", "1,5", "<", "&"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+)
+
+
+@st.composite
+def mutated_inkml(draw):
+    """The golden walk_0.inkml truncated, or with one to three points given a channel
+    changed, dropped or added."""
+    if draw(st.booleans()):
+        return GOLDEN_WALK[: draw(st.integers(0, len(GOLDEN_WALK) - 1))]
+    head, rest = GOLDEN_WALK.split("<trace>")
+    points, tail = rest.split("</trace>")
+    points = [p.split() for p in points.split(",")]
+    for _ in range(draw(st.integers(1, 3))):
+        channels = points[draw(st.integers(0, len(points) - 1))]
+        j = draw(st.integers(0, len(channels) - 1))
+        kind = draw(st.sampled_from(["replace", "drop", "add"]))
+        if kind == "replace":
+            channels[j] = draw(_CHANNELS)
+        elif kind == "drop":
+            del channels[j]
+        else:
+            channels.insert(j, draw(_CHANNELS))
+    return f"{head}<trace>{', '.join(map(' '.join, points))}</trace>{tail}"
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_inkml())
+def test_inkml_commands_on_mutated_walks_exit_0_or_2_without_a_traceback(tmp_path, capsys, text):
+    data = tmp_path / "walk.inkml"
+    data.write_text(text, encoding="utf-8")
+    for command, out in (("error-sweep", "e.csv"), ("approximate", "approx")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning on stderr would be wrong numbers
+            code = main([command, str(data), "--out", str(tmp_path / out)])
+        err = capsys.readouterr().err
+        assert code in (0, 2), command
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, command

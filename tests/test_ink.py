@@ -43,7 +43,6 @@ from inkbasis import (
 )
 from inkbasis.ink import (
     _GL8_NODES, _GL8_WEIGHTS, _MAX_RESCALED, _corpus, _cubic_arc_lengths, _normalize,
-    _pendigits_rows,
 )
 from inkbasis.poly import _BLOCK_BYTES
 
@@ -126,20 +125,44 @@ class TestParsePendigits:
         # number, is one int() per field of one line at a time (oracles.pendigits_traces),
         # though it converts every line in one pass; the line sits alone, or third
         # after a good line and a blank one
-        def outcome(parse, source):
-            try:
-                return [(t.points.tobytes(), t.label) for t in parse(source)]
-            except InkBasisError as exc:
-                return type(exc).__name__, str(exc), exc.line
-
         lines = [PENDIGITS_LINE, " ", line, PENDIGITS_LINE][2 - at:]
-        want = outcome(pendigits_traces, lines)
-        assert outcome(parse_pendigits, lines) == want
-        if isinstance(want, list):  # read in the one pass, not line by line
-            assert outcome(_pendigits_rows, lines) == want
+        assert _outcome(parse_pendigits, lines) == _outcome(pendigits_traces, lines)
         if all(isinstance(x, str) for x in lines):
             text = "\n".join(lines)
-            assert outcome(parse_pendigits, text) == outcome(pendigits_traces, text)
+            assert _outcome(parse_pendigits, text) == _outcome(pendigits_traces, text)
+
+    @pytest.mark.parametrize("early", [
+        "5,5, " * 8 + "1",  # fails InkTrace
+        "9" * 400 + ",2, 3,4, 5,6, 7,8, 9,10, 11,12, 13,14, 15,16, 1",  # fails the float array
+        f"{2**1024 - 2**970 - 1},2, 3,4, 5,6, 7,8, 9,10, 11,12, 13,14, 15,16, 1",  # float's max
+        PENDIGITS_LINE,
+    ])
+    @pytest.mark.parametrize("late", [
+        "1,2, 3,4",
+        "1,x, 3,4, 5,6, 7,8, 9,10, 11,12, 13,14, 15,16, 1",
+        f"1,{-2**1024 + 2**970}, 3,4, 5,6, 7,8, 9,10, 11,12, 13,14, 15,16, 1",  # rounds past it
+        None,
+    ])
+    def test_the_first_bad_line_raises_whatever_the_later_line_holds(self, early, late):
+        # a line's own checks run in the one pass and the float array and InkTrace after
+        # it, so a later line's fault must not hide an earlier line's
+        lines = [PENDIGITS_LINE, early, PENDIGITS_LINE, late]
+        assert _outcome(parse_pendigits, lines) == _outcome(pendigits_traces, lines)
+
+    def test_a_one_shot_source_is_read_once(self):
+        lines = [PENDIGITS_LINE, "", PENDIGITS_LINE.replace("7", "3")]
+        reads = []
+        source = (reads.append(line) or line for line in lines)
+        assert _outcome(parse_pendigits, source) == _outcome(pendigits_traces, lines)
+        assert reads == lines
+
+
+def _outcome(parse, source):
+    """parse(source) as comparable values: each trace's point bytes and label, or the error."""
+    try:
+        return [(t.points.tobytes(), t.label) for t in parse(source)]
+    except InkBasisError as exc:
+        return type(exc).__name__, str(exc), exc.line
 
 
 class TestInkTrace:

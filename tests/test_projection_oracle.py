@@ -105,19 +105,21 @@ def _steps_spanning_decades(shortest: float, n: int = 200) -> InkTrace:
     return InkTrace(np.vstack([[0.0, 0.0], np.cumsum(steps, axis=0)]))
 
 
+@pytest.mark.parametrize("family", ["legendre", "chebyshev"])
 @pytest.mark.parametrize("spline, tol", [
     ("linear", 1e-12),
-    # the cubic moments lose about two digits per two decades of step lengths:
-    # 4e-11, 2e-9, 1e-7 and 7e-6 for shortest steps of 1e-3, 1e-5, 1e-7 and 1e-9
+    # the cubic moments lose about two digits per two decades of step lengths: for
+    # legendre 4e-11, 2e-9, 1e-7 and 7e-6 for shortest steps of 1e-3, 1e-5, 1e-7 and
+    # 1e-9, and for chebyshev, whose shortest steps lie at s = +-1, 2e-10 up to 3e-2
     pytest.param("cubic", 1e-9, marks=pytest.mark.xfail(
         strict=True, reason="cubic projection loses accuracy on steps spanning many decades")),
 ])
-def test_steps_spanning_nine_decades_match_quadrature(spline, tol):
+def test_steps_spanning_nine_decades_match_quadrature(spline, tol, family):
     trace = _steps_spanning_decades(1e-9)
     norm = arc_length_normalize(trace, spline)
     values = trace.points * (2.0 / norm.total_length)
-    plain, _ = quad_spline_inners(norm.knots, values, spline == "cubic", "legendre", 10)
-    basis = _basis("legendre", 10)
+    plain, _ = quad_spline_inners(norm.knots, values, spline == "cubic", family, 10)
+    basis = _basis(family, 10)
     want = (basis.expansion @ plain) / basis.sq_norms[:, None]
     assert float(np.max(np.abs(project(norm.curve, basis).T - want))) <= tol
 

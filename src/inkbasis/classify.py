@@ -48,7 +48,7 @@ from .bases import DEFAULT_LAMBDA, OrthoBasis, _check_basis, _integer, build_nam
 from .errors import BasisMismatchError, InvalidDataError, InvalidParameterError
 from .ink import (
     CoeffTable, InkTrace, NormalizedTrace, SplineKind, SymbolCoeffs, _check_degree, _corpus,
-    _without_constants, reconstruct,
+    _point_errors, _without_constants, reconstruct,
 )
 from .poly import _blocks, _frozen
 
@@ -286,8 +286,8 @@ def representation_error(
 
     The truncated series is evaluated at the knot parameters by reconstruct,
     mapped back to the input frame (undo the 2/L rescale, restore the
-    constant terms), and compared point by point with the source trace: the
-    sum over the points of np.hypot, by np.sum, as error-sweep sums each degree.
+    constant terms), and compared point by point with the source trace by
+    ink._point_errors, the reduction error-sweep sums each degree with.
     """
     if not isinstance(trace, InkTrace):
         raise InvalidDataError(f"trace must be an InkTrace, got {type(trace).__name__}")
@@ -298,10 +298,8 @@ def representation_error(
         raise InvalidDataError(
             f"{len(normalized.knots)} knots vs {len(trace.points)} points"
         )
-    xhat, yhat = reconstruct(coeffs, basis, normalized.knots)
-    return float(
-        np.sum(np.hypot(trace.points[:, 0] - xhat, trace.points[:, 1] - yhat))
-    )
+    values = np.stack(reconstruct(coeffs, basis, normalized.knots))
+    return float(_point_errors(trace.points, values))
 
 
 def match_symbol(

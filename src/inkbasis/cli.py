@@ -15,19 +15,14 @@ the library refuses it: approximate, reconstruct and error-sweep build
 their basis, and check the degree of 1 or more that a projection needs
 (error-sweep's at --d-min), before they read any input, and knn-eval's
 accuracy_sweep builds and checks its bases, codes the labels and draws its
-split before it normalizes any trace.  Every command that projects reads
-its traces' coefficients from one corpus path, ink._corpus, which
-normalizes every trace before it projects any, so a failing trace stops a
-command before it writes a file.  approximate, reconstruct and error-sweep
-project on one basis, error-sweep's at --d-max, and sum their series with
-one kernel, bases._evaluate: reconstruct and error-sweep in one pass per
-bucket at the bucket's knots, approximate in one pass over every trace at
-the shared samples.  error-sweep's pass hands back the running sum at every
-degree d from --d-min to --d-max, which has the bits of the basis of degree
-d, since a family is a prefix of any of higher degree; each degree's error
-is then the sum over the points of np.hypot, as representation_error sums
-it.  An InkBasisError or OSError prints one "error: <message>" line and
-exits 2.
+split before it normalizes any trace.  The CLI holds no numerics of its
+own: approximate, reconstruct and error-sweep read their traces back in the
+input frame from ink._input_frame, and error-sweep sums each degree's error
+with ink._point_errors, as representation_error does.  The corpus path
+under _input_frame normalizes every trace before it projects any, and
+approximate drains it before it makes its directory, so a failing trace
+stops a command before it writes a file.  An InkBasisError or OSError
+prints one "error: <message>" line and exits 2.
 
 A process that runs the CLI, by `python -m inkbasis.cli` or the inkbasis
 script, ends through run: it freezes the garbage collector once main has
@@ -49,11 +44,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .bases import BASIS_KINDS, DEFAULT_LAMBDA, OrthoBasis, _evaluate, build_named_basis, save_basis
+from .bases import BASIS_KINDS, DEFAULT_LAMBDA, build_named_basis, save_basis
 from .classify import DEFAULT_SPLIT_RATIO, DEFAULT_SPLIT_SEED, accuracy_sweep
 from .errors import InkBasisError, InvalidParameterError
 from .ink import (
-    InkTrace, SplineKind, _check_degree, _corpus, load_pendigits, merge_strokes, parse_inkml,
+    InkTrace, SplineKind, _check_degree, _input_frame, _point_errors, load_pendigits,
+    merge_strokes, parse_inkml,
 )
 
 DATA_DIR_ENV = "INKBASIS_DATA_DIR"
@@ -115,23 +111,6 @@ def _trace_file_name(index: int, label: str | None) -> str:
     return stem + ".csv"
 
 
-def _reconstructions(traces: list[InkTrace], basis: OrthoBasis, spline: str, degrees=None):
-    """Yield (indices, d, x and y (T, 2, n) in the input frame) for each block of each bucket.
-
-    The corpus path normalizes every trace and projects it once, in its
-    bucket, and a failing trace raises before anything is yielded.  Then one
-    pass of bases._evaluate per bucket sums the series at the bucket's knots
-    for every d in degrees (default: basis.degree, ascending), and undoes
-    normalization's 2/L rescale; the sum at d has the bits of the basis of
-    degree d, and a curve's values have the same bits as alone.
-    """
-    buckets, [rows] = _corpus(traces, spline, [basis])
-    for idx, knots, _, total in buckets:
-        scale = (total / 2.0)[:, None, None]
-        for part, d, values in _evaluate(rows[idx], basis, knots[:, None], degrees):
-            yield idx[part], d, values * scale[part]
-
-
 def _write_csv(path, header: str, rows: list[str]) -> Path:
     """Write the header and rows as one CSV file and return its path, which main reports."""
     path = Path(path)
@@ -148,22 +127,17 @@ def cmd_approximate(args) -> str:
     basis = build_named_basis(args.basis, args.degree, args.lam)
     _check_degree(basis.degree)
     traces = _load_traces(args.input)
-    buckets, [projected] = _corpus(traces, args.spline, [basis])
+    samples = np.linspace(-1.0, 1.0, 200)
+    frames = list(_input_frame(traces, args.spline, basis, samples))  # every trace, then files
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    knots, scale = [None] * len(traces), np.empty(len(traces))
-    for idx, bucket_knots, _, total in buckets:
-        scale[idx] = total / 2.0
-        for i, k in zip(idx.tolist(), bucket_knots):
-            knots[i] = k
-    samples = np.linspace(-1.0, 1.0, 200)
-    (_, _, values), = _evaluate(projected, basis, samples)  # one table of S_k serves every trace
-    values *= scale[:, None, None]
-    for i, trace in enumerate(traces):
-        rows = [f"{_fmt(s)},{_fmt(x)},{_fmt(y)},original"
-                for s, (x, y) in zip(knots[i], trace.points)]
-        rows += [f"{_fmt(s)},{_fmt(x)},{_fmt(y)},approx" for s, x, y in zip(samples, *values[i])]
-        _write_csv(outdir / _trace_file_name(i, trace.label), "s,x,y,kind", rows)
+    for idx, knots, _, values in frames:
+        for i, s, (xhat, yhat) in zip(idx.tolist(), knots, values):
+            rows = [f"{_fmt(k)},{_fmt(x)},{_fmt(y)},original"
+                    for k, (x, y) in zip(s, traces[i].points)]
+            rows += [f"{_fmt(k)},{_fmt(x)},{_fmt(y)},approx"
+                     for k, x, y in zip(samples, xhat, yhat)]
+            _write_csv(outdir / _trace_file_name(i, traces[i].label), "s,x,y,kind", rows)
     return f"{len(traces)} files to {outdir}"
 
 
@@ -172,7 +146,7 @@ def cmd_reconstruct(args) -> Path:
     _check_degree(basis.degree)
     traces = _load_traces(args.input)
     hats = [None] * len(traces)
-    for idx, _, values in _reconstructions(traces, basis, args.spline):
+    for idx, _, _, values in _input_frame(traces, args.spline, basis):
         for i, hat in zip(idx.tolist(), values):
             hats[i] = hat
     rows = []
@@ -188,13 +162,11 @@ def cmd_error_sweep(args) -> Path:
     basis = build_named_basis(args.basis, args.d_max, args.lam)
     traces = _load_traces(args.input)
     errors = np.empty((len(traces), args.d_max + 1 - args.d_min))
-    for idx, d, values in _reconstructions(traces, basis, args.spline,
-                                            range(args.d_min, args.d_max + 1)):
-        if d == args.d_min:  # a block's first degree: its traces' points, as x and y rows
-            points = np.stack([traces[i].points.T for i in idx.tolist()])
-        off = points - values
-        # representation_error's reduction: hypot per point, np.sum over the points
-        errors[idx, d - args.d_min] = np.sum(np.hypot(off[:, 0], off[:, 1]), axis=-1)
+    degrees = range(args.d_min, args.d_max + 1)
+    for idx, _, d, values in _input_frame(traces, args.spline, basis, degrees=degrees):
+        if d == args.d_min:  # a block's first degree
+            points = np.stack([traces[i].points for i in idx.tolist()])
+        errors[idx, d - args.d_min] = _point_errors(points, values)
     rows = [f"{i},{d},{_fmt(e)}" for i, per_degree in enumerate(errors.tolist())
             for d, e in enumerate(per_degree, start=args.d_min)]
     return _write_csv(args.out, "trace_id,degree,error", rows)

@@ -12,9 +12,11 @@ One normalizer takes a bucket of equal point counts for either spline; a
 trace is a bucket of one.  Every command turns its traces into coefficients
 through one corpus path, _corpus: it normalizes all buckets, then projects
 each bucket, one PiecewisePoly, onto every basis by one bases._project call,
-and its rows go back into input order.  reconstruct maps coefficients back
-to points through bases._evaluate, the kernel the commands sum a whole
-bucket with, so a record gives the same bits alone as in a command.
+and its rows go back into input order.  The way back to points in the
+input frame is ink's too: _input_frame sums a corpus's series by
+bases._evaluate, one pass per bucket, and undoes the 2/L rescale, as
+reconstruct does for one record with the same bits, and _point_errors sums
+a reconstruction's distances to its source points.
 
 The natural cubic is solved here, with numpy and a tridiagonal elimination
 on Python floats, and equals scipy's CubicSpline(bc_type="natural") bit for
@@ -600,6 +602,32 @@ def _corpus(
         for out, projected in zip(rows, _project(PiecewisePoly(knots, local), bases)):
             out[idx] = projected
     return buckets, rows
+
+
+def _input_frame(
+    traces: Sequence[InkTrace], spline: SplineKind, basis: OrthoBasis, at=None, degrees=None
+):
+    """Yield (indices, knots, d, values) per block of each bucket: series in the input frame.
+
+    The traces go through _corpus, so a failing trace raises before
+    anything is yielded.  Then one pass of bases._evaluate per bucket sums
+    the series at the bucket's knots, or at points at (n,) shared by every
+    trace, for every d in degrees (default: basis.degree, ascending), and
+    undoes normalization's 2/L rescale: values (T, 2, n) are x and y of the
+    traces at indices, whose knots are (T, n).  The sum at d has the bits of
+    the basis of degree d, and a trace's values have the same bits as alone.
+    """
+    buckets, [rows] = _corpus(traces, spline, [basis])
+    for idx, knots, _, total in buckets:
+        s = knots[:, None] if at is None else at
+        for part, d, values in _evaluate(rows[idx], basis, s, degrees):
+            yield idx[part], knots[part], d, values * (total[part] / 2.0)[:, None, None]
+
+
+def _point_errors(points: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Summed distance from points (..., n, 2) to values (..., 2, n): np.hypot, then np.sum."""
+    x, y = np.moveaxis(points, -1, 0)
+    return np.sum(np.hypot(x - values[..., 0, :], y - values[..., 1, :]), axis=-1)
 
 
 def to_coeffs(

@@ -111,26 +111,18 @@ class DensePoly:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        """Value at scalar or array x; Legendre summed over _classical, Chebyshev by Clenshaw's."""
+        """Value at scalar or array x, summed over _classical as bases._evaluate sums a series."""
         xs = _points(x)
-        if self.basis is BasisKind.CHEBYSHEV:
-            # imported here: no command or query evaluates a DensePoly, and the import costs
-            # every process a few milliseconds
-            from numpy.polynomial.chebyshev import chebval
-
-            out = chebval(xs, self.coeffs)
-            return float(out) if np.ndim(out) == 0 else out
-        scalar = xs.ndim == 0
         c = self.coeffs
-        for k, p_k in enumerate(_classical(BasisKind.LEGENDRE, np.atleast_1d(xs), self.degree)):
-            total = c[k] * p_k if k == 0 else total + c[k] * p_k
-        return float(total[0]) if scalar else total
+        for k, b_k in enumerate(_classical(self.basis, np.atleast_1d(xs), self.degree)):
+            total = c[k] * b_k if k == 0 else total + c[k] * b_k
+        return float(total[0]) if xs.ndim == 0 else total
 
     def derivative(self) -> "DensePoly":
         """Exact derivative, expressed in the same basis."""
         if self.degree == 0:
             return DensePoly(self.basis, np.zeros(1))
-        from numpy.polynomial import chebyshev, legendre  # as in __call__: imported where used
+        from numpy.polynomial import chebyshev, legendre  # imported where used: no command needs it
 
         der = chebyshev.chebder if self.basis is BasisKind.CHEBYSHEV else legendre.legder
         return DensePoly(self.basis, der(self.coeffs))

@@ -267,6 +267,20 @@ def gram_schmidt_closed_form(weight, lam, degree):
     return expansion, sq_norms
 
 
+def _mpmath_classical(weight, n):
+    """(h, der) of the classical family of weight, at mpmath's working precision.
+
+    h[k] = <B_k, B_k> for k < n, and B_k' = sum of der(k, m) B_m over
+    m = k - 1, k - 3, ..., >= 0.
+    """
+    import mpmath
+
+    if weight == "inverse_sqrt":  # T_k' = 2k (T_{k-1} + T_{k-3} + ...), the T_0 term halved
+        return [mpmath.pi] + [mpmath.pi / 2] * (n - 1), lambda k, m: k if m == 0 else 2 * k
+    # P_k' = sum of (2m + 1) P_m
+    return [mpmath.mpf(2) / (2 * k + 1) for k in range(n)], lambda k, m: 2 * m + 1
+
+
 def mpmath_sobolev_basis(weight, lam, degree, dps=50):
     """The Sobolev family (order 1) by an mpmath LDL^T of the classical Gram matrix.
 
@@ -282,16 +296,7 @@ def mpmath_sobolev_basis(weight, lam, degree, dps=50):
     with mpmath.workdps(dps):
         n = degree + 1
         lam = mpmath.mpf(lam)
-        if weight == "inverse_sqrt":
-            h = [mpmath.pi] + [mpmath.pi / 2] * (n - 1)
-
-            def der(k, m):  # T_k' = 2k (T_{k-1} + T_{k-3} + ...), the T_0 term halved
-                return k if m == 0 else 2 * k
-        else:
-            h = [mpmath.mpf(2) / (2 * k + 1) for k in range(n)]
-
-            def der(k, m):  # P_k' = sum of (2m + 1) P_m over m = k-1, k-3, ...
-                return 2 * m + 1
+        h, der = _mpmath_classical(weight, n)
 
         def gram(i, j):
             total = sum((der(i, m) * der(j, m) * h[m] for m in range(i - 1, -1, -2)
@@ -313,6 +318,68 @@ def mpmath_sobolev_basis(weight, lam, degree, dps=50):
             for j in range(i - 2, -1, -2):
                 E[i][j] = -sum((L[i][k] * E[k][j] for k in range(j, i, 2)), mpmath.mpf(0))
         return E, s
+
+
+def mpmath_project_linear(knots, values, weight, degree, lam=0.0, family=None, dps=50):
+    """Projection coefficients (m, degree + 1) of a piecewise-linear curve, at dps digits.
+
+    The curve interpolates values (n, m) at knots (n,) in [-1, 1], both read
+    as the exact values of their doubles.  Its moments p_k (of f B_k w) and
+    q_k (of f' B_k w) are closed forms: for the inverse-sqrt weight, in
+    t = arccos s, where a segment's a + b s against T_k is (a + b cos t)
+    cos kt, integrated by sin; for the unit weight by the integral of P_k,
+    (P_{k+1} - P_{k-1}) / (2k + 1), and Bonnet's identity for s P_k, with P_k
+    from mpmath.legendre.  A coefficient is <f, S_i> / <S_i, S_i>, <f, S_i> =
+    sum_j E[i][j] (p_j + lam sum_m der(j, m) q_m), with E and <S_i, S_i> of
+    family, (expansion rows j <= i, sq_norms) as numbers or digit strings, or
+    the classical elements and their norms when family is None.  Returns floats.
+    """
+    import mpmath
+
+    n = degree + 1
+    with mpmath.workdps(dps):
+        h, der = _mpmath_classical(weight, n)
+        s = [mpmath.mpf(float(k)) for k in knots]
+        v = [[mpmath.mpf(float(x)) for x in row] for row in np.asarray(values)]
+        if weight == "inverse_sqrt":
+            t = [mpmath.acos(x) for x in s]
+
+            def ints(j, a, b):  # integral of T_j w over [s_a, s_b], j >= -1
+                if j == 0:
+                    return t[a] - t[b]
+                return (mpmath.sin(abs(j) * t[a]) - mpmath.sin(abs(j) * t[b])) / abs(j)
+
+            def times_s(i, k):  # integral of s T_k w, by s T_k = (T_{k-1} + T_{k+1}) / 2
+                return (i[k - 1] + i[k + 1]) / 2
+        else:
+            P = [[mpmath.legendre(j, x) for j in range(n + 2)] for x in s]
+
+            def ints(j, a, b):  # integral of P_j over [s_a, s_b]
+                if j <= 0:
+                    return s[b] - s[a] if j == 0 else mpmath.mpf(0)
+                g = [(P[c][j + 1] - P[c][j - 1]) / (2 * j + 1) for c in (a, b)]
+                return g[1] - g[0]
+
+            def times_s(i, k):  # integral of s P_k, by Bonnet's (k + 1) P_{k+1} + k P_{k-1}
+                return ((k + 1) * i[k + 1] + k * i[k - 1]) / (2 * k + 1)
+        E, norms = [[0] * i + [1] for i in range(n)], h
+        if family is not None:
+            E = [list(map(mpmath.mpf, row)) for row in family[0]]
+            norms = list(map(mpmath.mpf, family[1]))
+        out = np.empty((len(v[0]), n))
+        for c in range(len(v[0])):
+            p, q = [mpmath.mpf(0)] * n, [mpmath.mpf(0)] * n
+            for a in range(len(s) - 1):
+                slope = (v[a + 1][c] - v[a][c]) / (s[a + 1] - s[a])
+                i = {j: ints(j, a, a + 1) for j in range(-1, n + 1)}  # i[-1]: T_1's, or 0
+                for k in range(n):
+                    p[k] += (v[a][c] - slope * s[a]) * i[k] + slope * times_s(i, k)
+                    q[k] += slope * i[k]
+            u = [p[j] + lam * sum((der(j, m) * q[m] for m in range(j - 1, -1, -2)),
+                                  mpmath.mpf(0)) for j in range(n)]
+            for r in range(n):
+                out[c, r] = float(mpmath.fsum(e * x for e, x in zip(E[r], u)) / norms[r])
+    return out
 
 
 def mpmath_series_sums(rows, basis, s, dps=40):

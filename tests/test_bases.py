@@ -803,13 +803,15 @@ class TestEvaluate:
         assert np.array_equal(evaluated(rows, basis, shared)[20],
                               evaluated(rows, basis, copies)[20])
 
-    def test_plain_legendre_sums_as_densepoly_evaluates(self):
-        # both sum over poly's one classical walk, so error-sweep's legendre bytes did not move
+    @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
+    def test_a_plain_family_sums_as_densepoly_evaluates(self, kind):
+        # both sum over poly's one classical walk, in the same order, up to MAX_DEGREE
         rng = np.random.default_rng(5)
-        c, s = rng.uniform(-1.0, 1.0, 41), np.sort(rng.uniform(-1.0, 1.0, 80))
-        every = evaluated(c[None], build_named_basis("legendre", 40), s, range(41))
-        for d in range(41):
-            assert np.array_equal(every[d][0], DensePoly(BasisKind.LEGENDRE, c[: d + 1])(s)), d
+        c = rng.uniform(-1.0, 1.0, MAX_DEGREE + 1)
+        s = np.r_[-1.0, np.sort(rng.uniform(-1.0, 1.0, 80)), 1.0]
+        every = evaluated(c[None], build_named_basis(kind, MAX_DEGREE), s, range(MAX_DEGREE + 1))
+        for d in range(MAX_DEGREE + 1):
+            assert np.array_equal(every[d][0], DensePoly(kind, c[: d + 1])(s)), d
 
     def test_bits_do_not_depend_on_numpy_simd_loops(self):
         # only +, -, * and / run, which round exactly on every CPU

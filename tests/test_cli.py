@@ -165,7 +165,7 @@ class TestApproximate:
         argv = ["approximate", str(ok), str(ok), str(far), str(ok), "--spline", spline]
         assert main([*argv, "--out", str(outdir)]) == 2
         assert capsys.readouterr().err.startswith("error: rescaled coordinates too large: ")
-        assert not list(outdir.glob("*"))
+        assert not outdir.exists()
 
     def test_inkml_input(self, tmp_path):
         doc = tmp_path / "sym.inkml"
@@ -687,7 +687,7 @@ _CHANNELS = st.one_of(
 @st.composite
 def mutated_inkml(draw):
     """The golden walk_0.inkml truncated, or with one to three points given a channel
-    changed, dropped or added."""
+    changed, dropped or added; a point left with no channel can only gain one."""
     if draw(st.booleans()):
         return GOLDEN_WALK[: draw(st.integers(0, len(GOLDEN_WALK) - 1))]
     head, rest = GOLDEN_WALK.split("<trace>")
@@ -695,8 +695,8 @@ def mutated_inkml(draw):
     points = [p.split() for p in points.split(",")]
     for _ in range(draw(st.integers(1, 3))):
         channels = points[draw(st.integers(0, len(points) - 1))]
-        j = draw(st.integers(0, len(channels) - 1))
-        kind = draw(st.sampled_from(["replace", "drop", "add"]))
+        kind = draw(st.sampled_from(["replace", "drop", "add"] if channels else ["add"]))
+        j = draw(st.integers(0, len(channels) - (kind != "add")))  # add may also append
         if kind == "replace":
             channels[j] = draw(_CHANNELS)
         elif kind == "drop":

@@ -10,6 +10,8 @@ from collections import Counter
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_random_trace, near_duplicate_knots, skewed_knots
 from oracles import inkml_points, pendigits_traces
@@ -615,6 +617,20 @@ class TestToCoeffs:
         b = symbol_coeffs(trace.scaled(3.0), basis)
         np.testing.assert_allclose(a.xs, b.xs, atol=1e-9)
         np.testing.assert_allclose(a.ys, b.ys, atol=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-30, 40), degree=st.integers(1, 100))
+    def test_a_power_of_two_scale_keeps_every_bit(self, seed, k, degree):
+        # 2^k scales the points, their steps and L exactly, and 2 / L takes it out exactly
+        trace = make_random_trace(np.random.default_rng(seed), 2, 40)
+        scaled = trace.scaled(2.0**k)
+        for spline in SplineKind:
+            for kind in BASIS_KINDS:
+                basis = build_named_basis(kind, degree)
+                a, b = symbol_coeffs(trace, basis, spline), symbol_coeffs(scaled, basis, spline)
+                assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys), (spline, kind)
+                assert (a.x0, a.y0) == (b.x0, b.y0), (spline, kind)
+                assert b.length == a.length * 2.0**k, (spline, kind)
 
     def test_resampling_invariance(self, rng):
         basis = build_named_basis("chebyshev-sobolev", 8)

@@ -66,11 +66,15 @@ class TestClenshaw:
             want = naive_cheb_eval(c, x)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
-    def test_bit_identical_to_chebval(self, rng):
+    def test_within_twice_the_evaluation_bound_of_chebval(self, rng):
+        # the walk DensePoly sums with keeps bases._evaluate's bound, 2 (d + 1) u sum |c|, from
+        # the exact sum, and so should chebval's Clenshaw: twice it covers both (the worst
+        # share of it seen in 200 seeded runs of this loop was 0.48)
         for deg in range(0, 101, 5):
             c = rng.uniform(-1, 1, size=deg + 1)
             x = np.r_[-1.0, rng.uniform(-1, 1, size=40), 1.0]
-            np.testing.assert_array_equal(cheb(*c)(x), npcheb.chebval(x, c))
+            bound = 2 * 2 * (deg + 1) * 2.0**-53 * np.abs(c).sum()
+            assert np.abs(cheb(*c)(x) - npcheb.chebval(x, c)).max() <= bound, deg
 
 
 class TestLegendreEval:

@@ -4,10 +4,13 @@ Every case normalizes a seeded random walk, projects its x and y with the
 library in one call, and compares the coefficients with those of the
 quadrature oracle, which rebuilds the spline from the normalized knots and
 points on its own.  The same family (expansion rows and squared norms) is
-used on both sides, so the check isolates the segment integrals.
+used on both sides, so the check isolates the segment integrals.  At the
+limit, one walk is also checked against 50-digit moments and families.
 """
 
+import json
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +22,13 @@ from inkbasis import (
     Weight,
     arc_length_normalize,
     build_basis,
+    build_named_basis,
     project,
     spec_for_kind,
 )
 from inkbasis.bases import MAX_DEGREE
 from conftest import make_random_trace
-from oracles import quad_spline_inners
+from oracles import mpmath_project_linear, quad_spline_inners
 
 DEGREES = (1, 10, 30, 60, 100)
 
@@ -94,6 +98,35 @@ def test_curve_projection_equals_per_coordinate_projection(weight, degree):
             for i in (0, 1):
                 alone = project(PiecewisePoly(curve.breakpoints, curve.local[:, i]), basis)
                 assert np.array_equal(got[i], alone), f"{kind} {spline} {n} points, row {i}"
+
+
+SOBOLEV_D100 = Path(__file__).parent / "data" / "sobolev_mpmath_d100.json"
+
+# twice the worst error against 50 digits over eight 10-point walks, seeds 0..7: 1.5e-14,
+# 9.7e-16, 2.8e-16 and 2.2e-16 (on seed 0, the walk below: 1.5e-14, 5.9e-16, 5.6e-17 and
+# 2.8e-17).  A plain legendre coefficient is p_k (2k + 1) / 2, which multiplies the
+# rounding of its moment by about 100 at k = 100
+MPMATH_TOL = {"legendre": 3e-14, "chebyshev": 2e-15,
+              "legendre-sobolev": 6e-16, "chebyshev-sobolev": 5e-16}
+
+
+@pytest.mark.parametrize("kind", list(MPMATH_TOL))
+def test_project_at_the_degree_limit_matches_50_digits(kind):
+    # moments and family both in high precision: the sobolev families from the stored digits
+    doc = json.loads(SOBOLEV_D100.read_text(encoding="utf-8"))
+    basis = build_named_basis(kind, MAX_DEGREE, doc["lambda"])
+    family = None
+    if basis.spec.is_sobolev:  # row i stores the entries j = i % 2, i % 2 + 2, ..., i
+        rows = [[0] * (i + 1) for i in range(MAX_DEGREE + 1)]
+        for i, stored in enumerate(doc[kind]["expansion"]):
+            rows[i][i % 2 :: 2] = stored
+        family = rows, doc[kind]["sq_norms"]
+    trace = make_random_trace(np.random.default_rng(0), 10, 10)
+    norm = arc_length_normalize(trace)
+    values = trace.points * (2.0 / norm.total_length)
+    want = mpmath_project_linear(norm.knots, values, basis.spec.weight.value, MAX_DEGREE,
+                                 basis.spec.lam, family)
+    assert np.max(np.abs(project(norm.curve, basis) - want)) <= MPMATH_TOL[kind]
 
 
 def _steps_spanning_decades(shortest: float, n: int = 200) -> InkTrace:

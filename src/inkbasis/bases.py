@@ -142,6 +142,12 @@ def _coherent_pair(spec: InnerProductSpec, n: int) -> tuple[np.ndarray, ...]:
     return h, b, c, g
 
 
+def _check_spec(spec) -> None:
+    """Refuse a spec that is not an InnerProductSpec, before any work that would read it."""
+    if not isinstance(spec, InnerProductSpec):
+        raise InvalidParameterError(f"spec must be an InnerProductSpec, got {type(spec).__name__}")
+
+
 def inner_closed_form(f: DensePoly, g: DensePoly, spec: InnerProductSpec) -> float:
     """sum_k h_k f_k g_k + lam sum_k h_k f'_k g'_k for series in the weight's classical basis.
 
@@ -151,8 +157,7 @@ def inner_closed_form(f: DensePoly, g: DensePoly, spec: InnerProductSpec) -> flo
     for name, value in (("f", f), ("g", g)):
         if not isinstance(value, DensePoly):
             raise InvalidDataError(f"{name} must be a DensePoly, got {type(value).__name__}")
-    if not isinstance(spec, InnerProductSpec):
-        raise InvalidParameterError(f"spec must be an InnerProductSpec, got {type(spec).__name__}")
+    _check_spec(spec)
     cb = spec.classical_basis
     if f.basis is not cb or g.basis is not cb:
         raise BasisMismatchError(
@@ -184,6 +189,7 @@ class OrthoBasis:
     sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_spec(self.spec)
         degree = _integer(self.degree, "degree")
         if degree < 0:
             raise InvalidParameterError("degree must be non-negative")
@@ -219,7 +225,9 @@ class OrthoBasis:
         return _frozen(rows)
 
     def member(self, i: int) -> DensePoly:
-        """The i-th family member as a classical-basis polynomial."""
+        """The i-th family member as a classical-basis polynomial, 0 <= i <= degree."""
+        if not 0 <= _integer(i, "member index") <= self.degree:
+            raise InvalidParameterError(f"member index must be in [0, {self.degree}], got {i}")
         return DensePoly(self.classical_basis, self.expansion[i, : i + 1])
 
 
@@ -249,26 +257,26 @@ def project(f: PiecewisePoly, basis: OrthoBasis) -> np.ndarray:
     """Expansion coefficients of the best approximation to f in the family.
 
     c[..., i] = <f, S_i> / <S_i, S_i>, one row per function of f: (2, degree + 1)
-    for a curve's x and y, and (T, 2, degree + 1) for a bucket of T curves.
-    A curve's row has the same bits in a bucket as alone, and at a degree as
-    truncated from any higher degree.
+    for a curve's x and y.  A row has the same bits at a degree as truncated
+    from any higher degree, and as the curve's row of a bucket in _project.
     """
     _check_basis(basis)
     if not isinstance(f, PiecewisePoly):
         raise InvalidDataError(f"f must be a PiecewisePoly, got {type(f).__name__}")
-    return _project(f, [basis])[0]
+    return _project(f.breakpoints, f.local, [basis])[0]
 
 
-def _project(f: PiecewisePoly, bases: list[OrthoBasis]) -> list[np.ndarray]:
-    """project(f, basis) for each of bases, bit for bit, in one moment pass per weight.
+def _project(bp: np.ndarray, c: np.ndarray, bases: list[OrthoBasis]) -> list[np.ndarray]:
+    """project for each of bases, bit for bit, in one moment pass per weight.
 
-    The moments of f (poly's closed-form kernel) are taken once per weight,
-    at the largest degree that needs them, and each basis combines their prefix.
+    bp and c are a curve's arrays or a bucket's, as poly._moments takes them.
+    The moments are taken once per weight, at the largest degree that needs
+    them, and each basis combines their prefix: rows ([T,] m, degree + 1).
     """
     moments = {}
     for weight in dict.fromkeys(b.classical_basis for b in bases):
         family = [b for b in bases if b.classical_basis is weight]
-        moments[weight] = _moments(f, weight, max(b.degree for b in family),
+        moments[weight] = _moments(bp, c, weight, max(b.degree for b in family),
                                    any(b.spec.is_sobolev for b in family))
     out = []
     for basis in bases:
@@ -326,6 +334,7 @@ def synthesize(coeffs, basis: OrthoBasis) -> DensePoly:
     a projection synthesizes, bit for bit, as it would on the basis of its
     own degree.
     """
+    _check_basis(basis)
     u = _real_array(coeffs, "coefficients must be numbers (real, not bool)")
     n = basis.degree + 1
     if u.ndim != 1 or len(u) > n:
@@ -341,6 +350,7 @@ NORMALIZATION = "unit-leading-classical-coefficient"
 
 def basis_to_json_dict(basis: OrthoBasis) -> dict:
     """JSON document for export: spec, degree, row-major expansion, norms."""
+    _check_basis(basis)
     return {
         "spec": {
             "weight": basis.spec.weight.value,
@@ -383,9 +393,9 @@ def basis_from_json_dict(doc: dict) -> OrthoBasis:
 
 
 def save_basis(basis: OrthoBasis, path) -> None:
-    _check_basis(basis)  # before the file is opened, and so emptied
+    doc = basis_to_json_dict(basis)  # checks basis before the file is opened, and so emptied
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(basis_to_json_dict(basis), fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 

@@ -384,9 +384,17 @@ def knn_accuracy(
 ) -> dict[int, float]:
     """Test-set accuracy of kNN for each k, under the dataset's own split."""
     _check_dataset(dataset)
+    ks = _listed(ks, "ks", "a range or a list of integers")
     train, test = dataset.split_indices()
     w, _ = _row_weights(dataset, dataset[0], basis)
     return _accuracy(dataset.xy, dataset.codes, train, test, w, ks)
+
+
+def _listed(values, name: str, what: str) -> list:
+    """values as a list; a str or anything not iterable raises InvalidParameterError naming it."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise InvalidParameterError(f"{name} must be {what}, got {type(values).__name__}")
+    return list(values)
 
 
 def _accuracy(
@@ -447,10 +455,8 @@ def accuracy_sweep(
         raise InvalidDataError(f"traces must be InkTraces, got {type(odd[0]).__name__}")
     if not traces:
         raise InvalidDataError("no traces supplied")
-    if not isinstance(k_range, Iterable):
-        raise InvalidParameterError(
-            f"k_range must be a range or a list of integers, got {type(k_range).__name__}")
-    ks = list(k_range)
+    ks = _listed(k_range, "k_range", "a range or a list of integers")
+    basis_kinds = _listed(basis_kinds, "basis_kinds", "a list of basis kind names")
     bases = [build_named_basis(kind, degree, lam) for kind in basis_kinds]
     for basis in bases:
         _check_degree(basis.degree)

@@ -11,8 +11,8 @@ fixed-size description of the symbol.
 One normalizer takes a bucket of equal point counts for either spline; a
 trace is a bucket of one.  Every command turns its traces into coefficients
 through one corpus path, _corpus: it normalizes all buckets, then projects
-each bucket, one PiecewisePoly, onto every basis by one bases._project call,
-and its rows go back into input order.  The way back to points in the
+each bucket's arrays onto every basis by one bases._project call, and its
+rows go back into input order.  The way back to points in the
 input frame is ink's too: _input_frame sums a corpus's series by
 bases._evaluate, one pass per bucket, and undoes the 2/L rescale, as
 reconstruct does for one record with the same bits, and _point_errors sums
@@ -188,6 +188,8 @@ class CoeffTable(Sequence):
     _norms: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
+        if not isinstance(self.items, Iterable):
+            raise InvalidDataError(f"items must be SymbolCoeffs, got {type(self.items).__name__}")
         items = tuple(self.items)
         odd = [c for c in items if not isinstance(c, SymbolCoeffs)]
         if odd:
@@ -226,8 +228,8 @@ def parse_pendigits(source: str | Iterable[str]) -> list[InkTrace]:
     ParseError with its line number.  A source that is neither a string nor
     an iterable of lines raises InvalidDataError.
 
-    One pass checks each line and reads its stripped fields with int(), which
-    reads padding, signs, "1_000" and non-ASCII digits; then all coordinates
+    One pass checks each line and reads its fields with int(), which skips
+    padding and reads signs, "1_000" and non-ASCII digits; then all coordinates
     become one float array and each line an InkTrace.  A line that fails its
     own checks first builds the lines above it: the first bad line raises.
     """
@@ -243,10 +245,14 @@ def parse_pendigits(source: str | Iterable[str]) -> list[InkTrace]:
             reason = f"expected 17 fields, got {len(fields)}"
         else:
             try:
-                values.extend(map(int, map(str.strip, fields)))
+                values.extend(map(int, fields))
                 linenos.append(lineno)
                 continue
             except ValueError as exc:
+                try:  # the message quotes the bad field stripped
+                    list(map(int, map(str.strip, fields)))
+                except ValueError as stripped:
+                    exc = stripped
                 reason = f"non-integer field: {exc}"
                 del values[17 * len(linenos):]
         _pendigits_traces(values, linenos)
@@ -582,9 +588,9 @@ def _corpus(
     Each bucket is (indices into traces, knots (T, n), local (T, n - 1, 2,
     width), total lengths (T,)), normalized together by _normalize.  Every
     bucket is normalized before any is projected, and the first failing
-    trace in input order raises the error it raises alone.  Then each bucket
-    is one PiecewisePoly and one _project call over all bases, and each
-    basis's rows, (len(traces), 2, degree + 1) in input order, equal
+    trace in input order raises the error it raises alone.  Then each
+    accepted bucket's arrays go to one _project call over all bases, and
+    each basis's rows, (len(traces), 2, degree + 1) in input order, equal
     project's on the same curves.
     """
     spline = _enum_member(SplineKind, spline, "spline")
@@ -599,7 +605,7 @@ def _corpus(
     _raise_first_failure(failure)
     rows = [np.empty((len(traces), 2, b.degree + 1)) for b in bases]
     for idx, knots, local, _ in buckets:
-        for out, projected in zip(rows, _project(PiecewisePoly(knots, local), bases)):
+        for out, projected in zip(rows, _project(knots, local, bases)):
             out[idx] = projected
     return buckets, rows
 
@@ -704,6 +710,8 @@ def reconstruct(
 
 
 def coeffs_to_json_dict(c: SymbolCoeffs) -> dict:
+    if not isinstance(c, SymbolCoeffs):
+        raise InvalidDataError(f"a coefficient record is a SymbolCoeffs, got {type(c).__name__}")
     doc = {
         "label": c.label,
         "basis_id": c.basis_id,
@@ -729,10 +737,11 @@ def coeffs_from_json_dict(doc: dict) -> SymbolCoeffs:
 
 def write_coeffs_jsonl(items: Iterable[SymbolCoeffs], path) -> None:
     """One JSON object per line; floats round-trip bit-exactly."""
+    if not isinstance(items, Iterable):
+        raise InvalidDataError(f"items must be SymbolCoeffs, got {type(items).__name__}")
+    lines = [json.dumps(coeffs_to_json_dict(c)) + "\n" for c in items]  # before the file is emptied
     with open(path, "w", encoding="utf-8") as fh:
-        for c in items:
-            fh.write(json.dumps(coeffs_to_json_dict(c)))
-            fh.write("\n")
+        fh.writelines(lines)
 
 
 def read_coeffs_jsonl(path) -> CoeffTable:

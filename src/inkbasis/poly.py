@@ -2,10 +2,10 @@
 
 Dense polynomials carry their coefficients in one of two classical bases,
 Legendre or Chebyshev of the first kind, whose three-term recurrence one
-walk, _classical, runs for every evaluator.  Piecewise polynomials are arrays:
-strictly increasing breakpoints s_j and, per interval, the coefficients of
-a cubic (or lower) in the local offset s - s_j, for one or more functions.
-A bucket of curves with equal segment counts adds a leading axis to both.
+walk, _classical, runs for every evaluator.  A piecewise polynomial is one
+curve, as arrays: strictly increasing breakpoints s_j and, per interval, the
+coefficients of a cubic (or lower) in the local offset s - s_j, for one or
+more functions.  A bucket of curves adds a leading axis to both arrays.
 
 Weighted integrals of a piecewise polynomial against the classical elements
 are basis-native closed forms, summed segment by segment: the family's
@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidDataError, InvalidParameterError, _enum_member
+from .errors import InvalidDataError, _enum_member
 
 
 class BasisKind(str, enum.Enum):
@@ -103,6 +103,8 @@ class DensePoly:
         c = np.atleast_1d(_real_array(self.coeffs, "coeffs must be numbers (real, not bool)"))
         if c.ndim != 1 or c.size == 0:
             raise InvalidDataError("coeffs must be a non-empty 1-D array")
+        if not np.isfinite(c).all():
+            raise InvalidDataError("coeffs must be finite")
         object.__setattr__(self, "coeffs", _frozen(c))
         object.__setattr__(self, "basis", _enum_member(BasisKind, self.basis, "basis"))
 
@@ -128,24 +130,16 @@ class DensePoly:
         return DensePoly(self.basis, der(self.coeffs))
 
 
-def _of_curve(t) -> str:
-    """The message suffix ' in curve t' for bucket index t; '' for a lone curve (t = ())."""
-    return f" in curve {t[0]}" if len(t) else ""
-
-
 @dataclass(frozen=True)
 class PiecewisePoly:
-    """Piecewise polynomial of degree at most 3 on strictly increasing breakpoints.
+    """One curve: a piecewise polynomial of degree at most 3 on strictly increasing breakpoints.
 
     Segments are stored in local coordinates: local[j, ..., u] multiplies
     (s - breakpoints[j])**u on [breakpoints[j], breakpoints[j+1]], in an
     (nseg, width) array, or (nseg, m, width) for m functions (x and y), width
     1..4.  Local coefficients stay well scaled however short a segment is, so
     continuity and projection keep their accuracy on densely sampled traces.
-
-    A bucket of T curves with equal segment counts takes a leading axis:
-    breakpoints (T, nseg + 1) and local (T, nseg, [m,] width).  It is checked
-    and projected as a whole, and an error names its first bad curve.
+    Breakpoints are 1-D: a bucket of curves is the arrays of bases._project.
     """
 
     breakpoints: np.ndarray
@@ -153,47 +147,39 @@ class PiecewisePoly:
 
     def __post_init__(self):
         bp = _real_array(self.breakpoints, "breakpoints must be numbers (real, not bool)")
-        if bp.ndim not in (1, 2) or bp.shape[-1] < 2:
+        if bp.ndim > 1:
+            raise InvalidDataError("breakpoints must be a 1-D array: a PiecewisePoly is one curve")
+        if bp.size < 2:
             raise InvalidDataError("need at least two breakpoints")
-        lead = bp.shape[:-1]  # () for one curve, (T,) for a bucket
         c = _real_array(self.local, "local coefficients must be numbers (real, not bool)")
-        if c.ndim - bp.ndim not in (1, 2) or not 1 <= c.shape[-1] <= 4:
-            raise InvalidDataError("local coefficients must be an ([T,] nseg, [m,] 1..4) array")
-        if c.shape[: bp.ndim] != (*lead, bp.shape[-1] - 1):
+        if c.ndim not in (2, 3) or not 1 <= c.shape[-1] <= 4:
+            raise InvalidDataError("local coefficients must be an (nseg, [m,] 1..4) array")
+        if len(c) != len(bp) - 1:
             raise InvalidDataError("segment count must be breakpoint count - 1")
         if not np.isfinite(c).all():
-            t = np.argwhere(~np.isfinite(c).reshape(*lead, -1).all(axis=-1))[0]
-            raise InvalidDataError(f"local coefficients must be finite{_of_curve(t)}")
-        rising = bp[..., 1:] > bp[..., :-1]
-        if not rising.all():
-            t = np.argwhere(~rising)[0][:-1]
-            raise InvalidDataError(f"breakpoints must be strictly increasing{_of_curve(t)}")
+            raise InvalidDataError("local coefficients must be finite")
+        if not (bp[1:] > bp[:-1]).all():
+            raise InvalidDataError("breakpoints must be strictly increasing")
         # continuity at interior breakpoints, 1e-12 relative: each segment's
         # end value, by Horner in its width h, against the next one's start
-        per_curve = (slice(None),) * len(lead)
-        before, after = c[(*per_curve, np.s_[:-1])], c[(*per_curve, np.s_[1:])]
-        h = bp[..., 1:-1] - bp[..., :-2]
-        h = h.reshape(h.shape + (1,) * (c.ndim - bp.ndim - 1))
-        left, right = before[..., -1], after[..., 0]
+        h = (bp[1:-1] - bp[:-2]).reshape((-1,) + (1,) * (c.ndim - 2))
+        left, right = c[:-1, ..., -1], c[1:, ..., 0]
         for u in range(c.shape[-1] - 2, -1, -1):
-            left = left * h + before[..., u]
+            left = left * h + c[:-1, ..., u]
         scale = np.maximum(np.maximum(np.abs(left), np.abs(right)), 1.0)
         bad = np.abs(left - right) > 1e-12 * scale
         if bad.any():
-            *t, j = np.argwhere(bad)[0][: bp.ndim]
-            raise InvalidDataError(f"discontinuity at breakpoint {bp[(*t, 1 + j)]}{_of_curve(t)}")
+            raise InvalidDataError(f"discontinuity at breakpoint {bp[1 + np.argwhere(bad)[0][0]]}")
         object.__setattr__(self, "breakpoints", _frozen(bp))
         object.__setattr__(self, "local", _frozen(c))
 
     @property
     def segments(self) -> np.ndarray:
-        """The local coefficients, one row per segment: T * nseg rows for a bucket."""
-        return self.local.reshape((-1,) + self.local.shape[self.breakpoints.ndim:])
+        """The local coefficients, one row per segment: local itself."""
+        return self.local
 
     def __call__(self, s):
         bp = self.breakpoints
-        if bp.ndim != 1:
-            raise InvalidParameterError("a bucket of curves is evaluated curve by curve")
         xs = _points(s)
         j = np.clip(np.searchsorted(bp, xs, side="right") - 1, 0, len(self.local) - 1)
         t = (xs - bp[j]).reshape(xs.shape + (1,) * (self.local.ndim - 2))
@@ -325,17 +311,18 @@ def _blocks(n: int, floats_each: int) -> list[slice]:
 
 
 def _moments(
-    f: PiecewisePoly, basis: BasisKind, degree: int, derivative: bool = True
+    bp: np.ndarray, c: np.ndarray, basis: BasisKind, degree: int, derivative: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Plain inners p and derivative inners q of f with the classical elements.
 
-    p[..., k] is the integral over the breakpoint span of f B_k w for k <=
-    degree, and q[..., k] that of f' B_k w for k < degree, where w is the
-    weight under which the classical family (LEGENDRE or CHEBYSHEV) is
-    orthogonal: 1 or 1/sqrt(1 - s^2).  For m functions on the breakpoints,
-    (nseg, m, width), p is (m, degree + 1) and q (m, degree); a bucket of T
-    curves adds a leading axis.  q is None for piecewise constants, and
-    when derivative is false.
+    f is one curve's arrays, breakpoints bp (n,) and local coefficients c
+    (n - 1, [m,] width), or a bucket's, with a leading axis (T,) on both,
+    checked by their maker, PiecewisePoly or ink._normalize.  p[..., k] is
+    the integral over the breakpoint span of f B_k w for k <= degree, and
+    q[..., k] that of f' B_k w for k < degree, where w is the weight under
+    which the classical family (LEGENDRE or CHEBYSHEV) is orthogonal: 1 or
+    1/sqrt(1 - s^2).  p is ([T,] [m,] degree + 1) and q ([T,] [m,] degree);
+    q is None for piecewise constants, and when derivative is false.
 
     On a segment [a, b], s B_k = up[k] B_{k+1} + lo[k] B_{k-1} (the
     multiply-by-s matrix X), and B_m w has the closed-form antiderivative
@@ -349,7 +336,6 @@ def _moments(
     bucket as alone.  A bucket passes in the _blocks of curves whose table
     fits _BLOCK_BYTES, and the blocks' p and q are concatenated.
     """
-    bp, c = f.breakpoints, f.local
     if bp[..., 0].min() < -1.0 or bp[..., -1].max() > 1.0:
         raise InvalidDataError("breakpoints must lie within [-1, 1]")
     width = c.shape[-1]

@@ -404,19 +404,25 @@ def equal_shape_curves(spline: str, count: int) -> tuple[np.ndarray, np.ndarray]
     return np.stack([c.breakpoints for c in curves]), np.stack([c.local for c in curves])
 
 
+def projected(bp: np.ndarray, c: np.ndarray, basis: OrthoBasis) -> np.ndarray:
+    """The rows of one curve's arrays, or of a bucket's, on basis: _project onto it alone."""
+    return _project(bp, c, [basis])[0]
+
+
 def projection_digests() -> dict[str, str]:
     """sha256 of every kind's projections of fixed curves and buckets."""
     rng = np.random.default_rng(20)
     curves = {}
     for spline in ("linear", "cubic"):
-        curves[spline] = arc_length_normalize(make_random_trace(rng, 50, 50), spline).curve
-        curves[f"{spline} bucket"] = PiecewisePoly(*equal_shape_curves(spline, 5))
+        curve = arc_length_normalize(make_random_trace(rng, 50, 50), spline).curve
+        curves[spline] = curve.breakpoints, curve.local
+        curves[f"{spline} bucket"] = equal_shape_curves(spline, 5)
     digests = {}
     for kind in BASIS_KINDS:
         for d in (10, 40, 100):
             basis = build_named_basis(kind, d)
-            for name, f in curves.items():
-                digest = hashlib.sha256(project(f, basis).tobytes()).hexdigest()
+            for name, (bp, c) in curves.items():
+                digest = hashlib.sha256(projected(bp, c, basis).tobytes()).hexdigest()
                 digests[f"{kind} d={d} {name}"] = digest
     return digests
 
@@ -431,16 +437,18 @@ class TestBucket:
     @pytest.mark.parametrize("degree", [1, 10, 60, 100])
     @pytest.mark.parametrize("spline", ["linear", "cubic"])
     def test_bucket_projection_equals_bucket_of_one(self, spline, degree):
-        # bucket sizes around the block size, for both weights
+        # bucket sizes around the block size, for both weights; a bucket of one
+        # has the bits of the lone curve, and the lone curve those of project
         block = curves_per_block(spline, degree)
         knots, local = equal_shape_curves(spline, block + 1)
         for kind in BASIS_KINDS:
             basis = build_named_basis(kind, degree)
-            alone = np.stack([project(PiecewisePoly(knots[i : i + 1], local[i : i + 1]), basis)[0]
+            alone = np.stack([projected(knots[i : i + 1], local[i : i + 1], basis)[0]
                               for i in range(block + 1)])
+            assert np.array_equal(alone[0], projected(knots[0], local[0], basis))
             assert np.array_equal(alone[0], project(PiecewisePoly(knots[0], local[0]), basis))
             for size in sorted({1, 2, block - 1, block, block + 1}):
-                got = project(PiecewisePoly(knots[:size], local[:size]), basis)
+                got = projected(knots[:size], local[:size], basis)
                 assert got.shape == (size, 2, degree + 1)
                 assert np.array_equal(got, alone[:size]), f"{kind}, {size} curves"
 
@@ -457,11 +465,10 @@ class TestBucket:
 
         for kind in BASIS_KINDS:
             basis = build_named_basis(kind, 10)
-            alone = [project(PiecewisePoly(knots[i : i + 1], local[i : i + 1]), basis)[0]
-                     for i in range(size)]
+            alone = [projected(knots[i : i + 1], local[i : i + 1], basis)[0] for i in range(size)]
             monkeypatch.setattr(poly, "_antiderivative_steps", spy)
             tables.clear()
-            got = project(PiecewisePoly(knots, local), basis)
+            got = projected(knots, local, basis)
             monkeypatch.undo()
             assert len(tables) == 4 and max(t.nbytes for t in tables) <= _BLOCK_BYTES
             assert np.array_equal(got, alone), kind
@@ -471,7 +478,7 @@ class TestBucket:
         # of the moments, the evaluation kernel and the vote, and no output moves a bit
         rng = np.random.default_rng(6)
         basis = build_named_basis("chebyshev-sobolev", 10)
-        bucket = PiecewisePoly(*equal_shape_curves("cubic", 9))
+        knots, local = equal_shape_curves("cubic", 9)
         s = np.sort(rng.uniform(-1.0, 1.0, (9, 1, 50)))
         xy, codes = rng.uniform(-1.0, 1.0, (40, 20)), np.arange(40) % 3
         train, test = np.arange(0, 40, 2), np.arange(1, 40, 2)
@@ -483,7 +490,7 @@ class TestBucket:
         def run():
             tables.clear()
             votes.clear()
-            rows = project(bucket, basis)
+            rows = projected(knots, local, basis)
             sums = [values for _, _, values in _evaluate(rows, basis, s)]
             acc = classify._accuracy(xy, codes, train, test, classify._weights(basis), [1, 3])
             return (len(tables), len(sums), len(votes)), rows, np.concatenate(sums), acc
@@ -523,46 +530,11 @@ class TestBucket:
         assert out.returncode == 0, out.stderr[-2000:]
         assert json.loads(out.stdout) == projection_digests()
 
-    def test_segments_are_every_curves_rows(self):
-        knots, local = equal_shape_curves("cubic", 3)
-        bucket = PiecewisePoly(knots, local)
-        assert len(bucket.segments) == 3 * 7
-        np.testing.assert_array_equal(bucket.segments, local.reshape(21, 2, 4))
-
-    def test_first_discontinuous_curve_is_named(self):
-        knots, local = equal_shape_curves("linear", 4)
-        local = local.copy()
-        local[3, 5, 1, 0] += 1.0  # y of curve 3 jumps at its breakpoint 5
-        local[1, 2, 0, 0] += 1.0  # x of curve 1 jumps at its breakpoint 2
-        with pytest.raises(InvalidDataError,
-                           match=rf"^discontinuity at breakpoint {knots[1, 2]} in curve 1$"):
-            PiecewisePoly(knots, local)
-
-    def test_first_non_finite_curve_is_named(self):
-        knots, local = equal_shape_curves("cubic", 4)
-        local = local.copy()
-        local[3, 0, 1, 3] = np.inf
-        local[2, 6, 0, 2] = np.nan
-        with pytest.raises(InvalidDataError, match="^local coefficients must be finite in curve 2$"):
-            PiecewisePoly(knots, local)
-
-    def test_first_non_increasing_curve_is_named(self):
-        knots, local = equal_shape_curves("linear", 3)
-        knots = knots.copy()
-        knots[2, 4] = knots[2, 3]
-        with pytest.raises(InvalidDataError,
-                           match="^breakpoints must be strictly increasing in curve 2$"):
-            PiecewisePoly(knots, local)
-
-    def test_curve_counts_must_agree(self):
-        knots, local = equal_shape_curves("linear", 3)
-        with pytest.raises(InvalidDataError, match="^segment count must be breakpoint count - 1$"):
-            PiecewisePoly(knots[:2], local)
-
-    def test_a_bucket_is_evaluated_curve_by_curve(self):
+    def test_a_piecewise_poly_is_one_curve(self):
+        # a bucket is the kernels' arrays: 2-D breakpoints make no PiecewisePoly
         knots, local = equal_shape_curves("linear", 2)
-        with pytest.raises(InvalidParameterError):
-            PiecewisePoly(knots, local)(0.0)
+        with pytest.raises(InvalidDataError, match="^breakpoints must be a 1-D array: "):
+            PiecewisePoly(knots, local)
 
 
 # degrees at which moments taken once, at a larger degree, are truncated and
@@ -579,17 +551,18 @@ class TestSharedMoments:
         knots, local = equal_shape_curves(spline, 5)
         curves = [arc_length_normalize(make_random_trace(rng, n, n), spline).curve
                   for n in (2, 200)]
-        curves += [PiecewisePoly(knots[0], local[0]), PiecewisePoly(knots, local)]
+        curves = [(f.breakpoints, f.local) for f in curves]
+        curves += [(knots[0], local[0]), (knots, local)]
         for kind in BASIS_KINDS:
             bases = [build_named_basis(kind, d) for d in SHARED_DEGREES]
-            for f in curves:
-                per_degree = [project(f, basis) for basis in bases]
+            for bp, c in curves:
+                per_degree = [projected(bp, c, basis) for basis in bases]
                 for top in (2, 40, 100):  # the degree the moments are taken at
                     family = [b for b in bases if b.degree <= top]
-                    for basis, got, want in zip(family, _project(f, family), per_degree):
+                    for basis, got, want in zip(family, _project(bp, c, family), per_degree):
                         assert got.shape == want.shape
                         assert np.array_equal(got, want), (
-                            f"{kind}, d = {basis.degree} from {top}, {f.local.shape}")
+                            f"{kind}, d = {basis.degree} from {top}, {c.shape}")
 
     @pytest.mark.parametrize("spline", ["linear", "cubic"])
     def test_one_call_serves_every_kind_lambda_and_degree(self, spline, monkeypatch):
@@ -598,24 +571,24 @@ class TestSharedMoments:
         mixed += [build_named_basis("chebyshev-sobolev", d, 1.5) for d in (3, 10, 40)]
         weights = []
         real = bases._moments
-        for f in (PiecewisePoly(knots[0], local[0]), PiecewisePoly(knots, local)):
-            monkeypatch.setattr(bases, "_moments", lambda *a: weights.append(a[1]) or real(*a))
+        for bp, c in ((knots[0], local[0]), (knots, local)):
+            monkeypatch.setattr(bases, "_moments", lambda *a: weights.append(a[2]) or real(*a))
             weights.clear()
-            rows = _project(f, mixed)
+            rows = _project(bp, c, mixed)
             monkeypatch.undo()
             assert sorted(weights) == sorted(BasisKind)  # one moment pass per weight
             for basis, got in zip(mixed, rows):
-                assert np.array_equal(got, project(f, basis)), basis.basis_id
+                assert np.array_equal(got, projected(bp, c, basis)), basis.basis_id
 
     @pytest.mark.parametrize("spline", ["linear", "cubic"])
     @pytest.mark.parametrize("kind", SOBOLEV_KINDS)
     def test_truncated_projection_is_the_projection_at_every_degree(self, kind, spline):
         knots, local = equal_shape_curves(spline, 5)
-        for f in (PiecewisePoly(knots[0], local[0]), PiecewisePoly(knots, local)):
-            full = project(f, build_named_basis(kind, MAX_DEGREE))
+        for bp, c in ((knots[0], local[0]), (knots, local)):
+            full = projected(bp, c, build_named_basis(kind, MAX_DEGREE))
             for d in range(MAX_DEGREE + 1):
-                got = project(f, build_named_basis(kind, d))
-                assert np.array_equal(got, full[..., : d + 1]), (d, f.local.shape)
+                got = projected(bp, c, build_named_basis(kind, d))
+                assert np.array_equal(got, full[..., : d + 1]), (d, c.shape)
 
     def test_equality_holds_under_other_cpu_kernels(self):
         env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",

@@ -758,7 +758,7 @@ class TestAccuracySweep:
         assert n_buckets > 1  # the shapes differ in point count
         calls = []
         real = bases._moments
-        monkeypatch.setattr(bases, "_moments", lambda *a: calls.append(a[1]) or real(*a))
+        monkeypatch.setattr(bases, "_moments", lambda *a: calls.append(a[2]) or real(*a))
         one_at_a_time = []
         for kind in BASIS_KINDS:
             one_at_a_time += accuracy_sweep(traces, [kind], range(1, 6), degree=7, spline=spline)

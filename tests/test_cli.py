@@ -293,7 +293,7 @@ class TestErrorSweep:
         data.write_text("\n".join(lines) + "\n", encoding="utf-8")
         calls = []
         real = bases._moments
-        monkeypatch.setattr(bases, "_moments", lambda *a: calls.append(a[2]) or real(*a))
+        monkeypatch.setattr(bases, "_moments", lambda *a: calls.append(a[3]) or real(*a))
         out = tmp_path / "err.csv"
         assert main(["error-sweep", str(data), "--d-min", "2", "--d-max", "9",
                      "--out", str(out)]) == 0

@@ -15,7 +15,10 @@ from hypothesis import strategies as st
 
 from conftest import make_random_trace, near_duplicate_knots, skewed_knots
 from oracles import inkml_points, pendigits_traces
-from inkbasis import BASIS_KINDS, InkBasisError, InvalidParameterError, poly
+from inkbasis import BASIS_KINDS, InkBasisError, InvalidParameterError, ink, poly
+from inkbasis import (
+    LabeledDataset, OrthoBasis, basis_to_json_dict, build_basis, knn_accuracy, synthesize,
+)
 from inkbasis import (
     BasisKind,
     BasisMismatchError,
@@ -24,6 +27,7 @@ from inkbasis import (
     InkTrace,
     InvalidDataError,
     ParseError,
+    PiecewisePoly,
     SplineKind,
     SymbolCoeffs,
     accuracy_sweep,
@@ -45,6 +49,7 @@ from inkbasis import (
 )
 from inkbasis.ink import (
     _GL8_NODES, _GL8_WEIGHTS, _MAX_RESCALED, _corpus, _cubic_arc_lengths, _normalize,
+    coeffs_to_json_dict,
 )
 from inkbasis.poly import _BLOCK_BYTES
 
@@ -109,6 +114,7 @@ class TestParsePendigits:
         "1__0,2, 3,4, 5,6, 7,8, 9,10, 11,12, 13,14, 15,16, 1",
         "1,,3,4, 5,6, 7,8, 9,10, 11,12, 13,14, 15,16, 1",
         "1, ,3,4, 5,6, 7,8, 9,10, 11,12, 13,14, 15,16, 1",
+        "1,2, 3,4, 5,6, 7,8, 9,10, 11,12, 13,14, 15,16, \t x1 \u3000",  # quoted stripped
         "1,2, 3,4, 5,6, 7,8, 9,10, 11,12, 13,14, 15,16",
         "1,2, 3,4, 5,6, 7,8, 9,10, 11,12, 13,14, 15,16, 1, 2",
         "1,2, 3,4, 5,6, 7,8, 9,10, 11,12, 13,14, 15,16, 1,",
@@ -533,18 +539,46 @@ class TestBuckets:
         traces += [make_random_trace(rng, 9, 9) for _ in range(250)]
         rng.shuffle(traces)
         basis = build_named_basis("legendre-sobolev", 10)
-        calls = []
-        real = poly.PiecewisePoly.__post_init__
+        # each bucket goes to the kernel as its arrays, and no PiecewisePoly is built
+        calls, built = [], []
+        real_project, real_init = ink._project, poly.PiecewisePoly.__post_init__
+        monkeypatch.setattr(ink, "_project", lambda bp, c, b: calls.append(bp.shape)
+                            or real_project(bp, c, b))
         monkeypatch.setattr(poly.PiecewisePoly, "__post_init__",
-                            lambda self: calls.append(np.shape(self.breakpoints)) or real(self))
+                            lambda self: built.append(1) or real_init(self))
         buckets, [rows] = _corpus(traces, spline, [basis])
+        monkeypatch.undo()
         counts = Counter(len(t.points) for t in traces)
         assert sorted(len(idx) for idx, *_ in buckets) == sorted(counts.values())
         width = 2 if spline is SplineKind.LINEAR else 4
         assert counts[9] > _BLOCK_BYTES // (8 * 2 * (10 + width) * 8)
-        assert len(calls) == len(buckets) and all(len(shape) == 2 for shape in calls)
+        assert sorted(calls) == sorted((len(idx), len(k[0])) for idx, k, *_ in buckets)
+        assert built == []
         for t, row in zip(traces, rows):
             assert np.array_equal(row, project(arc_length_normalize(t, spline).curve, basis))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), scale=st.integers(-300, 300),
+           rel=st.integers(-20, 20), spline=st.sampled_from(SplineKind))
+    def test_every_curve_the_normalizer_accepts_is_a_piecewise_poly(self, seed, n, scale, rel,
+                                                                     spline):
+        # _corpus hands _normalize's arrays to the kernel unchecked: each curve it accepts
+        # (code 0) must pass PiecewisePoly's checks.  Walks 10^scale across, 10^rel of that
+        # off the origin, some steps 1e-8..1e-16 of the others: near-duplicate points
+        rng = np.random.default_rng(seed)
+        steps = rng.normal(size=(4, n - 1, 2))
+        tiny = rng.random((4, n - 1, 1)) < 0.4
+        steps = np.where(tiny, steps * 10.0 ** -rng.integers(8, 17, (4, n - 1, 1)), steps)
+        walks = np.concatenate([np.zeros((4, 1, 2)), np.cumsum(steps, axis=1)], axis=1)
+        offset = rng.choice([-1.0, 1.0], (4, 1, 2)) * 10.0 ** min(scale + rel, 307)
+        for points in offset + 10.0 ** scale * walks:
+            try:
+                trace = InkTrace(points)
+            except InvalidDataError:  # the points collapse in float precision
+                continue
+            knots, local, _, failure = _normalize(trace.points[None], spline)
+            if failure[0] == 0:
+                PiecewisePoly(knots[0], local[0])
 
     def test_first_failing_trace_in_input_order_raises(self):
         # linear: infinite length; cubic: the fit on chord length has infinite slopes
@@ -839,6 +873,17 @@ class TestCoeffsJsonl:
             assert np.array_equal(a.ys, b.ys)
             assert a.x0 == b.x0 and a.y0 == b.y0 and a.length == b.length
 
+    def test_a_bad_item_leaves_the_file_as_it_was(self, tmp_path):
+        # every line is made before the file is opened, and so emptied
+        path = tmp_path / "coeffs.jsonl"
+        write_coeffs_jsonl([_LINE3] * 3, path)
+        before = path.read_bytes()
+        for items in ([_LINE3, "oops"], ["oops"], [None, _LINE3]):
+            with pytest.raises(InvalidDataError,
+                               match="^a coefficient record is a SymbolCoeffs, got "):
+                write_coeffs_jsonl(items, path)
+            assert path.read_bytes() == before
+
     def test_written_bytes(self, tmp_path):
         top = np.finfo(float).max
         item = SymbolCoeffs("b", [-0.0, 5e-324, top], [1.5, -top, 0.1], "a", -0.0, 5e-324, top)
@@ -960,6 +1005,8 @@ _TRACE3 = InkTrace([(0, 0), (1, 2)])
 _NORM3 = arc_length_normalize(_TRACE3)
 _LINE3 = symbol_coeffs(_TRACE3, _CHEB3)
 _LEG1 = DensePoly(BasisKind.LEGENDRE, [1.0, 2.0])
+_LABELED = LabeledDataset(tuple(
+    symbol_coeffs(InkTrace([(0, 0), (1, i + 1)], label=str(i % 2)), _CHEB3) for i in range(6)))
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -1017,12 +1064,46 @@ _LEG1 = DensePoly(BasisKind.LEGENDRE, [1.0, 2.0])
      "^f must be a DensePoly, got int$"),
     (lambda fd: inner_closed_form(_LEG1, _LEG1, "s"), InvalidParameterError,
      "^spec must be an InnerProductSpec, got str$"),
+    (lambda fd: build_basis(None, 3), InvalidParameterError,
+     "^spec must be an InnerProductSpec, got NoneType$"),
+    (lambda fd: OrthoBasis(None, 3), InvalidParameterError,
+     "^spec must be an InnerProductSpec, got NoneType$"),
+    (lambda fd: basis_to_json_dict(None), InvalidParameterError,
+     "^basis must be an OrthoBasis, got NoneType$"),
+    (lambda fd: _CHEB3.member(99), InvalidParameterError,
+     r"^member index must be in \[0, 3\], got 99$"),
+    (lambda fd: _CHEB3.member(-1), InvalidParameterError,
+     r"^member index must be in \[0, 3\], got -1$"),
+    (lambda fd: _CHEB3.member("a"), InvalidParameterError,
+     "^member index must be an integer, got 'a'$"),
+    (lambda fd: CoeffTable(None), InvalidDataError, "^items must be SymbolCoeffs, got NoneType$"),
+    (lambda fd: LabeledDataset(None), InvalidDataError,
+     "^items must be SymbolCoeffs, got NoneType$"),
+    (lambda fd: knn_accuracy(_LABELED, _CHEB3, None), InvalidParameterError,
+     "^ks must be a range or a list of integers, got NoneType$"),
+    (lambda fd: knn_accuracy(_LABELED, _CHEB3, 5), InvalidParameterError,
+     "^ks must be a range or a list of integers, got int$"),
+    (lambda fd: accuracy_sweep([_TRACE3], None, [1]), InvalidParameterError,
+     "^basis_kinds must be a list of basis kind names, got NoneType$"),
+    (lambda fd: accuracy_sweep([_TRACE3], 5, [1]), InvalidParameterError,
+     "^basis_kinds must be a list of basis kind names, got int$"),
+    (lambda fd: accuracy_sweep([_TRACE3], "legendre", [1]), InvalidParameterError,
+     "^basis_kinds must be a list of basis kind names, got str$"),
+    (lambda fd: coeffs_to_json_dict(None), InvalidDataError,
+     "^a coefficient record is a SymbolCoeffs, got NoneType$"),
+    (lambda fd: write_coeffs_jsonl(None, os.devnull), InvalidDataError,
+     "^items must be SymbolCoeffs, got NoneType$"),
+    (lambda fd: synthesize([1.0], None), InvalidParameterError,
+     "^basis must be an OrthoBasis, got NoneType$"),
 ], ids=["inkml-descriptor", "inkml-int", "pendigits-int", "pendigits-bytes", "pendigits-line",
         "merge-strokes", "normalize", "to-coeffs", "reconstruct-coeffs", "reconstruct-basis",
         "merge-strokes-int", "to-coeffs-basis", "symbol-coeffs-basis", "project-basis",
         "project-curve", "translated-dx", "translated-dy", "scaled", "scaled-overflow",
         "match-models", "error-trace", "error-normalized", "sweep-k-range", "sweep-traces",
-        "sweep-trace", "save-basis", "inner-operand", "inner-spec"])
+        "sweep-trace", "save-basis", "inner-operand", "inner-spec", "build-basis", "ortho-basis",
+        "basis-json", "member-high", "member-negative", "member-str", "coeff-table",
+        "labeled-dataset", "knn-ks-none", "knn-ks-int", "sweep-kinds-none", "sweep-kinds-int",
+        "sweep-kinds-str", "coeffs-json", "write-jsonl", "synthesize"])
 def test_wrong_kinds_of_argument_are_typed_errors(tmp_path, call, error, message):
     doc = tmp_path / "sym.inkml"
     doc.write_text('<ink><trace>0 0, 1 1</trace></ink>', encoding="utf-8")
@@ -1033,3 +1114,4 @@ def test_wrong_kinds_of_argument_are_typed_errors(tmp_path, call, error, message
         os.fstat(fd)  # the caller's descriptor is still open
     finally:
         os.close(fd)
+

@@ -18,6 +18,7 @@ from inkbasis import (
     build_named_basis,
     poly,
     project,
+    synthesize,
 )
 from oracles import (
     OracleDomainError,
@@ -198,6 +199,17 @@ class TestDensePolyBasics:
     def test_non_numeric_coeffs_are_typed(self, coeffs):
         with pytest.raises(InvalidDataError, match=r"^coeffs must be numbers \(real, not bool\)$"):
             DensePoly(BasisKind.LEGENDRE, coeffs)
+
+    @pytest.mark.parametrize("coeffs", [None, [np.nan, 1.0], [np.inf], [1.0, 2.0, -np.inf]])
+    def test_coeffs_that_are_not_finite_are_refused(self, coeffs):
+        # None becomes NaN; a NaN or infinite coefficient would give NaN values and inners
+        with pytest.raises(InvalidDataError, match="^coeffs must be finite$"):
+            DensePoly("legendre", coeffs)
+
+    def test_a_series_that_is_not_finite_synthesizes_nothing(self):
+        basis = build_named_basis("chebyshev-sobolev", 3)
+        with pytest.raises(InvalidDataError, match="^coeffs must be finite$"):
+            synthesize([np.nan, 1.0], basis)
 
     @pytest.mark.parametrize("breakpoints, local, name", [
         (["a", "b"], [[1.0]], "breakpoints"), ([-1.0, 1.0], [["a"]], "local coefficients"),

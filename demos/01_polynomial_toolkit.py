@@ -9,12 +9,12 @@ Everything downstream rests on two facts demonstrated here:
 
 import numpy as np
 
-from inkbasis import BasisKind, DensePoly, PiecewisePoly, build_named_basis, project
+from inkbasis import DensePoly, PiecewisePoly, build_named_basis, project
 
 # --- dense polynomials in the two classical bases --------------------------
 # The parabola 2x^2 - 1 is exactly T_2, and (4 P_2 - 1) / 3 in Legendre form.
-p_cheb = DensePoly(BasisKind.CHEBYSHEV, [0, 0, 1])
-p_leg = DensePoly(BasisKind.LEGENDRE, [-1 / 3, 0, 4 / 3])
+p_cheb = DensePoly("chebyshev", [0, 0, 1])
+p_leg = DensePoly("legendre", [-1 / 3, 0, 4 / 3])
 xs = np.linspace(-1, 1, 5)
 print("2x^2 - 1 at", xs)
 print("  chebyshev:", p_cheb(xs))
@@ -26,14 +26,14 @@ print("  direct   :", 2 * xs**2 - 1)
 # pass; compare the forward sum of T_k = cos(k theta).
 rng = np.random.default_rng(1)
 c = rng.uniform(-1, 1, 31)
-series = DensePoly(BasisKind.CHEBYSHEV, c)
+series = DensePoly("chebyshev", c)
 print("\ndegree-30 series at x=0.3:", series(0.3))
 print("  sum of c_k cos(k arccos 0.3):", float(c @ np.cos(np.arange(31) * np.arccos(0.3))))
 
 # --- derivatives stay in their basis --------------------------------------
 print("\nd/dx in chebyshev coefficients:")
-print("  T_3        ->", DensePoly(BasisKind.CHEBYSHEV, [0, 0, 0, 1]).derivative().coeffs)
-print("  T_2        ->", DensePoly(BasisKind.CHEBYSHEV, [0, 0, 1]).derivative().coeffs)
+print("  T_3        ->", DensePoly("chebyshev", [0, 0, 0, 1]).derivative().coeffs)
+print("  T_2        ->", DensePoly("chebyshev", [0, 0, 1]).derivative().coeffs)
 
 # --- closed-form antiderivatives ---------------------------------------------
 # Each weighted basis element integrates in closed form:
@@ -41,7 +41,7 @@ print("  T_2        ->", DensePoly(BasisKind.CHEBYSHEV, [0, 0, 1]).derivative().
 #   Chebyshev:  the integral of T_m / sqrt(1 - s^2) is -sin(m theta) / m, s = cos(theta)
 m = 4
 e = np.eye(m + 2)
-antiderivative = DensePoly(BasisKind.LEGENDRE, (e[m + 1] - e[m - 1]) / (2 * m + 1))
+antiderivative = DensePoly("legendre", (e[m + 1] - e[m - 1]) / (2 * m + 1))
 print(f"\nd/ds of (P_{m + 1} - P_{m - 1}) / {2 * m + 1} in legendre coefficients:",
       antiderivative.derivative().coeffs)         # exactly P_4
 

@@ -7,7 +7,7 @@ family degenerates exactly to the classical one at lam = 0, so the
 derivative weight can be dialed in continuously.
 """
 
-import json
+from pathlib import Path
 
 import numpy as np
 
@@ -15,10 +15,10 @@ from inkbasis import (
     BASIS_KINDS,
     InnerProductSpec,
     Weight,
-    basis_to_json_dict,
     build_basis,
     build_named_basis,
     inner_closed_form,
+    save_basis,
 )
 
 np.set_printoptions(precision=6, suppress=True)
@@ -51,6 +51,11 @@ off = np.abs(gram - np.diag(np.diag(gram))).max()
 print(f"\nlargest off-diagonal Gram entry at lam=1/8, d=8: {off:.2e}")
 
 # --- export ------------------------------------------------------------------
-doc = basis_to_json_dict(build_named_basis("chebyshev-sobolev", 4))
-print("\nJSON export of the lam=1/8 family at degree 4:")
-print(json.dumps(doc, indent=2)[:400] + " ...")
+# save_basis writes the spec, degree, expansion and norms; load_basis rebuilds
+# the family from the spec and degree and checks the stored arrays against it.
+out = Path(__file__).parent / "out"
+out.mkdir(exist_ok=True)
+path = out / "chebyshev_sobolev_d4.json"
+save_basis(build_named_basis("chebyshev-sobolev", 4), path)
+print(f"\nJSON export of the lam=1/8 family at degree 4, {path.name}:")
+print(path.read_text(encoding="utf-8")[:400] + " ...")

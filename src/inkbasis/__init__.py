@@ -11,15 +11,12 @@ from .bases import (
     DEFAULT_LAMBDA,
     InnerProductSpec,
     OrthoBasis,
-    basis_from_json_dict,
-    basis_to_json_dict,
     build_basis,
     build_named_basis,
     inner_closed_form,
     load_basis,
     project,
     save_basis,
-    spec_for_kind,
     synthesize,
 )
 from .classify import (
@@ -41,7 +38,6 @@ from .errors import (
 from .ink import (
     CoeffTable,
     InkTrace,
-    NormalizedTrace,
     SplineKind,
     SymbolCoeffs,
     arc_length_normalize,
@@ -57,7 +53,6 @@ from .ink import (
     write_coeffs_jsonl,
 )
 from .poly import (
-    BasisKind,
     DensePoly,
     PiecewisePoly,
     Weight,
@@ -68,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BASIS_KINDS",
     "DEFAULT_LAMBDA",
-    "BasisKind",
     "BasisMismatchError",
     "CoeffTable",
     "DensePoly",
@@ -78,7 +72,6 @@ __all__ = [
     "InvalidDataError",
     "InvalidParameterError",
     "LabeledDataset",
-    "NormalizedTrace",
     "OrthoBasis",
     "ParseError",
     "PiecewisePoly",
@@ -87,8 +80,6 @@ __all__ = [
     "Weight",
     "accuracy_sweep",
     "arc_length_normalize",
-    "basis_from_json_dict",
-    "basis_to_json_dict",
     "build_basis",
     "build_named_basis",
     "coeff_distance_sq",
@@ -107,7 +98,6 @@ __all__ = [
     "reconstruct",
     "representation_error",
     "save_basis",
-    "spec_for_kind",
     "symbol_coeffs",
     "synthesize",
     "to_coeffs",

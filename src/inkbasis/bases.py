@@ -101,18 +101,6 @@ class InnerProductSpec:
         return f"{base}-sobolev" if self.is_sobolev else base
 
 
-def spec_for_kind(kind: str, lam: float = DEFAULT_LAMBDA) -> InnerProductSpec:
-    """Inner-product spec for one of the four named basis kinds.
-
-    Every kind refuses a lam that InnerProductSpec refuses; the plain kinds then drop it.
-    """
-    if kind not in BASIS_KINDS:
-        raise InvalidParameterError(f"unknown basis kind {kind!r}; expected one of {BASIS_KINDS}")
-    weight = Weight.INVERSE_SQRT if kind.startswith("chebyshev") else Weight.UNIT
-    spec = InnerProductSpec(weight, lam, 1)
-    return spec if kind.endswith("-sobolev") else InnerProductSpec(weight, 0.0, 0)
-
-
 def _coherent_pair(spec: InnerProductSpec, n: int) -> tuple[np.ndarray, ...]:
     """(h, b, c, g) for k < n: h_k = <B_k, B_k>, Q_k = B_k - b_k B_{k-2} with Q_k' = c_k
     B_{k-1}, and g_k = <Q_k, Q_k> = h_k + b_k^2 h_{k-2} + lam c_k^2 h_{k-1}.
@@ -165,9 +153,11 @@ def inner_closed_form(f: DensePoly, g: DensePoly, spec: InnerProductSpec) -> flo
         )
     h = _coherent_pair(spec, max(f.degree, g.degree) + 1)[0]
     m = min(f.degree, g.degree) + 1
-    total = float((h[:m] * f.coeffs[:m] * g.coeffs[:m]).sum())
-    if spec.is_sobolev and m > 1:
+    sobolev = spec.is_sobolev and m > 1
+    if sobolev:  # before any sum: a derivative that overflows is refused, not a sum's warning
         df, dg = f.derivative().coeffs, g.derivative().coeffs
+    total = float((h[:m] * f.coeffs[:m] * g.coeffs[:m]).sum())
+    if sobolev:
         total += spec.lam * float((h[: m - 1] * df[: m - 1] * dg[: m - 1]).sum())
     return total
 
@@ -250,7 +240,14 @@ def build_basis(spec: InnerProductSpec, degree: int) -> OrthoBasis:
 
 
 def build_named_basis(kind: str, degree: int, lam: float = DEFAULT_LAMBDA) -> OrthoBasis:
-    return build_basis(spec_for_kind(kind, lam), degree)
+    """build_basis of a named kind's spec; every kind checks lam, and the plain kinds drop it."""
+    if kind not in BASIS_KINDS:
+        raise InvalidParameterError(f"unknown basis kind {kind!r}; expected one of {BASIS_KINDS}")
+    weight = Weight.INVERSE_SQRT if kind.startswith("chebyshev") else Weight.UNIT
+    spec = InnerProductSpec(weight, lam, 1)
+    if not kind.endswith("-sobolev"):
+        spec = InnerProductSpec(weight, 0.0, 0)
+    return build_basis(spec, degree)
 
 
 def project(f: PiecewisePoly, basis: OrthoBasis) -> np.ndarray:
@@ -348,10 +345,10 @@ def synthesize(coeffs, basis: OrthoBasis) -> DensePoly:
 NORMALIZATION = "unit-leading-classical-coefficient"
 
 
-def basis_to_json_dict(basis: OrthoBasis) -> dict:
-    """JSON document for export: spec, degree, row-major expansion, norms."""
-    _check_basis(basis)
-    return {
+def save_basis(basis: OrthoBasis, path) -> None:
+    """Write basis as a JSON document: spec, degree, row-major expansion, norms."""
+    _check_basis(basis)  # before the file is opened, and so emptied
+    doc = {
         "spec": {
             "weight": basis.spec.weight.value,
             "lambda": basis.spec.lam,
@@ -362,16 +359,24 @@ def basis_to_json_dict(basis: OrthoBasis) -> dict:
         "expansion": [float(x) for x in basis.expansion.ravel(order="C")],
         "sq_norms": [float(x) for x in basis.sq_norms],
     }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
-def basis_from_json_dict(doc: dict) -> OrthoBasis:
-    """build_basis of a document's spec and degree.
+def load_basis(path) -> OrthoBasis:
+    """build_basis of a basis document's spec and degree, raising what build_basis raises.
 
-    A spec or degree that build_basis refuses raises what build_basis
-    raises.  A document whose expansion or sq_norms differ from the rebuilt
-    ones by more than 1e-12 relative (absolute below 1), or that is
-    otherwise malformed, raises InvalidDataError.
+    A file that is not UTF-8 JSON raises ParseError.  A document whose expansion
+    or sq_norms differ from the rebuilt ones by more than 1e-12 relative
+    (absolute below 1), or that is otherwise malformed, raises InvalidDataError.
     """
+    try:
+        doc = json.load(open_utf8(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed JSON: {exc.msg}", exc.lineno) from None
+    except ValueError as exc:  # an integer past int's digit limit
+        raise ParseError(f"malformed JSON: {exc}") from None
     try:
         s = doc["spec"]
         weight, lam, order, degree = Weight(s["weight"]), s["lambda"], s["order"], doc["degree"]
@@ -390,20 +395,3 @@ def basis_from_json_dict(doc: dict) -> OrthoBasis:
         if not np.all(np.abs(values - rebuilt) <= 1e-12 * np.maximum(1.0, np.abs(rebuilt))):
             raise InvalidDataError(f"{name} is not that of {basis.basis_id}")
     return basis
-
-
-def save_basis(basis: OrthoBasis, path) -> None:
-    doc = basis_to_json_dict(basis)  # checks basis before the file is opened, and so emptied
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
-def load_basis(path) -> OrthoBasis:
-    try:
-        doc = json.load(open_utf8(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc.msg}", exc.lineno) from None
-    except ValueError as exc:  # an integer past int's digit limit
-        raise ParseError(f"malformed JSON: {exc}") from None
-    return basis_from_json_dict(doc)

@@ -736,10 +736,16 @@ def coeffs_from_json_dict(doc: dict) -> SymbolCoeffs:
 
 
 def write_coeffs_jsonl(items: Iterable[SymbolCoeffs], path) -> None:
-    """One JSON object per line; floats round-trip bit-exactly."""
+    """One JSON object per line; floats round-trip bit-exactly.
+
+    Every check, read_coeffs_jsonl's of one basis and length included, runs
+    before the file is opened, and so emptied.
+    """
     if not isinstance(items, Iterable):
         raise InvalidDataError(f"items must be SymbolCoeffs, got {type(items).__name__}")
-    lines = [json.dumps(coeffs_to_json_dict(c)) + "\n" for c in items]  # before the file is emptied
+    items = tuple(items)
+    lines = [json.dumps(coeffs_to_json_dict(c)) + "\n" for c in items]
+    CoeffTable(items)  # several bases or lengths raise the reader's BasisMismatchError
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
 

@@ -127,7 +127,11 @@ class DensePoly:
         from numpy.polynomial import chebyshev, legendre  # imported where used: no command needs it
 
         der = chebyshev.chebder if self.basis is BasisKind.CHEBYSHEV else legendre.legder
-        return DensePoly(self.basis, der(self.coeffs))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            d = der(self.coeffs)
+        if not np.isfinite(d).all():
+            raise InvalidDataError("derivative is not finite: coefficients too large")
+        return DensePoly(self.basis, d)
 
 
 @dataclass(frozen=True)

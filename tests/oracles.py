@@ -28,7 +28,8 @@ from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import legendre as _leg
 from numpy.polynomial import polynomial as _poly
 
-from inkbasis import BasisKind, Weight
+from inkbasis import Weight
+from inkbasis.poly import BasisKind
 
 GL_NODES = 240
 

@@ -23,6 +23,33 @@ def test_all_has_no_duplicates():
     assert len(set(inkbasis.__all__)) == len(inkbasis.__all__)
 
 
+def test_all_is_one_name_per_job():
+    assert sorted(inkbasis.__all__) == sorted([
+        "BASIS_KINDS", "DEFAULT_LAMBDA", "BasisMismatchError", "CoeffTable", "DensePoly",
+        "InkBasisError", "InkTrace", "InnerProductSpec", "InvalidDataError",
+        "InvalidParameterError", "LabeledDataset", "OrthoBasis", "ParseError", "PiecewisePoly",
+        "SplineKind", "SymbolCoeffs", "Weight", "accuracy_sweep", "arc_length_normalize",
+        "build_basis", "build_named_basis", "coeff_distance_sq", "inner_closed_form",
+        "knn_accuracy", "knn_classify", "load_basis", "load_inkml", "load_pendigits",
+        "match_symbol", "merge_strokes", "parse_inkml", "parse_pendigits", "project",
+        "read_coeffs_jsonl", "reconstruct", "representation_error", "save_basis",
+        "symbol_coeffs", "synthesize", "to_coeffs", "write_coeffs_jsonl",
+    ])
+
+
+def test_internal_types_live_in_their_modules():
+    # callers pass kind strings, and a NormalizedTrace is what arc_length_normalize returns
+    from inkbasis.ink import NormalizedTrace
+    from inkbasis.poly import BasisKind
+
+    assert BasisKind("chebyshev") is inkbasis.DensePoly("chebyshev", [1.0]).basis
+    trace = inkbasis.InkTrace([(0, 0), (1, 1)])
+    assert isinstance(inkbasis.arc_length_normalize(trace), NormalizedTrace)
+    for name in ("BasisKind", "NormalizedTrace", "spec_for_kind", "basis_to_json_dict",
+                 "basis_from_json_dict"):
+        assert not hasattr(inkbasis, name), name
+
+
 def test_cli_import_loads_no_scipy():
     # a fresh process, so modules the tests import do not count
     env = dict(os.environ, PYTHONPATH=str(Path(inkbasis.__file__).parents[1]))

@@ -16,7 +16,6 @@ from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import polynomial as nppoly
 
 from inkbasis import (
-    BasisKind,
     BasisMismatchError,
     DensePoly,
     InkBasisError,
@@ -26,14 +25,12 @@ from inkbasis import (
     ParseError,
     PiecewisePoly,
     Weight,
-    basis_from_json_dict,
-    basis_to_json_dict,
     build_basis,
     build_named_basis,
     inner_closed_form,
     load_basis,
     project,
-    spec_for_kind,
+    save_basis,
     synthesize,
 )
 from conftest import make_random_trace
@@ -42,7 +39,7 @@ from inkbasis import (
     symbol_coeffs, to_coeffs,
 )
 from inkbasis.bases import MAX_DEGREE, _evaluate, _project
-from inkbasis.poly import _BLOCK_BYTES
+from inkbasis.poly import _BLOCK_BYTES, BasisKind
 from oracles import (
     closed_form_sobolev_gram,
     global_segments,
@@ -56,8 +53,8 @@ from oracles import (
     quad_inner_series,
 )
 
-CS = spec_for_kind("chebyshev-sobolev", 0.125)
-LS = spec_for_kind("legendre-sobolev", 0.125)
+CS = build_named_basis("chebyshev-sobolev", 0, 0.125).spec
+LS = build_named_basis("legendre-sobolev", 0, 0.125).spec
 SOBOLEV_KINDS = ("legendre-sobolev", "chebyshev-sobolev")
 
 # (weight, lam, degree) compared with the closed-form Gram-Schmidt reference
@@ -89,11 +86,11 @@ def random_linear_spline(rng, n_break=6):
 
 class TestInnerClosedForm:
     def test_t0_norm_is_pi(self):
-        spec = spec_for_kind("chebyshev")
+        spec = build_named_basis("chebyshev", 0).spec
         assert inner_closed_form(cheb(1), cheb(1), spec) == pytest.approx(math.pi)
 
     def test_p1_norm(self):
-        spec = spec_for_kind("legendre")
+        spec = build_named_basis("legendre", 0).spec
         p1 = DensePoly(BasisKind.LEGENDRE, [0, 1])
         assert inner_closed_form(p1, p1, spec) == pytest.approx(2 / 3)
 
@@ -127,8 +124,16 @@ class TestInnerClosedForm:
     def test_lambda_whose_gram_overflows_is_refused(self, recwarn):
         f = DensePoly(BasisKind.CHEBYSHEV, [0.0, 0.0, 1.0])
         with pytest.raises(InvalidParameterError, match=r"^lambda 1e\+308 is too large at degree 2"):
-            inner_closed_form(f, f, spec_for_kind("chebyshev-sobolev", 1e308))
+            inner_closed_form(f, f, build_named_basis("chebyshev-sobolev", 0, 1e308).spec)
         assert not recwarn.list
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", SOBOLEV_KINDS)
+    def test_a_derivative_that_overflows_is_refused(self, kind):
+        f = DensePoly(kind.removesuffix("-sobolev"), [1e308] * 3)
+        with pytest.raises(InvalidDataError,
+                           match="^derivative is not finite: coefficients too large$"):
+            inner_closed_form(f, f, build_named_basis(kind, 0).spec)
 
     def test_order_guard(self):
         with pytest.raises(InvalidParameterError, match="^order 2 not implemented$"):
@@ -251,8 +256,8 @@ class TestBuildBasis:
 
     @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
     def test_plain_kinds_drop_a_valid_lambda(self, kind):
-        assert spec_for_kind(kind, 0.5) == spec_for_kind(kind) == InnerProductSpec(
-            Weight.INVERSE_SQRT if kind == "chebyshev" else Weight.UNIT, 0.0, 0)
+        want = InnerProductSpec(Weight.INVERSE_SQRT if kind == "chebyshev" else Weight.UNIT, 0.0, 0)
+        assert build_named_basis(kind, 3, 0.5).spec == build_named_basis(kind, 3).spec == want
 
     def test_lam_past_float_range_is_typed(self):
         with pytest.raises(InvalidParameterError, match="^lam must be finite and non-negative"):
@@ -263,9 +268,9 @@ class TestBuildBasis:
         # up to about 2.86e303
         with pytest.raises(InvalidParameterError,
                            match=r"^lambda 3e\+303 is too large at degree 100: the Gram matrix"):
-            build_basis(spec_for_kind("chebyshev-sobolev", 3e303), 100)
-        build_basis(spec_for_kind("chebyshev-sobolev", 2e303), 100)
-        basis = build_basis(spec_for_kind("chebyshev-sobolev", 1e303), 100)
+            build_named_basis("chebyshev-sobolev", 100, 3e303)
+        build_named_basis("chebyshev-sobolev", 100, 2e303)
+        basis = build_named_basis("chebyshev-sobolev", 100, 1e303)
         trace = make_random_trace(np.random.default_rng(3))
         for spline in ("linear", "cubic"):
             c = symbol_coeffs(trace, basis, spline)
@@ -328,8 +333,8 @@ class TestProject:
 
     def test_batched_equals_per_row(self, rng):
         f = random_linear_spline(rng)
-        for spec in (CS, LS, spec_for_kind("chebyshev"), spec_for_kind("legendre")):
-            b = build_basis(spec, 9)
+        for kind in ("chebyshev-sobolev", "legendre-sobolev", "chebyshev", "legendre"):
+            b = build_named_basis(kind, 9)
             np.testing.assert_allclose(
                 project(f, b), project_by_rows(f, b), rtol=1e-12, atol=1e-13
             )
@@ -808,36 +813,58 @@ def identity_document(degree: int) -> dict:
     }
 
 
+def saved_document(basis, tmp_path) -> dict:
+    """The JSON document that save_basis writes for basis."""
+    path = tmp_path / "saved.json"
+    save_basis(basis, path)
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 class TestBasisJson:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         b = build_basis(CS, 6)
-        doc = basis_to_json_dict(b)
-        b2 = basis_from_json_dict(doc)
+        path = tmp_path / "basis.json"
+        save_basis(b, path)
+        b2 = load_basis(path)
         assert b2.spec == b.spec
         assert b2.degree == b.degree
         np.testing.assert_array_equal(b2.expansion, b.expansion)
         np.testing.assert_array_equal(b2.sq_norms, b.sq_norms)
 
-    def test_golden_file(self):
-        import json
-        from pathlib import Path
-
+    def test_golden_file(self, tmp_path):
         golden_path = Path(__file__).parent / "data" / "golden_chebyshev_sobolev_d5.json"
         golden = json.loads(golden_path.read_text())
-        doc = basis_to_json_dict(build_basis(CS, 5))
+        doc = saved_document(build_basis(CS, 5), tmp_path)
         assert doc["spec"] == golden["spec"]
         assert doc["degree"] == golden["degree"]
         assert doc["normalization"] == golden["normalization"]
         np.testing.assert_allclose(doc["expansion"], golden["expansion"], atol=1e-15, rtol=0)
         np.testing.assert_allclose(doc["sq_norms"], golden["sq_norms"], rtol=1e-15)
 
-    def test_loaded_basis_is_the_built_one(self, tmp_path):
-        from pathlib import Path
+    @pytest.mark.parametrize("kind, degree, digest", [
+        ("chebyshev-sobolev", 5,
+         "8556b3360efc00f1d2e60e7e17fd95111abb3833487b916497855f1dd200587c"),
+        ("legendre", 0, "689e1318a631833ab18cc7d7e02aa80097b58dffd8c22701876a1c3505284f35"),
+    ])
+    def test_saved_file_keeps_its_bytes(self, tmp_path, kind, degree, digest):
+        path = tmp_path / "basis.json"
+        save_basis(build_named_basis(kind, degree), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    def test_saving_a_non_basis_refuses_before_the_file_is_opened(self, tmp_path):
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        old.write_bytes(b"kept")
+        for path in (new, old):
+            with pytest.raises(InvalidParameterError,
+                               match="^basis must be an OrthoBasis, got NoneType$"):
+                save_basis(None, path)
+        assert not new.exists() and old.read_bytes() == b"kept"
+
+    def test_loaded_basis_is_the_built_one(self, tmp_path):
         built = build_basis(CS, 5)
         golden = load_basis(Path(__file__).parent / "data" / "golden_chebyshev_sobolev_d5.json")
         # a document within the tolerance loads as the rebuilt basis, not as its own arrays
-        doc = basis_to_json_dict(built)
+        doc = saved_document(built, tmp_path)
         doc["expansion"] = [x * (1 + 1e-14) for x in doc["expansion"]]
         path = tmp_path / "basis.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -881,7 +908,7 @@ class TestBasisJson:
              "bool-lambda", "identity-degree-150"],
     )
     def test_malformed_file_raises_typed_error(self, tmp_path, edit, error, message):
-        doc = basis_to_json_dict(build_basis(CS, 3))
+        doc = saved_document(build_basis(CS, 3), tmp_path)
         path = tmp_path / "basis.json"
         if edit is None:
             path.write_text('{\n  "spec":\n', encoding="utf-8")
@@ -893,7 +920,7 @@ class TestBasisJson:
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
     def test_integer_past_digit_limit_raises_parse_error(self, tmp_path):
-        doc = basis_to_json_dict(build_basis(CS, 3))
+        doc = saved_document(build_basis(CS, 3), tmp_path)
         path = tmp_path / "basis.json"
         path.write_text(json.dumps(doc).replace('"degree": 3', '"degree": ' + "1" * 5001))
         with pytest.raises(ParseError, match="^malformed JSON: Exceeds the limit"):

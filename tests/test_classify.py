@@ -32,7 +32,8 @@ from inkbasis import (
     symbol_coeffs,
     to_coeffs,
 )
-from inkbasis import BASIS_KINDS, BasisKind, bases, classify, poly
+from inkbasis import BASIS_KINDS, bases, classify, poly
+from inkbasis.poly import BasisKind
 from inkbasis.classify import _nearest, _nearest_rows, _norms, _votes, _weighted_sq, _weights
 from inkbasis.ink import _corpus
 from oracles import _vote, dp_match_distance_sq, nearest_rows, quad_inner_series

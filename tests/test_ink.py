@@ -1,6 +1,7 @@
 """Ingestion, arc-length normalization, and the coefficient pipeline."""
 
 import dataclasses
+import hashlib
 import itertools
 import os
 import re
@@ -17,10 +18,9 @@ from conftest import make_random_trace, near_duplicate_knots, skewed_knots
 from oracles import inkml_points, pendigits_traces
 from inkbasis import BASIS_KINDS, InkBasisError, InvalidParameterError, ink, poly
 from inkbasis import (
-    LabeledDataset, OrthoBasis, basis_to_json_dict, build_basis, knn_accuracy, synthesize,
+    LabeledDataset, OrthoBasis, build_basis, knn_accuracy, synthesize,
 )
 from inkbasis import (
-    BasisKind,
     BasisMismatchError,
     CoeffTable,
     DensePoly,
@@ -910,14 +910,41 @@ class TestCoeffsJsonl:
         assert back.ys.tobytes() == want_y.tobytes()
 
     def test_mixed_bases_file_rejected(self, rng, tmp_path):
-        items = [
-            symbol_coeffs(make_random_trace(rng), build_named_basis(kind, 5))
-            for kind in ("chebyshev", "chebyshev-sobolev")
-        ]
+        # the writer refuses such records, so the file is two written files joined
+        parts = []
+        for kind in ("chebyshev", "chebyshev-sobolev"):
+            part = tmp_path / f"{kind}.jsonl"
+            write_coeffs_jsonl([symbol_coeffs(make_random_trace(rng), build_named_basis(kind, 5))],
+                               part)
+            parts.append(part.read_bytes())
         path = tmp_path / "mixed.jsonl"
-        write_coeffs_jsonl(items, path)
-        with pytest.raises(BasisMismatchError):
+        path.write_bytes(b"".join(parts))
+        with pytest.raises(BasisMismatchError, match="^coefficient sets differ in basis or length"):
             read_coeffs_jsonl(path)
+
+    @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
+    def test_records_the_reader_refuses_are_not_written(self, tmp_path, kind):
+        # a chebyshev d = 3 record, then a d = 4 one of another basis or of the same
+        items = [_LINE3, symbol_coeffs(_TRACE3, build_named_basis(kind, 4))]
+        new, old = tmp_path / "new.jsonl", tmp_path / "old.jsonl"
+        write_coeffs_jsonl(items[:1], old)
+        before = old.read_bytes()
+        for path in (new, old):
+            with pytest.raises(BasisMismatchError,
+                               match="^coefficient sets differ in basis or length"):
+                write_coeffs_jsonl(iter(items), path)
+        assert not new.exists() and old.read_bytes() == before
+
+    def test_good_records_keep_their_bytes(self, tmp_path):
+        items = [SymbolCoeffs("chebyshev(degree=3)", [i / 3, -i / 7, 1e-300 * i],
+                              [0.1 * i, 2.0 ** -i, -0.0], None if i % 2 else str(i),
+                              *((i / 11, -i / 13, 1.0 + i) if i % 3 else (None,) * 3))
+                 for i in range(6)]
+        path = tmp_path / "good.jsonl"
+        for records in (items, (c for c in items)):
+            write_coeffs_jsonl(records, path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+                "e03d202a16547825822f406828305e635897b4ce55c27f34aa59a75b609a208e")
 
     @pytest.mark.parametrize(
         "line, message",
@@ -1004,7 +1031,7 @@ _CHEB3 = build_named_basis("chebyshev", 3)
 _TRACE3 = InkTrace([(0, 0), (1, 2)])
 _NORM3 = arc_length_normalize(_TRACE3)
 _LINE3 = symbol_coeffs(_TRACE3, _CHEB3)
-_LEG1 = DensePoly(BasisKind.LEGENDRE, [1.0, 2.0])
+_LEG1 = DensePoly("legendre", [1.0, 2.0])
 _LABELED = LabeledDataset(tuple(
     symbol_coeffs(InkTrace([(0, 0), (1, i + 1)], label=str(i % 2)), _CHEB3) for i in range(6)))
 
@@ -1068,7 +1095,7 @@ _LABELED = LabeledDataset(tuple(
      "^spec must be an InnerProductSpec, got NoneType$"),
     (lambda fd: OrthoBasis(None, 3), InvalidParameterError,
      "^spec must be an InnerProductSpec, got NoneType$"),
-    (lambda fd: basis_to_json_dict(None), InvalidParameterError,
+    (lambda fd: save_basis(None, fd), InvalidParameterError,
      "^basis must be an OrthoBasis, got NoneType$"),
     (lambda fd: _CHEB3.member(99), InvalidParameterError,
      r"^member index must be in \[0, 3\], got 99$"),

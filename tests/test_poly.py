@@ -9,7 +9,6 @@ from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import legendre as npleg
 
 from inkbasis import (
-    BasisKind,
     DensePoly,
     InvalidDataError,
     InvalidParameterError,
@@ -20,6 +19,7 @@ from inkbasis import (
     project,
     synthesize,
 )
+from inkbasis.poly import BasisKind
 from oracles import (
     OracleDomainError,
     global_segments,
@@ -124,6 +124,13 @@ class TestDerivative:
                 got = DensePoly(kind, integ(c)).derivative().coeffs
                 np.testing.assert_allclose(got[: len(c)], c, rtol=1e-12, atol=1e-12)
                 assert np.all(np.abs(got[len(c):]) <= 1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
+    def test_an_overflow_is_a_typed_error_not_a_warning(self, kind):
+        with pytest.raises(InvalidDataError,
+                           match="^derivative is not finite: coefficients too large$"):
+            DensePoly(kind, [1e308] * 3).derivative()
 
 
 class TestWeightedMoment:

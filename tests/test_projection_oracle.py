@@ -21,10 +21,8 @@ from inkbasis import (
     PiecewisePoly,
     Weight,
     arc_length_normalize,
-    build_basis,
     build_named_basis,
     project,
-    spec_for_kind,
 )
 from inkbasis.bases import MAX_DEGREE
 from conftest import make_random_trace
@@ -47,7 +45,7 @@ KINDS = {
 
 @lru_cache(maxsize=None)
 def _basis(kind, degree):
-    return build_basis(spec_for_kind(kind), degree)
+    return build_named_basis(kind, degree)
 
 
 @lru_cache(maxsize=None)
@@ -160,5 +158,5 @@ def test_steps_spanning_nine_decades_match_quadrature(spline, tol, family):
 def test_degree_limit():
     for kind in ("legendre", "chebyshev-sobolev"):
         with pytest.raises(InvalidParameterError, match="^degree 101 exceeds the verified limit 100$"):
-            build_basis(spec_for_kind(kind), MAX_DEGREE + 1)
-    assert build_basis(spec_for_kind("chebyshev"), MAX_DEGREE).degree == MAX_DEGREE
+            build_named_basis(kind, MAX_DEGREE + 1)
+    assert build_named_basis("chebyshev", MAX_DEGREE).degree == MAX_DEGREE

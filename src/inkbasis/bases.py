@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    BasisMismatchError, InvalidDataError, InvalidParameterError, ParseError, _enum_member,
+    BasisMismatchError, InvalidDataError, InvalidParameterError, _enum_member, _json_value,
     open_utf8,
 )
 from .poly import (
@@ -140,7 +140,7 @@ def inner_closed_form(f: DensePoly, g: DensePoly, spec: InnerProductSpec) -> flo
     """sum_k h_k f_k g_k + lam sum_k h_k f'_k g'_k for series in the weight's classical basis.
 
     No integration is performed; a lam that a basis of the operands' degree
-    refuses is refused here too.
+    refuses is refused here too, and so is a sum that is not finite.
     """
     for name, value in (("f", f), ("g", g)):
         if not isinstance(value, DensePoly):
@@ -156,9 +156,12 @@ def inner_closed_form(f: DensePoly, g: DensePoly, spec: InnerProductSpec) -> flo
     sobolev = spec.is_sobolev and m > 1
     if sobolev:  # before any sum: a derivative that overflows is refused, not a sum's warning
         df, dg = f.derivative().coeffs, g.derivative().coeffs
-    total = float((h[:m] * f.coeffs[:m] * g.coeffs[:m]).sum())
-    if sobolev:
-        total += spec.lam * float((h[: m - 1] * df[: m - 1] * dg[: m - 1]).sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        total = float((h[:m] * f.coeffs[:m] * g.coeffs[:m]).sum())
+        if sobolev:
+            total += spec.lam * float((h[: m - 1] * df[: m - 1] * dg[: m - 1]).sum())
+    if not math.isfinite(total):
+        raise InvalidDataError("inner product is not finite: coefficients too large")
     return total
 
 
@@ -371,12 +374,7 @@ def load_basis(path) -> OrthoBasis:
     or sq_norms differ from the rebuilt ones by more than 1e-12 relative
     (absolute below 1), or that is otherwise malformed, raises InvalidDataError.
     """
-    try:
-        doc = json.load(open_utf8(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc.msg}", exc.lineno) from None
-    except ValueError as exc:  # an integer past int's digit limit
-        raise ParseError(f"malformed JSON: {exc}") from None
+    doc = _json_value(open_utf8(path).read())
     try:
         s = doc["spec"]
         weight, lam, order, degree = Weight(s["weight"]), s["lambda"], s["order"], doc["degree"]

@@ -1,11 +1,12 @@
-"""The package's error contract, the text reader of its file formats, and the
-typed conversion of a value to an enum member.
+"""The package's error contract, the text and JSON readers of its file formats,
+and the typed conversion of a value to an enum member.
 
 Every error is an InkBasisError: a ParseError, an InvalidParameterError, or an
 InvalidDataError, of which BasisMismatchError is one; the last three are ValueErrors.
 """
 
 import io
+import json
 
 
 class InkBasisError(Exception):
@@ -52,6 +53,16 @@ def open_utf8(path) -> io.StringIO:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"not UTF-8 text: {exc.reason}", line) from None
     return io.StringIO(text, newline=None)
+
+
+def _json_value(text: str, line: int | None = None):
+    """json.loads(text); text that is not JSON raises ParseError at line, else at the decoder's."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed JSON: {exc.msg}", line or exc.lineno) from None
+    except ValueError as exc:  # an integer past int's digit limit
+        raise ParseError(f"malformed JSON: {exc}", line) from None
 
 
 def _enum_member(enum_type, value, what: str):

@@ -40,7 +40,7 @@ import numpy as np
 from .bases import OrthoBasis, _check_basis, _evaluate, _project, project
 from .errors import (
     BasisMismatchError, InvalidDataError, InvalidParameterError, ParseError, _enum_member,
-    open_utf8,
+    _json_value, open_utf8,
 )
 from .poly import PiecewisePoly, _frozen, _points, _real_array
 
@@ -228,52 +228,33 @@ def parse_pendigits(source: str | Iterable[str]) -> list[InkTrace]:
     ParseError with its line number.  A source that is neither a string nor
     an iterable of lines raises InvalidDataError.
 
-    One pass checks each line and reads its fields with int(), which skips
-    padding and reads signs, "1_000" and non-ASCII digits; then all coordinates
-    become one float array and each line an InkTrace.  A line that fails its
-    own checks first builds the lines above it: the first bad line raises.
+    Each line becomes its InkTrace before the next line is read, so the first
+    bad line raises.  Its fields are read with int(), which skips padding and
+    reads signs, "1_000" and non-ASCII digits.
     """
     if isinstance(source, (bytes, bytearray)) or not isinstance(source, (str, Iterable)):
         raise InvalidDataError(f"source must be text or lines of text, got {type(source).__name__}")
-    values, linenos = [], []
+    traces = []
     for lineno, raw in enumerate(source.splitlines() if isinstance(source, str) else source, 1):
         if not isinstance(raw, str):
-            reason = f"a line must be a string, got {type(raw).__name__}"
-        elif len(fields := raw.split(",")) != 17:
+            raise ParseError(f"a line must be a string, got {type(raw).__name__}", lineno)
+        if len(fields := raw.split(",")) != 17:
             if not raw.strip():
                 continue
-            reason = f"expected 17 fields, got {len(fields)}"
-        else:
-            try:
-                values.extend(map(int, fields))
-                linenos.append(lineno)
-                continue
-            except ValueError as exc:
-                try:  # the message quotes the bad field stripped
-                    list(map(int, map(str.strip, fields)))
-                except ValueError as stripped:
-                    exc = stripped
-                reason = f"non-integer field: {exc}"
-                del values[17 * len(linenos):]
-        _pendigits_traces(values, linenos)
-        raise ParseError(reason, lineno)
-    return _pendigits_traces(values, linenos)
-
-
-def _pendigits_traces(values: list[int], linenos: list[int]) -> list[InkTrace]:
-    """The traces of rows of 17 ints, read from lines linenos; the first bad row raises."""
-    coords = values[:]
-    del coords[16::17]
-    try:
-        pts = np.array(coords, dtype=float).reshape(-1, 8, 2)
-    except OverflowError:  # the rows above the first int float() refuses come first
-        row = next(i for i, v in enumerate(coords) if abs(v) >= 2**1024 - 2**970) // 16
-        _pendigits_traces(values[: 17 * row], linenos[:row])
-        raise ParseError("coordinate too large for a float", linenos[row]) from None
-    traces = []
-    for p, label, lineno in zip(pts, map(str, values[16::17]), linenos):
+            raise ParseError(f"expected 17 fields, got {len(fields)}", lineno)
         try:
-            traces.append(InkTrace(p, label))
+            values = list(map(int, fields))
+        except ValueError as exc:
+            try:  # the message quotes the bad field stripped
+                list(map(int, map(str.strip, fields)))
+            except ValueError as stripped:
+                exc = stripped
+            raise ParseError(f"non-integer field: {exc}", lineno) from None
+        try:
+            points = np.array(values[:16], dtype=float).reshape(8, 2)
+            traces.append(InkTrace(points, str(values[16])))
+        except OverflowError:
+            raise ParseError("coordinate too large for a float", lineno) from None
         except InvalidDataError as exc:
             raise ParseError(str(exc), lineno) from None
     return traces
@@ -709,43 +690,18 @@ def reconstruct(
     return (float(x), float(y)) if xs.ndim == 0 else (x, y)
 
 
-def coeffs_to_json_dict(c: SymbolCoeffs) -> dict:
-    if not isinstance(c, SymbolCoeffs):
-        raise InvalidDataError(f"a coefficient record is a SymbolCoeffs, got {type(c).__name__}")
-    doc = {
-        "label": c.label,
-        "basis_id": c.basis_id,
-        "xs": c.xs.tolist(),
-        "ys": c.ys.tolist(),
-    }
-    if c.x0 is not None:
-        doc["x0"] = c.x0
-        doc["y0"] = c.y0
-        doc["length"] = c.length
-    return doc
-
-
-def coeffs_from_json_dict(doc: dict) -> SymbolCoeffs:
-    if not isinstance(doc, dict):
-        raise InvalidDataError(f"a coefficient record is a JSON object, got {type(doc).__name__}")
-    try:
-        basis_id, xs, ys = doc["basis_id"], doc["xs"], doc["ys"]
-    except KeyError as exc:
-        raise InvalidDataError(f"coefficient record lacks {exc}") from None
-    return SymbolCoeffs(basis_id, xs, ys, *map(doc.get, ("label", "x0", "y0", "length")))
-
-
 def write_coeffs_jsonl(items: Iterable[SymbolCoeffs], path) -> None:
     """One JSON object per line; floats round-trip bit-exactly.
 
-    Every check, read_coeffs_jsonl's of one basis and length included, runs
-    before the file is opened, and so emptied.
+    CoeffTable(items) is the one check, read_coeffs_jsonl's of one basis and
+    length included, and it runs before the file is opened, and so emptied.
     """
-    if not isinstance(items, Iterable):
-        raise InvalidDataError(f"items must be SymbolCoeffs, got {type(items).__name__}")
-    items = tuple(items)
-    lines = [json.dumps(coeffs_to_json_dict(c)) + "\n" for c in items]
-    CoeffTable(items)  # several bases or lengths raise the reader's BasisMismatchError
+    lines = []
+    for c in CoeffTable(items):
+        doc = {"label": c.label, "basis_id": c.basis_id, "xs": c.xs.tolist(), "ys": c.ys.tolist()}
+        if c.x0 is not None:
+            doc.update(x0=c.x0, y0=c.y0, length=c.length)
+        lines.append(json.dumps(doc) + "\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
 
@@ -758,17 +714,17 @@ def read_coeffs_jsonl(path) -> CoeffTable:
     """
     out = []
     for lineno, line in enumerate(open_utf8(path), start=1):
-        line = line.strip()
-        if not line:
+        if not (line := line.strip()):
             continue
+        doc = _json_value(line, lineno)
+        if not isinstance(doc, dict):
+            raise ParseError(f"a coefficient record is a JSON object, got {type(doc).__name__}",
+                             lineno)
         try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed JSON: {exc.msg}", lineno) from None
-        except ValueError as exc:  # an integer past int's digit limit
-            raise ParseError(f"malformed JSON: {exc}", lineno) from None
-        try:
-            out.append(coeffs_from_json_dict(doc))
+            out.append(SymbolCoeffs(doc["basis_id"], doc["xs"], doc["ys"],
+                                    *map(doc.get, ("label", "x0", "y0", "length"))))
+        except KeyError as exc:
+            raise ParseError(f"coefficient record lacks {exc}", lineno) from None
         except InvalidDataError as exc:
             raise ParseError(str(exc), lineno) from None
-    return CoeffTable(tuple(out))
+    return CoeffTable(out)

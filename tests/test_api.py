@@ -59,8 +59,8 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_commands_and_queries_load_no_numpy_polynomial(tmp_path):
-    # only DensePoly's evaluation and derivative use numpy.polynomial, and they
-    # import it; a fresh process runs a command of each kind and a query
+    # only DensePoly.derivative uses numpy.polynomial, and it imports it where it
+    # is used; a fresh process runs a command of each kind and a query
     golden = Path(__file__).parent / "data" / "cli_golden"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     code = (

@@ -135,6 +135,29 @@ class TestInnerClosedForm:
                            match="^derivative is not finite: coefficients too large$"):
             inner_closed_form(f, f, build_named_basis(kind, 0).spec)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind, coeffs", [
+        ("legendre", [1e200] * 3), ("legendre-sobolev", [1e200] * 3),
+        ("chebyshev", [1e300, -1e300]),
+    ], ids=["legendre", "legendre-sobolev", "chebyshev"])
+    def test_a_sum_that_overflows_is_refused(self, kind, coeffs):
+        f = DensePoly(kind.removesuffix("-sobolev"), coeffs)
+        with pytest.raises(InvalidDataError,
+                           match="^inner product is not finite: coefficients too large$"):
+            inner_closed_form(f, f, build_named_basis(kind, 0).spec)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", SOBOLEV_KINDS)
+    def test_a_derivative_term_that_overflows_is_refused(self, kind):
+        # h_1 * 1e154**2 is finite in either family, h_0 * 1e154**2 is not: only
+        # the derivative term, of S_1' = S_0, overflows
+        f = DensePoly(kind.removesuffix("-sobolev"), [0.0, 1e154])
+        spec = build_named_basis(kind, 0).spec
+        assert math.isfinite(inner_closed_form(f, f, build_named_basis(kind, 0, 0.0).spec))
+        with pytest.raises(InvalidDataError,
+                           match="^inner product is not finite: coefficients too large$"):
+            inner_closed_form(f, f, spec)
+
     def test_order_guard(self):
         with pytest.raises(InvalidParameterError, match="^order 2 not implemented$"):
             spec = InnerProductSpec(Weight.INVERSE_SQRT, 0.125, 2)

@@ -49,7 +49,6 @@ from inkbasis import (
 )
 from inkbasis.ink import (
     _GL8_NODES, _GL8_WEIGHTS, _MAX_RESCALED, _corpus, _cubic_arc_lengths, _normalize,
-    coeffs_to_json_dict,
 )
 from inkbasis.poly import _BLOCK_BYTES
 
@@ -130,9 +129,9 @@ class TestParsePendigits:
     @pytest.mark.parametrize("at", [0, 2])
     def test_lines_are_read_as_the_line_by_line_reader_reads_them(self, line, at):
         # what parse_pendigits accepts and refuses, with which message and line
-        # number, is one int() per field of one line at a time (oracles.pendigits_traces),
-        # though it converts every line in one pass; the line sits alone, or third
-        # after a good line and a blank one
+        # number, is what the line-by-line reference (oracles.pendigits_traces) gives,
+        # though it reads each field of a line unstripped; the line sits alone, or
+        # third after a good line and a blank one
         lines = [PENDIGITS_LINE, " ", line, PENDIGITS_LINE][2 - at:]
         assert _outcome(parse_pendigits, lines) == _outcome(pendigits_traces, lines)
         if all(isinstance(x, str) for x in lines):
@@ -152,8 +151,8 @@ class TestParsePendigits:
         None,
     ])
     def test_the_first_bad_line_raises_whatever_the_later_line_holds(self, early, late):
-        # a line's own checks run in the one pass and the float array and InkTrace after
-        # it, so a later line's fault must not hide an earlier line's
+        # each line becomes its InkTrace before the next line is read, so a later
+        # line's fault, in its fields or past float's range, must not hide an earlier line's
         lines = [PENDIGITS_LINE, early, PENDIGITS_LINE, late]
         assert _outcome(parse_pendigits, lines) == _outcome(pendigits_traces, lines)
 
@@ -163,6 +162,19 @@ class TestParsePendigits:
         source = (reads.append(line) or line for line in lines)
         assert _outcome(parse_pendigits, source) == _outcome(pendigits_traces, lines)
         assert reads == lines
+
+    def test_the_first_bad_line_raises_before_a_later_line_is_read(self):
+        reads = []
+
+        def source():
+            for line in (PENDIGITS_LINE, "5,5, " * 8 + "1", PENDIGITS_LINE):
+                reads.append(line)
+                yield line
+            raise AssertionError("a line after the bad one was read")
+
+        with pytest.raises(ParseError, match="^line 2: trace has fewer than two distinct points$"):
+            parse_pendigits(source())
+        assert len(reads) == 2
 
 
 def _outcome(parse, source):
@@ -874,13 +886,12 @@ class TestCoeffsJsonl:
             assert a.x0 == b.x0 and a.y0 == b.y0 and a.length == b.length
 
     def test_a_bad_item_leaves_the_file_as_it_was(self, tmp_path):
-        # every line is made before the file is opened, and so emptied
+        # the table, the writer's one check, is made before the file is opened, and so emptied
         path = tmp_path / "coeffs.jsonl"
         write_coeffs_jsonl([_LINE3] * 3, path)
         before = path.read_bytes()
         for items in ([_LINE3, "oops"], ["oops"], [None, _LINE3]):
-            with pytest.raises(InvalidDataError,
-                               match="^a coefficient record is a SymbolCoeffs, got "):
+            with pytest.raises(InvalidDataError, match="^a table holds SymbolCoeffs, got "):
                 write_coeffs_jsonl(items, path)
             assert path.read_bytes() == before
 
@@ -1116,8 +1127,8 @@ _LABELED = LabeledDataset(tuple(
      "^basis_kinds must be a list of basis kind names, got int$"),
     (lambda fd: accuracy_sweep([_TRACE3], "legendre", [1]), InvalidParameterError,
      "^basis_kinds must be a list of basis kind names, got str$"),
-    (lambda fd: coeffs_to_json_dict(None), InvalidDataError,
-     "^a coefficient record is a SymbolCoeffs, got NoneType$"),
+    (lambda fd: write_coeffs_jsonl([None], os.devnull), InvalidDataError,
+     "^a table holds SymbolCoeffs, got NoneType$"),
     (lambda fd: write_coeffs_jsonl(None, os.devnull), InvalidDataError,
      "^items must be SymbolCoeffs, got NoneType$"),
     (lambda fd: synthesize([1.0], None), InvalidParameterError,
